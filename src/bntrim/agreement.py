@@ -9,11 +9,14 @@ table we get, in one pass each:
 * ``eca``     expected agreement with a trimmed classifier at a fixed
               threshold (split rows at the threshold, sum the matching
               side's mass);
-* ``mpa``     an upper bound that lets every row pick its better side;
 * ``compute_maa`` the best achievable agreement over all thresholds,
               found by sweeping the rows in posterior order.
 
-Tables are built from a joint probability grid materialized once per
+``mpa``, an upper bound that lets every row pick its better side, reads
+the same per-row sums but builds no table: it needs neither posteriors
+nor an order, so it skips both.
+
+Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair, so repeated subset evaluations during search
 stay cheap.  Scalar cross-checks (``sdp``, ``esdp_two_threshold``) use the
 enumeration path from :mod:`bntrim.inference` instead and are deliberately
@@ -102,15 +105,14 @@ class _Grid:
     """Per-instantiation masses over the full feature space.
 
     Arrays are indexed by feature value along one axis per classifier
-    feature, in classifier feature order.  ``decide`` marks instantiations
-    the original classifier labels positive; zero-mass cells are False.
+    feature, in classifier feature order.  ``hit`` holds a cell's total
+    mass where the original classifier labels it positive, else 0.
     """
 
     features: tuple[str, ...]
     pos: np.ndarray
     neg: np.ndarray
-    total: np.ndarray
-    decide: np.ndarray
+    hit: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -158,8 +160,8 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     nonzero = total > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nonzero, pos / np.where(nonzero, total, 1.0), 0.0)
-    decide = nonzero & (ratio >= clf.threshold)
-    return _Grid(clf.features, pos, neg, total, decide)
+    hit = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
+    return _Grid(clf.features, pos, neg, hit)
 
 
 def _kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
@@ -168,6 +170,31 @@ def _kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
     if extra:
         raise ModelError(f"kept set names non-features: {sorted(extra)}")
     return tuple(f for f in clf.features if f in kept_set)
+
+
+def _row_cells(
+    net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
+) -> tuple[tuple[int, ...], int, list[float], list[float], list[float]]:
+    """The grid's pos, neg and hit cells grouped by kept instantiation.
+
+    Returns the kept features' shape, the number of cells per
+    instantiation, and three flat lists holding one run of that many
+    cells per instantiation, in C order over the shape (the order
+    ``itertools.product`` enumerates it in).  Flat lists, not one small
+    list per instantiation, so the row loops keep no thousands of live
+    objects for every garbage collection to traverse.
+    """
+    grid = _classifier_grid(net, clf)
+    kept_axes = [clf.features.index(f) for f in kept_t]
+    rest_axes = [i for i in range(len(clf.features)) if i not in kept_axes]
+    perm = kept_axes + rest_axes
+    kept_shape = tuple(grid.pos.shape[i] for i in kept_axes)
+    width = grid.pos.size // math.prod(kept_shape)
+
+    def flat(a: np.ndarray) -> list[float]:
+        return np.transpose(a, perm).reshape(-1).tolist()
+
+    return kept_shape, width, flat(grid.pos), flat(grid.neg), flat(grid.hit)
 
 
 def build_instance_table(
@@ -180,38 +207,23 @@ def build_instance_table(
     is deterministic.
     """
     kept_t = _kept_in_order(clf, kept)
-    grid = _classifier_grid(net, clf)
-    n = len(clf.features)
-    pos_idx = {f: i for i, f in enumerate(clf.features)}
-    kept_axes = [pos_idx[f] for f in kept_t]
-    rest_axes = [i for i in range(n) if clf.features[i] not in set(kept_t)]
-    perm = kept_axes + rest_axes
-
-    kept_shape = tuple(grid.pos.shape[i] for i in kept_axes)
-    k = int(np.prod(kept_shape, dtype=np.int64)) if kept_shape else 1
-
-    def flat(a: np.ndarray) -> np.ndarray:
-        return np.transpose(a, perm).reshape(k, -1)
-
-    pos2 = flat(grid.pos)
-    neg2 = flat(grid.neg)
-    hit2 = flat(np.where(grid.decide, grid.total, 0.0))
+    kept_shape, width, pos, neg, hit = _row_cells(net, clf, kept_t)
+    values = itertools.product(*(range(c) for c in kept_shape))
 
     # Per-row sums use fsum over the same cell multisets the enumeration
     # path in inference.py sums, so posteriors agree bit-for-bit with
     # posterior_class whenever the classifier covers every non-class
     # variable.
     rows: list[InstanceRow] = []
-    for i in range(k):
-        pos_cells = pos2[i].tolist()
-        neg_cells = neg2[i].tolist()
-        m = math.fsum(pos_cells + neg_cells)
+    for lo, v in zip(range(0, len(pos), width), values):
+        hi = lo + width
+        pos_cells = pos[lo:hi]
+        m = math.fsum(pos_cells + neg[lo:hi])
         if m <= 0.0:
             continue
-        values = tuple(int(x) for x in np.unravel_index(i, kept_shape)) if kept_shape else ()
         posterior = min(math.fsum(pos_cells) / m, 1.0)
-        rate = min(math.fsum(hit2[i].tolist()) / m, 1.0)
-        rows.append(InstanceRow(values, m, posterior, rate))
+        rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
+        rows.append(InstanceRow(v, m, posterior, rate))
     rows.sort(key=lambda r: r.posterior)
     return InstanceTable(kept_t, tuple(rows))
 
@@ -315,11 +327,22 @@ def esdp_two_threshold(
 def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     """Upper bound on agreement for a kept subset: every instantiation
     contributes its larger side, as if the threshold could be chosen per
-    row instead of globally."""
-    table = build_instance_table(net, clf, kept)
-    return math.fsum(
-        max(r.positive_rate, 1.0 - r.positive_rate) * r.mass for r in table.rows
-    )
+    row instead of globally.
+
+    Each term is the one ``build_instance_table``'s row would give
+    (the same fsum-ed mass and positive rate), and fsum is correctly
+    rounded, so the result does not depend on the row order the table
+    would impose; no table is built.
+    """
+    _, width, pos, neg, hit = _row_cells(net, clf, _kept_in_order(clf, kept))
+    terms = []
+    for lo in range(0, len(pos), width):
+        hi = lo + width
+        m = math.fsum(pos[lo:hi] + neg[lo:hi])
+        if m > 0.0:
+            rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
+            terms.append(max(rate, 1.0 - rate) * m)
+    return math.fsum(terms)
 
 
 def _group_rows(rows: Sequence[InstanceRow]) -> list[tuple[int, int]]:
@@ -338,27 +361,45 @@ def _group_rows(rows: Sequence[InstanceRow]) -> list[tuple[int, int]]:
     return groups
 
 
+# Every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal, so sums of floats are held exactly as integers in that unit.
+_UNIT = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """x as an exact integer count of 2**-1074."""
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
+
+
 def compute_maa(table: InstanceTable) -> MaaResult:
     """Best achievable agreement over all thresholds for a fixed table.
 
     Sweeps the candidate cuts in posterior order: cut j classifies rows
-    below group j negative and the rest positive.  Each candidate's value
-    is summed exactly with fsum, so the result equals a brute-force
-    maximum of eca over the candidate thresholds.  Ties go to the lowest
+    below group j negative and the rest positive.  A running integer
+    holds the exact value of cut j's terms, negative sides below the cut
+    and positive sides from it on, in units of 2**-1074: it starts as the
+    exact sum of every positive side, and crossing a group adds each
+    row's negative side and subtracts its positive side.  Dividing it by
+    the unit is correctly rounded (Python's int true division), as
+    ``fsum`` of the cut's terms is, so each score is the same float
+    ``fsum`` gives and the result equals a brute-force maximum of eca
+    over the candidate thresholds at linear cost.  Ties go to the lowest
     cut, and a strict improvement is required to move off it.
     """
     rows = table.rows
     if not rows:
         raise ModelError("instance table has no rows")
     groups = _group_rows(rows)
-    pos_terms = [r.positive_rate * r.mass for r in rows]
-    neg_terms = [(1.0 - r.positive_rate) * r.mass for r in rows]
+    pos = [_units(r.positive_rate * r.mass) for r in rows]
+    steps = [_units((1.0 - r.positive_rate) * r.mass) - p for r, p in zip(rows, pos)]
 
-    best_score = -math.inf
+    total = sum(pos)
+    best_score = total / _UNIT
     best_cut = 0
-    for j in range(len(groups) + 1):
-        cut = groups[j][0] if j < len(groups) else len(rows)
-        score = math.fsum(neg_terms[:cut] + pos_terms[cut:])
+    for j, (start, end) in enumerate(groups, 1):
+        total += sum(steps[start:end])
+        score = total / _UNIT
         if score > best_score:
             best_score = score
             best_cut = j

@@ -58,19 +58,17 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
 def ig_select(scores: Mapping[str, float], costs: CostModel) -> tuple[str, ...]:
     """Greedy selection by descending score under the budget.
 
-    Features that no longer fit the remaining budget are skipped; ties
-    break toward the earlier feature in the mapping's order.  The chosen
-    features are returned in the mapping's order.
+    Features that no longer fit the budget together with those already
+    chosen are skipped; ties break toward the earlier feature in the
+    mapping's order.  The chosen features are returned in the mapping's
+    order.
     """
     names = list(scores)
     index = {f: i for i, f in enumerate(names)}
-    remaining = costs.budget
-    chosen: set[str] = set()
+    chosen: list[str] = []
     for f in sorted(names, key=lambda f: (-scores[f], index[f])):
-        cost = costs.cost_of(f)
-        if cost <= remaining:
-            chosen.add(f)
-            remaining -= cost
+        if costs.fits(chosen + [f]):
+            chosen.append(f)
     return tuple(f for f in names if f in chosen)
 
 

@@ -217,6 +217,12 @@ class CostModel:
     def total(self, names: Iterable[str]) -> float:
         return math.fsum(self.cost_of(n) for n in names)
 
+    def fits(self, names: Iterable[str]) -> bool:
+        """Whether the named features fit the budget together.  The one
+        feasibility rule: the correctly rounded total, never a running
+        remainder, whose rounding errors pile up on fractional costs."""
+        return self.total(names) <= self.budget
+
     @classmethod
     def unit(cls, features: Iterable[str], budget: float) -> "CostModel":
         return cls({f: 1.0 for f in features}, budget)

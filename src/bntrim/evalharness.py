@@ -183,7 +183,7 @@ def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...
     out = []
     for size in range(n + 1):
         for combo in itertools.combinations(clf.features, size):
-            if costs.total(combo) <= costs.budget:
+            if costs.fits(combo):
                 out.append(combo)
     return out
 

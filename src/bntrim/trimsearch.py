@@ -49,7 +49,12 @@ BRANCH_ORDERS = ("individual-mpa-descending", "input-order")
 
 @dataclass
 class SearchStats:
-    """Work counters for one search run."""
+    """Work counters for one search run.
+
+    ``bound_evals`` counts bound checks: the branch-order pass plus one
+    per node that compares its subtree bound against the incumbent,
+    including the include children that reuse their parent's bound.
+    """
 
     maa_evals: int = 0
     bound_evals: int = 0
@@ -70,7 +75,7 @@ class TraceEvent:
     action: str  # "maa" | "bound" | "prune" | "update"
     included: tuple[str, ...]
     excluded: tuple[str, ...]
-    budget_left: float
+    budget_left: float  # budget - fsum(costs of included)
     value: float
 
 
@@ -142,9 +147,9 @@ class _Incumbent:
 class _Task:
     included: tuple[str, ...]
     excluded: tuple[str, ...]
-    budget_left: float
     fresh: bool
     path: tuple[int, ...]
+    bound: float | None
 
 
 def _branch_order(
@@ -190,41 +195,44 @@ class _Searcher:
         action: str,
         included: tuple[str, ...],
         excluded: tuple[str, ...],
-        budget_left: float,
         value: float,
     ) -> None:
         if self.trace_hook is not None:
+            budget_left = self.costs.budget - self.costs.total(included)
             self.trace_hook(TraceEvent(action, included, excluded, budget_left, value))
 
     def _score(
         self,
         included: tuple[str, ...],
         excluded: tuple[str, ...],
-        budget_left: float,
         path: tuple[int, ...],
     ) -> None:
         self.stats.maa_evals += 1
         res: MaaResult = maa(self.net, self.clf, included)
-        self._emit("maa", included, excluded, budget_left, res.score)
+        self._emit("maa", included, excluded, res.score)
         if self.incumbent.offer(res.score, path, included, res.interval):
-            self._emit("update", included, excluded, budget_left, res.score)
+            self._emit("update", included, excluded, res.score)
 
     def _bound_and_prune(
         self,
         included: tuple[str, ...],
         excluded: tuple[str, ...],
-        budget_left: float,
-    ) -> bool:
-        """Compute the subtree bound; True when the subtree is pruned."""
-        bound = mpa(self.net, self.clf, self.all_features - set(excluded))
+        bound: float | None,
+    ) -> float | None:
+        """Check the subtree bound against the incumbent.  Returns the
+        bound, or None when the subtree is pruned.  ``bound`` is the
+        parent's, passed down when the excluded set is the parent's;
+        None computes it."""
+        if bound is None:
+            bound = mpa(self.net, self.clf, self.all_features - set(excluded))
         self.stats.bound_evals += 1
-        self._emit("bound", included, excluded, budget_left, bound)
+        self._emit("bound", included, excluded, bound)
         best = self.incumbent.current_score()
         if bound < best or (self.prune_on_tie and bound == best):
             self.stats.pruned += 1
-            self._emit("prune", included, excluded, budget_left, bound)
-            return True
-        return False
+            self._emit("prune", included, excluded, bound)
+            return None
+        return bound
 
     def visit(self, task: _Task, defer_depth: int | None = None) -> list[_Task]:
         """Depth-first expansion of one subtree.
@@ -234,7 +242,7 @@ class _Searcher:
         """
         deferred: list[_Task] = []
         self._visit(
-            task.included, task.excluded, task.budget_left, task.fresh, task.path,
+            task.included, task.excluded, task.fresh, task.path, task.bound,
             defer_depth, deferred,
         )
         return deferred
@@ -243,45 +251,46 @@ class _Searcher:
         self,
         included: tuple[str, ...],
         excluded: tuple[str, ...],
-        budget_left: float,
         fresh: bool,
         path: tuple[int, ...],
+        bound: float | None,
         defer_depth: int | None,
         deferred: list[_Task],
     ) -> None:
         if defer_depth is not None and len(path) >= defer_depth:
-            deferred.append(_Task(included, excluded, budget_left, fresh, path))
+            deferred.append(_Task(included, excluded, fresh, path, bound))
             return
         self.stats.nodes_expanded += 1
         decided = len(path)
         undecided = self.order[decided:]
+        fits = self.costs.fits
+        extendable = any(fits(included + (f,)) for f in undecided)
         if self.nb_frontier_only:
-            if not any(self.costs.cost_of(f) <= budget_left for f in undecided):
+            if not extendable:
                 # Dead end.  Score only budget-exhausting sets: if some
                 # excluded feature still fits, a strictly larger feasible
                 # set exists elsewhere in the tree and dominates this one.
-                if not any(self.costs.cost_of(f) <= budget_left for f in excluded):
-                    self._score(included, excluded, budget_left, path)
+                if not any(fits(included + (f,)) for f in excluded):
+                    self._score(included, excluded, path)
                 return
         else:
             if fresh:
-                self._score(included, excluded, budget_left, path)
-            if not undecided:
+                self._score(included, excluded, path)
+            if not extendable:
                 return
-            if min(self.costs.cost_of(f) for f in undecided) > budget_left:
-                return
-        if self._bound_and_prune(included, excluded, budget_left):
+        bound = self._bound_and_prune(included, excluded, bound)
+        if bound is None:
             return
         feature = undecided[0]
-        cost = self.costs.cost_of(feature)
-        if cost <= budget_left:
+        if fits(included + (feature,)):
+            # Same excluded set, so the same mpa(F \ E): pass it down.
             self._visit(
-                included + (feature,), excluded, budget_left - cost,
-                True, path + (0,), defer_depth, deferred,
+                included + (feature,), excluded, True, path + (0,), bound,
+                defer_depth, deferred,
             )
         self._visit(
-            included, excluded + (feature,), budget_left,
-            False, path + (1,), defer_depth, deferred,
+            included, excluded + (feature,), False, path + (1,), None,
+            defer_depth, deferred,
         )
 
 
@@ -315,7 +324,7 @@ def _run(
     stats = SearchStats()
     order = _branch_order(net, clf, opts, stats)
     incumbent = _Incumbent()
-    root = _Task((), (), costs.budget, True, ())
+    root = _Task((), (), True, (), None)
 
     if opts.parallel <= 1:
         searcher = _Searcher(
@@ -409,7 +418,7 @@ def exhaustive_trim(
     for size in range(n + 1):
         for combo in itertools.combinations(clf.features, size):
             stats.nodes_expanded += 1
-            if costs.total(combo) > costs.budget:
+            if not costs.fits(combo):
                 continue
             stats.maa_evals += 1
             res = maa(net, clf, combo)

@@ -4,6 +4,7 @@ instance generators used by the property and acceptance tests."""
 from __future__ import annotations
 
 import math
+import os
 import pathlib
 import random
 
@@ -20,6 +21,15 @@ from bntrim import (
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
+
+
+def pytest_configure(config):
+    # pyproject's `pythonpath` puts src/ on this process's path only; the
+    # tests that start `python -m bntrim.cli` need it in the child too.
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
 
 
 def load_network(name: str) -> BayesianNetwork:

@@ -29,7 +29,7 @@ from bntrim import (
     sdp,
 )
 
-from conftest import random_instance, random_subset
+from conftest import nb_instance, random_dag_instance, random_instance, random_subset
 
 
 def trimmed(clf: Classifier, features, threshold: float) -> Classifier:
@@ -198,6 +198,23 @@ class TestMpa:
         assert mpa(quiz_net, quiz_alpha, ()) == pytest.approx(0.7318, abs=1e-9)
         assert mpa(quiz_net, quiz_alpha, ("Q1", "Q2", "Q3")) == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_fsum_over_table_rows(self):
+        # mpa sums its own per-row terms without building a table; they
+        # must agree to the bit with the terms read off the table's rows.
+        rng = random.Random(2024)
+        for i in range(24):
+            if i % 2 == 0:
+                net, clf = nb_instance(rng, rng.randint(2, 6), max_card=3)
+            else:
+                net, clf = random_dag_instance(rng, max_features=6, max_card=3)
+            for _ in range(4):
+                kept = random_subset(rng, clf)
+                rows = build_instance_table(net, clf, kept).rows
+                expected = math.fsum(
+                    max(r.positive_rate, 1.0 - r.positive_rate) * r.mass for r in rows
+                )
+                assert mpa(net, clf, kept) == expected
+
 
 class TestComputeMaa:
     def test_gbn4_pair(self, gbn4_net, gbn4_alpha):
@@ -302,7 +319,60 @@ def instance_tables(draw):
     return InstanceTable(("X",), rows)
 
 
+@st.composite
+def wide_instance_tables(draw):
+    """Up to ~300 rows whose masses span many binades (1e-300 to 1), so
+    the sweep's exact running sum spans them all."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    posteriors = sorted(draw(st.lists(st.integers(0, 64), min_size=n, max_size=n)))
+    masses = draw(
+        st.lists(
+            st.builds(
+                lambda mant, exp: mant * 10.0 ** -exp,
+                st.floats(1.0, 10.0, allow_nan=False),
+                st.integers(1, 300),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    rates = draw(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=n, max_size=n))
+    rows = tuple(
+        InstanceRow((i,), m, p / 64.0, r)
+        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
+    )
+    return InstanceTable(("X",), rows)
+
+
+@st.composite
+def tie_instance_tables(draw):
+    """Rows whose masses are powers of two, all within 2**-60 of 1 or all
+    within 2**60 of the smallest subnormal, with rates of 0, 1/2 or 1, so
+    cut sums fall exactly halfway between two floats or in the subnormal
+    range."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    posteriors = sorted(draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)))
+    low = draw(st.sampled_from([0, 1014]))
+    exponents = st.integers(low, low + 60)
+    masses = draw(st.lists(exponents.map(lambda e: 2.0 ** -e), min_size=n, max_size=n))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    rows = tuple(
+        InstanceRow((i,), m, p / 8.0, r)
+        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
+    )
+    return InstanceTable(("X",), rows)
+
+
 class TestComputeMaaProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(wide_instance_tables(), tie_instance_tables()))
+    def test_matches_independent_sweep_exactly_on_wide_tables(self, table):
+        result = compute_maa(table)
+        score, lo, hi = sweep_oracle(table.rows)
+        assert result.score == score
+        assert result.interval.lo == lo
+        assert result.interval.hi == hi
+
     @settings(max_examples=300, deadline=None)
     @given(instance_tables())
     def test_matches_independent_sweep_exactly(self, table):

@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bntrim import (
     BayesianNetwork,
@@ -22,6 +24,7 @@ from bntrim import (
     exhaustive_trim,
     maa,
     nb_trim,
+    trimsearch,
 )
 
 from conftest import random_costs, random_instance
@@ -105,6 +108,33 @@ class TestSearchTrace:
         prunes = [e.value for e in events if e.action == "prune"]
         assert prunes == pytest.approx(self.expected()["pruned_bounds"], abs=1e-9)
 
+    def test_include_child_reuses_parent_bound(self, monkeypatch):
+        calls = []
+        real_mpa = trimsearch.mpa
+
+        def counting_mpa(net, clf, kept):
+            calls.append(kept)
+            return real_mpa(net, clf, kept)
+
+        monkeypatch.setattr(trimsearch, "mpa", counting_mpa)
+        rng = random.Random(6061)
+        for i in range(8):
+            net, clf = random_instance(rng, i, max_features=7)
+            costs = random_costs(rng, clf)
+            events = []
+            calls.clear()
+            result = eca_trim(
+                net,
+                clf,
+                costs,
+                SearchOptions(use_nb_fast_path=i % 4 == 0, trace_hook=events.append),
+            )
+            bounds = [e for e in events if e.action == "bound"]
+            assert result.stats.bound_evals == len(clf.features) + len(bounds)
+            # One mpa per distinct excluded set, plus the branch-order singletons.
+            distinct = {frozenset(e.excluded) for e in bounds}
+            assert len(calls) == len(distinct) + len(clf.features)
+
     def test_input_order_branching(self, quiz_net, quiz_alpha):
         result = eca_trim(
             quiz_net,
@@ -139,6 +169,43 @@ class TestSearchTrace:
             assert incumbent == result.best_score
             assert result.stats.maa_evals == sum(1 for e in events if e.action == "maa")
             assert result.stats.pruned == sum(1 for e in events if e.action == "prune")
+
+
+class TestFractionalBudget:
+    def test_quiz_costs_summing_exactly_to_budget(self, quiz_net, quiz_alpha):
+        # fsum of 0.1, 0.6 and 0.7 is 1.4, but a running remainder
+        # 1.4 - 0.1 - 0.6 leaves 0.6999999999999998, less than 0.7.
+        costs = CostModel({"Q1": 0.1, "Q2": 0.6, "Q3": 0.7}, 1.4)
+        assert costs.fits(quiz_alpha.features)
+        for fast in (True, False):
+            result = eca_trim(quiz_net, quiz_alpha, costs, SearchOptions(use_nb_fast_path=fast))
+            assert result.best_features == ("Q1", "Q2", "Q3")
+            assert result.best_score == 1.0
+        assert exhaustive_trim(quiz_net, quiz_alpha, costs).best_features == quiz_alpha.features
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tenths=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+        mask=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_search_equals_enumeration_with_one_decimal_costs(self, seed, tenths, mask):
+        rng = random.Random(seed)
+        net, clf = random_instance(rng, seed, max_features=6)
+        costs = {f: t / 10 for f, t in zip(clf.features, tenths)}
+        # The budget sits exactly on the fsum of a subset's costs.
+        budget = math.fsum(c for c, keep in zip(costs.values(), mask) if keep)
+        model = CostModel(costs, budget)
+        expected = exhaustive_trim(net, clf, model)
+        # Even seeds draw naive-Bayes models, which also run the NB path.
+        fast_paths = (False, True) if seed % 2 == 0 else (False,)
+        for order in ("individual-mpa-descending", "input-order"):
+            for fast in fast_paths:
+                result = eca_trim(
+                    net, clf, model, SearchOptions(branch_order=order, use_nb_fast_path=fast)
+                )
+                assert model.fits(result.best_features)
+                assert result.best_score == pytest.approx(expected.best_score, abs=1e-12)
 
 
 class TestNbTrim:
