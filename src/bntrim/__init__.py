@@ -63,15 +63,11 @@ from .evalharness import (
     write_scatter_csv,
 )
 from .inference import (
-    LogOddsModel,
     assignment_from_labels,
-    build_log_odds_model,
     classify,
     decide_at,
     joint_prob,
-    log_odds_classify,
     marginal,
-    nb_log_odds,
     posterior_class,
 )
 from .netio import (
@@ -104,7 +100,6 @@ __all__ = [
     "EvalConfig",
     "InstanceRow",
     "InstanceTable",
-    "LogOddsModel",
     "MaaResult",
     "ModelError",
     "ParseError",
@@ -120,7 +115,6 @@ __all__ = [
     "ZeroEvidenceError",
     "assignment_from_labels",
     "build_instance_table",
-    "build_log_odds_model",
     "check_classifier",
     "check_network",
     "classify",
@@ -141,12 +135,10 @@ __all__ = [
     "is_naive_bayes",
     "joint_prob",
     "learn_nb",
-    "log_odds_classify",
     "maa",
     "maa_bruteforce",
     "marginal",
     "mpa",
-    "nb_log_odds",
     "nb_trim",
     "parse_dataset",
     "parse_network",

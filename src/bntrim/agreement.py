@@ -33,13 +33,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bnmodel import BayesianNetwork, Classifier, check_classifier
+from .bnmodel import (
+    BayesianNetwork,
+    Classifier,
+    check_classifier,
+    check_trimming,
+    kept_in_order,
+)
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 from .inference import Assignment, classify, decide_at, marginal
 
 # Joint grids above this many cells are refused; the algorithms here are
 # meant for desk-scale models.
 GRID_CELL_LIMIT = 1 << 22
+
+# Guard on enumerations over feature subsets or feature instantiations
+# (the exhaustive search, the brute-force oracles, the data harness).
+EXHAUSTIVE_LIMIT = 1 << 20
 
 # Posteriors within this relative tolerance are treated as the same
 # threshold candidate when sweeping.
@@ -164,14 +174,6 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     return _Grid(clf.features, pos, neg, hit)
 
 
-def _kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
-    kept_set = set(kept)
-    extra = kept_set - set(clf.features)
-    if extra:
-        raise ModelError(f"kept set names non-features: {sorted(extra)}")
-    return tuple(f for f in clf.features if f in kept_set)
-
-
 def _row_cells(
     net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
 ) -> tuple[tuple[int, ...], int, list[float], list[float], list[float]]:
@@ -206,7 +208,7 @@ def build_instance_table(
     nondecreasing posterior; ties keep enumeration order, so the result
     is deterministic.
     """
-    kept_t = _kept_in_order(clf, kept)
+    kept_t = kept_in_order(clf, kept)
     kept_shape, width, pos, neg, hit = _row_cells(net, clf, kept_t)
     values = itertools.product(*(range(c) for c in kept_shape))
 
@@ -228,20 +230,11 @@ def build_instance_table(
     return InstanceTable(kept_t, tuple(rows))
 
 
-def _check_pair(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> None:
-    check_classifier(net, alpha)
-    if beta.class_var != alpha.class_var or beta.positive_value != alpha.positive_value:
-        raise ModelError("trimmed classifier must keep the class variable and positive value")
-    extra = set(beta.features) - set(alpha.features)
-    if extra:
-        raise ModelError(f"trimmed classifier uses features not in the original: {sorted(extra)}")
-
-
 def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Expected classification agreement between a classifier and a
     trimmed variant: the probability, over instances drawn from the
     network, that both produce the same label."""
-    _check_pair(net, alpha, beta)
+    check_trimming(net, alpha, beta)
     table = build_instance_table(net, alpha, beta.features)
     t = beta.threshold
     terms = [
@@ -261,7 +254,7 @@ def sdp(
     of probability zero contribute nothing.
     """
     check_classifier(net, clf)
-    q = _kept_in_order(clf, query)
+    q = kept_in_order(clf, query)
     overlap = set(q) & set(evidence)
     if overlap:
         raise ModelError(f"query overlaps evidence: {sorted(overlap)}")
@@ -300,8 +293,8 @@ def esdp_two_threshold(
     scalar enumeration as an independent route.
     """
     check_classifier(net, clf)
-    h = _kept_in_order(clf, hidden)
-    o = _kept_in_order(clf, observed)
+    h = kept_in_order(clf, hidden)
+    o = kept_in_order(clf, observed)
     overlap = set(h) & set(o)
     if overlap:
         raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
@@ -334,7 +327,7 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     rounded, so the result does not depend on the row order the table
     would impose; no table is built.
     """
-    _, width, pos, neg, hit = _row_cells(net, clf, _kept_in_order(clf, kept))
+    _, width, pos, neg, hit = _row_cells(net, clf, kept_in_order(clf, kept))
     terms = []
     for lo in range(0, len(pos), width):
         hi = lo + width

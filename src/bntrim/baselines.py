@@ -15,11 +15,17 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .agreement import eca, maa
-from .bnmodel import BayesianNetwork, Classifier, CostModel, check_classifier
-from .errors import EnumerationLimitError, ModelError
+from .agreement import EXHAUSTIVE_LIMIT, eca, maa
+from .bnmodel import (
+    BayesianNetwork,
+    Classifier,
+    CostModel,
+    check_classifier,
+    check_trimming,
+    kept_in_order,
+)
+from .errors import EnumerationLimitError
 from .inference import classify, marginal, posterior_class
-from .trimsearch import EXHAUSTIVE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -103,19 +109,10 @@ def _feature_space(net: BayesianNetwork, features: Iterable[str]) -> int:
     return size
 
 
-def _check_trimming(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> None:
-    check_classifier(net, alpha)
-    if beta.class_var != alpha.class_var or beta.positive_value != alpha.positive_value:
-        raise ModelError("trimmed classifier must keep the class variable and positive value")
-    extra = set(beta.features) - set(alpha.features)
-    if extra:
-        raise ModelError(f"trimmed classifier uses features not in the original: {sorted(extra)}")
-
-
 def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Agreement by literal enumeration: sum Pr(f) over every full
     feature instantiation on which both classifiers decide alike."""
-    _check_trimming(net, alpha, beta)
+    check_trimming(net, alpha, beta)
     space = _feature_space(net, alpha.features)
     if space > EXHAUSTIVE_LIMIT:
         raise EnumerationLimitError(
@@ -157,11 +154,7 @@ def maa_bruteforce(
     Returns (score, threshold); ties resolve to the lowest candidate.
     """
     check_classifier(net, alpha)
-    kept_set = set(kept)
-    extra = kept_set - set(alpha.features)
-    if extra:
-        raise ModelError(f"kept set names non-features: {sorted(extra)}")
-    kept_t = tuple(f for f in alpha.features if f in kept_set)
+    kept_t = kept_in_order(alpha, kept)
 
     posteriors = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept_t)):

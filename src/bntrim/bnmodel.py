@@ -248,6 +248,27 @@ def check_classifier(net: BayesianNetwork, clf: Classifier) -> None:
         net.var(f)
 
 
+def check_trimming(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> None:
+    """Raise ModelError unless beta is a trimming of alpha: the same class
+    variable and positive value over a subset of alpha's features."""
+    check_classifier(net, alpha)
+    if beta.class_var != alpha.class_var or beta.positive_value != alpha.positive_value:
+        raise ModelError("trimmed classifier must keep the class variable and positive value")
+    extra = set(beta.features) - set(alpha.features)
+    if extra:
+        raise ModelError(f"trimmed classifier uses features not in the original: {sorted(extra)}")
+
+
+def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
+    """The kept features in classifier feature order; raises ModelError
+    when one is not a feature."""
+    kept_set = set(kept)
+    extra = kept_set - set(clf.features)
+    if extra:
+        raise ModelError(f"kept set names non-features: {sorted(extra)}")
+    return tuple(f for f in clf.features if f in kept_set)
+
+
 def validate_network(net: BayesianNetwork) -> list[str]:
     """Check structural validity and return a list of violation messages.
 

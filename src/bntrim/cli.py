@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -182,9 +183,7 @@ def _search_options(args: argparse.Namespace) -> SearchOptions:
     }[args.order]
     fast = {"auto": None, "on": True, "off": False}[args.nb]
     hook = _trace_printer if args.trace else None
-    return SearchOptions(
-        branch_order=order, use_nb_fast_path=fast, parallel=args.jobs, trace_hook=hook
-    )
+    return SearchOptions(branch_order=order, use_nb_fast_path=fast, trace_hook=hook)
 
 
 def _trim_doc(result) -> dict:
@@ -307,9 +306,8 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
         smoothing=args.smoothing,
         budget=args.budget,
         budget_fraction=args.budget_frac,
-        thresholds=(args.threshold,),
+        threshold=args.threshold,
         threshold_mode=args.threshold_mode,
-        jobs=args.jobs,
     )
     rows, summary = scatter(data, config, positive_label=args.positive)
     if args.format == "csv":
@@ -336,10 +334,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         net = parse_network(_read(args.network))
     except ParseError as e:
-        message = str(e)
-        prefix = "invalid network: "
-        problems = message[len(prefix):].split("; ") if message.startswith(prefix) else [message]
-        _emit({"valid": False, "problems": problems}, args.format)
+        _emit({"valid": False, "problems": list(e.problems) or [str(e)]}, args.format)
         return 2
     _emit(
         {
@@ -375,7 +370,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", choices=("mpa-desc", "input"), default="mpa-desc", help="branching order")
     p.add_argument("--nb", choices=("auto", "on", "off"), default="auto", help="naive-Bayes frontier specialization")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--trace", action="store_true", help="log search nodes to stderr")
 
 
@@ -452,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-frac", type=float, default=0.5)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--threshold-mode", choices=("maa-optimal", "fixed"), default="maa-optimal")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${ENV_SEED} or 0)")
     _add_format(p, choices=("csv", "json", "text"), default="csv")
     p.set_defaults(func=_cmd_scatter)
@@ -465,10 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             args.seed = int(os.environ.get(ENV_SEED, "0"))
         return args.func(args)

@@ -10,9 +10,19 @@ class ModelError(BntrimError):
 
 
 class ParseError(BntrimError):
-    """Malformed network document or dataset file."""
+    """Malformed network document or dataset file.
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    ``problems`` lists each violation found in a structurally invalid
+    network; it is empty for other parse failures.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        column: int | None = None,
+        problems: tuple[str, ...] = (),
+    ):
         loc = ""
         if line is not None:
             loc = f"line {line}"
@@ -22,6 +32,7 @@ class ParseError(BntrimError):
         super().__init__(loc + message)
         self.line = line
         self.column = column
+        self.problems = problems
 
 
 class ZeroEvidenceError(BntrimError):

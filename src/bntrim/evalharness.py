@@ -19,11 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .agreement import eca, maa
+from .agreement import EXHAUSTIVE_LIMIT, eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -35,7 +34,6 @@ from .bnmodel import (
 from .errors import EnumerationLimitError, ModelError
 from .inference import classify
 from .netio import Dataset
-from .trimsearch import EXHAUSTIVE_LIMIT
 
 THRESHOLD_MODES = ("maa-optimal", "fixed")
 
@@ -44,9 +42,8 @@ THRESHOLD_MODES = ("maa-optimal", "fixed")
 class EvalConfig:
     """Knobs for the evaluation harness.
 
-    ``thresholds[0]`` is both the learned classifier's decision threshold
-    and the scoring threshold in "fixed" mode; additional entries are
-    accepted but unused by :func:`scatter`.  The budget is ``budget`` when
+    ``threshold`` is both the learned classifier's decision threshold and
+    the scoring threshold in "fixed" mode.  The budget is ``budget`` when
     given, otherwise ``ceil(budget_fraction * feature count)``.
     """
 
@@ -56,9 +53,8 @@ class EvalConfig:
     smoothing: float = 1.0
     budget: float | None = None
     budget_fraction: float = 0.5
-    thresholds: tuple[float, ...] = (0.5,)
+    threshold: float = 0.5
     threshold_mode: str = "maa-optimal"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.split_fraction < 1.0:
@@ -71,14 +67,12 @@ class EvalConfig:
             raise ModelError(f"budget must be >= 0, got {self.budget}")
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ModelError(f"budget fraction must be in (0,1], got {self.budget_fraction}")
-        if not self.thresholds:
-            raise ModelError("at least one threshold is required")
+        if not math.isfinite(self.threshold) or self.threshold < 0.0:
+            raise ModelError(f"threshold must be a finite value >= 0, got {self.threshold}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ModelError(
                 f"unknown threshold mode {self.threshold_mode!r}; choose from {THRESHOLD_MODES}"
             )
-        if self.jobs < 1:
-            raise ModelError(f"job count must be >= 1, got {self.jobs}")
 
     def resolve_budget(self, feature_count: int) -> float:
         if self.budget is not None:
@@ -289,7 +283,7 @@ def scatter(
     n = len(data.rows)
     if n < 2:
         raise ModelError("scatter needs at least 2 rows")
-    base_threshold = config.thresholds[0]
+    base_threshold = config.threshold
     domains = _column_domains(data, data.columns)
 
     rng = random.Random(config.seed)
@@ -324,11 +318,7 @@ def scatter(
         )
         return agreement, accuracy, subset_threshold
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            scored = list(pool.map(score, subsets))
-    else:
-        scored = [score(s) for s in subsets]
+    scored = [score(s) for s in subsets]
 
     best_eca = _argmax_first([s[0] for s in scored])
     best_acc = _argmax_first([s[1] for s in scored])

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Mapping
 
-from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_network, is_naive_bayes
+from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_network
 from .errors import ModelError, ZeroEvidenceError
 
 Assignment = Mapping[str, int]
@@ -96,76 +96,3 @@ def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:
 def decide_at(net: BayesianNetwork, clf: Classifier, a: Assignment, threshold: float) -> bool:
     """classify() under the same classifier but a different threshold."""
     return classify(net, replace(clf, threshold=threshold), a)
-
-
-def _log_ratio(p: float, q: float) -> float:
-    if p > 0.0 and q > 0.0:
-        return math.log(p / q)
-    if p == 0.0 and q > 0.0:
-        return -math.inf
-    if p > 0.0 and q == 0.0:
-        return math.inf
-    return math.nan  # value impossible under both classes
-
-
-@dataclass(frozen=True)
-class LogOddsModel:
-    """Additive log-odds form of a naive Bayes classifier.
-
-    The instance score is the prior log-odds plus one weight per observed
-    feature value; the instance is positive when the score is >= the
-    threshold log-odds.  Weights for zero-probability entries are signed
-    infinities, which keeps the decision well defined.
-    """
-
-    class_var: str
-    positive_value: int
-    prior_log_odds: float
-    weights: Mapping[str, tuple[float, ...]]
-    threshold_log_odds: float
-
-
-def build_log_odds_model(net: BayesianNetwork, clf: Classifier) -> LogOddsModel:
-    """Rewrite a naive Bayes classifier in additive log-odds form."""
-    if not is_naive_bayes(net, clf):
-        raise ModelError("log-odds form requires a naive Bayes structure")
-    if not (0.0 <= clf.threshold <= 1.0):
-        raise ModelError("log-odds form requires a threshold in [0, 1]")
-    prior_row = net.cpt(clf.class_var).rows[0]
-    pos = prior_row[clf.positive_value]
-    neg = prior_row[1 - clf.positive_value]
-    weights: dict[str, tuple[float, ...]] = {}
-    for f in clf.features:
-        rows = net.cpt(f).rows
-        pos_row = rows[clf.positive_value]
-        neg_row = rows[1 - clf.positive_value]
-        weights[f] = tuple(_log_ratio(p, q) for p, q in zip(pos_row, neg_row))
-    if clf.threshold == 0.0:
-        lam = -math.inf
-    elif clf.threshold == 1.0:
-        lam = math.inf
-    else:
-        lam = math.log(clf.threshold / (1.0 - clf.threshold))
-    return LogOddsModel(clf.class_var, clf.positive_value, _log_ratio(pos, neg), weights, lam)
-
-
-def nb_log_odds(model: LogOddsModel, a: Assignment) -> float:
-    """Log-odds score of an assignment over the model's features.
-
-    A NaN result means the instance has probability zero under both
-    classes and carries no usable evidence.
-    """
-    s = model.prior_log_odds
-    for name, idx in a.items():
-        try:
-            w = model.weights[name]
-        except KeyError:
-            raise ModelError(f"unknown feature {name!r}") from None
-        s += w[idx]
-    return s
-
-
-def log_odds_classify(model: LogOddsModel, a: Assignment) -> bool:
-    """Threshold the log-odds score; equivalent to classify() on the
-    posterior path, including at exact ties."""
-    return nb_log_odds(model, a) >= model.threshold_log_odds

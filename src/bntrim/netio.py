@@ -83,7 +83,7 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
     net = BayesianNetwork(tuple(vs), tuple(cs))
     problems = validate_network(net)
     if problems:
-        raise ParseError("invalid network: " + "; ".join(problems))
+        raise ParseError("invalid network: " + "; ".join(problems), problems=tuple(problems))
     return net
 
 

@@ -17,32 +17,26 @@ the other two are tested against.
 Determinism: the branch order is fixed up front (default: descending
 single-feature MPA, ties by input order), include is explored before
 exclude, and the incumbent only moves on a strict improvement — so the
-first subset reaching the optimum in traversal order wins.  Parallel runs
-return the identical result: workers prune only on strictly-worse bounds
-(ties are never discarded) and the winner among equal scores is chosen by
-traversal order key, independent of scheduling.
+first subset reaching the optimum in traversal order wins.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .agreement import MaaResult, ThresholdInterval, maa, mpa
+from .agreement import EXHAUSTIVE_LIMIT, MaaResult, ThresholdInterval, maa, mpa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
     CostModel,
     check_classifier,
     is_naive_bayes,
+    kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError
-
-EXHAUSTIVE_LIMIT = 1 << 20
 
 BRANCH_ORDERS = ("individual-mpa-descending", "input-order")
 
@@ -60,12 +54,6 @@ class SearchStats:
     bound_evals: int = 0
     nodes_expanded: int = 0
     pruned: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        self.maa_evals += other.maa_evals
-        self.bound_evals += other.bound_evals
-        self.nodes_expanded += other.nodes_expanded
-        self.pruned += other.pruned
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,6 @@ TraceHook = Callable[[TraceEvent], None]
 class SearchOptions:
     branch_order: str = "individual-mpa-descending"
     use_nb_fast_path: bool | None = None  # None = auto-detect
-    parallel: int = 1
     trace_hook: TraceHook | None = None
 
     def __post_init__(self) -> None:
@@ -94,8 +81,6 @@ class SearchOptions:
             raise ModelError(
                 f"unknown branch order {self.branch_order!r}; choose from {BRANCH_ORDERS}"
             )
-        if self.parallel < 1:
-            raise ModelError(f"parallel worker count must be >= 1, got {self.parallel}")
 
 
 @dataclass(frozen=True)
@@ -107,49 +92,23 @@ class TrimResult:
 
 
 class _Incumbent:
-    """Monotone shared best-so-far.
-
-    ``offer`` accepts a strictly better score, or an equal score found at
-    a smaller traversal key.  Under sequential depth-first traversal keys
-    arrive in increasing order, so this reduces to the plain
-    strictly-greater rule; under parallel evaluation it makes the winner
-    independent of scheduling.
-    """
+    """Best-so-far; moves only on a strictly better score, so ties go to
+    the subset met first."""
 
     def __init__(self) -> None:
         self.score = -math.inf
-        self.key: tuple[int, ...] = ()
         self.features: tuple[str, ...] = ()
         self.interval: ThresholdInterval | None = None
-        self._lock = threading.Lock()
 
     def offer(
-        self,
-        score: float,
-        key: tuple[int, ...],
-        features: tuple[str, ...],
-        interval: ThresholdInterval,
+        self, score: float, features: tuple[str, ...], interval: ThresholdInterval
     ) -> bool:
-        with self._lock:
-            if score > self.score or (score == self.score and key < self.key):
-                self.score = score
-                self.key = key
-                self.features = features
-                self.interval = interval
-                return True
-            return False
-
-    def current_score(self) -> float:
-        return self.score
-
-
-@dataclass
-class _Task:
-    included: tuple[str, ...]
-    excluded: tuple[str, ...]
-    fresh: bool
-    path: tuple[int, ...]
-    bound: float | None
+        if score > self.score:
+            self.score = score
+            self.features = features
+            self.interval = interval
+            return True
+        return False
 
 
 def _branch_order(
@@ -172,23 +131,19 @@ class _Searcher:
         clf: Classifier,
         costs: CostModel,
         order: Sequence[str],
-        incumbent: _Incumbent,
         trace_hook: TraceHook | None,
         nb_frontier_only: bool,
+        stats: SearchStats,
     ) -> None:
         self.net = net
         self.clf = clf
         self.costs = costs
         self.order = tuple(order)
         self.all_features = frozenset(order)
-        self.incumbent = incumbent
+        self.incumbent = _Incumbent()
         self.trace_hook = trace_hook
         self.nb_frontier_only = nb_frontier_only
-        self.stats = SearchStats()
-        # prune on ties (sequential) or only on strictly worse bounds
-        # (parallel workers, where a stale incumbent must never drop a
-        # tying subtree that the sequential order would have kept)
-        self.prune_on_tie = True
+        self.stats = stats
 
     def _emit(
         self,
@@ -201,16 +156,11 @@ class _Searcher:
             budget_left = self.costs.budget - self.costs.total(included)
             self.trace_hook(TraceEvent(action, included, excluded, budget_left, value))
 
-    def _score(
-        self,
-        included: tuple[str, ...],
-        excluded: tuple[str, ...],
-        path: tuple[int, ...],
-    ) -> None:
+    def _score(self, included: tuple[str, ...], excluded: tuple[str, ...]) -> None:
         self.stats.maa_evals += 1
         res: MaaResult = maa(self.net, self.clf, included)
         self._emit("maa", included, excluded, res.score)
-        if self.incumbent.offer(res.score, path, included, res.interval):
+        if self.incumbent.offer(res.score, included, res.interval):
             self._emit("update", included, excluded, res.score)
 
     def _bound_and_prune(
@@ -227,42 +177,23 @@ class _Searcher:
             bound = mpa(self.net, self.clf, self.all_features - set(excluded))
         self.stats.bound_evals += 1
         self._emit("bound", included, excluded, bound)
-        best = self.incumbent.current_score()
-        if bound < best or (self.prune_on_tie and bound == best):
+        if bound <= self.incumbent.score:
             self.stats.pruned += 1
             self._emit("prune", included, excluded, bound)
             return None
         return bound
 
-    def visit(self, task: _Task, defer_depth: int | None = None) -> list[_Task]:
-        """Depth-first expansion of one subtree.
-
-        With ``defer_depth`` set, nodes at that depth are returned instead
-        of expanded (the hand-off point for parallel workers).
-        """
-        deferred: list[_Task] = []
-        self._visit(
-            task.included, task.excluded, task.fresh, task.path, task.bound,
-            defer_depth, deferred,
-        )
-        return deferred
-
-    def _visit(
+    def visit(
         self,
         included: tuple[str, ...],
         excluded: tuple[str, ...],
         fresh: bool,
-        path: tuple[int, ...],
         bound: float | None,
-        defer_depth: int | None,
-        deferred: list[_Task],
     ) -> None:
-        if defer_depth is not None and len(path) >= defer_depth:
-            deferred.append(_Task(included, excluded, fresh, path, bound))
-            return
+        """Depth-first expansion of one subtree; the node's depth is the
+        number of decided features."""
         self.stats.nodes_expanded += 1
-        decided = len(path)
-        undecided = self.order[decided:]
+        undecided = self.order[len(included) + len(excluded):]
         fits = self.costs.fits
         extendable = any(fits(included + (f,)) for f in undecided)
         if self.nb_frontier_only:
@@ -271,11 +202,11 @@ class _Searcher:
                 # excluded feature still fits, a strictly larger feasible
                 # set exists elsewhere in the tree and dominates this one.
                 if not any(fits(included + (f,)) for f in excluded):
-                    self._score(included, excluded, path)
+                    self._score(included, excluded)
                 return
         else:
             if fresh:
-                self._score(included, excluded, path)
+                self._score(included, excluded)
             if not extendable:
                 return
         bound = self._bound_and_prune(included, excluded, bound)
@@ -284,19 +215,8 @@ class _Searcher:
         feature = undecided[0]
         if fits(included + (feature,)):
             # Same excluded set, so the same mpa(F \ E): pass it down.
-            self._visit(
-                included + (feature,), excluded, True, path + (0,), bound,
-                defer_depth, deferred,
-            )
-        self._visit(
-            included, excluded + (feature,), False, path + (1,), None,
-            defer_depth, deferred,
-        )
-
-
-def _ordered(clf: Classifier, names: Iterable[str]) -> tuple[str, ...]:
-    chosen = set(names)
-    return tuple(f for f in clf.features if f in chosen)
+            self.visit(included + (feature,), excluded, True, bound)
+        self.visit(included, excluded + (feature,), False, None)
 
 
 def _check_inputs(net: BayesianNetwork, clf: Classifier, costs: CostModel) -> None:
@@ -309,7 +229,7 @@ def _finish(clf: Classifier, incumbent: _Incumbent, stats: SearchStats) -> TrimR
     if incumbent.interval is None:
         raise ModelError("search scored no subset")  # unreachable: ∅ is always feasible
     return TrimResult(
-        _ordered(clf, incumbent.features), incumbent.score, incumbent.interval, stats
+        kept_in_order(clf, incumbent.features), incumbent.score, incumbent.interval, stats
     )
 
 
@@ -323,43 +243,9 @@ def _run(
     _check_inputs(net, clf, costs)
     stats = SearchStats()
     order = _branch_order(net, clf, opts, stats)
-    incumbent = _Incumbent()
-    root = _Task((), (), True, (), None)
-
-    if opts.parallel <= 1:
-        searcher = _Searcher(
-            net, clf, costs, order, incumbent, opts.trace_hook, nb_frontier_only
-        )
-        searcher.visit(root)
-        stats.merge(searcher.stats)
-        return _finish(clf, incumbent, stats)
-
-    # Split phase: expand sequentially to a fixed depth, collecting the
-    # surviving frontier as independent worker tasks.
-    depth = 0
-    while (1 << depth) < 4 * opts.parallel and depth < len(order):
-        depth += 1
-    splitter = _Searcher(
-        net, clf, costs, order, incumbent, opts.trace_hook, nb_frontier_only
-    )
-    tasks = splitter.visit(root, defer_depth=depth)
-    stats.merge(splitter.stats)
-
-    # Parallel phase: tie subtrees are never pruned, so every subset that
-    # could tie the optimum is scored and the order key picks the same
-    # winner the sequential traversal would have kept.
-    def work(task: _Task) -> SearchStats:
-        worker = _Searcher(
-            net, clf, costs, order, incumbent, opts.trace_hook, nb_frontier_only
-        )
-        worker.prune_on_tie = False
-        worker.visit(task)
-        return worker.stats
-
-    with ThreadPoolExecutor(max_workers=opts.parallel) as pool:
-        for worker_stats in pool.map(work, tasks):
-            stats.merge(worker_stats)
-    return _finish(clf, incumbent, stats)
+    searcher = _Searcher(net, clf, costs, order, opts.trace_hook, nb_frontier_only, stats)
+    searcher.visit((), (), True, None)
+    return _finish(clf, searcher.incumbent, stats)
 
 
 def eca_trim(
@@ -414,7 +300,6 @@ def exhaustive_trim(
         )
     stats = SearchStats()
     incumbent = _Incumbent()
-    counter = itertools.count()
     for size in range(n + 1):
         for combo in itertools.combinations(clf.features, size):
             stats.nodes_expanded += 1
@@ -422,5 +307,5 @@ def exhaustive_trim(
                 continue
             stats.maa_evals += 1
             res = maa(net, clf, combo)
-            incumbent.offer(res.score, (next(counter),), combo, res.interval)
+            incumbent.offer(res.score, combo, res.interval)
     return _finish(clf, incumbent, stats)

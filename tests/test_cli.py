@@ -178,6 +178,20 @@ class TestValidate:
         assert doc["valid"] is False
         assert "row sum" in doc["problems"][0]
 
+    def test_problem_text_with_separator_stays_one_problem(self, capsys, tmp_path):
+        bad = {
+            "variables": [{"name": "x; y", "values": ["+", "-"]}],
+            "cpds": [{"child": "x; y", "parents": [], "rows": [[0.4, 0.2]]}],
+        }
+        path = tmp_path / "bad.bn.json"
+        path.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert len(doc["problems"]) == 1
+        assert doc["problems"][0].startswith("cpt 'x; y' row 0: row sum")
+
     def test_garbage_input(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {{{")
@@ -311,6 +325,29 @@ class TestExitCodes:
         )
         assert code == 3
         assert "2^21" in err
+
+    def test_jobs_flag_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["trim", *BASE, "--budget", "2", "--jobs", "2"])
+        assert code == 1
+        assert "--jobs" in err
+        data_path = tmp_path / "noisy.csv"
+        data_path.write_bytes(serialize_dataset(noisy_dataset()))
+        code, _, err = run(
+            capsys, ["scatter", "--data", str(data_path), "--class", "label", "--jobs", "2"]
+        )
+        assert code == 1
+        assert "--jobs" in err
+
+    def test_usage_error_leaves_next_call_as_in_fresh_process(self, capsys):
+        argv = ["trim", *BASE, "--budget", "2", "--trace"]
+        code, _, err = run(capsys, ["trim", *BASE, "--budget", "2", "--budget-frac", "0.5"])
+        assert code == 1
+        assert "not allowed with" in err
+        after = run(capsys, argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bntrim.cli", *argv], capture_output=True, text=True
+        )
+        assert after == (fresh.returncode, fresh.stdout, fresh.stderr)
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["--help"])

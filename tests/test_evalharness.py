@@ -190,7 +190,7 @@ class TestScatter:
         train_n = min(max(round(config.split_fraction * len(data.rows)), 1), len(data.rows) - 1)
         train = data.take(perm[:train_n])
         domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
-        net, clf = learn_nb(train, domains=domains, threshold=config.thresholds[0])
+        net, clf = learn_nb(train, domains=domains, threshold=config.threshold)
         for row in rows:
             assert row.eca == pytest.approx(maa(net, clf, row.subset).score, abs=1e-12)
 
@@ -225,13 +225,6 @@ class TestScatter:
         assert lines[0] == "subset,eca,cv_accuracy,marker"
         assert first.endswith(b"\n")
 
-    def test_parallel_scoring_matches_sequential(self):
-        data = noisy_dataset()
-        seq = scatter(data, EvalConfig(seed=2, folds=3, budget=1.0, jobs=1))
-        par = scatter(data, EvalConfig(seed=2, folds=3, budget=1.0, jobs=3))
-        assert seq[0] == par[0]
-        assert seq[1] == par[1]
-
     def test_multi_feature_subsets_joined_in_csv(self):
         data = noisy_dataset()
         rows, _ = scatter(data, EvalConfig(seed=2, folds=3, budget=10.0))
@@ -250,9 +243,9 @@ class TestEvalConfig:
             {"budget": -1.0},
             {"budget_fraction": 0.0},
             {"budget_fraction": 1.5},
-            {"thresholds": ()},
+            {"threshold": -0.1},
             {"threshold_mode": "whatever"},
-            {"jobs": 0},
+            {"threshold": float("nan")},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

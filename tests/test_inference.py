@@ -1,11 +1,9 @@
-"""Exact joint/marginal/posterior computation and threshold decisions,
-plus the log-odds fast path for naive Bayes models."""
+"""Exact joint/marginal/posterior computation and threshold decisions."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 
 import pytest
 
@@ -17,17 +15,12 @@ from bntrim import (
     Variable,
     ZeroEvidenceError,
     assignment_from_labels,
-    build_log_odds_model,
     classify,
     decide_at,
     joint_prob,
-    log_odds_classify,
     marginal,
-    nb_log_odds,
     posterior_class,
 )
-
-from conftest import random_nb_instance
 
 
 class TestJointAndMarginal:
@@ -103,31 +96,3 @@ class TestDecisions:
         p = posterior_class(quiz_net, quiz_alpha, a)
         assert decide_at(quiz_net, quiz_alpha, a, p)
         assert not decide_at(quiz_net, quiz_alpha, a, math.nextafter(p, 1.0))
-
-
-class TestLogOddsFastPath:
-    def test_requires_naive_bayes(self, gbn4_net, gbn4_alpha):
-        with pytest.raises(ModelError):
-            build_log_odds_model(gbn4_net, gbn4_alpha)
-
-    def test_matches_exact_classification_on_fixture(self, quiz_net, quiz_alpha):
-        model = build_log_odds_model(quiz_net, quiz_alpha)
-        for combo in itertools.product((0, 1), repeat=3):
-            a = dict(zip(("Q1", "Q2", "Q3"), combo))
-            assert log_odds_classify(model, a) == classify(quiz_net, quiz_alpha, a)
-
-    def test_log_odds_value_matches_posterior(self, quiz_net, quiz_alpha):
-        model = build_log_odds_model(quiz_net, quiz_alpha)
-        a = {"Q1": 0, "Q2": 0, "Q3": 0}
-        p = posterior_class(quiz_net, quiz_alpha, a)
-        assert nb_log_odds(model, a) == pytest.approx(math.log(p / (1 - p)), abs=1e-9)
-
-    def test_matches_exact_classification_on_random_models(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            net, clf = random_nb_instance(rng, max_features=5)
-            model = build_log_odds_model(net, clf)
-            spaces = [range(net.var(f).cardinality) for f in clf.features]
-            for combo in itertools.product(*spaces):
-                a = dict(zip(clf.features, combo))
-                assert log_odds_classify(model, a) == classify(net, clf, a)

@@ -323,31 +323,6 @@ class TestInputValidation:
     def test_bad_search_options(self):
         with pytest.raises(ModelError):
             SearchOptions(branch_order="alphabetical")
-        with pytest.raises(ModelError):
-            SearchOptions(parallel=0)
-
-
-class TestParallelSearch:
-    def test_matches_sequential_on_fixture(self, quiz_net, quiz_alpha):
-        costs = CostModel.unit(quiz_alpha.features, 2)
-        seq = eca_trim(quiz_net, quiz_alpha, costs, SearchOptions(use_nb_fast_path=False))
-        par = eca_trim(
-            quiz_net, quiz_alpha, costs, SearchOptions(use_nb_fast_path=False, parallel=4)
-        )
-        assert par.best_features == seq.best_features
-        assert par.best_score == seq.best_score
-        assert par.threshold == seq.threshold
-
-    def test_matches_sequential_on_random_instances(self):
-        rng = random.Random(33)
-        for i in range(12):
-            net, clf = random_instance(rng, i, max_features=7)
-            costs = random_costs(rng, clf)
-            seq = eca_trim(net, clf, costs)
-            for jobs in (2, 3):
-                par = eca_trim(net, clf, costs, SearchOptions(parallel=jobs))
-                assert par.best_features == seq.best_features
-                assert par.best_score == seq.best_score
 
 
 class TestAgainstExhaustive:
