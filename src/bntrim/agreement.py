@@ -164,8 +164,8 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     kept_names = [v.name for v in net.variables if v.name in keep]
     target = [clf.class_var, *clf.features]
     reduced = np.transpose(reduced, [kept_names.index(n) for n in target])
-    pos = np.ascontiguousarray(np.take(reduced, clf.positive_value, axis=0))
-    neg = np.ascontiguousarray(np.take(reduced, 1 - clf.positive_value, axis=0))
+    pos = np.take(reduced, clf.positive_value, axis=0)
+    neg = np.take(reduced, 1 - clf.positive_value, axis=0)
     total = pos + neg
     nonzero = total > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -272,7 +272,9 @@ def sdp(
         p = marginal(net, full)
         if p == 0.0:
             continue
-        if classify(net, clf, full) == base:
+        # Reuse the completion's mass as the posterior denominator.
+        full[clf.class_var] = clf.positive_value
+        if (marginal(net, full) / p >= clf.threshold) == base:
             terms.append(p)
     return math.fsum(terms) / pe
 

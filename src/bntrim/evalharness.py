@@ -32,7 +32,7 @@ from .bnmodel import (
     check_classifier,
 )
 from .errors import EnumerationLimitError, ModelError
-from .inference import classify
+from .inference import classify, posterior_class
 from .netio import Dataset
 
 THRESHOLD_MODES = ("maa-optimal", "fixed")
@@ -182,14 +182,17 @@ def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...
     return out
 
 
-def _row_evidence(
-    data: Dataset, domains: Mapping[str, tuple[str, ...]], row: Sequence[str],
-    features: Iterable[str],
-) -> dict[str, int]:
-    return {
-        f: domains[f].index(row[data.column_index(f)])
-        for f in features
-    }
+def _posteriors(
+    net: BayesianNetwork, clf: Classifier, data: Dataset,
+    domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
+) -> list[float]:
+    """posterior_class of every data row given its values of the features,
+    the number classify compares with a threshold."""
+    cols = [(f, data.column_index(f), domains[f]) for f in features]
+    return [
+        posterior_class(net, clf, {f: dom.index(row[i]) for f, i, dom in cols})
+        for row in data.rows
+    ]
 
 
 def cv_accuracy(
@@ -242,12 +245,11 @@ def cv_accuracy(
             work.take(train_idx), smoothing=smoothing, domains=domains,
             positive_label=positive_label, threshold=threshold,
         )
+        test = work.take(test_idx)
         hits = 0
-        for i in test_idx:
-            row = work.rows[i]
-            evidence = _row_evidence(work, domains, row, features)
+        for row, posterior in zip(test.rows, _posteriors(net, clf, test, domains, features)):
             actual = domains[work.class_column].index(row[class_idx]) == clf.positive_value
-            hits += classify(net, clf, evidence) == actual
+            hits += (posterior >= clf.threshold) == actual
         accuracies.append(hits / len(test_idx))
     return math.fsum(accuracies) / folds
 
@@ -334,10 +336,9 @@ def scatter(
             marker = "feasible"
         rows.append(ScatterRow(subset, agreement, accuracy, marker))
 
-    features = clf_full.features
     full_labels = [
-        classify(net, clf_full, _row_evidence(test, domains, row, features))
-        for row in test.rows
+        posterior >= clf_full.threshold
+        for posterior in _posteriors(net, clf_full, test, domains, clf_full.features)
     ]
     class_idx = test.column_index(test.class_column)
     actual_labels = [
@@ -347,13 +348,9 @@ def scatter(
 
     def held_out(i: int) -> dict:
         subset, (_, _, subset_threshold) = subsets[i], scored[i]
-        scoring_clf = replace(clf_full, features=subset, threshold=subset_threshold)
-        accuracy_clf = replace(clf_full, features=subset, threshold=base_threshold)
-        agree = hits = 0
-        for row, full_label, actual in zip(test.rows, full_labels, actual_labels):
-            evidence = _row_evidence(test, domains, row, subset)
-            agree += classify(net, scoring_clf, evidence) == full_label
-            hits += classify(net, accuracy_clf, evidence) == actual
+        posteriors = _posteriors(net, clf_full, test, domains, subset)
+        agree = sum((p >= subset_threshold) == full for p, full in zip(posteriors, full_labels))
+        hits = sum((p >= base_threshold) == actual for p, actual in zip(posteriors, actual_labels))
         return {
             "subset": list(subset),
             "test_agreement": agree / len(test.rows),

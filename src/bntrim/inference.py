@@ -39,16 +39,7 @@ def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
     if len(a) != len(net.variables):
         missing = [v.name for v in net.variables if v.name not in a]
         raise ModelError(f"full assignment required, missing {missing}")
-    p = 1.0
-    for v in net.variables:
-        cpt = net.cpt(v.name)
-        row = 0
-        for parent in cpt.parents:
-            row = row * net.var(parent).cardinality + a[parent]
-        p *= cpt.rows[row][a[v.name]]
-        if p == 0.0:
-            return 0.0
-    return p
+    return marginal(net, a)
 
 
 def marginal(net: BayesianNetwork, a: Assignment) -> float:
@@ -61,7 +52,17 @@ def marginal(net: BayesianNetwork, a: Assignment) -> float:
     for combo in itertools.product(*(range(v.cardinality) for v in free)):
         full = dict(a)
         full.update(zip(names, combo))
-        terms.append(joint_prob(net, full))
+        p = 1.0
+        for v in net.variables:
+            cpt = net.cpt(v.name)
+            row = 0
+            for parent in cpt.parents:
+                row = row * net.var(parent).cardinality + full[parent]
+            p *= cpt.rows[row][full[v.name]]
+            if p == 0.0:
+                break  # a zero term leaves the sum as it is
+        else:
+            terms.append(p)
     return math.fsum(terms)
 
 

@@ -9,6 +9,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from bntrim import (
     BayesianNetwork,
@@ -133,3 +134,37 @@ def random_costs(rng: random.Random, clf: Classifier) -> CostModel:
 
 def random_subset(rng: random.Random, clf: Classifier) -> tuple[str, ...]:
     return tuple(f for f in clf.features if rng.random() < 0.5)
+
+
+@st.composite
+def dag_networks(draw, max_features: int = 4, max_card: int = 3):
+    """A random DAG over a binary class "C" and 1..max_features features of
+    cardinality 2..max_card, plus a classifier over every feature.  About
+    one CPT row in four is deterministic (one entry 1, the rest 0), so
+    zero-mass instantiations and exactly tied posteriors occur."""
+    n = draw(st.integers(1, max_features))
+    names = ["C"] + [f"X{i}" for i in range(1, n + 1)]
+    cards = {"C": 2}
+    for name in names[1:]:
+        cards[name] = draw(st.integers(2, max_card))
+    topo = draw(st.permutations(names))
+    cpds = []
+    for i, child in enumerate(topo):
+        parents = ()
+        if i:
+            parents = tuple(sorted(draw(st.sets(st.sampled_from(topo[:i]), max_size=2))))
+        card = cards[child]
+        rows = []
+        for _ in range(math.prod(cards[p] for p in parents)):
+            if draw(st.integers(0, 3)) == 0:
+                hot = draw(st.integers(0, card - 1))
+                rows.append(tuple(float(j == hot) for j in range(card)))
+            else:
+                weights = draw(st.lists(st.integers(1, 20), min_size=card, max_size=card))
+                rows.append(tuple(w / sum(weights) for w in weights))
+        cpds.append(Cpt(child, parents, tuple(rows)))
+    variables = tuple(Variable(m, tuple(f"v{j}" for j in range(cards[m]))) for m in names)
+    net = BayesianNetwork(variables, tuple(cpds))
+    clf = Classifier("C", draw(st.integers(0, 1)), tuple(names[1:]), 0.5)
+    check_classifier(net, clf)
+    return net, clf

@@ -3,16 +3,19 @@ and the threshold-sweep MAA computation."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bntrim import (
     BayesianNetwork,
     Classifier,
+    CostModel,
     Cpt,
     InstanceRow,
     InstanceTable,
@@ -21,15 +24,25 @@ from bntrim import (
     Variable,
     ZeroEvidenceError,
     build_instance_table,
+    classify,
     compute_maa,
     eca,
+    eca_trim,
     esdp_two_threshold,
     maa,
+    marginal,
     mpa,
+    posterior_class,
     sdp,
 )
 
-from conftest import nb_instance, random_dag_instance, random_instance, random_subset
+from conftest import (
+    dag_networks,
+    nb_instance,
+    random_dag_instance,
+    random_instance,
+    random_subset,
+)
 
 
 def trimmed(clf: Classifier, features, threshold: float) -> Classifier:
@@ -171,6 +184,57 @@ class TestSdp:
         clf = Classifier("C", 0, ("X", "Y"), 0.5)
         with pytest.raises(ZeroEvidenceError):
             sdp(net, clf, ("Y",), {"X": 0})
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_equals_per_completion_classify_at_attained_posteriors(self, model, data):
+        net, clf = model
+        observed = data.draw(st.lists(st.sampled_from(clf.features), unique=True))
+        evidence = {f: data.draw(st.integers(0, net.var(f).cardinality - 1)) for f in observed}
+        assume(marginal(net, evidence) > 0.0)
+        rest = [f for f in clf.features if f not in evidence]
+        query = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+        completions = [
+            {**evidence, **dict(zip(query, combo))}
+            for combo in itertools.product(*(range(net.var(f).cardinality) for f in query))
+        ]
+        attained = [posterior_class(net, clf, evidence)] + [
+            posterior_class(net, clf, full) for full in completions if marginal(net, full) > 0.0
+        ]
+        at = replace(clf, threshold=data.draw(st.sampled_from(attained)))
+
+        # sdp as one classify call per positive-mass completion.
+        base = classify(net, at, evidence)
+        kept = [
+            marginal(net, full) for full in completions
+            if marginal(net, full) > 0.0 and classify(net, at, full) == base
+        ]
+        expected = math.fsum(kept) / marginal(net, evidence)
+        assert sdp(net, at, query, evidence) == expected
+
+
+class TestClassOnlyNetwork:
+    """With no features the empty subset is the only one, and the trimmed
+    classifier decides as the full one wherever their thresholds fall on
+    the same side of Pr(+) = 0.7."""
+
+    NET = BayesianNetwork((Variable("C", ("-", "+")),), (Cpt("C", (), ((0.3, 0.7),)),))
+    CLF = Classifier("C", 1, (), 0.5)
+
+    def test_agreement_measures(self):
+        result = maa(self.NET, self.CLF, ())
+        assert result.score == 1.0
+        assert (result.interval.lo, result.interval.hi) == (-math.inf, 0.7)
+        assert mpa(self.NET, self.CLF, ()) == 1.0
+        assert eca(self.NET, self.CLF, trimmed(self.CLF, (), 0.7)) == 1.0
+        assert eca(self.NET, self.CLF, trimmed(self.CLF, (), 0.9)) == 0.0
+
+    def test_trim(self):
+        result = eca_trim(self.NET, self.CLF, CostModel({}, 0.0))
+        assert result.best_features == ()
+        assert result.best_score == 1.0
+        assert result.threshold.hi == 0.7
 
 
 class TestEsdpTwoThreshold:

@@ -13,7 +13,7 @@ import pytest
 from bntrim import cli, serialize_dataset, serialize_network
 
 from conftest import FIXTURES
-from test_evalharness import noisy_dataset
+from test_evalharness import RARE_HELD_OUT_SEED, noisy_dataset, rare_value_dataset
 from test_trimsearch import big_nb
 
 QUIZ = str(FIXTURES / "quiz.bn.json")
@@ -269,6 +269,58 @@ class TestScatter:
         assert other[1] != flagged[1]
 
 
+class TestClassOnlyNetwork:
+    """A network holding only the class variable, Pr(C = +) = 0.7."""
+
+    @pytest.fixture()
+    def net_path(self, tmp_path):
+        doc = {
+            "variables": [{"name": "C", "values": ["-", "+"]}],
+            "cpds": [{"child": "C", "parents": [], "rows": [[0.3, 0.7]]}],
+        }
+        path = tmp_path / "class_only.bn.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maa"],
+            ["mpa"],
+            ["eca", "--trim-threshold", "0.5"],
+            ["trim", "--budget", "1", "--trace"],
+            ["exhaustive", "--budget", "0"],
+            ["ig", "--budget", "1"],
+            ["ig", "--budget", "1", "--retune"],
+            ["sdp"],
+        ],
+    )
+    def test_every_network_subcommand_succeeds(self, capsys, net_path, argv):
+        base = ["--network", net_path, "--class", "C", "--positive", "+"]
+        code, out, err = run(capsys, [argv[0], *base, *argv[1:]])
+        assert code == 0
+        assert "Traceback" not in err
+        assert json.loads(out)
+
+    def test_maa_covers_thresholds_up_to_the_prior(self, capsys, net_path):
+        code, out, _ = run(capsys, ["maa", "--network", net_path, "--class", "C", "--positive", "+"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["score"] == 1.0
+        assert doc["threshold_interval"] == ["-inf", 0.7]
+
+    def test_validate_and_class_only_data(self, capsys, net_path, tmp_path):
+        code, out, _ = run(capsys, ["validate", net_path])
+        assert code == 0
+        assert json.loads(out)["valid"] is True
+        data = tmp_path / "class_only.csv"
+        data.write_text("C\n+\n-\n+\n+\n-\n+\n")
+        code, out, err = run(capsys, ["scatter", "--data", str(data), "--class", "C", "--folds", "2"])
+        assert code == 0
+        assert out.split("\n")[1].startswith(",1,")
+        assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys, [])
@@ -325,6 +377,18 @@ class TestExitCodes:
         )
         assert code == 3
         assert "2^21" in err
+
+    def test_unsmoothed_zero_evidence_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "rare.csv"
+        path.write_bytes(serialize_dataset(rare_value_dataset()))
+        argv = ["scatter", "--data", str(path), "--class", "C", "--folds", "2"]
+        code, out, err = run(
+            capsys, [*argv, "--smoothing", "0", "--seed", str(RARE_HELD_OUT_SEED)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "evidence {'F': 2} has probability 0" in err
+        assert "Traceback" not in err
 
     def test_jobs_flag_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["trim", *BASE, "--budget", "2", "--jobs", "2"])

@@ -5,6 +5,7 @@ sampling."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,8 @@ from bntrim import (
     EnumerationLimitError,
     EvalConfig,
     ModelError,
+    ZeroEvidenceError,
+    classify,
     cv_accuracy,
     empirical_agreement,
     enumerate_feasible,
@@ -27,7 +30,7 @@ from bntrim import (
     write_scatter_csv,
 )
 
-from conftest import load_network
+from conftest import load_network, nb_instance
 
 
 def noisy_dataset(rows: int = 80, seed: int = 5) -> Dataset:
@@ -53,6 +56,54 @@ def or_dataset(rows: int = 150, seed: int = 17) -> Dataset:
         c = (a == "x" or b == "u") != (rng.random() < 0.05)
         out.append(("pos" if c else "neg", a, b))
     return Dataset(("label", "A", "B"), tuple(out), "label")
+
+
+def rare_value_dataset() -> Dataset:
+    """Feature F takes "c" in one row only, so a model learned without
+    that row and without smoothing gives F = "c" probability 0."""
+    rows = tuple(("pos" if i % 2 else "neg", "ab"[i // 2 % 2]) for i in range(19))
+    return Dataset(("C", "F"), rows + (("pos", "c"),), "C")
+
+
+# scatter's seeded split puts the "c" row of rare_value_dataset() in the
+# held-out part at this seed.
+RARE_HELD_OUT_SEED = 5
+
+
+def held_out_reference(data: Dataset, config: EvalConfig, subset) -> dict:
+    """One scatter summary entry, recomputed from the documented split with
+    two classify calls per held-out row, on copies of the full classifier
+    restricted to the subset at its scoring and its base threshold."""
+    n = len(data.rows)
+    rng = random.Random(config.seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    train_n = min(max(round(config.split_fraction * n), 1), n - 1)
+    train, test = data.take(perm[:train_n]), data.take(perm[train_n:])
+    domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+    net, clf = learn_nb(
+        train, smoothing=config.smoothing, domains=domains, threshold=config.threshold
+    )
+    subset = tuple(subset)
+    if config.threshold_mode == "maa-optimal":
+        subset_threshold = maa(net, clf, subset).interval.representative
+    else:
+        subset_threshold = config.threshold
+    scoring = replace(clf, features=subset, threshold=subset_threshold)
+    accuracy = replace(clf, features=subset, threshold=config.threshold)
+    agree = hits = 0
+    for row in test.rows:
+        values = {c: domains[c].index(v) for c, v in zip(test.columns, row)}
+        full = {f: values[f] for f in clf.features}
+        kept = {f: values[f] for f in subset}
+        actual = values[test.class_column] == clf.positive_value
+        agree += classify(net, scoring, kept) == classify(net, clf, full)
+        hits += classify(net, accuracy, kept) == actual
+    return {
+        "subset": list(subset),
+        "test_agreement": agree / len(test.rows),
+        "test_accuracy": hits / len(test.rows),
+    }
 
 
 class TestLearnNb:
@@ -158,6 +209,11 @@ class TestCvAccuracy:
         assert a == b
         assert 0.0 <= a <= 1.0
 
+    def test_unsmoothed_unseen_value_has_zero_evidence(self):
+        with pytest.raises(ZeroEvidenceError) as info:
+            cv_accuracy(rare_value_dataset(), ("F",), folds=2, seed=0, smoothing=0.0)
+        assert str(info.value) == "evidence {'F': 2} has probability 0"
+
     def test_more_folds_than_rows_rejected(self):
         data = Dataset(("L", "F"), (("a", "x"), ("b", "y")), "L")
         with pytest.raises(ModelError):
@@ -214,6 +270,27 @@ class TestScatter:
         )
         full = [r for r in rows if r.subset == ("A", "B")]
         assert full[0].eca == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["maa-optimal", "fixed"])
+    @pytest.mark.parametrize("source", ["noisy", "synthetic"])
+    def test_summary_matches_per_row_classify(self, mode, source):
+        if source == "noisy":
+            data = noisy_dataset()
+        else:
+            # A model whose best subsets decide some held-out rows
+            # differently at their scoring and their base threshold.
+            net, _ = nb_instance(random.Random(10), 4)
+            data = synthesize_dataset(net, "C", 120, seed=3)
+        config = EvalConfig(seed=4, folds=3, budget=2.0, threshold_mode=mode)
+        _, summary = scatter(data, config)
+        for side in ("optimal_eca", "optimal_accuracy"):
+            assert summary[side] == held_out_reference(data, config, summary[side]["subset"])
+
+    def test_unsmoothed_held_out_value_has_zero_evidence(self):
+        config = EvalConfig(seed=RARE_HELD_OUT_SEED, folds=2, smoothing=0.0)
+        with pytest.raises(ZeroEvidenceError) as info:
+            scatter(rare_value_dataset(), config)
+        assert str(info.value) == "evidence {'F': 2} has probability 0"
 
     def test_deterministic_csv_bytes(self):
         data = noisy_dataset()

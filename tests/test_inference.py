@@ -6,6 +6,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bntrim import (
     BayesianNetwork,
@@ -21,6 +23,8 @@ from bntrim import (
     marginal,
     posterior_class,
 )
+
+from conftest import dag_networks
 
 
 class TestJointAndMarginal:
@@ -45,6 +49,71 @@ class TestJointAndMarginal:
         assert a == {"C": 0, "Q3": 1}
         with pytest.raises(ModelError):
             assignment_from_labels(quiz_net, {"C": "maybe"})
+
+
+def reference_joint(net: BayesianNetwork, full) -> float:
+    """A full assignment's CPT product, a zero product returned as 0.0."""
+    p = 1.0
+    for v in net.variables:
+        cpt = net.cpt(v.name)
+        row = 0
+        for parent in cpt.parents:
+            row = row * net.var(parent).cardinality + full[parent]
+        p *= cpt.rows[row][full[v.name]]
+        if p == 0.0:
+            return 0.0
+    return p
+
+
+def reference_marginal(net: BayesianNetwork, a) -> float:
+    """fsum of reference_joint over every completion of the assignment."""
+    free = [v for v in net.variables if v.name not in a]
+    return math.fsum(
+        reference_joint(net, {**a, **{v.name: i for v, i in zip(free, combo)}})
+        for combo in itertools.product(*(range(v.cardinality) for v in free))
+    )
+
+
+class TestScalarPathContract:
+    @settings(max_examples=200, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_marginal_and_joint_equal_per_completion_products(self, model, data):
+        net, _ = model
+        partial = {}
+        for v in net.variables:
+            value = data.draw(st.none() | st.integers(0, v.cardinality - 1))
+            if value is not None:
+                partial[v.name] = value
+        assert marginal(net, partial).hex() == reference_marginal(net, partial).hex()
+        full = {v.name: data.draw(st.integers(0, v.cardinality - 1)) for v in net.variables}
+        expected = reference_joint(net, full).hex()
+        assert joint_prob(net, full).hex() == marginal(net, full).hex() == expected
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ({"C": 0, "Q1": 0, "Q3": 1}, "full assignment required, missing ['Q2']"),
+            ({"C": 0, "Q1": 2, "Q2": 0, "Q3": 0}, "value index 2 out of range for 'Q1'"),
+            ({"Q2": -1}, "value index -1 out of range for 'Q2'"),
+            ({"C": 0, "Q1": 0, "Q2": 0, "Q3": 0, "Z": 0}, "unknown variable 'Z'"),
+        ],
+    )
+    def test_joint_prob_errors(self, quiz_net, a, message):
+        with pytest.raises(ModelError) as info:
+            joint_prob(quiz_net, a)
+        assert str(info.value) == message
+
+    def test_joint_prob_checks_the_network_first(self):
+        cyclic = BayesianNetwork(
+            (Variable("A", ("0", "1")), Variable("B", ("0", "1"))),
+            (
+                Cpt("A", ("B",), ((0.5, 0.5), (0.5, 0.5))),
+                Cpt("B", ("A",), ((0.5, 0.5), (0.5, 0.5))),
+            ),
+        )
+        with pytest.raises(ModelError) as info:
+            joint_prob(cyclic, {"A": 7})
+        assert str(info.value) == "network is not valid: cycle detected: A -> B -> A"
 
 
 class TestPosterior:
