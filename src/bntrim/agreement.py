@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -41,7 +41,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import Assignment, classify, decide_at, marginal
+from .inference import Assignment, marginal
 
 # Joint grids above this many cells are refused; the algorithms here are
 # meant for desk-scale models.
@@ -264,7 +264,9 @@ def sdp(
     pe = marginal(net, dict(evidence))
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    base = classify(net, clf, dict(evidence))
+    # The evidence decision, posterior_class's division without a second
+    # evidence mass.
+    base = marginal(net, {**evidence, clf.class_var: clf.positive_value}) / pe >= clf.threshold
     terms = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in q)):
         full = dict(evidence)
@@ -300,12 +302,16 @@ def esdp_two_threshold(
     overlap = set(h) & set(o)
     if overlap:
         raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
+    # Checked and converted as the Classifier that decide_at builds would be.
+    new_threshold = replace(clf, threshold=new_threshold).threshold
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
         part = dict(zip(o, ocombo))
-        if marginal(net, part) == 0.0:
+        mass = marginal(net, part)
+        if mass == 0.0:
             continue
-        trimmed = decide_at(net, clf, part, new_threshold)
+        # decide_at's decision, dividing by the mass the zero test computed.
+        trimmed = marginal(net, {**part, clf.class_var: clf.positive_value}) / mass >= new_threshold
         for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in h)):
             full = dict(part)
             full.update(zip(h, hcombo))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
 
@@ -76,13 +76,30 @@ class Cpt:
         )
 
 
+class _FactorPlan(NamedTuple):
+    """A network's CPTs addressed by variable position, for enumeration.
+
+    ``position`` maps each name to its declaration index and ``cards``
+    holds the cardinalities in that order.  ``factors`` has one entry per
+    variable in declaration order: ``(child position, ((parent position,
+    stride), ...), cpt rows)``, where the strides are the row-major
+    weights, so ``rows[sum(value[q] * stride)][value[child]]`` is the
+    child's CPT entry under a full assignment.
+    """
+
+    position: dict[str, int]
+    cards: tuple[int, ...]
+    factors: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[float, ...], ...]], ...]
+
+
 @dataclass(frozen=True)
 class BayesianNetwork:
     """A set of variables plus one CPT per variable.
 
     ``order`` is a cached topological order of the variable names, or None
     when the structure is cyclic or otherwise unresolvable; use
-    :func:`validate_network` to find out why.
+    :func:`validate_network` to find out why.  Networks with an order also
+    carry a factor plan (``_FactorPlan``) for scalar enumeration.
     """
 
     variables: tuple[Variable, ...]
@@ -91,6 +108,7 @@ class BayesianNetwork:
     _cpt_map: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
     order: tuple[str, ...] | None = field(init=False, compare=False)
+    _plan: _FactorPlan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -110,6 +128,24 @@ class BayesianNetwork:
         object.__setattr__(self, "_cpt_map", cpt_map)
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "order", self._topological_order())
+        object.__setattr__(self, "_plan", None if self.order is None else self._factor_plan())
+
+    def _factor_plan(self) -> _FactorPlan:
+        # Built from Cpt.rows alone; only called once the order exists,
+        # so every name is unique and every CPT and parent resolves.
+        position = {v.name: q for q, v in enumerate(self.variables)}
+        cards = tuple(v.cardinality for v in self.variables)
+        factors = []
+        for v in self.variables:
+            cpt = self._cpt_map[v.name]
+            weighted = []
+            stride = 1
+            for parent in reversed(cpt.parents):
+                q = position[parent]
+                weighted.append((q, stride))
+                stride *= cards[q]
+            factors.append((position[v.name], tuple(reversed(weighted)), cpt.rows))
+        return _FactorPlan(position, cards, tuple(factors))
 
     def _topological_order(self) -> tuple[str, ...] | None:
         # Kahn's algorithm; ties resolved by declaration order so the

@@ -187,12 +187,19 @@ def _posteriors(
     domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
 ) -> list[float]:
     """posterior_class of every data row given its values of the features,
-    the number classify compares with a threshold."""
-    cols = [(f, data.column_index(f), domains[f]) for f in features]
-    return [
-        posterior_class(net, clf, {f: dom.index(row[i]) for f, i, dom in cols})
-        for row in data.rows
-    ]
+    the number classify compares with a threshold.  Rows with equal
+    values share one computation."""
+    names = tuple(features)
+    cols = [(data.column_index(f), domains[f]) for f in names]
+    seen: dict[tuple[int, ...], float] = {}
+    out = []
+    for row in data.rows:
+        key = tuple(dom.index(row[i]) for i, dom in cols)
+        posterior = seen.get(key)
+        if posterior is None:
+            posterior = seen[key] = posterior_class(net, clf, dict(zip(names, key)))
+        out.append(posterior)
+    return out
 
 
 def cv_accuracy(

@@ -3,8 +3,18 @@
 An assignment maps variable names to value indices and may be partial.
 The scalar operations here enumerate hidden variables directly; they are
 intended for desk-scale networks (roughly 22 binary-equivalent variables)
-where exactness matters more than speed.  Sums are accumulated with
-``math.fsum`` so results do not depend on enumeration order.
+where exactness matters more than speed.
+
+Enumeration reads the network's factor plan, built once with the network
+(``bnmodel._FactorPlan``): variable positions, cardinalities, and per
+variable its CPT rows with its parents' positions and row strides.  Each
+completion is a tuple of value indices; its term is the product of one
+CPT entry per variable, ``rows[sum(value[q] * stride)][value[child]]``,
+multiplied in declaration order.  This is the network polynomial of
+Darwiche (JACM 2003) evaluated term by term, with no circuit compiled,
+and it shares no arithmetic with the grid route in
+:mod:`bntrim.agreement`.  Sums are accumulated with ``math.fsum`` so
+results do not depend on enumeration order.
 """
 
 from __future__ import annotations
@@ -25,45 +35,56 @@ def assignment_from_labels(net: BayesianNetwork, labels: Mapping[str, str]) -> d
     return {name: net.var(name).index_of(lab) for name, lab in labels.items()}
 
 
-def _check_assignment(net: BayesianNetwork, a: Assignment) -> None:
+def _domains(net: BayesianNetwork, a: Assignment) -> list:
+    """Check the network and every entry of the assignment, and return
+    per variable position the values its completions take: the assigned
+    index alone, or the variable's whole range."""
+    check_network(net)
+    plan = net._plan
+    domains: list = [range(card) for card in plan.cards]
     for name, idx in a.items():
-        v = net.var(name)
-        if not isinstance(idx, int) or not (0 <= idx < v.cardinality):
+        q = plan.position.get(name)
+        if q is None:
+            raise ModelError(f"unknown variable {name!r}")
+        if not isinstance(idx, int) or not (0 <= idx < plan.cards[q]):
             raise ModelError(f"value index {idx!r} out of range for {name!r}")
+        domains[q] = (idx,)
+    return domains
+
+
+def _mass(net: BayesianNetwork, domains: list) -> float:
+    # One term per completion: the CPT entries multiplied in declaration
+    # order, the product abandoned at 0.0 (a zero term leaves the sum as
+    # it is).  Rows stay nested, so a malformed CPT fails with IndexError
+    # instead of reading a neighbouring entry.
+    factors = net._plan.factors
+    terms = []
+    for values in itertools.product(*domains):
+        p = 1.0
+        for child, parents, rows in factors:
+            r = 0
+            for q, stride in parents:
+                r += values[q] * stride
+            p *= rows[r][values[child]]
+            if p == 0.0:
+                break
+        else:
+            terms.append(p)
+    return math.fsum(terms)
 
 
 def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of one full assignment: the product of CPT entries."""
-    check_network(net)
-    _check_assignment(net, a)
+    domains = _domains(net, a)
     if len(a) != len(net.variables):
         missing = [v.name for v in net.variables if v.name not in a]
         raise ModelError(f"full assignment required, missing {missing}")
-    return marginal(net, a)
+    return _mass(net, domains)
 
 
 def marginal(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of a partial assignment: joint summed over completions."""
-    check_network(net)
-    _check_assignment(net, a)
-    free = [v for v in net.variables if v.name not in a]
-    names = [v.name for v in free]
-    terms = []
-    for combo in itertools.product(*(range(v.cardinality) for v in free)):
-        full = dict(a)
-        full.update(zip(names, combo))
-        p = 1.0
-        for v in net.variables:
-            cpt = net.cpt(v.name)
-            row = 0
-            for parent in cpt.parents:
-                row = row * net.var(parent).cardinality + full[parent]
-            p *= cpt.rows[row][full[v.name]]
-            if p == 0.0:
-                break  # a zero term leaves the sum as it is
-        else:
-            terms.append(p)
-    return math.fsum(terms)
+    return _mass(net, _domains(net, a))
 
 
 def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> float:

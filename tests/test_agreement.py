@@ -26,6 +26,7 @@ from bntrim import (
     build_instance_table,
     classify,
     compute_maa,
+    decide_at,
     eca,
     eca_trim,
     esdp_two_threshold,
@@ -254,6 +255,77 @@ class TestEsdpTwoThreshold:
     def test_rejects_overlap(self, quiz_net, quiz_alpha):
         with pytest.raises(ModelError):
             esdp_two_threshold(quiz_net, quiz_alpha, 0.1, ("Q1",), ("Q1", "Q3"))
+
+
+def classify_sdp(net, clf, query, evidence) -> float:
+    """sdp with its evidence decision taken by classify, which computes
+    the evidence mass a second time."""
+    pe = marginal(net, dict(evidence))
+    base = classify(net, clf, dict(evidence))
+    terms = []
+    for combo in itertools.product(*(range(net.var(f).cardinality) for f in query)):
+        full = {**evidence, **dict(zip(query, combo))}
+        p = marginal(net, full)
+        if p > 0.0:
+            positive = marginal(net, {**full, clf.class_var: clf.positive_value})
+            if (positive / p >= clf.threshold) == base:
+                terms.append(p)
+    return math.fsum(terms) / pe
+
+
+def decide_at_esdp(net, clf, new_threshold, hidden, observed) -> float:
+    """esdp_two_threshold with each observed instantiation's decision taken
+    by decide_at, which computes its mass a second time."""
+    terms = []
+    for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in observed)):
+        part = dict(zip(observed, ocombo))
+        if marginal(net, part) == 0.0:
+            continue
+        trimmed_decision = decide_at(net, clf, part, new_threshold)
+        for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in hidden)):
+            full = {**part, **dict(zip(hidden, hcombo))}
+            p = marginal(net, full)
+            if p > 0.0:
+                positive = marginal(net, {**full, clf.class_var: clf.positive_value})
+                if (positive / p >= clf.threshold) == trimmed_decision:
+                    terms.append(p)
+    return math.fsum(terms)
+
+
+class TestOraclesComputeEachMassOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_same_bits_as_classify_and_decide_at(self, model, data):
+        net, clf = model
+        observed = data.draw(st.lists(st.sampled_from(clf.features), unique=True))
+        rest = [f for f in clf.features if f not in observed]
+        hidden = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+        observed = [f for f in clf.features if f in observed]
+        hidden = [f for f in clf.features if f in hidden]
+        evidence = {f: data.draw(st.integers(0, net.var(f).cardinality - 1)) for f in observed}
+        attained = [0.0, 0.5, 1.0]
+        if marginal(net, evidence) > 0.0:
+            attained.append(posterior_class(net, clf, evidence))
+        at = replace(clf, threshold=data.draw(st.sampled_from(attained)))
+        new_threshold = data.draw(st.sampled_from(attained))
+
+        got = esdp_two_threshold(net, at, new_threshold, hidden, observed)
+        assert got.hex() == decide_at_esdp(net, at, new_threshold, hidden, observed).hex()
+        if marginal(net, evidence) > 0.0:
+            got = sdp(net, at, hidden, evidence)
+            assert got.hex() == classify_sdp(net, at, hidden, evidence).hex()
+
+    @pytest.mark.parametrize(
+        "new_threshold, message",
+        [
+            (-0.1, "threshold must be a finite value >= 0, got -0.1"),
+            (math.inf, "threshold must be a finite value >= 0, got inf"),
+        ],
+    )
+    def test_esdp_checks_the_new_threshold(self, quiz_net, quiz_alpha, new_threshold, message):
+        with pytest.raises(ModelError) as info:
+            esdp_two_threshold(quiz_net, quiz_alpha, new_threshold, ("Q1",), ("Q3",))
+        assert str(info.value) == message
 
 
 class TestMpa:

@@ -24,12 +24,14 @@ from bntrim import (
     learn_nb,
     maa,
     marginal,
+    posterior_class,
     sample_rows,
     scatter,
     synthesize_dataset,
     write_scatter_csv,
 )
 
+from bntrim.evalharness import _posteriors
 from conftest import load_network, nb_instance
 
 
@@ -307,6 +309,37 @@ class TestScatter:
         rows, _ = scatter(data, EvalConfig(seed=2, folds=3, budget=10.0))
         text = write_scatter_csv(rows).decode("utf-8")
         assert "A;B" in text
+
+
+class TestRowPosteriors:
+    """evalharness._posteriors, which computes one posterior per distinct
+    row of feature values, against one posterior_class call per row."""
+
+    @pytest.mark.parametrize("features", [("A", "B"), ("B",), ()])
+    def test_same_bits_as_one_posterior_per_row(self, features):
+        data = noisy_dataset()  # 80 rows, at most 4 distinct (A, B) pairs
+        domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+        net, clf = learn_nb(data, domains=domains)
+        per_row = [
+            posterior_class(
+                net, clf, {f: domains[f].index(row[data.column_index(f)]) for f in features}
+            ).hex()
+            for row in data.rows
+        ]
+        got = _posteriors(net, clf, data, domains, features)
+        assert [p.hex() for p in got] == per_row
+
+    def test_first_zero_evidence_row_raises(self):
+        # Learned without smoothing from rows where F is "a" or "b", so
+        # "c" and "d" have probability 0; "d" comes first.
+        train = Dataset(("C", "F"), (("neg", "a"), ("pos", "b"), ("pos", "a")), "C")
+        rows = (("pos", "a"), ("neg", "d"), ("pos", "c"), ("neg", "d"))
+        test = Dataset(("C", "F"), rows, "C")
+        domains = {"C": ("neg", "pos"), "F": ("a", "b", "c", "d")}
+        net, clf = learn_nb(train, smoothing=0.0, domains=domains)
+        with pytest.raises(ZeroEvidenceError) as info:
+            _posteriors(net, clf, test, domains, ("F",))
+        assert str(info.value) == "evidence {'F': 3} has probability 0"
 
 
 class TestEvalConfig:

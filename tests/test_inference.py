@@ -74,6 +74,50 @@ def reference_marginal(net: BayesianNetwork, a) -> float:
     )
 
 
+@st.composite
+def late_parent_networks(draw, all_deterministic: bool = False, max_features: int = 4):
+    """A random DAG over a binary class "C" and 1..max_features features,
+    declared "C" first and each variable's parents after it, so the
+    declaration order is the reverse of a topological one and the class
+    has parents whenever it can.  With ``all_deterministic`` every CPT row
+    has one entry 1 and the rest 0; otherwise about one row in four."""
+    n = draw(st.integers(1, max_features))
+    names = ["C"] + [f"X{i}" for i in range(1, n + 1)]
+    cards = [2] + [draw(st.integers(2, 3)) for _ in range(n)]
+    cpds = []
+    for i, child in enumerate(names):
+        later = names[i + 1:]
+        parents = ()
+        if later:
+            count = draw(st.integers(1 if child == "C" else 0, min(2, len(later))))
+            parents = tuple(draw(st.permutations(later))[:count])
+        card = cards[i]
+        rows = []
+        for _ in range(math.prod(cards[names.index(p)] for p in parents)):
+            if all_deterministic or draw(st.integers(0, 3)) == 0:
+                hot = draw(st.integers(0, card - 1))
+                rows.append(tuple(float(j == hot) for j in range(card)))
+            else:
+                weights = draw(st.lists(st.integers(1, 20), min_size=card, max_size=card))
+                rows.append(tuple(w / sum(weights) for w in weights))
+        cpds.append(Cpt(child, parents, tuple(rows)))
+    variables = tuple(Variable(m, tuple(f"v{j}" for j in range(k))) for m, k in zip(names, cards))
+    net = BayesianNetwork(variables, tuple(cpds))
+    assert net.order is not None and net.order != net.names
+    return net, Classifier("C", draw(st.integers(0, 1)), tuple(names[1:]), 0.5)
+
+
+def draw_partial(data, net: BayesianNetwork, always=()) -> dict[str, int]:
+    """A partial assignment that assigns each name in ``always`` and any
+    other variable at random."""
+    partial = {}
+    for v in net.variables:
+        value = data.draw(st.integers(0, v.cardinality - 1))
+        if v.name in always or data.draw(st.booleans()):
+            partial[v.name] = value
+    return partial
+
+
 class TestScalarPathContract:
     @settings(max_examples=200, deadline=None)
     @given(dag_networks(), st.data())
@@ -88,6 +132,77 @@ class TestScalarPathContract:
         full = {v.name: data.draw(st.integers(0, v.cardinality - 1)) for v in net.variables}
         expected = reference_joint(net, full).hex()
         assert joint_prob(net, full).hex() == marginal(net, full).hex() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(late_parent_networks(), st.data())
+    def test_parents_declared_after_their_children(self, model, data):
+        net, _ = model
+        partial = draw_partial(data, net)
+        assert marginal(net, partial).hex() == reference_marginal(net, partial).hex()
+        full = draw_partial(data, net, always=net.names)
+        assert joint_prob(net, full).hex() == reference_joint(net, full).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(dag_networks(), late_parent_networks()), st.data())
+    def test_evidence_including_the_class(self, model, data):
+        net, clf = model
+        partial = draw_partial(data, net, always=(clf.class_var,))
+        assert marginal(net, partial).hex() == reference_marginal(net, partial).hex()
+        evidence = {f: v for f, v in partial.items() if f != clf.class_var}
+        if reference_marginal(net, evidence) > 0.0:
+            joint = {**evidence, clf.class_var: clf.positive_value}
+            expected = reference_marginal(net, joint) / reference_marginal(net, evidence)
+            assert posterior_class(net, clf, evidence).hex() == expected.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(late_parent_networks(all_deterministic=True), st.data())
+    def test_deterministic_rows(self, model, data):
+        net, _ = model
+        partial = draw_partial(data, net)
+        mass = marginal(net, partial)
+        assert mass.hex() == reference_marginal(net, partial).hex()
+        assert mass in (0.0, 1.0)
+
+    def test_malformed_cpt_is_never_read_past_a_row(self):
+        # Built directly, so never validated: A's one row has one entry
+        # too few.  An index into A's entries laid out flat next to B's
+        # would read B's first entry; the nested rows raise instead.
+        short = BayesianNetwork(
+            (Variable("A", ("0", "1")), Variable("B", ("0", "1"))),
+            (Cpt("A", (), ((1.0,),)), Cpt("B", ("A",), ((0.5, 0.5), (0.5, 0.5)))),
+        )
+        assert marginal(short, {"A": 0, "B": 0}) == 0.5
+        with pytest.raises(IndexError):
+            marginal(short, {"A": 1})
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ({"Z": 0}, "unknown variable 'Z'"),
+            ({"Q1": 2}, "value index 2 out of range for 'Q1'"),
+            ({"C": -1}, "value index -1 out of range for 'C'"),
+            ({"Q1": 1.0}, "value index 1.0 out of range for 'Q1'"),
+            ({"Q1": "0"}, "value index '0' out of range for 'Q1'"),
+        ],
+    )
+    def test_marginal_errors(self, quiz_net, a, message):
+        with pytest.raises(ModelError) as info:
+            marginal(quiz_net, a)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "features, a, message",
+        [
+            (("Q1", "Z"), {"Q1": 0}, "unknown variable 'Z'"),
+            (("Q1", "Q2", "Q3"), {"Z": 0}, "evidence names non-feature variables: ['Z']"),
+            (("Q1", "Q2", "Q3"), {"Q1": 2}, "value index 2 out of range for 'Q1'"),
+            (("Q1", "Q2", "Q3"), {"Q3": 0.0}, "value index 0.0 out of range for 'Q3'"),
+        ],
+    )
+    def test_posterior_class_errors(self, quiz_net, features, a, message):
+        with pytest.raises(ModelError) as info:
+            posterior_class(quiz_net, Classifier("C", 0, features, 0.5), a)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "a, message",
