@@ -41,7 +41,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import Assignment, marginal
+from .inference import Assignment, _posterior, marginal
 
 # Joint grids above this many cells are refused; the algorithms here are
 # meant for desk-scale models.
@@ -264,9 +264,7 @@ def sdp(
     pe = marginal(net, dict(evidence))
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    # The evidence decision, posterior_class's division without a second
-    # evidence mass.
-    base = marginal(net, {**evidence, clf.class_var: clf.positive_value}) / pe >= clf.threshold
+    base = _posterior(net, clf, evidence, pe) >= clf.threshold
     terms = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in q)):
         full = dict(evidence)
@@ -274,9 +272,7 @@ def sdp(
         p = marginal(net, full)
         if p == 0.0:
             continue
-        # Reuse the completion's mass as the posterior denominator.
-        full[clf.class_var] = clf.positive_value
-        if (marginal(net, full) / p >= clf.threshold) == base:
+        if (_posterior(net, clf, full, p) >= clf.threshold) == base:
             terms.append(p)
     return math.fsum(terms) / pe
 
@@ -310,17 +306,14 @@ def esdp_two_threshold(
         mass = marginal(net, part)
         if mass == 0.0:
             continue
-        # decide_at's decision, dividing by the mass the zero test computed.
-        trimmed = marginal(net, {**part, clf.class_var: clf.positive_value}) / mass >= new_threshold
+        trimmed = _posterior(net, clf, part, mass) >= new_threshold
         for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in h)):
             full = dict(part)
             full.update(zip(h, hcombo))
             p = marginal(net, full)
             if p == 0.0:
                 continue
-            # Reuse the cell mass as the posterior denominator.
-            full[clf.class_var] = clf.positive_value
-            if (marginal(net, full) / p >= clf.threshold) == trimmed:
+            if (_posterior(net, clf, full, p) >= clf.threshold) == trimmed:
                 terms.append(p)
     return math.fsum(terms)
 

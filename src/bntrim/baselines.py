@@ -25,7 +25,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError
-from .inference import classify, marginal, posterior_class
+from .inference import _posterior, classify, marginal
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,7 @@ def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) ->
             kept = {f: v for f, v in full.items() if f in beta_set}
             trimmed = classify(net, beta, kept)
             decisions[kept_combo] = trimmed
-        # Reuse the evidence mass as the posterior denominator.
-        full[alpha.class_var] = alpha.positive_value
-        original = marginal(net, full) / mass >= alpha.threshold
+        original = _posterior(net, alpha, full, mass) >= alpha.threshold
         if original == trimmed:
             terms.append(mass)
     return math.fsum(terms)
@@ -159,9 +157,10 @@ def maa_bruteforce(
     posteriors = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept_t)):
         evidence = dict(zip(kept_t, combo))
-        if marginal(net, evidence) == 0.0:
+        mass = marginal(net, evidence)
+        if mass == 0.0:
             continue
-        posteriors.append(posterior_class(net, alpha, evidence))
+        posteriors.append(_posterior(net, alpha, evidence, mass))
     candidates = sorted(set(posteriors)) + [max(posteriors) + 1.0]
 
     best_score = -math.inf

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import ModelError
@@ -99,7 +100,8 @@ class BayesianNetwork:
     ``order`` is a cached topological order of the variable names, or None
     when the structure is cyclic or otherwise unresolvable; use
     :func:`validate_network` to find out why.  Networks with an order also
-    carry a factor plan (``_FactorPlan``) for scalar enumeration.
+    carry a factor plan (``_FactorPlan``) for scalar enumeration, built on
+    first use.
     """
 
     variables: tuple[Variable, ...]
@@ -108,7 +110,6 @@ class BayesianNetwork:
     _cpt_map: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
     order: tuple[str, ...] | None = field(init=False, compare=False)
-    _plan: _FactorPlan | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -128,11 +129,12 @@ class BayesianNetwork:
         object.__setattr__(self, "_cpt_map", cpt_map)
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "order", self._topological_order())
-        object.__setattr__(self, "_plan", None if self.order is None else self._factor_plan())
 
-    def _factor_plan(self) -> _FactorPlan:
-        # Built from Cpt.rows alone; only called once the order exists,
-        # so every name is unique and every CPT and parent resolves.
+    @cached_property
+    def _plan(self) -> _FactorPlan:
+        # Built from Cpt.rows alone, on the first enumeration; callers run
+        # check_network first, so the order exists, every name is unique
+        # and every CPT and parent resolves.
         position = {v.name: q for q, v in enumerate(self.variables)}
         cards = tuple(v.cardinality for v in self.variables)
         factors = []

@@ -5,12 +5,13 @@ The scalar operations here enumerate hidden variables directly; they are
 intended for desk-scale networks (roughly 22 binary-equivalent variables)
 where exactness matters more than speed.
 
-Enumeration reads the network's factor plan, built once with the network
-(``bnmodel._FactorPlan``): variable positions, cardinalities, and per
-variable its CPT rows with its parents' positions and row strides.  Each
-completion is a tuple of value indices; its term is the product of one
-CPT entry per variable, ``rows[sum(value[q] * stride)][value[child]]``,
-multiplied in declaration order.  This is the network polynomial of
+Enumeration reads the network's factor plan (``bnmodel._FactorPlan``),
+built once on the network's first enumeration: variable positions,
+cardinalities, and per variable its CPT rows with its parents' positions
+and row strides.  Each completion is a tuple of value indices; its term
+is the product of one CPT entry per variable,
+``rows[sum(value[q] * stride)][value[child]]``, multiplied in
+declaration order.  This is the network polynomial of
 Darwiche (JACM 2003) evaluated term by term, with no circuit compiled,
 and it shares no arithmetic with the grid route in
 :mod:`bntrim.agreement`.  Sums are accumulated with ``math.fsum`` so
@@ -100,9 +101,13 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
     pe = marginal(net, a)
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(a)!r} has probability 0")
-    joint = dict(a)
-    joint[clf.class_var] = clf.positive_value
-    return marginal(net, joint) / pe
+    return _posterior(net, clf, a, pe)
+
+
+def _posterior(net: BayesianNetwork, clf: Classifier, a: Assignment, mass: float) -> float:
+    """Posterior of the positive class value given evidence whose nonzero
+    probability ``mass`` the caller has already computed."""
+    return marginal(net, {**a, clf.class_var: clf.positive_value}) / mass
 
 
 def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:

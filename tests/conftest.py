@@ -136,6 +136,29 @@ def random_subset(rng: random.Random, clf: Classifier) -> tuple[str, ...]:
     return tuple(f for f in clf.features if rng.random() < 0.5)
 
 
+def acceptance_instances(count: int = 200) -> list[tuple[BayesianNetwork, Classifier, CostModel]]:
+    """The acceptance suite's seeded models, the first ``count`` of one
+    stream: naive Bayes and general DAGs alternating, <= 8 features with
+    <= 3 values each, costs in {1,2,3}, random budget."""
+    rng = random.Random(20260814)
+    out = []
+    for i in range(count):
+        net, clf = random_instance(rng, i)
+        out.append((net, clf, random_costs(rng, clf)))
+    return out
+
+
+def nested_subsets(clf: Classifier, index: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The acceptance suite's ten kept subsets of instance ``index``, each
+    paired with a random subset of itself."""
+    srng = random.Random(5000 + index)
+    out = []
+    for _ in range(10):
+        subset = random_subset(srng, clf)
+        out.append((subset, tuple(f for f in subset if srng.random() < 0.5)))
+    return out
+
+
 @st.composite
 def dag_networks(draw, max_features: int = 4, max_card: int = 3):
     """A random DAG over a binary class "C" and 1..max_features features of

@@ -47,9 +47,9 @@ from bntrim import (
 )
 
 from conftest import (
+    acceptance_instances,
     nb_instance,
-    random_costs,
-    random_instance,
+    nested_subsets,
     random_nb_instance,
     random_subset,
 )
@@ -57,14 +57,8 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def seeded_instances():
-    """200 random models: naive Bayes and general DAGs alternating,
-    <= 8 features with <= 3 values each, costs in {1,2,3}, random budget."""
-    rng = random.Random(20260814)
-    out = []
-    for i in range(200):
-        net, clf = random_instance(rng, i)
-        out.append((net, clf, random_costs(rng, clf)))
-    return out
+    """The 200 seeded models of ``acceptance_instances``."""
+    return acceptance_instances()
 
 
 def _trimmed(clf, features, threshold):
@@ -154,10 +148,7 @@ def test_criterion_3_search_matches_exhaustive_on_200_instances(seeded_instances
 def test_criterion_4_bounds_sound_and_monotone(seeded_instances):
     independent_hits = 0
     for i, (net, clf, _) in enumerate(seeded_instances):
-        srng = random.Random(5000 + i)
-        for _ in range(10):
-            subset = random_subset(srng, clf)
-            nested = tuple(f for f in subset if srng.random() < 0.5)
+        for subset, nested in nested_subsets(clf, i):
             upper = mpa(net, clf, subset)
             achieved = maa(net, clf, subset).score
             assert achieved <= upper + 1e-9
@@ -172,10 +163,7 @@ def test_criterion_4_bounds_sound_and_monotone(seeded_instances):
 def test_criterion_5_agreement_identities(seeded_instances):
     worst_two_threshold = worst_bruteforce = 0.0
     for i, (net, clf, _) in enumerate(seeded_instances):
-        srng = random.Random(5000 + i)
-        for _ in range(10):
-            subset = random_subset(srng, clf)
-            tuple(f for f in subset if srng.random() < 0.5)  # keep the stream aligned with criterion 4
+        for subset, _ in nested_subsets(clf, i):
             beta = _trimmed(clf, subset, maa(net, clf, subset).interval.representative)
             direct = eca(net, clf, beta)
             dropped = tuple(f for f in clf.features if f not in subset)

@@ -1,11 +1,11 @@
 """Timings of bntrim's scalar enumeration layers, written to BENCH_<label>.json.
 
-    python3 tools/bench_layers.py --label after [--repeats 5] [--suite]
+    python3 tools/bench_layers.py --label after
     python3 tools/bench_layers.py --compare before after
 
 Each case times seeded calls into the library of this checkout (``src/``)
 on models from perfbench's generators, and records the median wall
-seconds over ``--repeats`` runs, together with the machine.  The cases:
+seconds over five runs, together with the machine.  The cases:
 
 * ``marginal``     every one-variable marginal of three binary
                    11-variable DAGs;
@@ -21,11 +21,12 @@ seconds over ``--repeats`` runs, together with the machine.  The cases:
                    over three, at three seeds, on 300 rows sampled from
                    an 8-feature model.
 
-``--suite`` also runs the tier-1 test suite once and records its wall
-seconds and the duration of criterion 5, single runs.
+The tier-1 test suite then runs once; its wall seconds and the duration
+of criterion 5 are recorded as single runs.
 
 ``--compare A B`` reads BENCH_A.json and BENCH_B.json, prints B's median
-over A's per case, and exits 1 when a case of B is more than 10 % slower.
+over A's per case and suite time, and exits 1 when one of B's is more
+than 10 % slower or one of A's is missing from B.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ from bntrim import (  # noqa: E402
     sdp,
     synthesize_dataset,
 )
-from conftest import random_instance, random_subset  # noqa: E402
+from conftest import acceptance_instances, nested_subsets  # noqa: E402
 from generate import CLASS, feature_names, general_dag, naive_bayes  # noqa: E402
 from run import machine  # noqa: E402
 
+REPEATS = 5
 SLOWER = 1.10
 
 
@@ -102,14 +104,9 @@ def case_info_gain():
 
 
 def case_oracles():
-    rng = random.Random(20260814)  # criterion 5's instance stream
     calls = []
-    for i in range(10):
-        net, clf = random_instance(rng, i)
-        srng = random.Random(5000 + i)
-        for _ in range(10):
-            subset = random_subset(srng, clf)
-            tuple(f for f in subset if srng.random() < 0.5)  # as criterion 5 draws
+    for i, (net, clf, _) in enumerate(acceptance_instances(10)):
+        for subset, _ in nested_subsets(clf, i):
             threshold = maa(net, clf, subset).interval.representative
             beta = replace(clf, features=subset, threshold=threshold)
             dropped = tuple(f for f in clf.features if f not in subset)
@@ -143,12 +140,12 @@ CASES = {
 }
 
 
-def time_cases(repeats: int) -> dict:
+def time_cases() -> dict:
     out = {}
     for name, make in CASES.items():
         run = make()
         runs = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             run()
             runs.append(time.perf_counter() - t0)
@@ -186,46 +183,51 @@ def bench_path(label: str) -> Path:
 def compare(before: str, after: str) -> int:
     a = json.loads(bench_path(before).read_text(encoding="utf-8"))
     b = json.loads(bench_path(after).read_text(encoding="utf-8"))
-    pairs = [
-        (name, a["cases"][name]["median_s"], b["cases"][name]["median_s"])
-        for name in a["cases"] if name in b["cases"]
-    ]
-    for key in ("tier1_s", "criterion5_s"):
-        old, new = a.get("suite", {}).get(key), b.get("suite", {}).get(key)
-        if old and new:
-            pairs.append((key, old, new))
-    slower = []
-    for name, old, new in pairs:
-        ratio = new / old
-        flag = "  SLOWER" if ratio > SLOWER else ""
-        print(f"{name:22s} {old:9.4f} -> {new:9.4f} s  x{ratio:.3f}{flag}")
-        if flag:
-            slower.append(name)
+
+    def timings(doc: dict) -> dict:
+        out = {name: case["median_s"] for name, case in doc["cases"].items()}
+        out.update((k, doc["suite"].get(k)) for k in ("tier1_s", "criterion5_s"))
+        return out
+
+    old, new = timings(a), timings(b)
+    failed = []
+    for name in sorted(new.keys() - old.keys()):
+        print(f"{name:22s} missing from BENCH_{before}.json")
+    for name, t_old in old.items():
+        t_new = new.get(name)
+        if t_old is None:
+            print(f"{name:22s} missing from BENCH_{before}.json")
+        elif t_new is None:
+            print(f"{name:22s} missing from BENCH_{after}.json")
+            failed.append(name)
+        else:
+            ratio = t_new / t_old
+            flag = "  SLOWER" if ratio > SLOWER else ""
+            print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
+            if flag:
+                failed.append(name)
     if a.get("machine") != b.get("machine"):
         print("note: the two files were written on different machines")
-    return 1 if slower else 0
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", help="write BENCH_<label>.json at the repository root")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--suite", action="store_true", help="also time one tier-1 run")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    if not args.label or args.repeats < 1:
-        ap.error("--label and --repeats >= 1 are required unless --compare is given")
+    if not args.label:
+        ap.error("--label is required unless --compare is given")
     doc = {
         "label": args.label,
         "machine": machine(),
-        "repeats": args.repeats,
-        "cases": time_cases(args.repeats),
+        "repeats": REPEATS,
+        "cases": time_cases(),
+        "suite": time_suite(),
     }
-    if args.suite:
-        doc["suite"] = time_suite()
-        print(json.dumps(doc["suite"]))
+    print(json.dumps(doc["suite"]))
     bench_path(args.label).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 
