@@ -12,15 +12,18 @@ table we get, in one pass each:
 * ``compute_maa`` the best achievable agreement over all thresholds,
               found by sweeping the rows in posterior order.
 
-``mpa``, an upper bound that lets every row pick its better side, reads
-the same per-row sums but builds no table: it needs neither posteriors
-nor an order, so it skips both.
+``mpa``, an upper bound that lets every row pick its better side, and
+``maa`` read the same row arrays (``_rows``) without building a table.
 
 Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair, so repeated subset evaluations during search
-stay cheap.  Scalar cross-checks (``sdp``, ``esdp_two_threshold``) use the
-enumeration path from :mod:`bntrim.inference` instead and are deliberately
-kept independent of the grid.
+stay cheap.  Every row sum is correctly rounded, the float ``math.fsum``
+gives: small tables take them from an ``fsum`` per row, larger ones from
+one vectorized pass (``_row_sums``) whose error bound certifies each
+row's rounding and sends the rows it cannot certify to ``fsum``.  Scalar
+cross-checks (``sdp``, ``esdp_two_threshold``) use the enumeration path
+from :mod:`bntrim.inference` instead and are deliberately kept
+independent of the grid.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import Assignment, _posterior, marginal
+from .inference import Assignment, _mass, _posterior, marginal
 
 # Joint grids above this many cells are refused; the algorithms here are
 # meant for desk-scale models.
@@ -54,6 +57,15 @@ EXHAUSTIVE_LIMIT = 1 << 20
 # Posteriors within this relative tolerance are treated as the same
 # threshold candidate when sweeping.
 POSTERIOR_GROUP_RTOL = 1e-9
+
+# Tables with fewer grid cells (rows x width) than this sum their rows
+# with one math.fsum per row, the rest with one _row_sums pass.  Timed on
+# a 2-core Xeon (Python 3.11, numpy 2.4), mpa and maa per call, numpy
+# against fsum: at 256 cells 0.6-0.9x below 64 rows; at 512 cells
+# 0.8-1.0x below 32 rows and 1.1-14x from there; at 1024 cells 1.2-15x
+# on all but one shape.  numpy's fixed cost per call (about 100 us for
+# some 100 small-array operations) is what small tables cannot pay back.
+_NUMPY_MIN_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -114,15 +126,15 @@ class MaaResult:
 class _Grid:
     """Per-instantiation masses over the full feature space.
 
-    Arrays are indexed by feature value along one axis per classifier
-    feature, in classifier feature order.  ``hit`` holds a cell's total
-    mass where the original classifier labels it positive, else 0.
+    ``cells`` stacks three arrays, each indexed by feature value along
+    one axis per classifier feature, in classifier feature order: the
+    mass of each cell with the class positive (``pos``), with it negative
+    (``neg``), and ``hit``, the cell's total mass where the original
+    classifier labels it positive, else 0.
     """
 
     features: tuple[str, ...]
-    pos: np.ndarray
-    neg: np.ndarray
-    hit: np.ndarray
+    cells: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -171,32 +183,155 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nonzero, pos / np.where(nonzero, total, 1.0), 0.0)
     hit = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
-    return _Grid(clf.features, pos, neg, hit)
+    return _Grid(clf.features, np.stack((pos, neg, hit)))
 
 
 def _row_cells(
     net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
-) -> tuple[tuple[int, ...], int, list[float], list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grid's pos, neg and hit cells grouped by kept instantiation.
 
-    Returns the kept features' shape, the number of cells per
-    instantiation, and three flat lists holding one run of that many
-    cells per instantiation, in C order over the shape (the order
-    ``itertools.product`` enumerates it in).  Flat lists, not one small
-    list per instantiation, so the row loops keep no thousands of live
-    objects for every garbage collection to traverse.
+    Returns three (rows, width) arrays: row i holds the cells of the i-th
+    instantiation of the kept features, in C order over their shape (the
+    order ``itertools.product`` enumerates it in).  Each array is the
+    transpose of a C-contiguous (width, rows) one, so ``_row_sums`` reads
+    every cell position across all rows from contiguous memory.
     """
     grid = _classifier_grid(net, clf)
     kept_axes = [clf.features.index(f) for f in kept_t]
     rest_axes = [i for i in range(len(clf.features)) if i not in kept_axes]
-    perm = kept_axes + rest_axes
-    kept_shape = tuple(grid.pos.shape[i] for i in kept_axes)
-    width = grid.pos.size // math.prod(kept_shape)
+    n_rows = math.prod(grid.cells.shape[1 + i] for i in kept_axes)
+    perm = [0, *(1 + i for i in rest_axes), *(1 + i for i in kept_axes)]
+    pos, neg, hit = np.transpose(grid.cells, perm).reshape(3, -1, n_rows)
+    return pos.T, neg.T, hit.T
 
-    def flat(a: np.ndarray) -> list[float]:
-        return np.transpose(a, perm).reshape(-1).tolist()
 
-    return kept_shape, width, flat(grid.pos), flat(grid.neg), flat(grid.hit)
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of every row of a nonnegative 2-D array:
+    the float ``math.fsum`` returns for each row, in one numpy pass.
+
+    A row of k <= 2 cells needs at most one ``+``, which is correctly
+    rounded.  Longer rows are zero-padded to a power of two, so no level
+    has an odd width, and reduced by a pairwise tree of L = log2 k
+    levels: each level adds the first half of the columns to the second
+    with TwoSum (Knuth), whose rounded sum s and error t satisfy
+    a + b = s + t exactly.  The errors are carried down the same tree in
+    float, a node's error being its children's errors plus its own t.  So
+    with S the exact row sum, E the exact sum of every t and e its float
+    value, S = s + E.  Then r = s + e and d = (s - r) + e.
+
+    Bound, with u = 2**-53 and gamma(n) = n*u / (1 - n*u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4):
+
+    * Every node sum is nonnegative and |t| <= u*s, so each level's node
+      sums total at most (1+u)**level * S, and the errors at most
+      T = L*u*(1+u)**L * S.
+    * Each t meets at most 2L - 1 float additions on its way into e, so
+      |E - e| <= gamma(2L)*T.  Addition has no underflow error (Hauser,
+      *Handling floating-point exceptions in numeric programs*, TOPLAS
+      1996), so this holds for subnormal cells too.
+    * |e| is far below s, so the last two operations are Dekker's
+      Fast2Sum: d is exact, with no rounding of its own, and
+      S - r = d + (E - e).
+    * S <= r + |d| + |E - e| turns this into |E - e| <= B with
+      B = 3*L**2*u**2 * (r + |d|): 3*L**2*u**2 covers
+      gamma(2L)*L*u*(1+u)**L / (1 - that) and the roundings in
+      computing B itself for any L below 60.
+
+    A row's r is then certain in either of two cases; other rows are
+    summed again with ``math.fsum``.
+
+    * Near: 2*(|d| + B) < g, with g = r - (the float below r), the
+      smaller gap to a neighbour of r.  Then |S - r| < g/2, so r is the
+      float nearest S, with no tie, which is what ``fsum`` returns.
+      Evaluated in floats, a subnormal B may lose 2**-1075 to underflow,
+      less than the 2**-1074 spacing of the floats d and g/2 it
+      separates, so the strict test stays sound.  All-zero rows pass
+      with r = 0.
+    * Exact: 2*B < q, with q = 2**(exponent - 53) of the row's smallest
+      positive cell, a power of two dividing every cell.  Every sum,
+      error, r and d above is then a multiple of q, and so is
+      E - e = S - r - d; smaller than q, it is 0.  So e = E, r = s + e
+      rounds S itself to nearest even, as ``fsum`` does: this settles
+      exact halfway ties, which the first test cannot.
+
+    Sums are assumed far from overflow, as sums of probabilities are.
+    Ogita, Rump & Oishi, *Accurate Sum and Dot Product* (SIAM J. Sci.
+    Comput. 26, 2005), describe the error-free transformations used.
+    """
+    rows, k = x.shape
+    if k <= 2:
+        return x[:, 0] + x[:, 1] if k == 2 else x.sum(axis=1)
+    cols = x.T  # (k, rows): each level below slices whole columns
+    size = 1 << (k - 1).bit_length()
+    if size != k or not cols.flags.c_contiguous:
+        padded = np.zeros((size, rows))
+        padded[:k] = cols
+        cols = padded
+    s, err, levels = cols, None, 0
+    while len(s) > 1:
+        half = len(s) // 2
+        a, b = s[:half], s[half:]
+        s = a + b
+        z = s - a
+        t = (a - (s - z)) + (b - z)
+        err = t if err is None else (err[:half] + err[half:]) + t
+        levels += 1
+    s, e = s[0], err[0]
+    r = s + e
+    d = np.abs((s - r) + e)
+    bound = (3.0 * levels * levels * _U * _U) * (r + d)
+    unsure = (2.0 * (d + bound) >= r - np.nextafter(r, -np.inf)).nonzero()[0]
+    if len(unsure):
+        cells = cols[:, unsure]
+        smallest = np.where(cells > 0.0, cells, np.inf).min(axis=0)
+        q = np.ldexp(1.0, np.frexp(smallest)[1] - 53)
+        for i in unsure[2.0 * bound[unsure] >= q].tolist():
+            r[i] = math.fsum(x[i].tolist())
+    return r
+
+
+def _rows(
+    net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The instance table's rows as arrays: (index, mass, posterior, rate).
+
+    ``index`` is each row's position in the C-order enumeration of the
+    kept features.  Per instantiation, mass is the correctly rounded sum
+    of its pos and neg cells, posterior its pos sum over the mass and
+    rate its hit sum over the mass, each capped at 1.  Zero-mass rows are
+    dropped and the rest sorted by posterior, stably, so ties keep
+    enumeration order.  The row sums are the same floats either way they
+    are taken: ``fsum`` per row below ``_NUMPY_MIN_CELLS`` cells, one
+    ``_row_sums`` pass over all three kinds of row from there on.
+    """
+    pos, neg, hit = _row_cells(net, clf, kept_t)
+    n_rows, width = pos.shape
+    if pos.size < _NUMPY_MIN_CELLS:
+        sums = [
+            (math.fsum(p + q), math.fsum(p), math.fsum(h))
+            for p, q, h in zip(pos.tolist(), neg.tolist(), hit.tolist())
+        ]
+        mass, pos_sum, hit_sum = np.array(sums).T
+    else:
+        # Column j of cells across 3 * n_rows rows: pos then neg cells of
+        # each instantiation (its mass), then pos cells alone, then hit
+        # cells alone, zero-padded to a power of two.
+        cols = np.zeros((1 << (2 * width - 1).bit_length(), 3 * n_rows))
+        cols[:width, :n_rows] = pos.T
+        cols[width:2 * width, :n_rows] = neg.T
+        cols[:width, n_rows:2 * n_rows] = pos.T
+        cols[:width, 2 * n_rows:] = hit.T
+        mass, pos_sum, hit_sum = _row_sums(cols.T).reshape(3, n_rows)
+    index = (mass > 0.0).nonzero()[0]
+    mass = mass[index]
+    posterior = np.minimum(pos_sum[index] / mass, 1.0)
+    rate = np.minimum(hit_sum[index] / mass, 1.0)
+    order = posterior.argsort(kind="stable")
+    return index[order], mass[order], posterior[order], rate[order]
 
 
 def build_instance_table(
@@ -206,28 +341,20 @@ def build_instance_table(
 
     Zero-mass instantiations are dropped.  Rows come back sorted by
     nondecreasing posterior; ties keep enumeration order, so the result
-    is deterministic.
+    is deterministic.  Row sums are correctly rounded (certified in numpy
+    on larger tables, ``fsum`` otherwise) over the same cell multisets
+    the enumeration path in inference.py sums, so posteriors agree
+    bit-for-bit with posterior_class whenever the classifier covers every
+    non-class variable.
     """
     kept_t = kept_in_order(clf, kept)
-    kept_shape, width, pos, neg, hit = _row_cells(net, clf, kept_t)
-    values = itertools.product(*(range(c) for c in kept_shape))
-
-    # Per-row sums use fsum over the same cell multisets the enumeration
-    # path in inference.py sums, so posteriors agree bit-for-bit with
-    # posterior_class whenever the classifier covers every non-class
-    # variable.
-    rows: list[InstanceRow] = []
-    for lo, v in zip(range(0, len(pos), width), values):
-        hi = lo + width
-        pos_cells = pos[lo:hi]
-        m = math.fsum(pos_cells + neg[lo:hi])
-        if m <= 0.0:
-            continue
-        posterior = min(math.fsum(pos_cells) / m, 1.0)
-        rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
-        rows.append(InstanceRow(v, m, posterior, rate))
-    rows.sort(key=lambda r: r.posterior)
-    return InstanceTable(kept_t, tuple(rows))
+    index, mass, posterior, rate = _rows(net, clf, kept_t)
+    values = list(itertools.product(*(range(net.var(f).cardinality) for f in kept_t)))
+    rows = tuple(
+        InstanceRow(values[i], m, p, r)
+        for i, m, p, r in zip(index.tolist(), mass.tolist(), posterior.tolist(), rate.tolist())
+    )
+    return InstanceTable(kept_t, rows)
 
 
 def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
@@ -235,13 +362,9 @@ def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     trimmed variant: the probability, over instances drawn from the
     network, that both produce the same label."""
     check_trimming(net, alpha, beta)
-    table = build_instance_table(net, alpha, beta.features)
-    t = beta.threshold
-    terms = [
-        r.positive_rate * r.mass if r.posterior >= t else (1.0 - r.positive_rate) * r.mass
-        for r in table.rows
-    ]
-    return math.fsum(terms)
+    _, mass, posterior, rate = _rows(net, alpha, kept_in_order(alpha, beta.features))
+    terms = np.where(posterior >= beta.threshold, rate * mass, (1.0 - rate) * mass)
+    return math.fsum(terms.tolist())
 
 
 def sdp(
@@ -269,7 +392,7 @@ def sdp(
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in q)):
         full = dict(evidence)
         full.update(zip(q, combo))
-        p = marginal(net, full)
+        p = _mass(net, full)
         if p == 0.0:
             continue
         if (_posterior(net, clf, full, p) >= clf.threshold) == base:
@@ -303,14 +426,14 @@ def esdp_two_threshold(
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
         part = dict(zip(o, ocombo))
-        mass = marginal(net, part)
+        mass = _mass(net, part)
         if mass == 0.0:
             continue
         trimmed = _posterior(net, clf, part, mass) >= new_threshold
         for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in h)):
             full = dict(part)
             full.update(zip(h, hcombo))
-            p = marginal(net, full)
+            p = _mass(net, full)
             if p == 0.0:
                 continue
             if (_posterior(net, clf, full, p) >= clf.threshold) == trimmed:
@@ -323,36 +446,23 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     contributes its larger side, as if the threshold could be chosen per
     row instead of globally.
 
-    Each term is the one ``build_instance_table``'s row would give
-    (the same fsum-ed mass and positive rate), and fsum is correctly
-    rounded, so the result does not depend on the row order the table
-    would impose; no table is built.
+    Each term is the one the instance table's row gives (its mass times
+    the larger of its positive rate and one minus it), and the terms are
+    summed with fsum, which is correctly rounded, so the result does not
+    depend on the row order; no table is built.
     """
-    _, width, pos, neg, hit = _row_cells(net, clf, kept_in_order(clf, kept))
-    terms = []
-    for lo in range(0, len(pos), width):
-        hi = lo + width
-        m = math.fsum(pos[lo:hi] + neg[lo:hi])
-        if m > 0.0:
-            rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
-            terms.append(max(rate, 1.0 - rate) * m)
-    return math.fsum(terms)
+    _, mass, _, rate = _rows(net, clf, kept_in_order(clf, kept))
+    return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
 
 
-def _group_rows(rows: Sequence[InstanceRow]) -> list[tuple[int, int]]:
+def _group_rows(posterior: np.ndarray) -> list[tuple[int, int]]:
     """Consecutive [start, end) runs of rows whose posteriors are equal
-    within POSTERIOR_GROUP_RTOL."""
-    groups: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(rows)):
-        if not math.isclose(
-            rows[i].posterior, rows[i - 1].posterior,
-            rel_tol=POSTERIOR_GROUP_RTOL, abs_tol=0.0,
-        ):
-            groups.append((start, i))
-            start = i
-    groups.append((start, len(rows)))
-    return groups
+    within POSTERIOR_GROUP_RTOL, as ``math.isclose`` decides for finite
+    floats: |b - a| <= rtol * max(|a|, |b|)."""
+    a, b = posterior[:-1], posterior[1:]
+    close = np.abs(b - a) <= POSTERIOR_GROUP_RTOL * np.maximum(np.abs(a), np.abs(b))
+    bounds = [0, *((~close).nonzero()[0] + 1).tolist(), len(posterior)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 # Every finite float is an integer multiple of 2**-1074, the smallest
@@ -364,6 +474,30 @@ def _units(x: float) -> int:
     """x as an exact integer count of 2**-1074."""
     n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
     return n << (1075 - d.bit_length())
+
+
+def _sweep(mass: np.ndarray, posterior: np.ndarray, rate: np.ndarray) -> MaaResult:
+    """The MAA sweep over rows given as arrays sorted by posterior; see
+    ``compute_maa``."""
+    if not len(mass):
+        raise ModelError("instance table has no rows")
+    groups = _group_rows(posterior)
+    pos = [_units(x) for x in (rate * mass).tolist()]
+    steps = [_units(x) - p for x, p in zip(((1.0 - rate) * mass).tolist(), pos)]
+
+    total = sum(pos)
+    best_score = total / _UNIT
+    best_cut = 0
+    for j, (start, end) in enumerate(groups, 1):
+        total += sum(steps[start:end])
+        score = total / _UNIT
+        if score > best_score:
+            best_score = score
+            best_cut = j
+
+    lo = -math.inf if best_cut == 0 else posterior[groups[best_cut - 1][1] - 1].item()
+    hi = posterior[groups[best_cut][0]].item() if best_cut < len(groups) else math.inf
+    return MaaResult(best_score, ThresholdInterval.from_bounds(lo, hi))
 
 
 def compute_maa(table: InstanceTable) -> MaaResult:
@@ -382,34 +516,17 @@ def compute_maa(table: InstanceTable) -> MaaResult:
     cut, and a strict improvement is required to move off it.
     """
     rows = table.rows
-    if not rows:
-        raise ModelError("instance table has no rows")
-    groups = _group_rows(rows)
-    pos = [_units(r.positive_rate * r.mass) for r in rows]
-    steps = [_units((1.0 - r.positive_rate) * r.mass) - p for r, p in zip(rows, pos)]
-
-    total = sum(pos)
-    best_score = total / _UNIT
-    best_cut = 0
-    for j, (start, end) in enumerate(groups, 1):
-        total += sum(steps[start:end])
-        score = total / _UNIT
-        if score > best_score:
-            best_score = score
-            best_cut = j
-
-    if best_cut == 0:
-        lo = -math.inf
-    else:
-        lo = rows[groups[best_cut - 1][1] - 1].posterior
-    if best_cut < len(groups):
-        hi = rows[groups[best_cut][0]].posterior
-    else:
-        hi = math.inf
-    return MaaResult(best_score, ThresholdInterval.from_bounds(lo, hi))
+    return _sweep(
+        np.array([r.mass for r in rows], dtype=float),
+        np.array([r.posterior for r in rows], dtype=float),
+        np.array([r.positive_rate for r in rows], dtype=float),
+    )
 
 
 def maa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> MaaResult:
     """Best agreement achievable by keeping the given subset and retuning
-    the threshold, together with the maximizing threshold interval."""
-    return compute_maa(build_instance_table(net, clf, kept))
+    the threshold, together with the maximizing threshold interval.  The
+    same sweep as ``compute_maa`` over the same rows, fed the row arrays
+    directly instead of a built table."""
+    _, mass, posterior, rate = _rows(net, clf, kept_in_order(clf, kept))
+    return _sweep(mass, posterior, rate)

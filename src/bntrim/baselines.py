@@ -25,7 +25,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError
-from .inference import _posterior, classify, marginal
+from .inference import _mass, _posterior, marginal
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) ->
         *(range(net.var(f).cardinality) for f in alpha.features)
     ):
         full = dict(zip(alpha.features, combo))
-        mass = marginal(net, full)
+        mass = _mass(net, full)
         if mass == 0.0:
             continue
         # The trimmed decision depends only on the kept sub-assignment,
@@ -133,8 +133,10 @@ def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) ->
         kept_combo = tuple(v for f, v in zip(alpha.features, combo) if f in beta_set)
         trimmed = decisions.get(kept_combo)
         if trimmed is None:
+            # What classify(net, beta, kept) computes; the kept evidence
+            # has at least this instantiation's mass, so it is not zero.
             kept = {f: v for f, v in full.items() if f in beta_set}
-            trimmed = classify(net, beta, kept)
+            trimmed = _posterior(net, beta, kept, _mass(net, kept)) >= beta.threshold
             decisions[kept_combo] = trimmed
         original = _posterior(net, alpha, full, mass) >= alpha.threshold
         if original == trimmed:
@@ -157,7 +159,7 @@ def maa_bruteforce(
     posteriors = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept_t)):
         evidence = dict(zip(kept_t, combo))
-        mass = marginal(net, evidence)
+        mass = _mass(net, evidence)
         if mass == 0.0:
             continue
         posteriors.append(_posterior(net, alpha, evidence, mass))

@@ -131,6 +131,17 @@ class BayesianNetwork:
         object.__setattr__(self, "order", self._topological_order())
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.variables, self.cpts))
+
+    def __hash__(self) -> int:
+        # The value the generated dataclass hash gives (over the fields
+        # that take part in equality), computed once: the agreement caches
+        # hash the network on every lookup, and the generated hash walks
+        # every CPT row each time.
+        return self._hash
+
+    @cached_property
     def _plan(self) -> _FactorPlan:
         # Built from Cpt.rows alone, on the first enumeration; callers run
         # check_network first, so the order exists, every name is unique

@@ -36,29 +36,33 @@ def assignment_from_labels(net: BayesianNetwork, labels: Mapping[str, str]) -> d
     return {name: net.var(name).index_of(lab) for name, lab in labels.items()}
 
 
-def _domains(net: BayesianNetwork, a: Assignment) -> list:
-    """Check the network and every entry of the assignment, and return
-    per variable position the values its completions take: the assigned
-    index alone, or the variable's whole range."""
+def _check_assignment(net: BayesianNetwork, a: Assignment) -> None:
+    """Check the network and every entry of the assignment."""
     check_network(net)
     plan = net._plan
-    domains: list = [range(card) for card in plan.cards]
     for name, idx in a.items():
         q = plan.position.get(name)
         if q is None:
             raise ModelError(f"unknown variable {name!r}")
         if not isinstance(idx, int) or not (0 <= idx < plan.cards[q]):
             raise ModelError(f"value index {idx!r} out of range for {name!r}")
-        domains[q] = (idx,)
-    return domains
 
 
-def _mass(net: BayesianNetwork, domains: list) -> float:
+def _mass(net: BayesianNetwork, a: Assignment) -> float:
+    """Probability of an assignment the caller has checked (with
+    ``_check_assignment``, or by building it from the network's own
+    variables and value ranges): the joint summed over its completions.
+    The oracles call this directly, so they validate once per call, not
+    once per instantiation they enumerate."""
+    plan = net._plan
+    factors = plan.factors
+    domains: list = [range(card) for card in plan.cards]
+    for name, idx in a.items():
+        domains[plan.position[name]] = (idx,)
     # One term per completion: the CPT entries multiplied in declaration
     # order, the product abandoned at 0.0 (a zero term leaves the sum as
     # it is).  Rows stay nested, so a malformed CPT fails with IndexError
     # instead of reading a neighbouring entry.
-    factors = net._plan.factors
     terms = []
     for values in itertools.product(*domains):
         p = 1.0
@@ -76,16 +80,17 @@ def _mass(net: BayesianNetwork, domains: list) -> float:
 
 def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of one full assignment: the product of CPT entries."""
-    domains = _domains(net, a)
+    _check_assignment(net, a)
     if len(a) != len(net.variables):
         missing = [v.name for v in net.variables if v.name not in a]
         raise ModelError(f"full assignment required, missing {missing}")
-    return _mass(net, domains)
+    return _mass(net, a)
 
 
 def marginal(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of a partial assignment: joint summed over completions."""
-    return _mass(net, _domains(net, a))
+    _check_assignment(net, a)
+    return _mass(net, a)
 
 
 def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> float:
@@ -105,9 +110,10 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
 
 
 def _posterior(net: BayesianNetwork, clf: Classifier, a: Assignment, mass: float) -> float:
-    """Posterior of the positive class value given evidence whose nonzero
-    probability ``mass`` the caller has already computed."""
-    return marginal(net, {**a, clf.class_var: clf.positive_value}) / mass
+    """Posterior of the positive class value given checked evidence (see
+    ``_mass``) whose nonzero probability ``mass`` the caller has already
+    computed."""
+    return _mass(net, {**a, clf.class_var: clf.positive_value}) / mass
 
 
 def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:

@@ -164,3 +164,37 @@ class TestAgreementCrossChecks:
                 net, clf, Classifier(clf.class_var, clf.positive_value, chosen, clf.threshold)
             )
             assert best >= fixed - 1e-12
+
+
+class TestOraclesValidateOncePerCall:
+    """The oracles validate their inputs up front, then enumerate through
+    ``inference._mass`` without validating each assignment again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        from bntrim import inference
+
+        calls = []
+        real = inference.check_network
+        monkeypatch.setattr(inference, "check_network", lambda net: calls.append(1) or real(net))
+        return calls
+
+    def test_eca_and_maa_bruteforce(self, quiz_net, quiz_alpha, checks):
+        beta = Classifier("C", 0, ("Q1", "Q3"), 0.2)
+        eca_bruteforce(quiz_net, quiz_alpha, beta)
+        maa_bruteforce(quiz_net, quiz_alpha, ("Q2",))
+        assert checks == []
+
+    def test_esdp_two_threshold_and_sdp(self, quiz_net, quiz_alpha, checks):
+        from bntrim import esdp_two_threshold, sdp
+
+        esdp_two_threshold(quiz_net, quiz_alpha, 0.3, ("Q1",), ("Q2", "Q3"))
+        assert checks == []
+        sdp(quiz_net, quiz_alpha, ("Q1", "Q2"), {"Q3": 1})
+        assert len(checks) == 1  # the evidence, once
+
+    def test_invalid_inputs_still_raise(self, quiz_net, quiz_alpha):
+        with pytest.raises(ModelError, match="non-features"):
+            maa_bruteforce(quiz_net, quiz_alpha, ("C",))
+        with pytest.raises(ModelError, match="features not in the original"):
+            eca_bruteforce(quiz_net, quiz_alpha, Classifier("C", 0, ("Z",), 0.5))

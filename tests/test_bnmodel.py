@@ -264,3 +264,27 @@ class TestCondIndependentGivenClass:
                 assert factorizes
                 agree += 1
         assert agree > 0
+
+
+class TestNetworkHash:
+    def test_equals_the_hash_of_the_fields_in_equality(self, quiz_net):
+        assert hash(quiz_net) == hash((quiz_net.variables, quiz_net.cpts))
+
+    def test_equal_networks_hash_alike_and_share_cache_entries(self, quiz_net, quiz_alpha):
+        from bntrim.agreement import _classifier_grid, mpa
+
+        twin = BayesianNetwork(quiz_net.variables, quiz_net.cpts)
+        assert twin == quiz_net and twin is not quiz_net
+        assert hash(twin) == hash(quiz_net)
+        mpa(quiz_net, quiz_alpha, ("Q1",))
+        before = _classifier_grid.cache_info()
+        mpa(twin, quiz_alpha, ("Q1",))
+        after = _classifier_grid.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    def test_networks_differing_in_one_cpt_entry_differ(self):
+        a = tiny_net(rows=((0.9, 0.1), (0.2, 0.8)))
+        b = tiny_net(rows=((0.9, 0.1), (0.25, 0.75)))
+        assert a != b
+        assert hash(a) == hash((a.variables, a.cpts))
+        assert hash(b) == hash((b.variables, b.cpts))

@@ -1,0 +1,246 @@
+"""The grid route's row sums.
+
+``agreement._row_sums`` must return, bit for bit, what ``math.fsum`` gives
+for every row; and ``mpa``, ``build_instance_table``, ``eca`` and ``maa``,
+which read their rows through it above ``_NUMPY_MIN_CELLS`` cells, must
+give the same floats as the per-row ``fsum`` loops they replaced (copied
+below as ``loop_*``), on both sides of that crossover."""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bntrim import (
+    BayesianNetwork,
+    Classifier,
+    InstanceRow,
+    InstanceTable,
+    build_instance_table,
+    compute_maa,
+    eca,
+    maa,
+    mpa,
+)
+from bntrim.agreement import _NUMPY_MIN_CELLS, _row_cells, _row_sums
+from bntrim.bnmodel import kept_in_order
+
+from conftest import dag_networks, nb_instance, random_dag_instance, random_subset
+
+
+def fsum_hex(x: np.ndarray) -> list[str]:
+    return [math.fsum(row).hex() for row in x.tolist()]
+
+
+def sums_and_fallbacks(x: np.ndarray, monkeypatch) -> tuple[list[str], int]:
+    """_row_sums of x as hex, and how many rows it summed again with fsum."""
+    calls = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
+    got = [v.hex() for v in _row_sums(x).tolist()]
+    monkeypatch.undo()
+    return got, len(calls)
+
+
+def tie_row(rng: random.Random, width: int) -> list[float]:
+    """x, a power of two, plus pieces summing to x * 2**-53, half an ulp
+    of x: the row's sum lies exactly halfway between two floats."""
+    x = 2.0 ** -rng.randint(0, 900)
+    split = rng.randint(0, max(0, min(3, (width - 1).bit_length() - 1)))
+    row = [x] + [x * 2.0 ** (-53 - split)] * (1 << split)
+    row += [0.0] * (width - len(row))
+    rng.shuffle(row)
+    return row
+
+
+def fill_row(rng: random.Random, width: int, kind: str) -> list[float]:
+    if kind == "uniform":
+        return [rng.random() for _ in range(width)]
+    if kind == "binades":  # mixed magnitudes, 1e-300 to 1
+        return [rng.random() * 10.0 ** -rng.randint(0, 300) for _ in range(width)]
+    if kind == "subnormal":  # masses near 2**-1074, some just above 2**-1022
+        return [rng.randint(0, 1 << 20) * 2.0 ** -rng.choice((1074, 1060, 1040)) for _ in range(width)]
+    if kind == "zero":
+        return [0.0] * width
+    if kind == "sparse":  # mostly zeros, like hit cells
+        return [rng.random() if rng.random() < 0.2 else 0.0 for _ in range(width)]
+    if kind == "tie" and width >= 2:
+        return tie_row(rng, width)
+    return [float(rng.randint(0, 8)) * 2.0 ** -rng.randint(0, 60) for _ in range(width)]
+
+
+KINDS = ("uniform", "binades", "subnormal", "zero", "sparse", "tie", "dyadic")
+
+
+@st.composite
+def row_arrays(draw):
+    """Arrays of 1-4096 rows of width 1-4096 (at most 2**15 cells), each
+    row drawn from one of KINDS."""
+    width = draw(st.one_of(st.integers(1, 64), st.integers(1, 4096)))
+    rows = draw(st.integers(1, min(4096, (1 << 15) // width)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+    return np.array([fill_row(rng, width, rng.choice(kinds)) for _ in range(rows)]).reshape(rows, width)
+
+
+class TestRowSums:
+    @settings(max_examples=200, deadline=None)
+    @given(row_arrays())
+    def test_same_bits_as_fsum_per_row(self, x):
+        expected = fsum_hex(x)
+        assert [v.hex() for v in _row_sums(x).tolist()] == expected
+        # The layout the grid route passes: the transpose of a
+        # C-contiguous (width, rows) array.
+        cols = np.ascontiguousarray(x.T)
+        assert [v.hex() for v in _row_sums(cols.T).tolist()] == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 4095, 4096])
+    def test_edge_widths(self, width):
+        rng = random.Random(width)
+        x = np.array([fill_row(rng, width, kind) for kind in KINDS for _ in range(3)])
+        assert [v.hex() for v in _row_sums(x).tolist()] == fsum_hex(x)
+
+    def test_all_zero_rows_are_zero(self):
+        x = np.zeros((5, 37))
+        assert [v.hex() for v in _row_sums(x).tolist()] == [0.0.hex()] * 5
+
+    def test_fallback_runs_on_rows_it_cannot_certify(self, monkeypatch):
+        # Exact halfway ties whose cells span some 54 binades: the sum is
+        # no nearer one float than the other, and the smallest cell is too
+        # fine for the exactness test.  [x, y, y] and [x, y] + 0 pad with
+        # y a power of two under half an ulp of x.  Then [1, 2**-53,
+        # 2**-106]: just above halfway, with the error sum inexact, so
+        # only fsum rounds it up.
+        rows = [
+            [1.0, 2.0**-54, 2.0**-54],
+            [2.0**-20, 2.0**-74, 2.0**-74],
+            [1.5, 2.0**-53, 0.0],
+            [2.0**-1000, 2.0**-1054, 2.0**-1054],
+            [1.0, 2.0**-53, 2.0**-106],
+        ]
+        x = np.array(rows)
+        expected = fsum_hex(x)
+        assert expected[-1] == (1.0 + 2.0**-52).hex()
+        assert sums_and_fallbacks(x, monkeypatch) == (expected, len(rows))
+
+    def test_ties_between_cells_of_one_scale_are_certified_exact(self, monkeypatch):
+        # 1 + (1 + 2**-52) lies halfway between 2 and 2 + 2**-51; the
+        # cells' scale proves the error sum exact, so rounding it to even
+        # needs no fallback.
+        x = np.array([[1.0, 1.0 + 2.0**-52, 0.0], [0.75, 0.75 + 2.0**-53, 0.5]])
+        assert sums_and_fallbacks(x, monkeypatch) == (fsum_hex(x), 0)
+
+
+# --- The per-row fsum loops the grid route used before _row_sums. ---------
+
+
+def loop_cells(net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]):
+    """Flat row-major lists of pos, neg and hit cells, and the width."""
+    pos, neg, hit = _row_cells(net, clf, kept_t)
+    return pos.shape[1], np.ravel(pos).tolist(), np.ravel(neg).tolist(), np.ravel(hit).tolist()
+
+
+def loop_table(net: BayesianNetwork, clf: Classifier, kept) -> InstanceTable:
+    kept_t = kept_in_order(clf, kept)
+    width, pos, neg, hit = loop_cells(net, clf, kept_t)
+    values = itertools.product(*(range(net.var(f).cardinality) for f in kept_t))
+    rows = []
+    for lo, v in zip(range(0, len(pos), width), values):
+        hi = lo + width
+        pos_cells = pos[lo:hi]
+        m = math.fsum(pos_cells + neg[lo:hi])
+        if m <= 0.0:
+            continue
+        posterior = min(math.fsum(pos_cells) / m, 1.0)
+        rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
+        rows.append(InstanceRow(v, m, posterior, rate))
+    rows.sort(key=lambda r: r.posterior)
+    return InstanceTable(kept_t, tuple(rows))
+
+
+def loop_mpa(net: BayesianNetwork, clf: Classifier, kept) -> float:
+    width, pos, neg, hit = loop_cells(net, clf, kept_in_order(clf, kept))
+    terms = []
+    for lo in range(0, len(pos), width):
+        hi = lo + width
+        m = math.fsum(pos[lo:hi] + neg[lo:hi])
+        if m > 0.0:
+            rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
+            terms.append(max(rate, 1.0 - rate) * m)
+    return math.fsum(terms)
+
+
+def loop_eca(table: InstanceTable, t: float) -> float:
+    return math.fsum(
+        r.positive_rate * r.mass if r.posterior >= t else (1.0 - r.positive_rate) * r.mass
+        for r in table.rows
+    )
+
+
+def row_hex(rows) -> list[tuple]:
+    return [(r.values, r.mass.hex(), r.posterior.hex(), r.positive_rate.hex()) for r in rows]
+
+
+def assert_same_as_loops(net: BayesianNetwork, clf: Classifier, kept) -> None:
+    reference = loop_table(net, clf, kept)
+    assert row_hex(build_instance_table(net, clf, kept).rows) == row_hex(reference.rows)
+    assert mpa(net, clf, kept).hex() == loop_mpa(net, clf, kept).hex()
+    ts = {clf.threshold, 0.0, 1.0, 2.0}
+    ts.update(r.posterior for r in reference.rows[:: max(1, len(reference.rows) // 4)])
+    for t in sorted(ts):
+        beta = replace(clf, features=reference.features, threshold=t)
+        assert eca(net, clf, beta).hex() == loop_eca(reference, t).hex()
+    got, want = maa(net, clf, kept), compute_maa(reference)
+    assert got.score.hex() == want.score.hex()
+    assert got.interval == want.interval
+
+
+def grid_cells(net: BayesianNetwork, clf: Classifier) -> int:
+    return math.prod(net.var(f).cardinality for f in clf.features)
+
+
+def subsets(rng: random.Random, clf: Classifier) -> list[tuple[str, ...]]:
+    return [(), clf.features, clf.features[:1], *(random_subset(rng, clf) for _ in range(4))]
+
+
+class TestSameBitsAsPerRowLoops:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_binary_models_up_to_twelve_features(self, seed):
+        rng = random.Random(7100 + seed)
+        models = [
+            nb_instance(rng, 12 - seed, max_card=2),
+            random_dag_instance(rng, max_features=12, max_card=2),
+            nb_instance(rng, rng.randint(2, 8), max_card=2),
+        ]
+        for net, clf in models:
+            for kept in subsets(rng, clf):
+                assert_same_as_loops(net, clf, kept)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cardinality_three(self, seed):
+        rng = random.Random(7200 + seed)
+        for net, clf in (
+            nb_instance(rng, rng.randint(5, 7), max_card=3),
+            random_dag_instance(rng, max_features=7, max_card=3),
+        ):
+            for kept in subsets(rng, clf):
+                assert_same_as_loops(net, clf, kept)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dag_networks(max_features=7, max_card=3), st.data())
+    def test_deterministic_cpt_rows(self, model, data):
+        net, clf = model
+        kept = data.draw(st.sets(st.sampled_from(clf.features)))
+        assert_same_as_loops(net, clf, kept)
+
+    def test_models_cover_both_sides_of_the_crossover(self):
+        # Every table of a model has the grid's cells, rows x width.
+        sizes = [grid_cells(*nb_instance(random.Random(0), 12 - seed, max_card=2)) for seed in range(6)]
+        assert min(sizes) < _NUMPY_MIN_CELLS <= max(sizes)

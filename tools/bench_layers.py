@@ -1,11 +1,12 @@
-"""Timings of bntrim's scalar enumeration layers, written to BENCH_<label>.json.
+"""Timings of bntrim's layers, written to BENCH_<label>.json.
 
     python3 tools/bench_layers.py --label after
     python3 tools/bench_layers.py --compare before after
 
 Each case times seeded calls into the library of this checkout (``src/``)
-on models from perfbench's generators, and records the median wall
-seconds over five runs, together with the machine.  The cases:
+on models from perfbench's generators or the test suite's, and records
+the median wall seconds over five runs, together with the machine.  The
+scalar cases:
 
 * ``marginal``     every one-variable marginal of three binary
                    11-variable DAGs;
@@ -20,6 +21,17 @@ seconds over five runs, together with the machine.  The cases:
 * ``cv_accuracy``  5-fold accuracy of naive Bayes over all features and
                    over three, at three seeds, on 300 rows sampled from
                    an 8-feature model.
+
+The grid-route cases run on ``conftest.nb_instance`` models, seed 1,
+binary features, with the model's grid built before the timing starts:
+
+* ``maa n=N``, ``compute_maa n=N``  best agreement keeping all N = 12,
+                   14, 16 features: ``maa`` from the network, and
+                   ``compute_maa`` on the instance table built beforehand;
+* ``mpa n=16``     the bound keeping all 16 features;
+* ``eca_trim nb n=16``, ``eca_trim nb-off n=16``  the search at unit
+                   costs and budget 8, with the naive-Bayes path on and
+                   off.
 
 The tier-1 test suite then runs once; its wall seconds and the duration
 of criterion 5 are recorded as single runs.
@@ -48,16 +60,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from bntrim import (  # noqa: E402
     Classifier,
+    CostModel,
+    SearchOptions,
+    build_instance_table,
+    compute_maa,
     cv_accuracy,
+    eca_trim,
     eca_bruteforce,
     esdp_two_threshold,
     info_gain,
     maa,
     marginal,
+    mpa,
     sdp,
     synthesize_dataset,
 )
-from conftest import acceptance_instances, nested_subsets  # noqa: E402
+from conftest import acceptance_instances, nb_instance, nested_subsets  # noqa: E402
 from generate import CLASS, feature_names, general_dag, naive_bayes  # noqa: E402
 from run import machine  # noqa: E402
 
@@ -131,12 +149,54 @@ def case_cv_accuracy():
     return run
 
 
+def nb_model(n: int):
+    """conftest's naive Bayes model with n binary features, seed 1, with
+    its grid built."""
+    net, clf = nb_instance(random.Random(1), n, max_card=2)
+    mpa(net, clf, ())
+    return net, clf
+
+
+def case_maa(n: int):
+    def make():
+        net, clf = nb_model(n)
+        return lambda: maa(net, clf, clf.features)
+    return make
+
+
+def case_compute_maa(n: int):
+    def make():
+        net, clf = nb_model(n)
+        table = build_instance_table(net, clf, clf.features)
+        return lambda: compute_maa(table)
+    return make
+
+
+def case_mpa():
+    net, clf = nb_model(16)
+    return lambda: mpa(net, clf, clf.features)
+
+
+def case_eca_trim(nb_path: bool):
+    def make():
+        net, clf = nb_model(16)
+        costs = CostModel.unit(clf.features, 8.0)
+        opts = SearchOptions(use_nb_fast_path=nb_path)
+        return lambda: eca_trim(net, clf, costs, opts)
+    return make
+
+
 CASES = {
     "marginal": case_marginal,
     "sdp": case_sdp,
     "info_gain": case_info_gain,
     "esdp+eca_bruteforce": case_oracles,
     "cv_accuracy": case_cv_accuracy,
+    **{f"maa n={n}": case_maa(n) for n in (12, 14, 16)},
+    **{f"compute_maa n={n}": case_compute_maa(n) for n in (12, 14, 16)},
+    "mpa n=16": case_mpa,
+    "eca_trim nb n=16": case_eca_trim(True),
+    "eca_trim nb-off n=16": case_eca_trim(False),
 }
 
 
