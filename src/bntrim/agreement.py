@@ -176,14 +176,16 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     kept_names = [v.name for v in net.variables if v.name in keep]
     target = [clf.class_var, *clf.features]
     reduced = np.transpose(reduced, [kept_names.index(n) for n in target])
-    pos = np.take(reduced, clf.positive_value, axis=0)
-    neg = np.take(reduced, 1 - clf.positive_value, axis=0)
+    cells = np.empty((3, *reduced.shape[1:]))
+    pos, neg, hit = cells[0, ...], cells[1, ...], cells[2, ...]  # views, even 0-d
+    pos[...] = reduced[clf.positive_value]
+    neg[...] = reduced[1 - clf.positive_value]
     total = pos + neg
     nonzero = total > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nonzero, pos / np.where(nonzero, total, 1.0), 0.0)
-    hit = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
-    return _Grid(clf.features, np.stack((pos, neg, hit)))
+    hit[...] = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
+    return _Grid(clf.features, cells)
 
 
 def _row_cells(
