@@ -44,7 +44,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import Assignment, _mass, _posterior, marginal
+from .inference import Assignment, _check_assignment, _class_masses, _terms
 
 # Joint grids above this many cells are refused; the algorithms here are
 # meant for desk-scale models.
@@ -122,21 +122,6 @@ class MaaResult:
     interval: ThresholdInterval
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """Per-instantiation masses over the full feature space.
-
-    ``cells`` stacks three arrays, each indexed by feature value along
-    one axis per classifier feature, in classifier feature order: the
-    mass of each cell with the class positive (``pos``), with it negative
-    (``neg``), and ``hit``, the cell's total mass where the original
-    classifier labels it positive, else 0.
-    """
-
-    features: tuple[str, ...]
-    cells: np.ndarray
-
-
 @lru_cache(maxsize=8)
 def _full_joint(net: BayesianNetwork) -> np.ndarray:
     """Joint distribution over all network variables as a dense tensor,
@@ -167,7 +152,16 @@ def _full_joint(net: BayesianNetwork) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
+def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
+    """Per-instantiation masses over the full feature space, read-only
+    because the array is cached.
+
+    The array stacks three, each indexed by feature value along one axis
+    per classifier feature, in classifier feature order: the mass of each
+    cell with the class positive (``pos``), with it negative (``neg``),
+    and ``hit``, the cell's total mass where the original classifier
+    labels it positive, else 0.
+    """
     check_classifier(net, clf)
     joint = _full_joint(net)
     keep = {clf.class_var, *clf.features}
@@ -185,7 +179,8 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> _Grid:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nonzero, pos / np.where(nonzero, total, 1.0), 0.0)
     hit[...] = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
-    return _Grid(clf.features, cells)
+    cells.flags.writeable = False
+    return cells
 
 
 def _row_cells(
@@ -199,12 +194,12 @@ def _row_cells(
     transpose of a C-contiguous (width, rows) one, so ``_row_sums`` reads
     every cell position across all rows from contiguous memory.
     """
-    grid = _classifier_grid(net, clf)
+    cells = _classifier_grid(net, clf)
     kept_axes = [clf.features.index(f) for f in kept_t]
     rest_axes = [i for i in range(len(clf.features)) if i not in kept_axes]
-    n_rows = math.prod(grid.cells.shape[1 + i] for i in kept_axes)
+    n_rows = math.prod(cells.shape[1 + i] for i in kept_axes)
     perm = [0, *(1 + i for i in rest_axes), *(1 + i for i in kept_axes)]
-    pos, neg, hit = np.transpose(grid.cells, perm).reshape(3, -1, n_rows)
+    pos, neg, hit = np.transpose(cells, perm).reshape(3, -1, n_rows)
     return pos.T, neg.T, hit.T
 
 
@@ -375,8 +370,9 @@ def sdp(
     """Probability that observing the query variables on top of the
     evidence leaves the decision unchanged.
 
-    Computed by direct enumeration over query completions; instantiations
-    of probability zero contribute nothing.
+    Computed by one enumeration of the evidence's completions, grouped by
+    class and query values; instantiations of probability zero contribute
+    nothing.
     """
     check_classifier(net, clf)
     q = kept_in_order(clf, query)
@@ -386,19 +382,14 @@ def sdp(
     bad = [n for n in evidence if n not in clf.features]
     if bad:
         raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
-    pe = marginal(net, dict(evidence))
+    _check_assignment(net, evidence)
+    rows, (pe, positive) = _class_masses(
+        _terms(net, evidence, (clf.class_var, *q)), clf.positive_value
+    )
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    base = _posterior(net, clf, evidence, pe) >= clf.threshold
-    terms = []
-    for combo in itertools.product(*(range(net.var(f).cardinality) for f in q)):
-        full = dict(evidence)
-        full.update(zip(q, combo))
-        p = _mass(net, full)
-        if p == 0.0:
-            continue
-        if (_posterior(net, clf, full, p) >= clf.threshold) == base:
-            terms.append(p)
+    base = positive / pe >= clf.threshold
+    terms = [p for p, hit in rows.values() if (hit / p >= clf.threshold) == base]
     return math.fsum(terms) / pe
 
 
@@ -427,19 +418,13 @@ def esdp_two_threshold(
     new_threshold = replace(clf, threshold=new_threshold).threshold
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
-        part = dict(zip(o, ocombo))
-        mass = _mass(net, part)
+        rows, (mass, positive) = _class_masses(
+            _terms(net, dict(zip(o, ocombo)), (clf.class_var, *h)), clf.positive_value
+        )
         if mass == 0.0:
             continue
-        trimmed = _posterior(net, clf, part, mass) >= new_threshold
-        for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in h)):
-            full = dict(part)
-            full.update(zip(h, hcombo))
-            p = _mass(net, full)
-            if p == 0.0:
-                continue
-            if (_posterior(net, clf, full, p) >= clf.threshold) == trimmed:
-                terms.append(p)
+        trimmed = positive / mass >= new_threshold
+        terms.extend(p for p, hit in rows.values() if (hit / p >= clf.threshold) == trimmed)
     return math.fsum(terms)
 
 

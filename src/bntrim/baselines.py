@@ -3,9 +3,9 @@
 ``info_gain``/``ig_select`` implement the classic mutual-information
 feature ranking, computed from the model distribution (no data needed).
 ``eca_bruteforce`` and ``maa_bruteforce`` recompute agreement and best
-agreement by literal enumeration over the full feature space; they share
-no code with the instance-table path in :mod:`bntrim.agreement` and serve
-as its ground truth in tests.
+agreement by literal enumeration over the full feature space, one pass
+per kept instantiation; they share no code with the instance-table path
+in :mod:`bntrim.agreement` and serve as its ground truth in tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError
-from .inference import _mass, _posterior, marginal
+from .inference import _class_masses, _terms
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,17 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
     classifier's feature order.
     """
     check_classifier(net, clf)
-    class_mass = [marginal(net, {clf.class_var: c}) for c in range(2)]
     out: dict[str, float] = {}
     for f in clf.features:
-        card = net.var(f).cardinality
-        feature_mass = [marginal(net, {f: v}) for v in range(card)]
+        # One pass over the joint per feature, grouped by (class value,
+        # feature value) and read with each class value as the positive one.
+        groups = _terms(net, {}, (clf.class_var, f))
         terms = []
         for c in range(2):
-            for v in range(card):
-                joint = marginal(net, {clf.class_var: c, f: v})
+            rows, (_, class_mass) = _class_masses(groups, c)
+            for feature_mass, joint in rows.values():
                 if joint > 0.0:
-                    terms.append(joint * math.log2(joint / (class_mass[c] * feature_mass[v])))
+                    terms.append(joint * math.log2(joint / (class_mass * feature_mass)))
         out[f] = math.fsum(terms)
     return out
 
@@ -102,45 +102,29 @@ def ig_report(
     return SelectionReport("information-gain", chosen, clf.threshold, achieved, scores)
 
 
-def _feature_space(net: BayesianNetwork, features: Iterable[str]) -> int:
-    size = 1
-    for f in features:
-        size *= net.var(f).cardinality
-    return size
-
-
 def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Agreement by literal enumeration: sum Pr(f) over every full
     feature instantiation on which both classifiers decide alike."""
     check_trimming(net, alpha, beta)
-    space = _feature_space(net, alpha.features)
+    space = math.prod(net.var(f).cardinality for f in alpha.features)
     if space > EXHAUSTIVE_LIMIT:
         raise EnumerationLimitError(
             f"feature space of {space} instantiations exceeds the enumeration guard"
         )
-    beta_set = set(beta.features)
-    decisions: dict[tuple[int, ...], bool] = {}
+    kept = kept_in_order(alpha, beta.features)
+    dropped = tuple(f for f in alpha.features if f not in kept)
     terms = []
-    for combo in itertools.product(
-        *(range(net.var(f).cardinality) for f in alpha.features)
-    ):
-        full = dict(zip(alpha.features, combo))
-        mass = _mass(net, full)
+    for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept)):
+        # The trimmed decision is the one classify(net, beta, kept) makes;
+        # the original one is read per dropped instantiation.
+        rows, (mass, positive) = _class_masses(
+            _terms(net, dict(zip(kept, combo)), (alpha.class_var, *dropped)),
+            alpha.positive_value,
+        )
         if mass == 0.0:
             continue
-        # The trimmed decision depends only on the kept sub-assignment,
-        # so compute it once per distinct one.
-        kept_combo = tuple(v for f, v in zip(alpha.features, combo) if f in beta_set)
-        trimmed = decisions.get(kept_combo)
-        if trimmed is None:
-            # What classify(net, beta, kept) computes; the kept evidence
-            # has at least this instantiation's mass, so it is not zero.
-            kept = {f: v for f, v in full.items() if f in beta_set}
-            trimmed = _posterior(net, beta, kept, _mass(net, kept)) >= beta.threshold
-            decisions[kept_combo] = trimmed
-        original = _posterior(net, alpha, full, mass) >= alpha.threshold
-        if original == trimmed:
-            terms.append(mass)
+        trimmed = positive / mass >= beta.threshold
+        terms.extend(p for p, hit in rows.values() if (hit / p >= alpha.threshold) == trimmed)
     return math.fsum(terms)
 
 
@@ -158,11 +142,11 @@ def maa_bruteforce(
 
     posteriors = []
     for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept_t)):
-        evidence = dict(zip(kept_t, combo))
-        mass = _mass(net, evidence)
-        if mass == 0.0:
-            continue
-        posteriors.append(_posterior(net, alpha, evidence, mass))
+        _, (mass, positive) = _class_masses(
+            _terms(net, dict(zip(kept_t, combo)), (alpha.class_var,)), alpha.positive_value
+        )
+        if mass > 0.0:
+            posteriors.append(positive / mass)
     candidates = sorted(set(posteriors)) + [max(posteriors) + 1.0]
 
     best_score = -math.inf

@@ -24,15 +24,8 @@ from typing import Any, Sequence
 from .agreement import ThresholdInterval, eca, maa, mpa, sdp
 from .baselines import ig_report
 from .bnmodel import BayesianNetwork, Classifier, CostModel
-from .errors import (
-    BntrimError,
-    EnumerationLimitError,
-    ModelError,
-    ParseError,
-    UsageError,
-    ZeroEvidenceError,
-)
-from .evalharness import EvalConfig, learn_nb, scatter, write_scatter_csv
+from .errors import BntrimError, EnumerationLimitError, ModelError, ParseError, UsageError
+from .evalharness import EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
 from .inference import assignment_from_labels
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import SearchOptions, TraceEvent, eca_trim, exhaustive_trim
@@ -152,7 +145,7 @@ def _build_costs(args: argparse.Namespace, features: Sequence[str]) -> CostModel
     if args.budget is not None:
         budget = args.budget
     else:
-        budget = float(math.ceil(args.budget_frac * len(features)))
+        budget = fraction_budget(args.budget_frac, len(features))
     return CostModel(costs, budget)
 
 
@@ -478,13 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EnumerationLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ParseError, ModelError, ZeroEvidenceError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BntrimError as e:
+    except (BntrimError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -65,8 +65,7 @@ class EvalConfig:
             raise ModelError(f"smoothing must be >= 0, got {self.smoothing}")
         if self.budget is not None and self.budget < 0.0:
             raise ModelError(f"budget must be >= 0, got {self.budget}")
-        if not 0.0 < self.budget_fraction <= 1.0:
-            raise ModelError(f"budget fraction must be in (0,1], got {self.budget_fraction}")
+        fraction_budget(self.budget_fraction, 0)  # checks the fraction
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ModelError(f"threshold must be a finite value >= 0, got {self.threshold}")
         if self.threshold_mode not in THRESHOLD_MODES:
@@ -77,7 +76,14 @@ class EvalConfig:
     def resolve_budget(self, feature_count: int) -> float:
         if self.budget is not None:
             return self.budget
-        return float(math.ceil(self.budget_fraction * feature_count))
+        return fraction_budget(self.budget_fraction, feature_count)
+
+
+def fraction_budget(fraction: float, feature_count: int) -> float:
+    """``ceil(fraction * feature_count)``; ModelError unless 0 < fraction <= 1."""
+    if not 0.0 < fraction <= 1.0:
+        raise ModelError(f"budget fraction must be in (0,1], got {fraction}")
+    return float(math.ceil(fraction * feature_count))
 
 
 @dataclass(frozen=True)

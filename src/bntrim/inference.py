@@ -14,8 +14,10 @@ is the product of one CPT entry per variable,
 declaration order.  This is the network polynomial of
 Darwiche (JACM 2003) evaluated term by term, with no circuit compiled,
 and it shares no arithmetic with the grid route in
-:mod:`bntrim.agreement`.  Sums are accumulated with ``math.fsum`` so
-results do not depend on enumeration order.
+:mod:`bntrim.agreement`.  ``_terms``, the one product loop, groups the
+products by the values they give some variables, so a query reads every
+sum it needs from one pass.  Sums are taken with ``math.fsum`` so results
+do not depend on enumeration order or grouping.
 """
 
 from __future__ import annotations
@@ -48,34 +50,62 @@ def _check_assignment(net: BayesianNetwork, a: Assignment) -> None:
             raise ModelError(f"value index {idx!r} out of range for {name!r}")
 
 
-def _mass(net: BayesianNetwork, a: Assignment) -> float:
-    """Probability of an assignment the caller has checked (with
-    ``_check_assignment``, or by building it from the network's own
-    variables and value ranges): the joint summed over its completions.
-    The oracles call this directly, so they validate once per call, not
-    once per instantiation they enumerate."""
+def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> dict:
+    """The nonzero completion products of an assignment the caller has
+    checked (with ``_check_assignment``, or by building it from the
+    network's own variables and value ranges), grouped by the values they
+    give ``names``: {values: [products]}, with no entry for values whose
+    products are all zero.  The oracles call this directly, so they
+    validate once per call, not once per instantiation they enumerate."""
     plan = net._plan
     factors = plan.factors
     domains: list = [range(card) for card in plan.cards]
     for name, idx in a.items():
         domains[plan.position[name]] = (idx,)
-    # One term per completion: the CPT entries multiplied in declaration
-    # order, the product abandoned at 0.0 (a zero term leaves the sum as
-    # it is).  Rows stay nested, so a malformed CPT fails with IndexError
-    # instead of reading a neighbouring entry.
-    terms = []
-    for values in itertools.product(*domains):
-        p = 1.0
-        for child, parents, rows in factors:
-            r = 0
-            for q, stride in parents:
-                r += values[q] * stride
-            p *= rows[r][values[child]]
-            if p == 0.0:
-                break
-        else:
-            terms.append(p)
-    return math.fsum(terms)
+    keyed = [plan.position[name] for name in names]
+    groups = {}
+    for key in itertools.product(*(domains[q] for q in keyed)):
+        for q, v in zip(keyed, key):
+            domains[q] = (v,)
+        # One term per completion: the CPT entries multiplied in
+        # declaration order, the product abandoned at 0.0 (a zero term
+        # leaves every sum as it is).  Rows stay nested, so a malformed
+        # CPT fails with IndexError instead of reading a neighbouring
+        # entry.
+        terms = []
+        for values in itertools.product(*domains):
+            p = 1.0
+            for child, parents, rows in factors:
+                r = 0
+                for q, stride in parents:
+                    r += values[q] * stride
+                p *= rows[r][values[child]]
+                if p == 0.0:
+                    break
+            else:
+                terms.append(p)
+        if terms:
+            groups[key] = terms
+    return groups
+
+
+def _class_masses(groups: dict, positive: int) -> tuple[dict, tuple[float, float]]:
+    """Groups keyed by (class value, *rest), as ``_terms`` returns them for
+    names (class, *rest), summed into {rest: (mass, positive mass)} and
+    the (mass, positive mass) of all of them.  Each is the ``fsum`` of
+    exactly the products its marginal sums, so it has the same bits."""
+    mixed: dict = {}
+    hits: dict = {}
+    for key, terms in groups.items():
+        rest = key[1:]
+        if key[0] == positive:
+            hits[rest] = terms
+        other = mixed.get(rest)
+        mixed[rest] = terms if other is None else other + terms
+    fsum = math.fsum
+    rows = {rest: (fsum(terms), fsum(hits.get(rest, ()))) for rest, terms in mixed.items()}
+    chain = itertools.chain.from_iterable
+    return rows, (fsum(chain(groups.values())), fsum(chain(hits.values())))
 
 
 def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
@@ -84,13 +114,13 @@ def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
     if len(a) != len(net.variables):
         missing = [v.name for v in net.variables if v.name not in a]
         raise ModelError(f"full assignment required, missing {missing}")
-    return _mass(net, a)
+    return math.fsum(_terms(net, a).get((), ()))
 
 
 def marginal(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of a partial assignment: joint summed over completions."""
     _check_assignment(net, a)
-    return _mass(net, a)
+    return math.fsum(_terms(net, a).get((), ()))
 
 
 def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> float:
@@ -103,17 +133,14 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
     bad = [n for n in a if n not in clf.features]
     if bad:
         raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
-    pe = marginal(net, a)
+    _check_assignment(net, a)
+    # Two sums read directly, not through _class_masses: scatter calls
+    # this once per distinct data row, where that helper's cost shows.
+    groups = _terms(net, a, (clf.class_var,))
+    pe = math.fsum(itertools.chain.from_iterable(groups.values()))
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(a)!r} has probability 0")
-    return _posterior(net, clf, a, pe)
-
-
-def _posterior(net: BayesianNetwork, clf: Classifier, a: Assignment, mass: float) -> float:
-    """Posterior of the positive class value given checked evidence (see
-    ``_mass``) whose nonzero probability ``mass`` the caller has already
-    computed."""
-    return _mass(net, {**a, clf.class_var: clf.positive_value}) / mass
+    return math.fsum(groups.get((clf.positive_value,), ())) / pe
 
 
 def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:

@@ -21,18 +21,27 @@ from .bnmodel import BayesianNetwork, Cpt, Variable, validate_network
 from .errors import ModelError, ParseError
 
 
+def _decode(text: bytes | str, encoding: str) -> str:
+    if isinstance(text, str):
+        return text
+    try:
+        return text.decode(encoding)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: byte {e.start} ({e.reason})") from None
+
+
 def parse_network(text: bytes | str) -> BayesianNetwork:
     """Parse a JSON network document and validate it.
 
     Raises ParseError with position information for malformed JSON and
     with a violation list for structurally invalid networks.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(_decode(text, "utf-8"))
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -147,9 +156,7 @@ def parse_dataset(text: bytes | str, class_column: str) -> Dataset:
     Rejects empty files, unknown class columns, ragged rows and missing
     (empty) cells.  Row numbers in error messages count data rows from 1.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
-    lines = text.splitlines()
+    lines = _decode(text, "utf-8-sig").splitlines()
     records = [row for row in csv.reader(lines)]
     if not records:
         raise ParseError("empty file")

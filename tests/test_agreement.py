@@ -305,7 +305,10 @@ class TestOraclesComputeEachMassOnce:
         evidence = {f: data.draw(st.integers(0, net.var(f).cardinality - 1)) for f in observed}
         attained = [0.0, 0.5, 1.0]
         if marginal(net, evidence) > 0.0:
-            attained.append(posterior_class(net, clf, evidence))
+            posterior = posterior_class(net, clf, evidence)
+            positive = marginal(net, {**evidence, clf.class_var: clf.positive_value})
+            assert posterior.hex() == (positive / marginal(net, evidence)).hex()
+            attained.append(posterior)
         at = replace(clf, threshold=data.draw(st.sampled_from(attained)))
         new_threshold = data.draw(st.sampled_from(attained))
 

@@ -3,9 +3,11 @@ cross-check the analytic agreement computations."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from bntrim import (
     BayesianNetwork,
@@ -23,9 +25,29 @@ from bntrim import (
     info_gain,
     maa,
     maa_bruteforce,
+    marginal,
 )
 
-from conftest import random_costs, random_instance, random_subset
+from conftest import dag_networks, random_costs, random_instance, random_subset
+
+
+def marginal_info_gain(net, clf):
+    """info_gain as one marginal per class value, feature value and pair
+    of them, the way it was computed before it read each feature's sums
+    from one grouped pass."""
+    class_mass = [marginal(net, {clf.class_var: c}) for c in range(2)]
+    out = {}
+    for f in clf.features:
+        card = net.var(f).cardinality
+        feature_mass = [marginal(net, {f: v}) for v in range(card)]
+        terms = []
+        for c in range(2):
+            for v in range(card):
+                joint = marginal(net, {clf.class_var: c, f: v})
+                if joint > 0.0:
+                    terms.append(joint * math.log2(joint / (class_mass[c] * feature_mass[v])))
+        out[f] = math.fsum(terms)
+    return out
 
 
 class TestInfoGain:
@@ -50,6 +72,15 @@ class TestInfoGain:
             (Cpt("C", (), ((0.5, 0.5),)), Cpt("X", ("C",), ((1.0, 0.0), (0.0, 1.0)))),
         )
         assert info_gain(net, Classifier("C", 1, ("X",), 0.5)) == {"X": 1.0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks(max_card=3))
+    def test_same_bits_as_one_marginal_per_mass(self, model):
+        # dag_networks makes about one CPT row in four deterministic, so
+        # zero joint masses occur.
+        net, clf = model
+        got = {f: x.hex() for f, x in info_gain(net, clf).items()}
+        assert got == {f: x.hex() for f, x in marginal_info_gain(net, clf).items()}
 
 
 class TestIgSelect:
@@ -167,8 +198,9 @@ class TestAgreementCrossChecks:
 
 
 class TestOraclesValidateOncePerCall:
-    """The oracles validate their inputs up front, then enumerate through
-    ``inference._mass`` without validating each assignment again."""
+    """The oracles and ``info_gain`` validate their inputs up front, then
+    enumerate through ``inference._terms`` without validating each
+    assignment again."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -192,6 +224,11 @@ class TestOraclesValidateOncePerCall:
         assert checks == []
         sdp(quiz_net, quiz_alpha, ("Q1", "Q2"), {"Q3": 1})
         assert len(checks) == 1  # the evidence, once
+
+    def test_info_gain(self, quiz_net, quiz_alpha, checks):
+        # One marginal per mass would make 2 + 3 * (2 + 2 + 2) = 20 checks here.
+        info_gain(quiz_net, quiz_alpha)
+        assert checks == []
 
     def test_invalid_inputs_still_raise(self, quiz_net, quiz_alpha):
         with pytest.raises(ModelError, match="non-features"):

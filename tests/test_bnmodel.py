@@ -281,6 +281,11 @@ class TestNetworkHash:
         mpa(twin, quiz_alpha, ("Q1",))
         after = _classifier_grid.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        # Every caller shares the one cached array, so none may write to it.
+        cells = _classifier_grid(twin, quiz_alpha)
+        assert cells is _classifier_grid(quiz_net, quiz_alpha)
+        with pytest.raises(ValueError):
+            cells[0, ...] = 0.0
 
     def test_networks_differing_in_one_cpt_entry_differ(self):
         a = tiny_net(rows=((0.9, 0.1), (0.2, 0.8)))

@@ -367,6 +367,42 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["trim", *BASE, "--budget", "-1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [(b'{"variables": "\xff"}', "not UTF-8 text"), (b"[" * 100_000, "nested too deeply")],
+        ids=["undecodable", "nested"],
+    )
+    def test_unreadable_network_is_data_error(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "bad.bn.json"
+        path.write_bytes(payload)
+        code, _, err = run(capsys, ["maa", "--network", str(path), "--class", "C"])
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        code, out, err = run(capsys, ["validate", "--format", "text", str(path)])
+        assert code == 2
+        assert out.startswith("valid: false\n")
+        assert message in out
+        assert "Traceback" not in err
+
+    def test_undecodable_dataset_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"F,C\n\xff,pos\n")
+        code, out, err = run(capsys, ["scatter", "--data", str(path), "--class", "C"])
+        assert code == 2
+        assert out == ""
+        assert "not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "1.5", "0"])
+    @pytest.mark.parametrize("command", ["trim", "exhaustive", "ig"])
+    def test_budget_fraction_outside_unit_interval(self, capsys, command, fraction):
+        code, out, err = run(capsys, [command, *BASE, "--budget-frac", fraction])
+        assert code == 2
+        assert out == ""
+        assert f"budget fraction must be in (0,1], got {float(fraction)}" in err
+        assert "Traceback" not in err
+
     def test_enumeration_guard(self, capsys, tmp_path):
         net, _ = big_nb(21)
         path = tmp_path / "big.bn.json"

@@ -40,6 +40,12 @@ class TestParseNetwork:
         with pytest.raises(ParseError):
             parse_network(b"not json")
 
+    def test_rejects_undecodable_and_deeply_nested_documents(self):
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0"):
+            parse_network(b"\xff{}")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_network(b"[" * 100_000)
+
     def test_rejects_non_object(self):
         with pytest.raises(ParseError):
             parse_network(b"[1, 2]")
@@ -117,6 +123,10 @@ class TestParseDataset:
     def test_unknown_class_column(self):
         with pytest.raises((ModelError, ParseError)):
             parse_dataset("a,b\n1,2\n", "label")
+
+    def test_undecodable_bytes_rejected(self):
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 12"):
+            parse_dataset(b"label,A\npos,\xff\n", "label")
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParseError):
