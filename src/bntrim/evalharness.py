@@ -20,7 +20,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .agreement import EXHAUSTIVE_LIMIT, eca, maa
 from .bnmodel import (
@@ -31,7 +32,7 @@ from .bnmodel import (
     Variable,
     check_classifier,
 )
-from .errors import EnumerationLimitError, ModelError
+from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 from .inference import classify, posterior_class
 from .netio import Dataset
 
@@ -61,8 +62,7 @@ class EvalConfig:
             raise ModelError(f"split fraction must be in (0,1), got {self.split_fraction}")
         if self.folds < 2:
             raise ModelError(f"fold count must be >= 2, got {self.folds}")
-        if self.smoothing < 0.0:
-            raise ModelError(f"smoothing must be >= 0, got {self.smoothing}")
+        _check_smoothing(self.smoothing)
         if self.budget is not None and self.budget < 0.0:
             raise ModelError(f"budget must be >= 0, got {self.budget}")
         fraction_budget(self.budget_fraction, 0)  # checks the fraction
@@ -98,6 +98,57 @@ def _column_domains(data: Dataset, columns: Iterable[str]) -> dict[str, tuple[st
     return {c: tuple(sorted(set(data.column_values(c)))) for c in columns}
 
 
+def _check_smoothing(smoothing: float) -> None:
+    if not (math.isfinite(smoothing) and smoothing >= 0.0):
+        raise ModelError(f"smoothing must be a finite value >= 0, got {smoothing}")
+
+
+def _smoothed(count: int, total: int, card: int, smoothing: float) -> float:
+    """The one naive Bayes estimate: (count + smoothing) / (total +
+    smoothing * card).  A CPT entry Pr(f=v|c) counts the rows of class c
+    with f = v among the rows of class c, over f's card values; the class
+    prior counts the rows of a class among all rows, over 2 values."""
+    return (count + smoothing) / (total + smoothing * card)
+
+
+def _positive_value(
+    class_column: str, class_domain: tuple[str, ...], positive_label: str | None
+) -> int:
+    """The index of the positive label in a binary class domain: the later
+    value in sorted order by default."""
+    if len(class_domain) != 2:
+        raise ModelError(
+            f"class column {class_column!r} must be binary, has values {list(class_domain)}"
+        )
+    if positive_label is None:
+        return 1
+    if positive_label not in class_domain:
+        raise ModelError(f"positive label {positive_label!r} not a class value")
+    return class_domain.index(positive_label)
+
+
+def _prior(class_count: Sequence[int], smoothing: float) -> tuple[float, ...]:
+    """The smoothed class prior from the row count of each class value."""
+    if smoothing == 0.0 and min(class_count) == 0:
+        raise ModelError("a class value never occurs and smoothing is 0")
+    n = sum(class_count)
+    return tuple(_smoothed(k, n, len(class_count), smoothing) for k in class_count)
+
+
+def _nb_classifier(
+    class_column: str,
+    features: Sequence[str],
+    domains: Mapping[str, tuple[str, ...]],
+    positive_value: int,
+    threshold: float,
+) -> tuple[list[Variable], Classifier]:
+    """The variables and the classifier of a naive Bayes model; raises
+    ModelError for a column with fewer than two values, repeated features
+    or a bad threshold."""
+    variables = [Variable(c, tuple(domains[c])) for c in (class_column, *features)]
+    return variables, Classifier(class_column, positive_value, tuple(features), threshold)
+
+
 def learn_nb(
     data: Dataset,
     class_column: str | None = None,
@@ -110,17 +161,17 @@ def learn_nb(
 
     Every CPT cell gets additive smoothing: Pr(f=v|c) is
     (count + smoothing) / (class count + smoothing * domain size), and the
-    class prior is smoothed the same way.  ``domains`` fixes each column's
-    value vocabulary (needed when a subsample may miss values); by default
-    the vocabularies are the sorted distinct values in the data.  The
-    positive label defaults to the later class value in sorted order.
+    class prior is smoothed the same way; smoothing must be finite and
+    >= 0.  ``domains`` fixes each column's value vocabulary (needed when a
+    subsample may miss values); by default the vocabularies are the sorted
+    distinct values in the data.  The positive label defaults to the later
+    class value in sorted order.
     """
     if class_column is None:
         class_column = data.class_column
     if not data.rows:
         raise ModelError("cannot learn from an empty dataset")
-    if smoothing < 0.0:
-        raise ModelError(f"smoothing must be >= 0, got {smoothing}")
+    _check_smoothing(smoothing)
     columns = [class_column] + [c for c in data.columns if c != class_column]
     if domains is None:
         domains = _column_domains(data, columns)
@@ -134,42 +185,26 @@ def learn_nb(
             if unknown:
                 raise ModelError(f"column {c!r} has values outside its domain: {sorted(unknown)}")
     class_domain = domains[class_column]
-    if len(class_domain) != 2:
-        raise ModelError(
-            f"class column {class_column!r} must be binary, has values {list(class_domain)}"
-        )
-    if positive_label is None:
-        positive_value = 1
-    else:
-        if positive_label not in class_domain:
-            raise ModelError(f"positive label {positive_label!r} not a class value")
-        positive_value = class_domain.index(positive_label)
+    positive_value = _positive_value(class_column, class_domain, positive_label)
 
-    n = len(data.rows)
     class_cells = data.column_values(class_column)
-    class_count = {v: class_cells.count(v) for v in class_domain}
-    if smoothing == 0.0 and min(class_count.values()) == 0:
-        raise ModelError("a class value never occurs and smoothing is 0")
-
-    variables = [Variable(c, tuple(domains[c])) for c in columns]
-    prior_denom = n + smoothing * 2
-    prior = tuple((class_count[v] + smoothing) / prior_denom for v in class_domain)
+    class_count = [class_cells.count(v) for v in class_domain]
+    prior = _prior(class_count, smoothing)
+    features = columns[1:]
+    variables, clf = _nb_classifier(class_column, features, domains, positive_value, threshold)
     cpts = [Cpt(class_column, (), (prior,))]
-    features = [c for c in columns if c != class_column]
     for f in features:
         cells = data.column_values(f)
-        card = len(domains[f])
+        values = domains[f]
         rows = []
-        for cval in class_domain:
-            counts = {v: 0 for v in domains[f]}
+        for cval, total in zip(class_domain, class_count):
+            counts = dict.fromkeys(values, 0)
             for cell, ccell in zip(cells, class_cells):
                 if ccell == cval:
                     counts[cell] += 1
-            denom = class_count[cval] + smoothing * card
-            rows.append(tuple((counts[v] + smoothing) / denom for v in domains[f]))
+            rows.append(tuple(_smoothed(counts[v], total, len(values), smoothing) for v in values))
         cpts.append(Cpt(f, (class_column,), tuple(rows)))
     net = BayesianNetwork(tuple(variables), tuple(cpts))
-    clf = Classifier(class_column, positive_value, tuple(features), threshold)
     check_classifier(net, clf)
     return net, clf
 
@@ -208,6 +243,147 @@ def _posteriors(
     return out
 
 
+def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: int) -> list[int]:
+    """Each row's fold: the rows of each class value, in domain order, are
+    shuffled with the seeded RNG and dealt round-robin, the deal
+    continuing across classes, so every fold is nonempty whenever
+    folds <= rows."""
+    rng = random.Random(seed)
+    by_class: list[list[int]] = [[] for _ in range(class_card)]
+    for i, c in enumerate(class_codes):
+        by_class[c].append(i)
+    fold_of = [0] * len(class_codes)
+    cursor = 0
+    for group in by_class:
+        rng.shuffle(group)
+        for i in group:
+            fold_of[i] = cursor % folds
+            cursor += 1
+    return fold_of
+
+
+class _Tally(NamedTuple):
+    """A dataset's folds and counts, as ``_FoldCounts`` reads them.
+
+    ``codes`` holds each column's value indices over its ``domains``
+    vocabulary, and ``members[k]`` lists fold k's rows in data order.
+    ``train_class[k][c]`` counts the rows of class c outside fold k, and
+    ``train_counts[f][k][c][v]`` those among them with f = v.
+    """
+
+    domains: dict[str, tuple[str, ...]]
+    codes: dict[str, list[int]]
+    members: list[list[int]]
+    train_class: list[list[int]]
+    train_counts: dict[str, list[list[list[int]]]]
+
+
+class _FoldCounts:
+    """Stratified k-fold cross-validation of naive Bayes classifiers, over
+    any feature subset of one dataset, from count tables.
+
+    Naive Bayes is fully determined by its class and (class, feature
+    value) counts, so the folds are dealt and the rows counted once, on
+    the first ``accuracy`` call, and the classifier of each fold is
+    estimated from its training counts: the totals minus the fold's own.
+    """
+
+    def __init__(self, data: Dataset, folds: int, seed: int) -> None:
+        self.data = data
+        self.folds = folds
+        self.seed = seed
+
+    @cached_property
+    def _tally(self) -> _Tally:
+        data, folds = self.data, self.folds
+        domains = _column_domains(data, data.columns)
+        codes = {}
+        for c, values in domains.items():
+            index = {v: x for x, v in enumerate(values)}
+            codes[c] = [index[v] for v in data.column_values(c)]
+        class_codes = codes[data.class_column]
+        class_card = len(domains[data.class_column])
+        fold_of = _deal_folds(class_codes, class_card, folds, self.seed)
+        members: list[list[int]] = [[] for _ in range(folds)]
+        for i, k in enumerate(fold_of):
+            members[k].append(i)
+
+        def training(keys: list[int], card: int) -> list[list[list[int]]]:
+            # [fold][class][key] row counts outside each fold, as exact
+            # ints: the totals minus the fold's own counts.
+            own = [[[0] * card for _ in range(class_card)] for _ in range(folds)]
+            for k, c, x in zip(fold_of, class_codes, keys):
+                own[k][c][x] += 1
+            total = [[sum(counts) for counts in zip(*rows)] for rows in zip(*own)]
+            return [
+                [[t - x for t, x in zip(total_c, own_c)] for total_c, own_c in zip(total, rows)]
+                for rows in own
+            ]
+
+        return _Tally(
+            domains,
+            codes,
+            members,
+            # The class counts: every row has the one key 0.
+            [[c[0] for c in k] for k in training([0] * len(class_codes), 1)],
+            {
+                f: training(codes[f], len(domains[f]))
+                for f in domains if f != data.class_column
+            },
+        )
+
+    def accuracy(
+        self,
+        subset: Iterable[str],
+        smoothing: float,
+        positive_label: str | None,
+        threshold: float,
+    ) -> float:
+        """``cv_accuracy`` of the subset; the feature order, the checks and
+        the arithmetic are those of ``learn_nb`` and ``posterior_class`` on
+        each fold's training rows restricted to the subset."""
+        data, folds = self.data, self.folds
+        n = len(data.rows)
+        if folds < 2:
+            raise ModelError(f"fold count must be >= 2, got {folds}")
+        if folds > n:
+            raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
+        keep = set(subset)
+        class_column = data.class_column
+        features = [c for c in data.columns if c in keep and c != class_column]
+        _check_smoothing(smoothing)
+        t = self._tally
+        positive = _positive_value(class_column, t.domains[class_column], positive_label)
+        # learn_nb checks the first fold's class counts before the columns.
+        _prior(t.train_class[0], smoothing)
+        _, clf = _nb_classifier(class_column, features, t.domains, positive, threshold)
+        class_codes = t.codes[class_column]
+        accuracies = []
+        for k, rows in enumerate(t.members):
+            train_class = t.train_class[k]
+            prior = _prior(train_class, smoothing)
+            # Each class's term per test row: the prior times the
+            # features' CPT entries in data-column order, the order in
+            # which the scalar route multiplies a network's CPTs.
+            terms = [[p] * len(rows) for p in prior]
+            for f in features:
+                card, values = len(t.domains[f]), t.codes[f]
+                for c, counts in enumerate(t.train_counts[f][k]):
+                    cpt = [_smoothed(x, train_class[c], card, smoothing) for x in counts]
+                    terms[c] = [p * cpt[values[i]] for p, i in zip(terms[c], rows)]
+            hits = 0
+            for i, t0, t1 in zip(rows, *terms):
+                # One rounding, as posterior_class's fsum of the two terms.
+                mass = t0 + t1
+                if mass == 0.0:
+                    evidence = {f: t.codes[f][i] for f in features}
+                    raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
+                posterior = (t1 if positive else t0) / mass
+                hits += (posterior >= clf.threshold) == (class_codes[i] == positive)
+            accuracies.append(hits / len(rows))
+        return math.fsum(accuracies) / folds
+
+
 def cv_accuracy(
     data: Dataset,
     subset: Iterable[str],
@@ -223,48 +399,16 @@ def cv_accuracy(
     Folds are formed by shuffling each class's rows with the seeded RNG
     and dealing rows round-robin, the deal continuing across class groups
     so every fold is nonempty whenever folds <= rows.  Each fold's
-    classifier is learned on the remaining rows (restricted to the subset)
-    with value vocabularies taken from the full data.
+    classifier is the one ``learn_nb`` would learn from the remaining
+    rows restricted to the subset, with value vocabularies taken from the
+    full data, and it labels a test row by its exact posterior, as
+    ``posterior_class`` computes it.  Both are computed from count tables
+    (``_FoldCounts``): the folds are dealt once, the rows counted once
+    per (fold, class) and (fold, feature, class, value), and a fold's
+    training counts are the totals minus its own, so no model is built
+    and no data copied; the scores have the same bits.
     """
-    subset_t = tuple(subset)
-    work = data.restrict(list(subset_t))
-    n = len(work.rows)
-    if folds < 2:
-        raise ModelError(f"fold count must be >= 2, got {folds}")
-    if folds > n:
-        raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
-    domains = _column_domains(work, work.columns)
-    class_idx = work.column_index(work.class_column)
-
-    rng = random.Random(seed)
-    by_class: dict[str, list[int]] = {v: [] for v in domains[work.class_column]}
-    for i, row in enumerate(work.rows):
-        by_class[row[class_idx]].append(i)
-    fold_of = [0] * n
-    cursor = 0
-    for v in domains[work.class_column]:
-        group = by_class[v]
-        rng.shuffle(group)
-        for i in group:
-            fold_of[i] = cursor % folds
-            cursor += 1
-
-    features = [c for c in work.columns if c != work.class_column]
-    accuracies = []
-    for fold in range(folds):
-        train_idx = [i for i in range(n) if fold_of[i] != fold]
-        test_idx = [i for i in range(n) if fold_of[i] == fold]
-        net, clf = learn_nb(
-            work.take(train_idx), smoothing=smoothing, domains=domains,
-            positive_label=positive_label, threshold=threshold,
-        )
-        test = work.take(test_idx)
-        hits = 0
-        for row, posterior in zip(test.rows, _posteriors(net, clf, test, domains, features)):
-            actual = domains[work.class_column].index(row[class_idx]) == clf.positive_value
-            hits += (posterior >= clf.threshold) == actual
-        accuracies.append(hits / len(test_idx))
-    return math.fsum(accuracies) / folds
+    return _FoldCounts(data, folds, seed).accuracy(subset, smoothing, positive_label, threshold)
 
 
 def _argmax_first(values: Sequence[float]) -> int:
@@ -316,6 +460,7 @@ def scatter(
         clf_full.features, config.resolve_budget(len(clf_full.features))
     )
     subsets = enumerate_feasible(clf_full, cost_model)
+    cv = _FoldCounts(train, config.folds, config.seed)
 
     def score(subset: tuple[str, ...]) -> tuple[float, float, float]:
         if config.threshold_mode == "maa-optimal":
@@ -327,10 +472,7 @@ def scatter(
                 net, clf_full,
                 replace(clf_full, features=subset, threshold=subset_threshold),
             )
-        accuracy = cv_accuracy(
-            train, subset, config.folds, config.seed, config.smoothing,
-            positive_label, base_threshold,
-        )
+        accuracy = cv.accuracy(subset, config.smoothing, positive_label, base_threshold)
         return agreement, accuracy, subset_threshold
 
     scored = [score(s) for s in subsets]

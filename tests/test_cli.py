@@ -403,6 +403,18 @@ class TestExitCodes:
         assert f"budget fraction must be in (0,1], got {float(fraction)}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["learn", "scatter"])
+    def test_smoothing_not_finite_and_nonnegative(self, capsys, tmp_path, command, smoothing):
+        path = tmp_path / "noisy.csv"
+        path.write_bytes(serialize_dataset(noisy_dataset()))
+        argv = [command, "--data", str(path), "--class", "label", "--smoothing", smoothing]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"smoothing must be a finite value >= 0, got {float(smoothing)}" in err
+        assert "Traceback" not in err
+
     def test_enumeration_guard(self, capsys, tmp_path):
         net, _ = big_nb(21)
         path = tmp_path / "big.bn.json"

@@ -4,12 +4,16 @@ sampling."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bntrim import (
+    BntrimError,
     Classifier,
     CostModel,
     Dataset,
@@ -31,6 +35,7 @@ from bntrim import (
     write_scatter_csv,
 )
 
+from bntrim import evalharness, inference
 from bntrim.evalharness import _posteriors
 from conftest import load_network, nb_instance
 
@@ -140,6 +145,11 @@ class TestLearnNb:
         with pytest.raises(ModelError):
             learn_nb(data)
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    def test_rejects_smoothing_not_finite_and_nonnegative(self, smoothing):
+        with pytest.raises(ModelError, match="smoothing must be a finite value >= 0"):
+            learn_nb(noisy_dataset(), smoothing=smoothing)
+
     def test_rejects_empty_dataset(self):
         with pytest.raises(ModelError):
             learn_nb(Dataset(("L", "F"), (), "L"))
@@ -222,7 +232,177 @@ class TestCvAccuracy:
             cv_accuracy(data, ("F",), folds=3, seed=0)
 
 
+def per_fold_posteriors(data, subset, folds, seed, smoothing, positive_label, threshold):
+    """cv_accuracy the long way, up to the decisions: deal the folds, then
+    per fold learn_nb on the subset's training rows and one
+    posterior_class per test row.  Per fold, the (posterior, actual
+    label) of each test row."""
+    work = data.restrict(list(subset))
+    n = len(work.rows)
+    if folds < 2:
+        raise ModelError(f"fold count must be >= 2, got {folds}")
+    if folds > n:
+        raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
+    domains = {c: tuple(sorted(set(work.column_values(c)))) for c in work.columns}
+    class_idx = work.column_index(work.class_column)
+    rng = random.Random(seed)
+    by_class = {v: [] for v in domains[work.class_column]}
+    for i, row in enumerate(work.rows):
+        by_class[row[class_idx]].append(i)
+    fold_of = [0] * n
+    cursor = 0
+    for v in domains[work.class_column]:
+        group = by_class[v]
+        rng.shuffle(group)
+        for i in group:
+            fold_of[i] = cursor % folds
+            cursor += 1
+    features = [c for c in work.columns if c != work.class_column]
+    scored = []
+    for fold in range(folds):
+        train_idx = [i for i in range(n) if fold_of[i] != fold]
+        test_idx = [i for i in range(n) if fold_of[i] == fold]
+        net, clf = learn_nb(
+            work.take(train_idx), smoothing=smoothing, domains=domains,
+            positive_label=positive_label, threshold=threshold,
+        )
+        scored.append([])
+        for i in test_idx:
+            row = work.rows[i]
+            evidence = {f: domains[f].index(row[work.column_index(f)]) for f in features}
+            actual = domains[work.class_column].index(row[class_idx]) == clf.positive_value
+            scored[-1].append((posterior_class(net, clf, evidence), actual))
+    return scored
+
+
+def accuracy_at(scored, threshold: float) -> float:
+    """The mean fold accuracy of per_fold_posteriors' decisions at a threshold."""
+    accuracies = [sum((p >= threshold) == actual for p, actual in fold) / len(fold) for fold in scored]
+    return math.fsum(accuracies) / len(scored)
+
+
+def per_fold_cv_accuracy(data, subset, folds, seed, smoothing, positive_label, threshold):
+    scored = per_fold_posteriors(data, subset, folds, seed, smoothing, positive_label, threshold)
+    return accuracy_at(scored, float(threshold))
+
+
+@st.composite
+def cv_cases(draw):
+    """A small dataset with the class column anywhere, 0-4 features of
+    cardinality 1-3 whose values need not all occur (so training folds
+    miss values), a class that is binary (one value possibly in a single
+    row, so a training part can lack it) or now and then not, and
+    cv_accuracy arguments, now and then invalid ones."""
+    n = draw(st.integers(2, 12))
+    cards = draw(st.lists(st.sampled_from([1, 2, 2, 3, 3]), max_size=4))
+    names = [f"F{j}" for j in range(len(cards))]
+    kind = draw(st.integers(0, 9))
+    if kind < 7:
+        classes = ["neg", "pos"] + [draw(st.sampled_from(["neg", "pos"])) for _ in range(n - 2)]
+    elif kind == 7:
+        classes = ["neg"] + ["pos"] * (n - 1)
+    elif kind == 8:
+        classes = ["pos"] * n
+    else:
+        classes = [draw(st.sampled_from(["neg", "pos", "mid"])) for _ in range(n)]
+    at = draw(st.integers(0, len(names)))
+    rows = []
+    for c in draw(st.permutations(classes)):
+        values = [f"v{draw(st.integers(0, card - 1))}" for card in cards]
+        rows.append(tuple(values[:at] + [c] + values[at:]))
+    subset = draw(st.lists(st.sampled_from(names + ["C", "unknown"]), unique=True))
+    if draw(st.integers(0, 9)) < 9:
+        folds = draw(st.integers(2, n))
+    else:
+        folds = draw(st.sampled_from([1, n + 1]))
+    args = (
+        folds,
+        draw(st.integers(0, 50)),  # seed
+        draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 0.37, 2.0, 1e-300, -0.5])),  # smoothing
+        draw(st.sampled_from([None, None, "pos", "neg", "nope"])),  # positive label
+        draw(st.sampled_from([0.5, 0.0, 0.3, 1.0, 0.75])),  # threshold
+    )
+    data = Dataset(tuple(names[:at] + ["C"] + names[at:]), tuple(rows), "C")
+    return data, tuple(subset), args
+
+
+def outcome(route, *args):
+    try:
+        return route(*args).hex()
+    except BntrimError as e:
+        return type(e), str(e)
+
+
+class TestCvAccuracyCountRoute:
+    """cv_accuracy from count tables against learning each fold's
+    classifier and scoring each test row on the scalar route: the same
+    bits, or the same first error with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cv_cases())
+    def test_same_bits_as_per_fold_learning(self, case):
+        data, subset, args = case
+        try:
+            scored = per_fold_posteriors(data, subset, *args)
+        except BntrimError as e:
+            assert outcome(cv_accuracy, data, subset, *args) == (type(e), str(e))
+            return
+        # At every attained posterior and the next float above it, a
+        # posterior one ulp off on either side flips a decision.
+        thresholds = {float(args[4])}
+        for fold in scored:
+            thresholds.update(t for p, _ in fold for t in (p, math.nextafter(p, 2.0)))
+        for threshold in sorted(thresholds):
+            got = cv_accuracy(data, subset, *args[:4], threshold)
+            assert got.hex() == accuracy_at(scored, threshold).hex()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("folds", [2, 3, 5])
+    def test_same_first_zero_evidence_error(self, seed, folds):
+        # Unsmoothed, with values that occur once or twice, so several
+        # folds hold rows whose evidence has probability 0.
+        rng = random.Random(seed)
+        rows = tuple(
+            (
+                "pos" if i % 2 else "neg",
+                "ab"[i // 2 % 2] if i < 14 else "cde"[i % 3],
+                "xy"[rng.random() < 0.3],
+            )
+            for i in range(18)
+        )
+        data = Dataset(("C", "F", "G"), rows, "C")
+        args = (folds, seed, 0.0, None, 0.5)
+        for subset in (("F",), ("F", "G"), ("G",)):
+            assert outcome(cv_accuracy, data, subset, *args) == outcome(
+                per_fold_cv_accuracy, data, subset, *args
+            )
+
+    def test_no_posterior_class_calls(self, monkeypatch):
+        calls = []
+        for module in (evalharness, inference):
+            real = module.posterior_class
+            monkeypatch.setattr(
+                module, "posterior_class", lambda *a, _real=real: calls.append(1) or _real(*a)
+            )
+        cv_accuracy(noisy_dataset(), ("A", "B"), folds=4, seed=9)
+        assert calls == []
+
 class TestScatter:
+    @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])
+    def test_one_learn_nb_and_one_fold_deal_per_call(self, monkeypatch, budget, subsets):
+        calls = {"learn_nb": 0, "_deal_folds": 0}
+        for name in calls:
+            real = getattr(evalharness, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(evalharness, name, counted)
+        rows, _ = scatter(noisy_dataset(), EvalConfig(seed=11, folds=4, budget=budget))
+        assert len(rows) == subsets
+        assert calls == {"learn_nb": 1, "_deal_folds": 1}
+
     def test_rows_cover_feasible_subsets_with_unique_optima(self):
         data = noisy_dataset()
         rows, summary = scatter(data, EvalConfig(seed=11, folds=4, budget=1.0))
@@ -350,6 +530,8 @@ class TestEvalConfig:
             {"split_fraction": 1.0},
             {"folds": 1},
             {"smoothing": -0.5},
+            {"smoothing": float("nan")},
+            {"smoothing": float("inf")},
             {"budget": -1.0},
             {"budget_fraction": 0.0},
             {"budget_fraction": 1.5},

@@ -20,7 +20,10 @@ scalar cases:
                    (computed before the timing starts);
 * ``cv_accuracy``  5-fold accuracy of naive Bayes over all features and
                    over three, at three seeds, on 300 rows sampled from
-                   an 8-feature model.
+                   an 8-feature model;
+* ``scatter``      ``evalharness.scatter`` with 5 folds and budget 2 on
+                   the first ten datasets of perfbench's ``scatter``
+                   pool (200 rows, 5 features of cardinality 2-3).
 
 The grid-route cases run on ``conftest.nb_instance`` models, seed 1,
 binary features, with the model's grid built before the timing starts:
@@ -61,6 +64,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 from bntrim import (  # noqa: E402
     Classifier,
     CostModel,
+    EvalConfig,
     SearchOptions,
     build_instance_table,
     compute_maa,
@@ -72,11 +76,19 @@ from bntrim import (  # noqa: E402
     maa,
     marginal,
     mpa,
+    scatter,
     sdp,
     synthesize_dataset,
 )
 from conftest import acceptance_instances, nb_instance, nested_subsets  # noqa: E402
-from generate import CLASS, feature_names, general_dag, naive_bayes  # noqa: E402
+from generate import (  # noqa: E402
+    CLASS,
+    CLASS_VALUES,
+    feature_names,
+    general_dag,
+    naive_bayes,
+    scatter_case,
+)
 from run import machine  # noqa: E402
 
 REPEATS = 5
@@ -149,6 +161,16 @@ def case_cv_accuracy():
     return run
 
 
+def case_scatter():
+    datasets = [scatter_case(i).data for i in range(10)]
+    config = EvalConfig(folds=5, budget=2.0)
+
+    def run():
+        for data in datasets:
+            scatter(data, config, positive_label=CLASS_VALUES[1])
+    return run
+
+
 def nb_model(n: int):
     """conftest's naive Bayes model with n binary features, seed 1, with
     its grid built."""
@@ -192,6 +214,7 @@ CASES = {
     "info_gain": case_info_gain,
     "esdp+eca_bruteforce": case_oracles,
     "cv_accuracy": case_cv_accuracy,
+    "scatter": case_scatter,
     **{f"maa n={n}": case_maa(n) for n in (12, 14, 16)},
     **{f"compute_maa n={n}": case_compute_maa(n) for n in (12, 14, 16)},
     "mpa n=16": case_mpa,
