@@ -55,7 +55,6 @@ from .evalharness import (
     ScatterRow,
     cv_accuracy,
     empirical_agreement,
-    enumerate_feasible,
     learn_nb,
     sample_rows,
     scatter,
@@ -83,6 +82,7 @@ from .trimsearch import (
     TraceEvent,
     TrimResult,
     eca_trim,
+    enumerate_feasible,
     exhaustive_trim,
     nb_trim,
 )

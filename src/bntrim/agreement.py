@@ -125,28 +125,23 @@ class MaaResult:
 @lru_cache(maxsize=8)
 def _full_joint(net: BayesianNetwork) -> np.ndarray:
     """Joint distribution over all network variables as a dense tensor,
-    one axis per variable in declaration order."""
-    shape = [v.cardinality for v in net.variables]
-    cells = 1
-    for c in shape:
-        cells *= c
+    one axis per variable in declaration order: the factors of the
+    network's plan, multiplied in declaration order."""
+    plan = net._plan
+    shape = plan.cards
+    cells = math.prod(shape)
     if cells > GRID_CELL_LIMIT:
         raise EnumerationLimitError(
             f"joint grid of {cells} cells exceeds the {GRID_CELL_LIMIT} cell guard"
         )
-    axis = {v.name: i for i, v in enumerate(net.variables)}
     joint = np.ones(shape)
-    for v in net.variables:
-        cpt = net.cpt(v.name)
-        src = list(cpt.parents) + [v.name]
-        arr = np.asarray(cpt.rows, dtype=float).reshape(
-            [net.var(p).cardinality for p in cpt.parents] + [v.cardinality]
-        )
-        perm = sorted(range(len(src)), key=lambda k: axis[src[k]])
-        arr = np.transpose(arr, perm)
+    for child, parents, rows in plan.factors:
+        axes = [q for q, _ in parents] + [child]
+        arr = np.asarray(rows, dtype=float).reshape([shape[q] for q in axes])
+        arr = np.transpose(arr, sorted(range(len(axes)), key=axes.__getitem__))
         full = [1] * len(shape)
-        for name in src:
-            full[axis[name]] = net.var(name).cardinality
+        for q in axes:
+            full[q] = shape[q]
         joint = joint * arr.reshape(full)
     return joint
 

@@ -78,7 +78,8 @@ class Cpt:
 
 
 class _FactorPlan(NamedTuple):
-    """A network's CPTs addressed by variable position, for enumeration.
+    """A network's CPTs addressed by variable position, read by scalar
+    enumeration, the joint grid and the ancestral sampler.
 
     ``position`` maps each name to its declaration index and ``cards``
     holds the cardinalities in that order.  ``factors`` has one entry per
@@ -100,8 +101,7 @@ class BayesianNetwork:
     ``order`` is a cached topological order of the variable names, or None
     when the structure is cyclic or otherwise unresolvable; use
     :func:`validate_network` to find out why.  Networks with an order also
-    carry a factor plan (``_FactorPlan``) for scalar enumeration, built on
-    first use.
+    carry a factor plan (``_FactorPlan``), built on first use.
     """
 
     variables: tuple[Variable, ...]
@@ -143,7 +143,7 @@ class BayesianNetwork:
 
     @cached_property
     def _plan(self) -> _FactorPlan:
-        # Built from Cpt.rows alone, on the first enumeration; callers run
+        # Built from Cpt.rows alone, on first use; callers run
         # check_network first, so the order exists, every name is unique
         # and every CPT and parent resolves.
         position = {v.name: q for q, v in enumerate(self.variables)}

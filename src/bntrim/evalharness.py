@@ -16,14 +16,13 @@ sanity-check the exact computation against simulation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .agreement import EXHAUSTIVE_LIMIT, eca, maa
+from .agreement import build_instance_table, eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -32,9 +31,10 @@ from .bnmodel import (
     Variable,
     check_classifier,
 )
-from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import classify, posterior_class
+from .errors import ModelError, ZeroEvidenceError
+from .inference import classify
 from .netio import Dataset
+from .trimsearch import enumerate_feasible
 
 THRESHOLD_MODES = ("maa-optimal", "fixed")
 
@@ -209,37 +209,26 @@ def learn_nb(
     return net, clf
 
 
-def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...]]:
-    """Every feature subset whose total cost fits the budget, smaller
-    subsets first, then lexicographic in classifier feature order."""
-    n = len(clf.features)
-    if 1 << n > EXHAUSTIVE_LIMIT:
-        raise EnumerationLimitError(f"2^{n} subsets exceed the enumeration guard")
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(clf.features, size):
-            if costs.fits(combo):
-                out.append(combo)
-    return out
-
-
 def _posteriors(
     net: BayesianNetwork, clf: Classifier, data: Dataset,
     domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
 ) -> list[float]:
-    """posterior_class of every data row given its values of the features,
-    the number classify compares with a threshold.  Rows with equal
-    values share one computation."""
-    names = tuple(features)
-    cols = [(data.column_index(f), domains[f]) for f in names]
-    seen: dict[tuple[int, ...], float] = {}
+    """The posterior of every data row given its values of the features,
+    the number classify compares with a threshold, read from the
+    features' instance table.  A learned classifier covers every
+    non-class variable, so the table's posteriors have posterior_class's
+    bits; a row whose values the table lacks has probability 0."""
+    table = build_instance_table(net, clf, features)
+    posterior = {row.values: row.posterior for row in table.rows}
+    cols = [(data.column_index(f), domains[f]) for f in table.features]
     out = []
     for row in data.rows:
         key = tuple(dom.index(row[i]) for i, dom in cols)
-        posterior = seen.get(key)
-        if posterior is None:
-            posterior = seen[key] = posterior_class(net, clf, dict(zip(names, key)))
-        out.append(posterior)
+        p = posterior.get(key)
+        if p is None:
+            evidence = dict(zip(table.features, key))
+            raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
+        out.append(p)
     return out
 
 
@@ -532,20 +521,20 @@ def write_scatter_csv(rows: Iterable[ScatterRow]) -> bytes:
 
 
 def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, int]]:
-    """Ancestral sampling: draw full assignments in topological order."""
+    """Ancestral sampling: draw full assignments in topological order,
+    reading each variable's CPT row through the network's factor plan."""
     order = net.order
     if order is None:
         raise ModelError("network is not a DAG")
+    plan = net._plan
+    steps = [(name, plan.factors[plan.position[name]]) for name in order]
     rng = random.Random(seed)
     out = []
     for _ in range(count):
+        values = [0] * len(plan.cards)
         a: dict[str, int] = {}
-        for name in order:
-            cpt = net.cpt(name)
-            row = 0
-            for parent in cpt.parents:
-                row = row * net.var(parent).cardinality + a[parent]
-            probs = cpt.rows[row]
+        for name, (child, parents, rows) in steps:
+            probs = rows[sum(values[q] * stride for q, stride in parents)]
             u = rng.random()
             acc = 0.0
             value = len(probs) - 1
@@ -554,7 +543,7 @@ def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, i
                 if u < acc:
                     value = i
                     break
-            a[name] = value
+            values[child] = a[name] = value
         out.append(a)
     return out
 

@@ -134,8 +134,8 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
     if bad:
         raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
     _check_assignment(net, a)
-    # Two sums read directly, not through _class_masses: scatter calls
-    # this once per distinct data row, where that helper's cost shows.
+    # Two sums read directly, not through _class_masses: a posterior
+    # needs only the evidence mass and the positive mass.
     groups = _terms(net, a, (clf.class_var,))
     pe = math.fsum(itertools.chain.from_iterable(groups.values()))
     if pe == 0.0:

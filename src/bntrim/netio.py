@@ -116,8 +116,8 @@ def serialize_network(net: BayesianNetwork) -> bytes:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A rectangular table of string cells with named columns, one of
-    which is designated as the class column."""
+    """A rectangular table of string cells with distinct named columns,
+    one of which is designated as the class column."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
@@ -126,6 +126,9 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        for i, c in enumerate(self.columns):
+            if c in self.columns[:i]:
+                raise ModelError(f"duplicate column name {c!r}")
         if self.class_column not in self.columns:
             raise ModelError(f"unknown class column {self.class_column!r}")
 
@@ -153,8 +156,9 @@ class Dataset:
 def parse_dataset(text: bytes | str, class_column: str) -> Dataset:
     """Parse a CSV dataset with a header row.
 
-    Rejects empty files, unknown class columns, ragged rows and missing
-    (empty) cells.  Row numbers in error messages count data rows from 1.
+    Rejects empty files, unknown class columns, ragged rows, missing
+    (empty) cells and repeated column names.  Row numbers in error
+    messages count data rows from 1.
     """
     lines = _decode(text, "utf-8-sig").splitlines()
     records = [row for row in csv.reader(lines)]
@@ -175,7 +179,10 @@ def parse_dataset(text: bytes | str, class_column: str) -> Dataset:
             if cell == "":
                 raise ParseError(f"missing value in row {n}, column {col!r}")
         rows.append(tuple(rec))
-    return Dataset(header, tuple(rows), class_column)
+    try:
+        return Dataset(header, tuple(rows), class_column)
+    except ModelError as e:
+        raise ParseError(str(e)) from None
 
 
 def serialize_dataset(data: Dataset) -> bytes:

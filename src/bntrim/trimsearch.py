@@ -283,29 +283,34 @@ def nb_trim(
     return _run(net, clf, costs, opts, nb_frontier_only=True)
 
 
+def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...]]:
+    """Every feature subset whose total cost fits the budget, smaller
+    subsets first, then lexicographic in classifier feature order."""
+    n = len(clf.features)
+    if 1 << n > EXHAUSTIVE_LIMIT:
+        raise EnumerationLimitError(f"2^{n} subsets exceed the enumeration guard")
+    return [
+        combo
+        for size in range(n + 1)
+        for combo in itertools.combinations(clf.features, size)
+        if costs.fits(combo)
+    ]
+
+
 def exhaustive_trim(
     net: BayesianNetwork, clf: Classifier, costs: CostModel
 ) -> TrimResult:
     """Score every within-budget subset; the oracle baseline.
 
-    Subsets are visited smaller-first, then in lexicographic feature
-    order, and the incumbent only moves on strict improvement, so ties
-    resolve to the first subset in that order.
+    Subsets are visited in ``enumerate_feasible`` order, and the
+    incumbent only moves on strict improvement, so ties resolve to the
+    first subset in that order.  Every subset counts as a node.
     """
     _check_inputs(net, clf, costs)
-    n = len(clf.features)
-    if 1 << n > EXHAUSTIVE_LIMIT:
-        raise EnumerationLimitError(
-            f"2^{n} subsets exceed the exhaustive enumeration guard"
-        )
-    stats = SearchStats()
+    stats = SearchStats(nodes_expanded=1 << len(clf.features))
     incumbent = _Incumbent()
-    for size in range(n + 1):
-        for combo in itertools.combinations(clf.features, size):
-            stats.nodes_expanded += 1
-            if not costs.fits(combo):
-                continue
-            stats.maa_evals += 1
-            res = maa(net, clf, combo)
-            incumbent.offer(res.score, combo, res.interval)
+    for combo in enumerate_feasible(clf, costs):
+        stats.maa_evals += 1
+        res = maa(net, clf, combo)
+        incumbent.offer(res.score, combo, res.interval)
     return _finish(clf, incumbent, stats)

@@ -415,6 +415,19 @@ class TestExitCodes:
         assert f"smoothing must be a finite value >= 0, got {float(smoothing)}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["learn", "scatter"])
+    def test_duplicate_column_names(self, capsys, tmp_path, command):
+        path = tmp_path / "dup.csv"
+        path.write_bytes(b"C,A,A\n" + b"".join(
+            f"{'pos' if i % 2 else 'neg'},{'xy'[i % 3 % 2]},{'uv'[i % 5 % 2]}\n".encode()
+            for i in range(20)
+        ))
+        code, out, err = run(capsys, [command, "--data", str(path), "--class", "C"])
+        assert code == 2
+        assert out == ""
+        assert "duplicate column name 'A'" in err
+        assert "Traceback" not in err
+
     def test_enumeration_guard(self, capsys, tmp_path):
         net, _ = big_nb(21)
         path = tmp_path / "big.bn.json"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -36,7 +37,7 @@ from bntrim import (
 )
 
 from bntrim import evalharness, inference
-from bntrim.evalharness import _posteriors
+from bntrim.evalharness import THRESHOLD_MODES, _posteriors
 from conftest import load_network, nb_instance
 
 
@@ -378,14 +379,27 @@ class TestCvAccuracyCountRoute:
             )
 
     def test_no_posterior_class_calls(self, monkeypatch):
+        # No scalar enumeration at all: inference._terms, counted under
+        # every name a bntrim module binds it to, is never called, neither
+        # by cv_accuracy nor by scatter in either threshold mode.
         calls = []
-        for module in (evalharness, inference):
-            real = module.posterior_class
-            monkeypatch.setattr(
-                module, "posterior_class", lambda *a, _real=real: calls.append(1) or _real(*a)
-            )
+        real = inference._terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "bntrim" or name.startswith("bntrim."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
         cv_accuracy(noisy_dataset(), ("A", "B"), folds=4, seed=9)
+        for mode in THRESHOLD_MODES:
+            scatter(noisy_dataset(), EvalConfig(seed=2, folds=3, budget=10.0, threshold_mode=mode))
         assert calls == []
+        posterior_class(*learn_nb(noisy_dataset()), {"A": 0})
+        assert calls == [1]  # the counter sees the scalar route
 
 class TestScatter:
     @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])

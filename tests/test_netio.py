@@ -106,6 +106,10 @@ class TestDataset:
         assert small.columns == ("label", "B")
         assert small.rows[0] == ("pos", "u")
 
+    def test_rejects_duplicate_column_names(self):
+        with pytest.raises(ModelError, match="duplicate column name 'A'"):
+            Dataset(("C", "A", "A"), (("pos", "x", "y"),), "C")
+
     def test_take_reorders_rows(self):
         taken = self.make().take([2, 0])
         assert [r[0] for r in taken.rows] == ["pos", "pos"]
@@ -131,3 +135,7 @@ class TestParseDataset:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParseError):
             parse_dataset("label,A\npos\n", "label")
+
+    def test_duplicate_column_names_rejected(self):
+        with pytest.raises(ParseError, match="duplicate column name 'A'"):
+            parse_dataset("C,A,B,A\npos,x,u,y\n", "C")

@@ -40,8 +40,11 @@ The tier-1 test suite then runs once; its wall seconds and the duration
 of criterion 5 are recorded as single runs.
 
 ``--compare A B`` reads BENCH_A.json and BENCH_B.json, prints B's median
-over A's per case and suite time, and exits 1 when one of B's is more
-than 10 % slower or one of A's is missing from B.
+over A's per case and suite time, and exits 1 when one of A's is missing
+from B or one of B's is SLOWER: its median more than 10 % above A's and
+every one of its runs slower than every one of A's (a suite time is its
+one run).  A median more than 10 % above A's whose runs overlap A's is
+printed as ``unresolved``: the host's drift between runs is that large.
 """
 
 from __future__ import annotations
@@ -268,26 +271,32 @@ def compare(before: str, after: str) -> int:
     b = json.loads(bench_path(after).read_text(encoding="utf-8"))
 
     def timings(doc: dict) -> dict:
-        out = {name: case["median_s"] for name, case in doc["cases"].items()}
-        out.update((k, doc["suite"].get(k)) for k in ("tier1_s", "criterion5_s"))
+        """Per case and suite time: (median seconds, runs), or None."""
+        out = {name: (case["median_s"], case["runs_s"]) for name, case in doc["cases"].items()}
+        for k in ("tier1_s", "criterion5_s"):
+            t = doc["suite"].get(k)
+            out[k] = None if t is None else (t, [t])
         return out
 
     old, new = timings(a), timings(b)
     failed = []
     for name in sorted(new.keys() - old.keys()):
         print(f"{name:22s} missing from BENCH_{before}.json")
-    for name, t_old in old.items():
-        t_new = new.get(name)
-        if t_old is None:
+    for name, timed_old in old.items():
+        timed_new = new.get(name)
+        if timed_old is None:
             print(f"{name:22s} missing from BENCH_{before}.json")
-        elif t_new is None:
+        elif timed_new is None:
             print(f"{name:22s} missing from BENCH_{after}.json")
             failed.append(name)
         else:
+            (t_old, runs_old), (t_new, runs_new) = timed_old, timed_new
             ratio = t_new / t_old
-            flag = "  SLOWER" if ratio > SLOWER else ""
+            flag = ""
+            if ratio > SLOWER:
+                flag = "  SLOWER" if min(runs_new) > max(runs_old) else "  unresolved"
             print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
-            if flag:
+            if flag == "  SLOWER":
                 failed.append(name)
     if a.get("machine") != b.get("machine"):
         print("note: the two files were written on different machines")
