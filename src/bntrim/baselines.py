@@ -3,19 +3,17 @@
 ``info_gain``/``ig_select`` implement the classic mutual-information
 feature ranking, computed from the model distribution (no data needed).
 ``eca_bruteforce`` and ``maa_bruteforce`` recompute agreement and best
-agreement by literal enumeration over the full feature space, one pass
-per kept instantiation; they share no code with the instance-table path
-in :mod:`bntrim.agreement` and serve as its ground truth in tests.
+agreement by literal enumeration through ``agreement.esdp_two_threshold``,
+which shares no arithmetic with the instance-table path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .agreement import EXHAUSTIVE_LIMIT, eca, maa
+from .agreement import EXHAUSTIVE_LIMIT, eca, esdp_two_threshold, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -102,30 +100,23 @@ def ig_report(
     return SelectionReport("information-gain", chosen, clf.threshold, achieved, scores)
 
 
-def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
-    """Agreement by literal enumeration: sum Pr(f) over every full
-    feature instantiation on which both classifiers decide alike."""
-    check_trimming(net, alpha, beta)
+def _check_space(net: BayesianNetwork, alpha: Classifier) -> None:
+    """The enumeration guard on alpha's feature space."""
     space = math.prod(net.var(f).cardinality for f in alpha.features)
     if space > EXHAUSTIVE_LIMIT:
         raise EnumerationLimitError(
             f"feature space of {space} instantiations exceeds the enumeration guard"
         )
+
+
+def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
+    """Agreement by literal enumeration: sum Pr(f) over every full
+    feature instantiation on which both classifiers decide alike."""
+    check_trimming(net, alpha, beta)
+    _check_space(net, alpha)
     kept = kept_in_order(alpha, beta.features)
     dropped = tuple(f for f in alpha.features if f not in kept)
-    terms = []
-    for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept)):
-        # The trimmed decision is the one classify(net, beta, kept) makes;
-        # the original one is read per dropped instantiation.
-        rows, (mass, positive) = _class_masses(
-            _terms(net, dict(zip(kept, combo)), (alpha.class_var, *dropped)),
-            alpha.positive_value,
-        )
-        if mass == 0.0:
-            continue
-        trimmed = positive / mass >= beta.threshold
-        terms.extend(p for p, hit in rows.values() if (hit / p >= alpha.threshold) == trimmed)
-    return math.fsum(terms)
+    return esdp_two_threshold(net, alpha, beta.threshold, dropped, kept)
 
 
 def maa_bruteforce(
@@ -133,27 +124,22 @@ def maa_bruteforce(
 ) -> tuple[float, float]:
     """Best agreement for a kept subset by trying every candidate
     threshold: each distinct attainable posterior, plus a value above all
-    of them ("classify everything negative").
+    of them ("classify everything negative"), each scored as eca_bruteforce.
 
     Returns (score, threshold); ties resolve to the lowest candidate.
     """
     check_classifier(net, alpha)
     kept_t = kept_in_order(alpha, kept)
+    _check_space(net, alpha)
+    dropped = tuple(f for f in alpha.features if f not in kept_t)
 
-    posteriors = []
-    for combo in itertools.product(*(range(net.var(f).cardinality) for f in kept_t)):
-        _, (mass, positive) = _class_masses(
-            _terms(net, dict(zip(kept_t, combo)), (alpha.class_var,)), alpha.positive_value
-        )
-        if mass > 0.0:
-            posteriors.append(positive / mass)
-    candidates = sorted(set(posteriors)) + [max(posteriors) + 1.0]
-
-    best_score = -math.inf
-    best_threshold = candidates[0]
-    for t in candidates:
-        score = eca_bruteforce(net, alpha, replace(alpha, features=kept_t, threshold=t))
-        if score > best_score:
-            best_score = score
-            best_threshold = t
-    return best_score, best_threshold
+    # One pass grouped by (class, kept values); each mass is an fsum of
+    # the same products posterior_class sums, so the candidates keep its bits.
+    rows, _ = _class_masses(_terms(net, {}, (alpha.class_var, *kept_t)), alpha.positive_value)
+    posteriors = sorted({positive / mass for mass, positive in rows.values()})
+    candidates = posteriors + [posteriors[-1] + 1.0]
+    # max keeps the first of equal scores: the lowest candidate.
+    return max(
+        ((esdp_two_threshold(net, alpha, t, dropped, kept_t), t) for t in candidates),
+        key=lambda scored: scored[0],
+    )

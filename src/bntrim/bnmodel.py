@@ -162,8 +162,8 @@ class BayesianNetwork:
 
     def _topological_order(self) -> tuple[str, ...] | None:
         # Kahn's algorithm; ties resolved by declaration order so the
-        # result is deterministic.  None signals a cycle or a reference
-        # that cannot be resolved.
+        # result is deterministic.  None signals a cycle, a reference
+        # that cannot be resolved or a parent listed twice.
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             return None
@@ -173,6 +173,8 @@ class BayesianNetwork:
             if cpt is None:
                 return None
             if any(p not in self._var_map for p in cpt.parents):
+                return None
+            if len(set(cpt.parents)) != len(cpt.parents):
                 return None
             indeg[name] = len(cpt.parents)
         ready = deque(n for n in names if indeg[n] == 0)
@@ -322,8 +324,9 @@ def validate_network(net: BayesianNetwork) -> list[str]:
     """Check structural validity and return a list of violation messages.
 
     An empty list means the network is valid.  Checks: duplicate names,
-    missing or duplicate CPTs, dangling references, wrong row counts, row
-    arity, entries outside [0, 1], row sums != 1, cycles.
+    missing or duplicate CPTs, dangling references, repeated parents,
+    wrong row counts, row arity, entries outside [0, 1], row sums != 1,
+    cycles.
     """
     problems: list[str] = []
     names = [v.name for v in net.variables]
@@ -351,6 +354,10 @@ def validate_network(net: BayesianNetwork) -> list[str]:
         if dangling:
             for p in dangling:
                 problems.append(f"cpt {c.child!r} references unknown parent {p!r}")
+            continue
+        repeated = dict.fromkeys(p for i, p in enumerate(c.parents) if p in c.parents[:i])
+        if repeated:
+            problems.extend(f"cpt {c.child!r} lists parent {p!r} twice" for p in repeated)
             continue
         card = net.var(c.child).cardinality
         expect_rows = 1

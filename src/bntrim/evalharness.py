@@ -145,6 +145,9 @@ def _nb_classifier(
     """The variables and the classifier of a naive Bayes model; raises
     ModelError for a column with fewer than two values, repeated features
     or a bad threshold."""
+    for f in features:
+        if len(domains[f]) == 1:
+            raise ModelError(f"column {f!r} has one value {domains[f][0]!r}; a feature needs two")
     variables = [Variable(c, tuple(domains[c])) for c in (class_column, *features)]
     return variables, Classifier(class_column, positive_value, tuple(features), threshold)
 

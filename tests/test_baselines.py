@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from bntrim import (
     eca_trim,
     ig_report,
     ig_select,
+    inference,
     info_gain,
     maa,
     maa_bruteforce,
@@ -159,6 +161,25 @@ class TestMaaBruteforce:
         assert score == pytest.approx(0.7318, abs=1e-9)
         assert threshold == pytest.approx(1.25, abs=1e-9)
         assert threshold > 1.0  # above every attainable posterior
+
+    def test_guard_fires_before_any_enumeration(self, monkeypatch):
+        # Enumerating big_nb(21)'s kept posteriors takes seconds (2^22
+        # products), so the guard must fire before any enumeration.
+        from test_trimsearch import big_nb
+
+        calls = []
+        real = inference._terms
+        for name, module in list(sys.modules.items()):
+            if name == "bntrim" or name.startswith("bntrim."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, lambda *a: calls.append(1) or real(*a))
+        net, clf = big_nb(21)
+        with pytest.raises(EnumerationLimitError):
+            maa_bruteforce(net, clf, ("X0",))
+        assert calls == []
+        maa_bruteforce(*big_nb(2), ("X0",))
+        assert calls  # the counter sees the enumeration
 
     def test_agrees_with_sweep_on_random_models(self):
         rng = random.Random(777)

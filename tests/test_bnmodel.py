@@ -148,6 +148,21 @@ class TestNetworkStructure:
         problems = validate_network(net)
         assert any("unknown parent 'Ghost'" in p for p in problems)
 
+    def test_repeated_parent_is_invalid(self):
+        # Four rows fit the parent list ("C", "C"), but the row-major
+        # index would add C's value twice and read only rows 0 and 3.
+        net = BayesianNetwork(
+            (Variable("C", ("a", "b")), Variable("X", ("a", "b"))),
+            (
+                Cpt("C", (), ((0.5, 0.5),)),
+                Cpt("X", ("C", "C"), ((0.9, 0.1), (0.9, 0.1), (0.3, 0.7), (0.3, 0.7))),
+            ),
+        )
+        assert validate_network(net) == ["cpt 'X' lists parent 'C' twice"]
+        assert net.order is None
+        with pytest.raises(ModelError, match="lists parent 'C' twice"):
+            check_network(net)
+
     def test_valid_fixture_has_no_problems(self, quiz_net):
         assert validate_network(quiz_net) == []
         check_network(quiz_net)

@@ -192,6 +192,28 @@ class TestValidate:
         assert len(doc["problems"]) == 1
         assert doc["problems"][0].startswith("cpt 'x; y' row 0: row sum")
 
+    def test_repeated_parent(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "quiz.bn.json").read_text())
+        cpt = next(c for c in doc["cpds"] if c["child"] == "Q1")
+        cpt["parents"] = ["C", "C"]
+        cpt["rows"] = [cpt["rows"][0], cpt["rows"][0], cpt["rows"][1], cpt["rows"][1]]
+        path = tmp_path / "repeated.bn.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", "--format", "text", str(path)])
+        assert code == 2
+        assert out.startswith("valid: false\n")
+        assert "cpt 'Q1' lists parent 'C' twice" in out
+        network = ["--network", str(path), "--class", "C"]
+        for argv in (
+            ["maa", *network, "--keep", "Q1"],
+            ["sdp", *network, "--query", "Q1", "--observe", "Q3=+"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert "cpt 'Q1' lists parent 'C' twice" in err
+            assert "Traceback" not in err
+
     def test_garbage_input(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {{{")
@@ -426,6 +448,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "duplicate column name 'A'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["learn", "scatter"])
+    def test_constant_column(self, capsys, tmp_path, command):
+        path = tmp_path / "constant.csv"
+        path.write_bytes(b"C,A,B\n" + b"".join(
+            f"{'pos' if i % 2 else 'neg'},{'xy'[i % 3 % 2]},z\n".encode() for i in range(20)
+        ))
+        code, out, err = run(capsys, [command, "--data", str(path), "--class", "C"])
+        assert code == 2
+        assert out == ""
+        assert "column 'B' has one value 'z'" in err
         assert "Traceback" not in err
 
     def test_enumeration_guard(self, capsys, tmp_path):
