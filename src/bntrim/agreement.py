@@ -44,11 +44,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import Assignment, _check_assignment, _class_masses, _terms
-
-# Joint grids above this many cells are refused; the algorithms here are
-# meant for desk-scale models.
-GRID_CELL_LIMIT = 1 << 22
+from .inference import CELL_LIMIT, Assignment, _check_assignment, _class_masses, _terms
 
 # Guard on enumerations over feature subsets or feature instantiations
 # (the exhaustive search, the brute-force oracles, the data harness).
@@ -130,9 +126,9 @@ def _full_joint(net: BayesianNetwork) -> np.ndarray:
     plan = net._plan
     shape = plan.cards
     cells = math.prod(shape)
-    if cells > GRID_CELL_LIMIT:
+    if cells > CELL_LIMIT:
         raise EnumerationLimitError(
-            f"joint grid of {cells} cells exceeds the {GRID_CELL_LIMIT} cell guard"
+            f"joint grid of {cells} cells exceeds the {CELL_LIMIT} cell guard"
         )
     joint = np.ones(shape)
     for child, parents, rows in plan.factors:

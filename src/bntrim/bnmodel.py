@@ -9,9 +9,11 @@ positive exactly when the posterior probability of the positive value is
 greater than or equal to the threshold.
 
 All types are immutable after construction and safe to share across
-threads.  Structural validity (acyclicity, row sums, references) is checked
-by :func:`validate_network`, which reports violations instead of raising so
-that broken documents can be diagnosed.
+threads.  Validity (references, row shapes and sums, acyclicity) is one
+rule, :func:`validate_network`'s problem list, computed once per network
+and reported instead of raised so that broken documents can be diagnosed;
+:func:`check_network`, which every library entry point reaches, raises
+exactly when that list is nonempty.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ class _FactorPlan(NamedTuple):
     variable in declaration order: ``(child position, ((parent position,
     stride), ...), cpt rows)``, where the strides are the row-major
     weights, so ``rows[sum(value[q] * stride)][value[child]]`` is the
-    child's CPT entry under a full assignment.
+    child's CPT entry under a full assignment.  Plans are built only for
+    networks :func:`check_network` accepts, so every ``rows`` holds one
+    row per parent configuration and one entry per child value.
     """
 
     position: dict[str, int]
@@ -98,10 +102,11 @@ class _FactorPlan(NamedTuple):
 class BayesianNetwork:
     """A set of variables plus one CPT per variable.
 
-    ``order`` is a cached topological order of the variable names, or None
-    when the structure is cyclic or otherwise unresolvable; use
-    :func:`validate_network` to find out why.  Networks with an order also
-    carry a factor plan (``_FactorPlan``), built on first use.
+    ``order`` is a topological order of the variable names, or None when
+    the network is invalid; use :func:`validate_network` to find out why.
+    Both come from one check, run once on first use (``_validity``).
+    Valid networks also carry a factor plan (``_FactorPlan``), built on
+    first use.
     """
 
     variables: tuple[Variable, ...]
@@ -109,7 +114,6 @@ class BayesianNetwork:
     _var_map: dict = field(init=False, repr=False, compare=False)
     _cpt_map: dict = field(init=False, repr=False, compare=False)
     _children: dict = field(init=False, repr=False, compare=False)
-    order: tuple[str, ...] | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -128,7 +132,6 @@ class BayesianNetwork:
         object.__setattr__(self, "_var_map", var_map)
         object.__setattr__(self, "_cpt_map", cpt_map)
         object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "order", self._topological_order())
 
     @cached_property
     def _hash(self) -> int:
@@ -142,10 +145,20 @@ class BayesianNetwork:
         return self._hash
 
     @cached_property
+    def _validity(self) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+        # (problems, order), computed once: parse_network, check_network
+        # and order all read this.
+        return _problems_and_order(self)
+
+    @property
+    def order(self) -> tuple[str, ...] | None:
+        return self._validity[1]
+
+    @cached_property
     def _plan(self) -> _FactorPlan:
         # Built from Cpt.rows alone, on first use; callers run
-        # check_network first, so the order exists, every name is unique
-        # and every CPT and parent resolves.
+        # check_network first, so every name is unique, every CPT and
+        # parent resolves and every row has the shape the plan reads.
         position = {v.name: q for q, v in enumerate(self.variables)}
         cards = tuple(v.cardinality for v in self.variables)
         factors = []
@@ -159,36 +172,6 @@ class BayesianNetwork:
                 stride *= cards[q]
             factors.append((position[v.name], tuple(reversed(weighted)), cpt.rows))
         return _FactorPlan(position, cards, tuple(factors))
-
-    def _topological_order(self) -> tuple[str, ...] | None:
-        # Kahn's algorithm; ties resolved by declaration order so the
-        # result is deterministic.  None signals a cycle, a reference
-        # that cannot be resolved or a parent listed twice.
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            return None
-        indeg: dict[str, int] = {}
-        for name in names:
-            cpt = self._cpt_map.get(name)
-            if cpt is None:
-                return None
-            if any(p not in self._var_map for p in cpt.parents):
-                return None
-            if len(set(cpt.parents)) != len(cpt.parents):
-                return None
-            indeg[name] = len(cpt.parents)
-        ready = deque(n for n in names if indeg[n] == 0)
-        out: list[str] = []
-        while ready:
-            n = ready.popleft()
-            out.append(n)
-            for ch in self._children[n]:
-                indeg[ch] -= 1
-                if indeg[ch] == 0:
-                    ready.append(ch)
-        if len(out) != len(names):
-            return None
-        return tuple(out)
 
     def var(self, name: str) -> Variable:
         try:
@@ -280,9 +263,10 @@ class CostModel:
 
 
 def check_network(net: BayesianNetwork) -> None:
-    """Raise ModelError unless the network is structurally usable."""
-    if net.order is None:
-        problems = validate_network(net)
+    """Raise ModelError exactly when :func:`validate_network` reports a
+    problem, naming the first three."""
+    problems = net._validity[0]
+    if problems:
         raise ModelError("network is not valid: " + "; ".join(problems[:3]))
 
 
@@ -321,13 +305,22 @@ def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
 
 
 def validate_network(net: BayesianNetwork) -> list[str]:
-    """Check structural validity and return a list of violation messages.
+    """The network's violation messages, as a fresh list; empty means valid.
 
-    An empty list means the network is valid.  Checks: duplicate names,
-    missing or duplicate CPTs, dangling references, repeated parents,
-    wrong row counts, row arity, entries outside [0, 1], row sums != 1,
-    cycles.
+    Checks: duplicate names, missing or duplicate CPTs, dangling
+    references, repeated parents, wrong row counts, row arity, entries
+    outside [0, 1], row sums != 1, and, only when all of those pass,
+    cycles.  Computed once per network and shared with
+    :func:`check_network` and ``BayesianNetwork.order``.
     """
+    return list(net._validity[0])
+
+
+def _problems_and_order(
+    net: BayesianNetwork,
+) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+    """validate_network's problems, and the topological order (declaration
+    order breaking ties) when there are none."""
     problems: list[str] = []
     names = [v.name for v in net.variables]
     seen: set[str] = set()
@@ -384,39 +377,34 @@ def validate_network(net: BayesianNetwork) -> list[str]:
             if abs(s - 1.0) > ROW_SUM_TOL:
                 problems.append(f"cpt {c.child!r} row {i}: row sum {s:.10g} != 1")
 
-    if not problems and net.order is None:
-        cyc = _find_cycle(net)
-        problems.append("cycle detected: " + " -> ".join(cyc))
-    return problems
+    if problems:
+        return tuple(problems), None
 
-
-def _find_cycle(net: BayesianNetwork) -> list[str]:
-    # Depth-first search over parent edges; returns some cycle for the
-    # error message.  Only called when a cycle is known to exist.
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def walk(n: str) -> list[str] | None:
-        color[n] = 1
-        stack.append(n)
-        for ch in net._children.get(n, ()):
-            c = color.get(ch, 0)
-            if c == 1:
-                return stack[stack.index(ch):] + [ch]
-            if c == 0:
-                found = walk(ch)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = 2
-        return None
-
-    for v in net.variables:
-        if color.get(v.name, 0) == 0:
-            found = walk(v.name)
-            if found:
-                return found
-    return ["<unknown>"]
+    # Kahn's algorithm, on a network whose names, CPTs and parents all
+    # resolve; ties go to declaration order so the result is deterministic.
+    indeg = {n: len(net._cpt_map[n].parents) for n in names}
+    ready = deque(n for n in names if indeg[n] == 0)
+    order: list[str] = []
+    while ready:
+        n = ready.popleft()
+        order.append(n)
+        for ch in net._children[n]:
+            indeg[ch] -= 1
+            if indeg[ch] == 0:
+                ready.append(ch)
+    if len(order) == len(names):
+        return (), tuple(order)
+    # Every node Kahn's algorithm left has a parent it left, so walking
+    # such parents from one of them revisits a node: a cycle, read
+    # backwards.
+    walk = [next(n for n in names if indeg[n])]
+    while True:
+        n = next(p for p in net._cpt_map[walk[-1]].parents if indeg[p])
+        if n in walk:
+            break
+        walk.append(n)
+    cycle = [n, *reversed(walk[walk.index(n):])]
+    return ("cycle detected: " + " -> ".join(cycle),), None
 
 
 def is_naive_bayes(net: BayesianNetwork, clf: Classifier) -> bool:

@@ -30,6 +30,7 @@ from .bnmodel import (
     Cpt,
     Variable,
     check_classifier,
+    check_network,
 )
 from .errors import ModelError, ZeroEvidenceError
 from .inference import classify
@@ -63,8 +64,8 @@ class EvalConfig:
         if self.folds < 2:
             raise ModelError(f"fold count must be >= 2, got {self.folds}")
         _check_smoothing(self.smoothing)
-        if self.budget is not None and self.budget < 0.0:
-            raise ModelError(f"budget must be >= 0, got {self.budget}")
+        if self.budget is not None:
+            CostModel({}, self.budget)  # checks the budget
         fraction_budget(self.budget_fraction, 0)  # checks the fraction
         if not math.isfinite(self.threshold) or self.threshold < 0.0:
             raise ModelError(f"threshold must be a finite value >= 0, got {self.threshold}")
@@ -415,7 +416,6 @@ def scatter(
     data: Dataset,
     config: EvalConfig,
     positive_label: str | None = None,
-    costs: CostModel | None = None,
 ) -> tuple[list[ScatterRow], dict]:
     """Agreement-vs-accuracy sweep over all feasible subsets.
 
@@ -448,10 +448,8 @@ def scatter(
         train, smoothing=config.smoothing, domains=domains,
         positive_label=positive_label, threshold=base_threshold,
     )
-    cost_model = costs or CostModel.unit(
-        clf_full.features, config.resolve_budget(len(clf_full.features))
-    )
-    subsets = enumerate_feasible(clf_full, cost_model)
+    budget = config.resolve_budget(len(clf_full.features))
+    subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, budget))
     cv = _FoldCounts(train, config.folds, config.seed)
 
     def score(subset: tuple[str, ...]) -> tuple[float, float, float]:
@@ -526,11 +524,9 @@ def write_scatter_csv(rows: Iterable[ScatterRow]) -> bytes:
 def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, int]]:
     """Ancestral sampling: draw full assignments in topological order,
     reading each variable's CPT row through the network's factor plan."""
-    order = net.order
-    if order is None:
-        raise ModelError("network is not a DAG")
+    check_network(net)
     plan = net._plan
-    steps = [(name, plan.factors[plan.position[name]]) for name in order]
+    steps = [(name, plan.factors[plan.position[name]]) for name in net.order]
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -2,8 +2,9 @@
 
 An assignment maps variable names to value indices and may be partial.
 The scalar operations here enumerate hidden variables directly; they are
-intended for desk-scale networks (roughly 22 binary-equivalent variables)
-where exactness matters more than speed.
+intended for desk-scale networks where exactness matters more than
+speed, and refuse any enumeration of more than ``CELL_LIMIT`` (2**22)
+completions.
 
 Enumeration reads the network's factor plan (``bnmodel._FactorPlan``),
 built once on the network's first enumeration: variable positions,
@@ -28,9 +29,14 @@ from dataclasses import replace
 from typing import Mapping
 
 from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_network
-from .errors import ModelError, ZeroEvidenceError
+from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 
 Assignment = Mapping[str, int]
+
+# Enumerations of more cells than this are refused, on both routes: the
+# completions of one call of ``_terms`` here and the joint grid in
+# :mod:`bntrim.agreement`.  The algorithms are meant for desk-scale models.
+CELL_LIMIT = 1 << 22
 
 
 def assignment_from_labels(net: BayesianNetwork, labels: Mapping[str, str]) -> dict[str, int]:
@@ -56,12 +62,19 @@ def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> 
     network's own variables and value ranges), grouped by the values they
     give ``names``: {values: [products]}, with no entry for values whose
     products are all zero.  The oracles call this directly, so they
-    validate once per call, not once per instantiation they enumerate."""
+    validate once per call, not once per instantiation they enumerate.
+    Raises EnumerationLimitError, before any product, when the
+    completions outnumber ``CELL_LIMIT``."""
     plan = net._plan
     factors = plan.factors
     domains: list = [range(card) for card in plan.cards]
     for name, idx in a.items():
         domains[plan.position[name]] = (idx,)
+    completions = math.prod(map(len, domains))
+    if completions > CELL_LIMIT:
+        raise EnumerationLimitError(
+            f"enumeration of {completions} completions exceeds the {CELL_LIMIT} cell guard"
+        )
     keyed = [plan.position[name] for name in names]
     groups = {}
     for key in itertools.product(*(domains[q] for q in keyed)):
@@ -69,9 +82,8 @@ def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> 
             domains[q] = (v,)
         # One term per completion: the CPT entries multiplied in
         # declaration order, the product abandoned at 0.0 (a zero term
-        # leaves every sum as it is).  Rows stay nested, so a malformed
-        # CPT fails with IndexError instead of reading a neighbouring
-        # entry.
+        # leaves every sum as it is).  The network was checked, so every
+        # row index and entry index lands inside its CPT.
         terms = []
         for values in itertools.product(*domains):
             p = 1.0

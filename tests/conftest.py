@@ -117,6 +117,15 @@ def random_dag_instance(
     return net, clf
 
 
+def binary_chain(n: int) -> BayesianNetwork:
+    """X0 -> X1 -> ... -> X{n-1}, each with values ("a", "b"): small to
+    write, with 2**n completions."""
+    variables = tuple(Variable(f"X{i}", ("a", "b")) for i in range(n))
+    cpds = [Cpt("X0", (), ((0.5, 0.5),))]
+    cpds += [Cpt(f"X{i}", (f"X{i - 1}",), ((0.9, 0.1), (0.2, 0.8))) for i in range(1, n)]
+    return BayesianNetwork(variables, tuple(cpds))
+
+
 def random_instance(
     rng: random.Random, index: int, max_features: int = 8, max_card: int = 3
 ) -> tuple[BayesianNetwork, Classifier]:

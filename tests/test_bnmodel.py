@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,11 +19,21 @@ from bntrim import (
     check_classifier,
     check_network,
     cond_independent_given_class,
+    eca,
+    eca_trim,
     is_naive_bayes,
+    maa,
+    marginal,
+    mpa,
+    parse_network,
+    posterior_class,
+    sample_rows,
+    sdp,
     validate_network,
 )
+from bntrim import bnmodel
 
-from conftest import random_dag_instance
+from conftest import FIXTURES, random_dag_instance
 
 
 def tiny_net(prior=(0.5, 0.5), rows=((0.9, 0.1), (0.2, 0.8))) -> BayesianNetwork:
@@ -167,11 +178,114 @@ class TestNetworkStructure:
         assert validate_network(quiz_net) == []
         check_network(quiz_net)
 
+    def test_invalid_rows_leave_no_order(self):
+        net = tiny_net(rows=((0.6, 0.6), (0.2, 0.8)))
+        assert validate_network(net) == ["cpt 'X' row 0: row sum 1.2 != 1"]
+        assert net.order is None
+
+    def test_cycle_message_follows_the_edges(self):
+        # A -> B -> C -> A, entered from D, which only hangs off the cycle.
+        net = BayesianNetwork(
+            tuple(Variable(n, ("x", "y")) for n in "DABC"),
+            (
+                Cpt("D", ("A",), ((0.5, 0.5),) * 2),
+                Cpt("A", ("C",), ((0.5, 0.5),) * 2),
+                Cpt("B", ("A",), ((0.5, 0.5),) * 2),
+                Cpt("C", ("B",), ((0.5, 0.5),) * 2),
+            ),
+        )
+        assert validate_network(net) == ["cycle detected: A -> B -> C -> A"]
+        assert net.order is None
+
+    def test_own_parent_is_a_cycle(self):
+        net = tiny_net()
+        looped = BayesianNetwork(
+            net.variables, (net.cpts[0], Cpt("X", ("C", "X"), ((0.5, 0.5),) * 4))
+        )
+        assert validate_network(looped) == ["cycle detected: X -> X"]
+
+    def test_validate_returns_a_fresh_list(self):
+        net = tiny_net(rows=((0.6, 0.6), (0.2, 0.8)))
+        validate_network(net).append("edited")
+        assert validate_network(net) == ["cpt 'X' row 0: row sum 1.2 != 1"]
+
     def test_unknown_variable_lookup(self, quiz_net):
         with pytest.raises(ModelError):
             quiz_net.var("Nope")
         with pytest.raises(ModelError):
             quiz_net.cpt("Nope")
+
+
+def _two_variable(x_parents, x_rows, c_parents=(), c_rows=((0.5, 0.5),)) -> BayesianNetwork:
+    return BayesianNetwork(
+        (Variable("C", ("neg", "pos")), Variable("X", ("a", "b"))),
+        (Cpt("C", c_parents, c_rows), Cpt("X", x_parents, x_rows)),
+    )
+
+
+INVALID = {
+    "row sum": _two_variable(("C",), ((0.6, 0.6), (0.2, 0.8))),
+    "row arity": _two_variable(("C",), ((1.0,), (0.2, 0.8))),
+    "row count": _two_variable(("C",), ((0.9, 0.1), (0.2, 0.8), (0.5, 0.5))),
+    "entry": _two_variable(("C",), ((1.5, -0.5), (0.2, 0.8))),
+    "cycle": _two_variable(("C",), ((0.9, 0.1), (0.2, 0.8)), ("X",), ((0.5, 0.5),) * 2),
+    "dangling parent": _two_variable(("C", "Ghost"), ((0.9, 0.1), (0.2, 0.8))),
+    "repeated parent": _two_variable(("C", "C"), ((0.9, 0.1),) * 2 + ((0.2, 0.8),) * 2),
+}
+CLF = Classifier("C", 1, ("X",), 0.5)
+ENTRY_POINTS = {
+    "maa": lambda net: maa(net, CLF, ("X",)),
+    "mpa": lambda net: mpa(net, CLF, ("X",)),
+    "eca": lambda net: eca(net, CLF, replace(CLF, features=())),
+    "sdp": lambda net: sdp(net, CLF, ("X",), {}),
+    "marginal": lambda net: marginal(net, {"X": 0}),
+    "posterior_class": lambda net: posterior_class(net, CLF, {"X": 0}),
+    "eca_trim": lambda net: eca_trim(net, CLF, CostModel.unit(("X",), 1.0)),
+    "sample_rows": lambda net: sample_rows(net, 3, 0),
+}
+
+
+class TestOneValidityRule:
+    """Every library entry point refuses exactly the networks
+    validate_network reports, naming the first problem, before it reads a
+    CPT entry."""
+
+    @pytest.mark.parametrize("kind", INVALID)
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    def test_entry_points_refuse_invalid_networks(self, kind, call):
+        net = INVALID[kind]
+        problems = validate_network(net)
+        assert len(problems) == 1
+        with pytest.raises(ModelError) as info:
+            ENTRY_POINTS[call](net)
+        assert str(info.value) == "network is not valid: " + problems[0]
+
+    def test_message_names_the_first_three_problems(self):
+        net = BayesianNetwork(
+            (Variable("C", ("neg", "pos")), Variable("X", ("a", "b"))),
+            (Cpt("C", (), ((0.6, 0.6),)), Cpt("X", ("C",), ((2.0, -1.0), (1.0,)))),
+        )
+        problems = validate_network(net)
+        assert len(problems) == 3
+        with pytest.raises(ModelError) as info:
+            check_network(net)
+        assert str(info.value) == "network is not valid: " + "; ".join(problems)
+
+    def test_problems_are_computed_once_per_network(self, monkeypatch):
+        calls = []
+        real = bnmodel._problems_and_order
+        monkeypatch.setattr(
+            bnmodel, "_problems_and_order", lambda net: calls.append(net) or real(net)
+        )
+        net = parse_network((FIXTURES / "quiz.bn.json").read_bytes())
+        assert len(calls) == 1
+        clf = Classifier("C", 0, ("Q1", "Q2", "Q3"), 0.07)
+        maa(net, clf, ("Q1",))
+        mpa(net, clf, ("Q1",))
+        eca(net, clf, replace(clf, features=("Q2",)))
+        sdp(net, clf, ("Q1",), {"Q3": 0})
+        assert validate_network(net) == []
+        assert calls == [net]
 
 
 class TestCheckClassifier:

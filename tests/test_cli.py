@@ -12,7 +12,7 @@ import pytest
 
 from bntrim import cli, serialize_dataset, serialize_network
 
-from conftest import FIXTURES
+from conftest import FIXTURES, binary_chain
 from test_evalharness import RARE_HELD_OUT_SEED, noisy_dataset, rare_value_dataset
 from test_trimsearch import big_nb
 
@@ -472,6 +472,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "2^21" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sdp", "--query", "X1", "--observe", "X0=a"],
+            ["ig", "--budget", "2"],
+            ["maa"],
+        ],
+        ids=["sdp", "ig", "maa"],
+    )
+    def test_cell_guard_on_both_routes(self, capsys, tmp_path, argv):
+        # 27 binary variables: 2**26 completions for sdp, 2**27 for ig's
+        # joint and maa's grid.
+        path = tmp_path / "chain.bn.json"
+        path.write_bytes(serialize_network(binary_chain(27)))
+        argv = [*argv[:1], "--network", str(path), "--class", "X26", *argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the 4194304 cell guard" in err
+        assert "Traceback" not in err
 
     def test_unsmoothed_zero_evidence_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "rare.csv"

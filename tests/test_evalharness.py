@@ -558,6 +558,14 @@ class TestEvalConfig:
         with pytest.raises(ModelError):
             EvalConfig(**kwargs)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_budget_follows_the_cost_model_rule(self, budget):
+        with pytest.raises(ModelError) as info:
+            EvalConfig(budget=budget)
+        with pytest.raises(ModelError) as rule:
+            CostModel({}, budget)
+        assert str(info.value) == str(rule.value)
+
     def test_budget_resolution(self):
         assert EvalConfig(budget=2.5).resolve_budget(8) == 2.5
         assert EvalConfig(budget_fraction=0.5).resolve_budget(5) == 3.0

@@ -143,6 +143,21 @@ def test_float_routes_match_exact(i, kept):
     assert abs(eca_bruteforce(net, clf, beta) - at_t) <= TOL
 
 
+@pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("i, kept", subsample())
+def test_edge_thresholds_match_exact(i, kept, threshold):
+    # The original classifier at 0 (everything positive), 1 (positive
+    # only on a certain posterior) and 2 (nothing positive), and its
+    # trimming at each of them.
+    net, clf, _ = FULL[i]
+    clf = replace(clf, threshold=threshold)
+    assert abs(maa(net, clf, kept).score - exact.maa(net, clf, kept)) <= TOL
+    assert abs(mpa(net, clf, kept) - exact.mpa(net, clf, kept)) <= TOL
+    for t in (0.0, 1.0, 2.0):
+        beta = replace(clf, features=kept, threshold=t)
+        assert abs(eca(net, clf, beta) - exact.eca(net, clf, kept, t)) <= TOL
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1, defect A: maa merges posteriors within a relative 1e-9 "

@@ -13,18 +13,25 @@ from bntrim import (
     BayesianNetwork,
     Classifier,
     Cpt,
+    EnumerationLimitError,
     ModelError,
     Variable,
     ZeroEvidenceError,
     assignment_from_labels,
     classify,
     decide_at,
+    eca_bruteforce,
+    esdp_two_threshold,
+    info_gain,
     joint_prob,
+    maa_bruteforce,
     marginal,
     posterior_class,
+    sdp,
 )
+from bntrim import inference
 
-from conftest import dag_networks
+from conftest import binary_chain, dag_networks
 
 
 class TestJointAndMarginal:
@@ -164,16 +171,16 @@ class TestScalarPathContract:
         assert mass in (0.0, 1.0)
 
     def test_malformed_cpt_is_never_read_past_a_row(self):
-        # Built directly, so never validated: A's one row has one entry
-        # too few.  An index into A's entries laid out flat next to B's
-        # would read B's first entry; the nested rows raise instead.
+        # Built directly, not parsed: A's one row has one entry too few.
+        # The check every query runs refuses it before any entry is read,
+        # even for an assignment whose products would stay inside the row.
         short = BayesianNetwork(
             (Variable("A", ("0", "1")), Variable("B", ("0", "1"))),
             (Cpt("A", (), ((1.0,),)), Cpt("B", ("A",), ((0.5, 0.5), (0.5, 0.5)))),
         )
-        assert marginal(short, {"A": 0, "B": 0}) == 0.5
-        with pytest.raises(IndexError):
-            marginal(short, {"A": 1})
+        for a in ({"A": 0, "B": 0}, {"A": 1}):
+            with pytest.raises(ModelError, match="cpt 'A' row 0: expected 2 entries, found 1"):
+                marginal(short, a)
 
     @pytest.mark.parametrize(
         "a, message",
@@ -280,3 +287,55 @@ class TestDecisions:
         p = posterior_class(quiz_net, quiz_alpha, a)
         assert decide_at(quiz_net, quiz_alpha, a, p)
         assert not decide_at(quiz_net, quiz_alpha, a, math.nextafter(p, 1.0))
+
+
+def count_reads(net: BayesianNetwork, reads: list) -> BayesianNetwork:
+    """The network, its factor plan's CPT rows swapped for ones that
+    record every row index read: no product starts without a read.  Past
+    a thousand reads they fail the test, so a missing guard fails fast
+    instead of enumerating millions of completions."""
+
+    class Rows(tuple):
+        def __getitem__(self, r):
+            reads.append(r)
+            assert len(reads) <= 1000, "enumeration ran past the guard"
+            return tuple.__getitem__(self, r)
+
+    plan = net._plan
+    factors = tuple((child, parents, Rows(rows)) for child, parents, rows in plan.factors)
+    net.__dict__["_plan"] = plan._replace(factors=factors)
+    return net
+
+
+class TestEnumerationGuard:
+    def test_refuses_before_the_first_product(self):
+        # 25 binary variables: 2**23 completions even with two observed.
+        reads = []
+        net = count_reads(binary_chain(25), reads)
+        clf = Classifier("X24", 1, ("X0", "X1"), 0.5)
+        calls = [
+            lambda: marginal(net, {}),
+            lambda: marginal(net, {"X0": 0, "X1": 1}),
+            lambda: posterior_class(net, clf, {"X0": 0, "X1": 1}),
+            lambda: sdp(net, clf, ("X1",), {"X0": 0}),
+            lambda: info_gain(net, clf),
+            lambda: esdp_two_threshold(net, clf, 0.5, ("X1",), ("X0",)),
+            lambda: eca_bruteforce(net, clf, Classifier("X24", 1, ("X0",), 0.5)),
+            lambda: maa_bruteforce(net, clf, ("X0",)),
+        ]
+        for call in calls:
+            with pytest.raises(EnumerationLimitError, match="exceeds the 4194304 cell guard"):
+                call()
+        assert reads == []
+
+    def test_guard_counts_the_free_variables(self, monkeypatch):
+        monkeypatch.setattr(inference, "CELL_LIMIT", 8)
+        reads = []
+        net = count_reads(binary_chain(4), reads)
+        assert marginal(net, {"X0": 0}) == pytest.approx(0.5, abs=1e-15)
+        assert reads  # 8 completions: at the guard, not over it
+        reads.clear()
+        with pytest.raises(EnumerationLimitError) as info:
+            marginal(net, {})
+        assert str(info.value) == "enumeration of 16 completions exceeds the 8 cell guard"
+        assert reads == []
