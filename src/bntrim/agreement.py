@@ -118,7 +118,10 @@ class MaaResult:
     interval: ThresholdInterval
 
 
-@lru_cache(maxsize=8)
+# The caches hold what one command needs: one joint and its classifier
+# grids.  At the CELL_LIMIT guard a joint is 2**22 floats (32 MiB) and a
+# grid 3 * 2**21 (48 MiB), so together they stay under 128 MiB.
+@lru_cache(maxsize=1)
 def _full_joint(net: BayesianNetwork) -> np.ndarray:
     """Joint distribution over all network variables as a dense tensor,
     one axis per variable in declaration order: the factors of the
@@ -142,7 +145,7 @@ def _full_joint(net: BayesianNetwork) -> np.ndarray:
     return joint
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
     """Per-instantiation masses over the full feature space, read-only
     because the array is cached.

@@ -170,13 +170,8 @@ def _trace_printer(event: TraceEvent) -> None:
 
 
 def _search_options(args: argparse.Namespace) -> SearchOptions:
-    order = {
-        "mpa-desc": "individual-mpa-descending",
-        "input": "input-order",
-    }[args.order]
-    fast = {"auto": None, "on": True, "off": False}[args.nb]
     hook = _trace_printer if args.trace else None
-    return SearchOptions(branch_order=order, use_nb_fast_path=fast, trace_hook=hook)
+    return SearchOptions(use_nb_fast_path=args.nb == "auto", trace_hook=hook)
 
 
 def _trim_doc(result) -> dict:
@@ -361,8 +356,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", choices=("mpa-desc", "input"), default="mpa-desc", help="branching order")
-    p.add_argument("--nb", choices=("auto", "on", "off"), default="auto", help="naive-Bayes frontier specialization")
+    p.add_argument("--nb", choices=("auto", "off"), default="auto", help="naive-Bayes frontier specialization: auto on naive-Bayes models, or off")
     p.add_argument("--trace", action="store_true", help="log search nodes to stderr")
 
 

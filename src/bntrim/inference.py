@@ -146,13 +146,10 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
     if bad:
         raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
     _check_assignment(net, a)
-    # Two sums read directly, not through _class_masses: a posterior
-    # needs only the evidence mass and the positive mass.
-    groups = _terms(net, a, (clf.class_var,))
-    pe = math.fsum(itertools.chain.from_iterable(groups.values()))
+    _, (pe, positive) = _class_masses(_terms(net, a, (clf.class_var,)), clf.positive_value)
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(a)!r} has probability 0")
-    return math.fsum(groups.get((clf.positive_value,), ())) / pe
+    return positive / pe
 
 
 def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:

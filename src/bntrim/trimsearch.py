@@ -14,7 +14,7 @@ remaining feature can extend within budget) need scoring.
 ``exhaustive_trim`` scores every within-budget subset and is the oracle
 the other two are tested against.
 
-Determinism: the branch order is fixed up front (default: descending
+Determinism: the branch order is fixed up front (descending
 single-feature MPA, ties by input order), include is explored before
 exclude, and the incumbent only moves on a strict improvement — so the
 first subset reaching the optimum in traversal order wins.
@@ -37,8 +37,6 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError
-
-BRANCH_ORDERS = ("individual-mpa-descending", "input-order")
 
 
 @dataclass
@@ -72,15 +70,10 @@ TraceHook = Callable[[TraceEvent], None]
 
 @dataclass(frozen=True)
 class SearchOptions:
-    branch_order: str = "individual-mpa-descending"
-    use_nb_fast_path: bool | None = None  # None = auto-detect
+    # True takes the naive-Bayes frontier path when the model is naive
+    # Bayes; False forces the generic search.
+    use_nb_fast_path: bool = True
     trace_hook: TraceHook | None = None
-
-    def __post_init__(self) -> None:
-        if self.branch_order not in BRANCH_ORDERS:
-            raise ModelError(
-                f"unknown branch order {self.branch_order!r}; choose from {BRANCH_ORDERS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,11 +104,10 @@ class _Incumbent:
         return False
 
 
-def _branch_order(
-    net: BayesianNetwork, clf: Classifier, opts: SearchOptions, stats: SearchStats
+def _search_order(
+    net: BayesianNetwork, clf: Classifier, stats: SearchStats
 ) -> tuple[str, ...]:
-    if opts.branch_order == "input-order":
-        return clf.features
+    """Features by descending singleton MPA, ties by input order."""
     scores = {}
     for f in clf.features:
         scores[f] = mpa(net, clf, (f,))
@@ -237,13 +229,13 @@ def _run(
     net: BayesianNetwork,
     clf: Classifier,
     costs: CostModel,
-    opts: SearchOptions,
+    trace_hook: TraceHook | None,
     nb_frontier_only: bool,
 ) -> TrimResult:
     _check_inputs(net, clf, costs)
     stats = SearchStats()
-    order = _branch_order(net, clf, opts, stats)
-    searcher = _Searcher(net, clf, costs, order, opts.trace_hook, nb_frontier_only, stats)
+    order = _search_order(net, clf, stats)
+    searcher = _Searcher(net, clf, costs, order, trace_hook, nb_frontier_only, stats)
     searcher.visit((), (), True, None)
     return _finish(clf, searcher.incumbent, stats)
 
@@ -258,15 +250,11 @@ def eca_trim(
     agreement, and the threshold interval attaining it.
 
     Dispatches to the naive-Bayes frontier specialization when the model
-    qualifies (override with ``opts.use_nb_fast_path``).
+    qualifies, unless ``opts.use_nb_fast_path`` is False.
     """
     opts = opts or SearchOptions()
-    fast = opts.use_nb_fast_path
-    if fast is None:
-        fast = is_naive_bayes(net, clf)
-    elif fast and not is_naive_bayes(net, clf):
-        raise ModelError("naive-Bayes fast path requested for a non-naive-Bayes model")
-    return _run(net, clf, costs, opts, nb_frontier_only=fast)
+    fast = opts.use_nb_fast_path and is_naive_bayes(net, clf)
+    return _run(net, clf, costs, opts.trace_hook, nb_frontier_only=fast)
 
 
 def nb_trim(
@@ -280,7 +268,7 @@ def nb_trim(
     if not is_naive_bayes(net, clf):
         raise ModelError("nb_trim requires a naive Bayes classifier structure")
     opts = opts or SearchOptions()
-    return _run(net, clf, costs, opts, nb_frontier_only=True)
+    return _run(net, clf, costs, opts.trace_hook, nb_frontier_only=True)
 
 
 def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...]]:

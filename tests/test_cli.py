@@ -78,18 +78,6 @@ class TestTrim:
         assert lines[0].startswith("maa I=- E=- b=2 value=0.7318")
         assert any(line.startswith("prune ") for line in lines)
 
-    def test_input_order_flag_changes_stats_only(self, capsys):
-        _, default_out, _ = run(capsys, ["trim", *BASE, "--budget", "2", "--nb", "off"])
-        code, out, _ = run(
-            capsys,
-            ["trim", *BASE, "--budget", "2", "--nb", "off", "--order", "input"],
-        )
-        assert code == 0
-        doc, default_doc = json.loads(out), json.loads(default_out)
-        assert doc["best_features"] == default_doc["best_features"]
-        assert doc["score"] == default_doc["score"]
-        assert doc["stats"]["bound_evals"] == 4
-
 
 class TestAgreementCommands:
     def test_maa_with_sentinel_interval(self, capsys):
@@ -504,6 +492,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "evidence {'F': 2} has probability 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--order", "input"], ["--nb", "on"]])
+    def test_removed_search_flags_are_usage_errors(self, capsys, flags):
+        code, out, err = run(capsys, ["trim", *BASE, "--budget", "2", *flags])
+        assert code == 1
+        assert out == ""
+        assert flags[0] in err
         assert "Traceback" not in err
 
     def test_jobs_flag_is_usage_error(self, capsys, tmp_path):

@@ -2,7 +2,8 @@
 
 The reference first reproduces hand-derived values.  Then the contracts
 that hold today are checked on a seeded subsample of the acceptance
-suite's models, each within 1e-12 of exact.  Known defects are strict
+suite's models and on seeded models with deterministic (0/1) CPT rows,
+each within 1e-12 of exact.  Known defects are strict
 xfails that name their ROADMAP item, so the fix that mends one turns its
 test into an unexpected pass, which fails the run until the mark goes.
 """
@@ -32,7 +33,13 @@ from bntrim import (
 )
 
 import exact
-from conftest import acceptance_instances, nested_subsets
+from conftest import (
+    acceptance_instances,
+    nested_subsets,
+    random_dag_instance,
+    random_nb_instance,
+    random_subset,
+)
 
 TOL = 1e-12
 
@@ -156,6 +163,46 @@ def test_edge_thresholds_match_exact(i, kept, threshold):
     for t in (0.0, 1.0, 2.0):
         beta = replace(clf, features=kept, threshold=t)
         assert abs(eca(net, clf, beta) - exact.eca(net, clf, kept, t)) <= TOL
+
+
+def with_deterministic_rows(rng: random.Random, net: BayesianNetwork) -> BayesianNetwork:
+    """The model with each CPT row, with probability 0.4, replaced by a
+    one-hot row: zero-mass instantiations and posteriors of exactly 0 or
+    1 follow."""
+    cpts = []
+    for cpt in net.cpts:
+        rows = []
+        for row in cpt.rows:
+            if rng.random() < 0.4:
+                hot = rng.randrange(len(row))
+                row = tuple(float(j == hot) for j in range(len(row)))
+            rows.append(row)
+        cpts.append(Cpt(cpt.child, cpt.parents, tuple(rows)))
+    return BayesianNetwork(net.variables, tuple(cpts))
+
+
+def deterministic_models(count: int = 80) -> list:
+    """Seeded naive-Bayes and DAG models of at most 6 features of at most
+    3 values, with deterministic rows, each with four kept subsets."""
+    rng = random.Random(41)
+    picks = []
+    for i in range(count):
+        make = random_nb_instance if i % 2 == 0 else random_dag_instance
+        net, clf = make(rng, max_features=6, max_card=3)
+        net = with_deterministic_rows(rng, net)
+        kept = [random_subset(rng, clf) for _ in range(4)]
+        picks.append(pytest.param(net, clf, kept, id=str(i)))
+    return picks
+
+
+@pytest.mark.parametrize("net, clf, subsets", deterministic_models())
+def test_deterministic_rows_match_exact(net, clf, subsets):
+    for kept in subsets:
+        assert abs(maa(net, clf, kept).score - exact.maa(net, clf, kept)) <= TOL
+        assert abs(mpa(net, clf, kept) - exact.mpa(net, clf, kept)) <= TOL
+        for t in (0.0, 0.3, 0.5, 1.0, 2.0):
+            beta = replace(clf, features=kept, threshold=t)
+            assert abs(eca(net, clf, beta) - exact.eca(net, clf, kept, t)) <= TOL
 
 
 @pytest.mark.xfail(

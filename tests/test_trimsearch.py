@@ -135,16 +135,6 @@ class TestSearchTrace:
             distinct = {frozenset(e.excluded) for e in bounds}
             assert len(calls) == len(distinct) + len(clf.features)
 
-    def test_input_order_branching(self, quiz_net, quiz_alpha):
-        result = eca_trim(
-            quiz_net,
-            quiz_alpha,
-            CostModel.unit(quiz_alpha.features, 2),
-            SearchOptions(use_nb_fast_path=False, branch_order="input-order"),
-        )
-        assert result.best_features == ("Q1", "Q2")
-        assert result.stats.bound_evals == 4  # no precomputation pass
-
     def test_pruning_is_admissible_on_random_instances(self):
         rng = random.Random(99177)
         for i in range(15):
@@ -199,13 +189,10 @@ class TestFractionalBudget:
         expected = exhaustive_trim(net, clf, model)
         # Even seeds draw naive-Bayes models, which also run the NB path.
         fast_paths = (False, True) if seed % 2 == 0 else (False,)
-        for order in ("individual-mpa-descending", "input-order"):
-            for fast in fast_paths:
-                result = eca_trim(
-                    net, clf, model, SearchOptions(branch_order=order, use_nb_fast_path=fast)
-                )
-                assert model.fits(result.best_features)
-                assert result.best_score == pytest.approx(expected.best_score, abs=1e-12)
+        for fast in fast_paths:
+            result = eca_trim(net, clf, model, SearchOptions(use_nb_fast_path=fast))
+            assert model.fits(result.best_features)
+            assert result.best_score == pytest.approx(expected.best_score, abs=1e-12)
 
 
 class TestNbTrim:
@@ -242,13 +229,6 @@ class TestNbTrim:
     def test_rejects_non_naive_bayes(self, gbn4_net, gbn4_alpha):
         with pytest.raises(ModelError):
             nb_trim(gbn4_net, gbn4_alpha, CostModel.unit(gbn4_alpha.features, 2))
-        with pytest.raises(ModelError):
-            eca_trim(
-                gbn4_net,
-                gbn4_alpha,
-                CostModel.unit(gbn4_alpha.features, 2),
-                SearchOptions(use_nb_fast_path=True),
-            )
 
     def test_matches_generic_on_random_naive_bayes(self):
         from conftest import random_nb_instance
@@ -319,10 +299,6 @@ class TestInputValidation:
     def test_negative_budget_rejected_at_construction(self):
         with pytest.raises(ModelError):
             CostModel({"Q1": 1.0}, -2.0)
-
-    def test_bad_search_options(self):
-        with pytest.raises(ModelError):
-            SearchOptions(branch_order="alphabetical")
 
 
 class TestAgainstExhaustive:
