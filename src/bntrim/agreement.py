@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -40,6 +40,7 @@ from .bnmodel import (
     BayesianNetwork,
     Classifier,
     check_classifier,
+    check_threshold,
     check_trimming,
     kept_in_order,
 )
@@ -293,7 +294,7 @@ def _rows(
     ``index`` is each row's position in the C-order enumeration of the
     kept features.  Per instantiation, mass is the correctly rounded sum
     of its pos and neg cells, posterior its pos sum over the mass and
-    rate its hit sum over the mass, each capped at 1.  Zero-mass rows are
+    rate its hit sum over the mass, capped at 1.  Zero-mass rows are
     dropped and the rest sorted by posterior, stably, so ties keep
     enumeration order.  The row sums are the same floats either way they
     are taken: ``fsum`` per row below ``_NUMPY_MIN_CELLS`` cells, one
@@ -319,7 +320,9 @@ def _rows(
         mass, pos_sum, hit_sum = _row_sums(cols.T).reshape(3, n_rows)
     index = (mass > 0.0).nonzero()[0]
     mass = mass[index]
-    posterior = np.minimum(pos_sum[index] / mass, 1.0)
+    # pos_sum <= mass, as the pos cells are among the mass cells, but a
+    # hit cell is pos + neg rounded per cell, so hit_sum can exceed mass.
+    posterior = pos_sum[index] / mass
     rate = np.minimum(hit_sum[index] / mass, 1.0)
     order = posterior.argsort(kind="stable")
     return index[order], mass[order], posterior[order], rate[order]
@@ -387,6 +390,16 @@ def sdp(
     return math.fsum(terms) / pe
 
 
+def _check_space(net: BayesianNetwork, clf: Classifier) -> None:
+    """The enumeration guard on the classifier's feature space, which the
+    scalar oracles walk one instantiation at a time."""
+    space = math.prod(net.var(f).cardinality for f in clf.features)
+    if space > EXHAUSTIVE_LIMIT:
+        raise EnumerationLimitError(
+            f"feature space of {space} instantiations exceeds the enumeration guard"
+        )
+
+
 def esdp_two_threshold(
     net: BayesianNetwork,
     clf: Classifier,
@@ -400,7 +413,9 @@ def esdp_two_threshold(
 
     With hidden = dropped features and observed = kept features this
     equals eca() for the corresponding trimming; it is computed here by
-    scalar enumeration as an independent route.
+    scalar enumeration as an independent route, refused with
+    EnumerationLimitError before the first product when the feature space
+    exceeds EXHAUSTIVE_LIMIT instantiations.
     """
     check_classifier(net, clf)
     h = kept_in_order(clf, hidden)
@@ -408,8 +423,8 @@ def esdp_two_threshold(
     overlap = set(h) & set(o)
     if overlap:
         raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
-    # Checked and converted as the Classifier that decide_at builds would be.
-    new_threshold = replace(clf, threshold=new_threshold).threshold
+    new_threshold = check_threshold(new_threshold)
+    _check_space(net, clf)
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
         rows, (mass, positive) = _class_masses(

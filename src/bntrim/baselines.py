@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .agreement import EXHAUSTIVE_LIMIT, eca, esdp_two_threshold, maa
+from .agreement import _check_space, eca, esdp_two_threshold, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -22,7 +22,6 @@ from .bnmodel import (
     check_trimming,
     kept_in_order,
 )
-from .errors import EnumerationLimitError
 from .inference import _class_masses, _terms
 
 
@@ -100,20 +99,10 @@ def ig_report(
     return SelectionReport("information-gain", chosen, clf.threshold, achieved, scores)
 
 
-def _check_space(net: BayesianNetwork, alpha: Classifier) -> None:
-    """The enumeration guard on alpha's feature space."""
-    space = math.prod(net.var(f).cardinality for f in alpha.features)
-    if space > EXHAUSTIVE_LIMIT:
-        raise EnumerationLimitError(
-            f"feature space of {space} instantiations exceeds the enumeration guard"
-        )
-
-
 def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Agreement by literal enumeration: sum Pr(f) over every full
     feature instantiation on which both classifiers decide alike."""
     check_trimming(net, alpha, beta)
-    _check_space(net, alpha)
     kept = kept_in_order(alpha, beta.features)
     dropped = tuple(f for f in alpha.features if f not in kept)
     return esdp_two_threshold(net, alpha, beta.threshold, dropped, kept)

@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
 
@@ -197,6 +197,24 @@ class BayesianNetwork:
         return tuple(v.name for v in self.variables)
 
 
+def check_threshold(threshold: float) -> float:
+    """The threshold as a float; ModelError unless it is finite and >= 0."""
+    threshold = float(threshold)
+    if not math.isfinite(threshold) or threshold < 0.0:
+        raise ModelError(f"threshold must be a finite value >= 0, got {threshold}")
+    return threshold
+
+
+def positive_index(class_var: str, values: Sequence[str], label: str | None) -> int:
+    """The index of the positive label in the class's value order: the
+    second value when no label is given."""
+    if label is None:
+        return 1
+    if label not in values:
+        raise ModelError(f"positive label {label!r} is not a value of {class_var!r}")
+    return values.index(label)
+
+
 @dataclass(frozen=True)
 class Classifier:
     """A binary threshold classifier over a subset of network variables.
@@ -215,13 +233,11 @@ class Classifier:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "threshold", float(self.threshold))
         if len(set(self.features)) != len(self.features):
             raise ModelError("classifier features contain duplicates")
         if self.class_var in self.features:
             raise ModelError("class variable cannot be a feature")
-        if not math.isfinite(self.threshold) or self.threshold < 0.0:
-            raise ModelError(f"threshold must be a finite value >= 0, got {self.threshold}")
+        object.__setattr__(self, "threshold", check_threshold(self.threshold))
         if self.positive_value not in (0, 1):
             raise ModelError("positive_value must be 0 or 1 for a binary class")
 

@@ -16,21 +16,18 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
 from .agreement import ThresholdInterval, eca, maa, mpa, sdp
 from .baselines import ig_report
-from .bnmodel import BayesianNetwork, Classifier, CostModel
-from .errors import BntrimError, EnumerationLimitError, ModelError, ParseError, UsageError
+from .bnmodel import BayesianNetwork, Classifier, CostModel, positive_index
+from .errors import BntrimError, EnumerationLimitError, ParseError, UsageError
 from .evalharness import EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
 from .inference import assignment_from_labels
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import SearchOptions, TraceEvent, eca_trim, exhaustive_trim
-
-ENV_SEED = "BNTRIM_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,15 +107,7 @@ def _build_classifier(net: BayesianNetwork, args: argparse.Namespace) -> Classif
     features = _split_names(args.features)
     if not features:
         features = [v.name for v in net.variables if v.name != args.class_var]
-    if args.positive is None:
-        positive = 1
-    else:
-        values = net.var(args.class_var).values
-        if args.positive not in values:
-            raise ModelError(
-                f"positive label {args.positive!r} is not a value of {args.class_var!r}"
-            )
-        positive = values.index(args.positive)
+    positive = positive_index(args.class_var, net.var(args.class_var).values, args.positive)
     return Classifier(args.class_var, positive, tuple(features), args.threshold)
 
 
@@ -265,19 +254,13 @@ def _cmd_ig(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     data = parse_dataset(_read(args.data), args.class_var)
-    net, clf = learn_nb(
-        data,
-        smoothing=args.smoothing,
-        positive_label=args.positive,
-        threshold=args.threshold,
-    )
+    net, clf = learn_nb(data, smoothing=args.smoothing)
     payload = serialize_network(net)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)
         print(
-            f"wrote {args.out}: class {clf.class_var!r}, "
-            f"{len(clf.features)} features, threshold {_fmt(clf.threshold)}",
+            f"wrote {args.out}: class {clf.class_var!r}, {len(clf.features)} features",
             file=sys.stderr,
         )
     else:
@@ -416,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn a naive Bayes network from a CSV dataset")
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--class", dest="class_var", required=True)
-    p.add_argument("--positive", default=None)
     p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=None, help="write the network JSON here instead of stdout")
     p.set_defaults(func=_cmd_learn)
 
@@ -433,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-frac", type=float, default=0.5)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--threshold-mode", choices=("maa-optimal", "fixed"), default="maa-optimal")
-    p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default: ${ENV_SEED} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     _add_format(p, choices=("csv", "json", "text"), default="csv")
     p.set_defaults(func=_cmd_scatter)
 
@@ -454,8 +435,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = int(os.environ.get(ENV_SEED, "0"))
         return args.func(args)
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)

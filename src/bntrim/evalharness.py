@@ -31,6 +31,8 @@ from .bnmodel import (
     Variable,
     check_classifier,
     check_network,
+    check_threshold,
+    positive_index,
 )
 from .errors import ModelError, ZeroEvidenceError
 from .inference import classify
@@ -67,8 +69,7 @@ class EvalConfig:
         if self.budget is not None:
             CostModel({}, self.budget)  # checks the budget
         fraction_budget(self.budget_fraction, 0)  # checks the fraction
-        if not math.isfinite(self.threshold) or self.threshold < 0.0:
-            raise ModelError(f"threshold must be a finite value >= 0, got {self.threshold}")
+        check_threshold(self.threshold)
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ModelError(
                 f"unknown threshold mode {self.threshold_mode!r}; choose from {THRESHOLD_MODES}"
@@ -121,11 +122,7 @@ def _positive_value(
         raise ModelError(
             f"class column {class_column!r} must be binary, has values {list(class_domain)}"
         )
-    if positive_label is None:
-        return 1
-    if positive_label not in class_domain:
-        raise ModelError(f"positive label {positive_label!r} not a class value")
-    return class_domain.index(positive_label)
+    return positive_index(class_column, class_domain, positive_label)
 
 
 def _prior(class_count: Sequence[int], smoothing: float) -> tuple[float, ...]:
@@ -155,13 +152,12 @@ def _nb_classifier(
 
 def learn_nb(
     data: Dataset,
-    class_column: str | None = None,
     smoothing: float = 1.0,
     domains: Mapping[str, tuple[str, ...]] | None = None,
     positive_label: str | None = None,
     threshold: float = 0.5,
 ) -> tuple[BayesianNetwork, Classifier]:
-    """Estimate a naive Bayes classifier from a dataset.
+    """Estimate a naive Bayes classifier of the dataset's class column.
 
     Every CPT cell gets additive smoothing: Pr(f=v|c) is
     (count + smoothing) / (class count + smoothing * domain size), and the
@@ -171,8 +167,7 @@ def learn_nb(
     distinct values in the data.  The positive label defaults to the later
     class value in sorted order.
     """
-    if class_column is None:
-        class_column = data.class_column
+    class_column = data.class_column
     if not data.rows:
         raise ModelError("cannot learn from an empty dataset")
     _check_smoothing(smoothing)

@@ -72,9 +72,14 @@ def _dyadic(x: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
-def rows(net, alpha, kept) -> list[tuple[Fraction, Fraction, Fraction]]:
+def rows(net, alpha, kept) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     """(posterior, mass, mass alpha labels positive) for every
     instantiation of the kept features with positive mass."""
+    return _rows(net, alpha, tuple(kept))
+
+
+@lru_cache(maxsize=64)
+def _rows(net, alpha, kept):
     threshold = Fraction(alpha.threshold)
     index = [alpha.features.index(f) for f in kept]
     sums = {}
@@ -84,7 +89,7 @@ def rows(net, alpha, kept) -> list[tuple[Fraction, Fraction, Fraction]]:
             key = tuple(fvals[i] for i in index)
             p, m, h = sums.get(key, (0, 0, 0))
             sums[key] = (p + pos, m + mass, h + (mass if pos / mass >= threshold else 0))
-    return [(p / m, m, Fraction(h)) for p, m, h in sums.values()]
+    return tuple((p / m, m, Fraction(h)) for p, m, h in sums.values())
 
 
 def eca(net, alpha, kept, threshold) -> Fraction:

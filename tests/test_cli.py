@@ -233,7 +233,7 @@ class TestLearn:
             ["learn", "--data", str(data), "--class", "L", "--out", str(net_path)],
         )
         assert code == 0
-        assert "wrote" in err
+        assert err == f"wrote {net_path}: class 'L', 1 features\n"
         code, out, _ = run(capsys, ["validate", str(net_path)])
         assert code == 0
         assert json.loads(out)["valid"] is True
@@ -269,14 +269,13 @@ class TestScatter:
         assert set(doc) == {"rows", "summary"}
         assert set(doc["rows"][0]) == {"subset", "eca", "cv_accuracy", "marker"}
 
-    def test_env_seed_matches_flag(self, capsys, data_path, monkeypatch):
-        flagged = run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--seed", "7"])
-        monkeypatch.setenv(cli.ENV_SEED, "7")
-        via_env = run(capsys, ["scatter", "--data", data_path, *self.ARGS])
-        assert via_env == flagged
-        monkeypatch.setenv(cli.ENV_SEED, "9")
-        other = run(capsys, ["scatter", "--data", data_path, *self.ARGS])
-        assert other[1] != flagged[1]
+    def test_seed_is_the_flag_alone(self, capsys, data_path, monkeypatch):
+        # No environment variable stands in for --seed, whatever it holds.
+        monkeypatch.setenv("BNTRIM_SEED", "abc")
+        unflagged = run(capsys, ["scatter", "--data", data_path, *self.ARGS])
+        assert unflagged == run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--seed", "0"])
+        assert unflagged[0] == 0
+        assert unflagged[1] != run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--seed", "7"])[1]
 
 
 class TestClassOnlyNetwork:
@@ -366,12 +365,19 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_unknown_positive_label(self, capsys):
+    def test_unknown_positive_label(self, capsys, tmp_path):
         code, _, err = run(
             capsys, ["maa", "--network", QUIZ, "--class", "C", "--positive", "Z"]
         )
         assert code == 2
-        assert "positive label" in err
+        assert err == "error: positive label 'Z' is not a value of 'C'\n"
+        path = tmp_path / "noisy.csv"
+        path.write_bytes(serialize_dataset(noisy_dataset()))
+        argv = ["scatter", "--data", str(path), "--class", "label", "--positive", "Z"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: positive label 'Z' is not a value of 'label'\n"
 
     def test_negative_budget(self, capsys):
         code, _, _ = run(capsys, ["trim", *BASE, "--budget", "-1"])
@@ -497,6 +503,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [["--order", "input"], ["--nb", "on"]])
     def test_removed_search_flags_are_usage_errors(self, capsys, flags):
         code, out, err = run(capsys, ["trim", *BASE, "--budget", "2", *flags])
+        assert code == 1
+        assert out == ""
+        assert flags[0] in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--positive", "neg"], ["--threshold", "0.9"]])
+    def test_removed_learn_flags_are_usage_errors(self, capsys, tmp_path, flags):
+        path = tmp_path / "noisy.csv"
+        path.write_bytes(serialize_dataset(noisy_dataset()))
+        code, out, err = run(capsys, ["learn", "--data", str(path), "--class", "label", *flags])
         assert code == 1
         assert out == ""
         assert flags[0] in err

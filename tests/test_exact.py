@@ -3,14 +3,17 @@
 The reference first reproduces hand-derived values.  Then the contracts
 that hold today are checked on a seeded subsample of the acceptance
 suite's models and on seeded models with deterministic (0/1) CPT rows,
-each within 1e-12 of exact.  Known defects are strict
-xfails that name their ROADMAP item, so the fix that mends one turns its
-test into an unexpected pass, which fails the run until the mark goes.
+each within 1e-12 of exact.  Known defects, of the float routes and of
+the search on a benchmark model, are strict xfails that name their
+ROADMAP item, so the fix that mends one turns its test into an
+unexpected pass, which fails the run until the mark goes.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
+import json
 import math
 import pathlib
 import random
@@ -22,18 +25,23 @@ import pytest
 from bntrim import (
     BayesianNetwork,
     Classifier,
+    CostModel,
     Cpt,
     Variable,
     eca,
     eca_bruteforce,
+    eca_trim,
     esdp_two_threshold,
+    exhaustive_trim,
     maa,
     maa_bruteforce,
     mpa,
+    parse_network,
 )
 
 import exact
 from conftest import (
+    FIXTURES,
     acceptance_instances,
     nested_subsets,
     random_dag_instance,
@@ -227,3 +235,30 @@ def test_representative_reproduces_maa_score():
     result = maa(net, clf, kept)
     at_rep = exact.eca(net, clf, kept, result.interval.representative)
     assert abs(result.score - at_rep) <= TOL
+
+
+def trim_pool_19() -> tuple[BayesianNetwork, Classifier, CostModel]:
+    """The benchmark's ``trim`` pool entry 19: a 10-feature general DAG
+    with one-decimal costs, its threshold and its budget."""
+    doc = json.loads((FIXTURES / "trim19.case.json").read_text())
+    net = parse_network(json.dumps(doc["network"]).encode())
+    features = tuple(v.name for v in net.variables if v.name != doc["class"])
+    positive = net.var(doc["class"]).index_of(doc["positive"])
+    clf = Classifier(doc["class"], positive, features, doc["threshold"])
+    return net, clf, CostModel(doc["costs"], doc["budget"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2, soundness gap: mpa falls 1 ulp below maa(S*) on 20 of "
+    "the 64 supersets of the exhaustive optimum's subset S*, so the search prunes "
+    "S* and scores 0x1.d2210e189b1b2p-1 against exhaustive_trim's 0x1.d2210e189b1b3p-1",
+)
+def test_search_equals_exhaustive_on_trim_pool_19():
+    net, clf, costs = trim_pool_19()
+    best = exhaustive_trim(net, clf, costs)
+    rest = [f for f in clf.features if f not in best.best_features]
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            assert mpa(net, clf, best.best_features + extra) >= best.best_score
+    assert eca_trim(net, clf, costs).best_score == best.best_score

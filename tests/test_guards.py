@@ -12,10 +12,11 @@ from bntrim import (
     EnumerationLimitError,
     eca_bruteforce,
     enumerate_feasible,
+    esdp_two_threshold,
     maa,
     maa_bruteforce,
 )
-from bntrim import agreement, baselines, trimsearch
+from bntrim import agreement, trimsearch
 
 from conftest import binary_chain
 from test_inference import count_reads
@@ -56,8 +57,28 @@ def test_feasible_subset_guard(monkeypatch):
     assert str(info.value) == "2^5 subsets exceed the enumeration guard"
 
 
+def test_scalar_agreement_guard(monkeypatch):
+    # esdp_two_threshold walks one instantiation of the observed features
+    # at a time, so the guard must fire before its first _terms call.
+    monkeypatch.setattr(agreement, "EXHAUSTIVE_LIMIT", 16)
+    calls = []
+    terms = agreement._terms
+    monkeypatch.setattr(agreement, "_terms", lambda *a: calls.append(a) or terms(*a))
+
+    net, clf = big_nb(4)  # 16 feature instantiations: at the guard
+    assert 0.0 <= esdp_two_threshold(net, clf, 0.5, clf.features[1:], clf.features[:1]) <= 1.0
+    assert calls  # the counter sees the enumeration
+
+    calls.clear()
+    net, clf = big_nb(5)
+    with pytest.raises(EnumerationLimitError) as info:
+        esdp_two_threshold(net, clf, 0.5, clf.features[1:], clf.features[:1])
+    assert str(info.value) == "feature space of 32 instantiations exceeds the enumeration guard"
+    assert calls == []
+
+
 def test_oracle_feature_space_guard(monkeypatch):
-    monkeypatch.setattr(baselines, "EXHAUSTIVE_LIMIT", 16)
+    monkeypatch.setattr(agreement, "EXHAUSTIVE_LIMIT", 16)
     reads = []
     net, clf = big_nb(4)  # 16 feature instantiations: at the guard
     net = count_reads(net, reads)
