@@ -4,9 +4,11 @@ original, by re-tuning the decision threshold.
 
 The core pipeline: build or learn a network (:mod:`bntrim.netio`,
 :mod:`bntrim.evalharness`), measure how well a feature subset can mimic
-the full classifier (:mod:`bntrim.agreement`), and search the subsets
-under a budget (:mod:`bntrim.trimsearch`).  Brute-force oracles live in
-:mod:`bntrim.baselines`; the ``bntrim`` command in :mod:`bntrim.cli`.
+the full classifier (:mod:`bntrim.agreement`, the grid route), and
+search the subsets under a budget (:mod:`bntrim.trimsearch`).  The scalar
+route that checks the grid route is :mod:`bntrim.inference`, and the
+brute-force oracles on it live in :mod:`bntrim.baselines`; the ``bntrim``
+command in :mod:`bntrim.cli`.
 """
 
 from .agreement import (
@@ -17,10 +19,8 @@ from .agreement import (
     build_instance_table,
     compute_maa,
     eca,
-    esdp_two_threshold,
     maa,
     mpa,
-    sdp,
 )
 from .baselines import (
     SelectionReport,
@@ -65,9 +65,11 @@ from .inference import (
     assignment_from_labels,
     classify,
     decide_at,
+    esdp_two_threshold,
     joint_prob,
     marginal,
     posterior_class,
+    sdp,
 )
 from .netio import (
     Dataset,

@@ -20,10 +20,11 @@ Row sums are read from a joint probability grid materialized once per
 stay cheap.  Every row sum is correctly rounded, the float ``math.fsum``
 gives: small tables take them from an ``fsum`` per row, larger ones from
 one vectorized pass (``_row_sums``) whose error bound certifies each
-row's rounding and sends the rows it cannot certify to ``fsum``.  Scalar
-cross-checks (``sdp``, ``esdp_two_threshold``) use the enumeration path
-from :mod:`bntrim.inference` instead and are deliberately kept
-independent of the grid.
+row's rounding and sends the rows it cannot certify to ``fsum``.
+
+This module is the grid route alone.  The scalar route that checks it
+(``sdp``, ``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from
+which this module takes only ``CELL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -36,20 +37,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .bnmodel import (
-    BayesianNetwork,
-    Classifier,
-    check_classifier,
-    check_threshold,
-    check_trimming,
-    kept_in_order,
-)
-from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
-from .inference import CELL_LIMIT, Assignment, _check_assignment, _class_masses, _terms
-
-# Guard on enumerations over feature subsets or feature instantiations
-# (the exhaustive search, the brute-force oracles, the data harness).
-EXHAUSTIVE_LIMIT = 1 << 20
+from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_trimming, kept_in_order
+from .errors import EnumerationLimitError, ModelError
+from .inference import CELL_LIMIT
 
 # Posteriors within this relative tolerance are treated as the same
 # threshold candidate when sweeping.
@@ -359,82 +349,6 @@ def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     _, mass, posterior, rate = _rows(net, alpha, kept_in_order(alpha, beta.features))
     terms = np.where(posterior >= beta.threshold, rate * mass, (1.0 - rate) * mass)
     return math.fsum(terms.tolist())
-
-
-def sdp(
-    net: BayesianNetwork, clf: Classifier, query: Iterable[str], evidence: Assignment
-) -> float:
-    """Probability that observing the query variables on top of the
-    evidence leaves the decision unchanged.
-
-    Computed by one enumeration of the evidence's completions, grouped by
-    class and query values; instantiations of probability zero contribute
-    nothing.
-    """
-    check_classifier(net, clf)
-    q = kept_in_order(clf, query)
-    overlap = set(q) & set(evidence)
-    if overlap:
-        raise ModelError(f"query overlaps evidence: {sorted(overlap)}")
-    bad = [n for n in evidence if n not in clf.features]
-    if bad:
-        raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
-    _check_assignment(net, evidence)
-    rows, (pe, positive) = _class_masses(
-        _terms(net, evidence, (clf.class_var, *q)), clf.positive_value
-    )
-    if pe == 0.0:
-        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    base = positive / pe >= clf.threshold
-    terms = [p for p, hit in rows.values() if (hit / p >= clf.threshold) == base]
-    return math.fsum(terms) / pe
-
-
-def _check_space(net: BayesianNetwork, clf: Classifier) -> None:
-    """The enumeration guard on the classifier's feature space, which the
-    scalar oracles walk one instantiation at a time."""
-    space = math.prod(net.var(f).cardinality for f in clf.features)
-    if space > EXHAUSTIVE_LIMIT:
-        raise EnumerationLimitError(
-            f"feature space of {space} instantiations exceeds the enumeration guard"
-        )
-
-
-def esdp_two_threshold(
-    net: BayesianNetwork,
-    clf: Classifier,
-    new_threshold: float,
-    hidden: Iterable[str],
-    observed: Iterable[str],
-) -> float:
-    """Expected probability that the full-evidence decision at the
-    original threshold matches the partial-evidence decision at the new
-    threshold, over joint draws of both variable sets.
-
-    With hidden = dropped features and observed = kept features this
-    equals eca() for the corresponding trimming; it is computed here by
-    scalar enumeration as an independent route, refused with
-    EnumerationLimitError before the first product when the feature space
-    exceeds EXHAUSTIVE_LIMIT instantiations.
-    """
-    check_classifier(net, clf)
-    h = kept_in_order(clf, hidden)
-    o = kept_in_order(clf, observed)
-    overlap = set(h) & set(o)
-    if overlap:
-        raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
-    new_threshold = check_threshold(new_threshold)
-    _check_space(net, clf)
-    terms = []
-    for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
-        rows, (mass, positive) = _class_masses(
-            _terms(net, dict(zip(o, ocombo)), (clf.class_var, *h)), clf.positive_value
-        )
-        if mass == 0.0:
-            continue
-        trimmed = positive / mass >= new_threshold
-        terms.extend(p for p, hit in rows.values() if (hit / p >= clf.threshold) == trimmed)
-    return math.fsum(terms)
 
 
 def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:

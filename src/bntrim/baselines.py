@@ -3,7 +3,7 @@
 ``info_gain``/``ig_select`` implement the classic mutual-information
 feature ranking, computed from the model distribution (no data needed).
 ``eca_bruteforce`` and ``maa_bruteforce`` recompute agreement and best
-agreement by literal enumeration through ``agreement.esdp_two_threshold``,
+agreement by literal enumeration through ``inference.esdp_two_threshold``,
 which shares no arithmetic with the instance-table path.
 """
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .agreement import _check_space, eca, esdp_two_threshold, maa
+from .agreement import eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -22,7 +22,7 @@ from .bnmodel import (
     check_trimming,
     kept_in_order,
 )
-from .inference import _class_masses, _terms
+from .inference import _check_space, _class_masses, _terms, esdp_two_threshold
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@
 
 Every subcommand is a thin wrapper over one library call; the CLI does no
 arithmetic of its own beyond resolving ``--budget-frac`` into an absolute
-budget.  Output goes to stdout in a fixed field order with floats printed
-to 12 significant digits, so identical invocations produce byte-identical
-output.  Diagnostics and the optional ``--trace`` search log go to stderr.
+budget.  The subcommands that take a classifier share one runner,
+``_run_classifier``: it parses the network, builds the classifier and
+prints the document the subcommand returns.  Output goes to stdout in a
+fixed field order with floats printed to 12 significant digits, so
+identical invocations produce byte-identical output.  Diagnostics and
+the optional ``--trace`` search log go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 enumeration-guard error.
@@ -20,12 +23,12 @@ import sys
 from dataclasses import replace
 from typing import Any, Sequence
 
-from .agreement import ThresholdInterval, eca, maa, mpa, sdp
+from .agreement import ThresholdInterval, eca, maa, mpa
 from .baselines import ig_report
 from .bnmodel import BayesianNetwork, Classifier, CostModel, positive_index
 from .errors import BntrimError, EnumerationLimitError, ParseError, UsageError
 from .evalharness import EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
-from .inference import assignment_from_labels
+from .inference import assignment_from_labels, sdp
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import SearchOptions, TraceEvent, eca_trim, exhaustive_trim
 
@@ -99,10 +102,6 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _load_network(args: argparse.Namespace) -> BayesianNetwork:
-    return parse_network(_read(args.network))
-
-
 def _build_classifier(net: BayesianNetwork, args: argparse.Namespace) -> Classifier:
     features = _split_names(args.features)
     if not features:
@@ -122,6 +121,8 @@ def _parse_costs(arg: str | None, features: Sequence[str]) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"malformed cost entry {item!r}; expected NAME=NUMBER")
+        if name in out:
+            raise UsageError(f"duplicate cost entry {item!r}; {name!r} is given twice")
         try:
             out[name] = float(value)
         except ValueError:
@@ -130,7 +131,7 @@ def _parse_costs(arg: str | None, features: Sequence[str]) -> dict[str, float]:
 
 
 def _build_costs(args: argparse.Namespace, features: Sequence[str]) -> CostModel:
-    costs = _parse_costs(getattr(args, "costs", None), features)
+    costs = _parse_costs(args.costs, features)
     if args.budget is not None:
         budget = args.budget
     else:
@@ -144,6 +145,8 @@ def _parse_observation(net: BayesianNetwork, arg: str | None) -> dict[str, int]:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise UsageError(f"malformed observation {item!r}; expected VAR=VALUE")
+        if name in labels:
+            raise UsageError(f"duplicate observation {item!r}; {name!r} is given twice")
         labels[name] = value
     return assignment_from_labels(net, labels)
 
@@ -178,77 +181,60 @@ def _trim_doc(result) -> dict:
     return doc
 
 
-def _cmd_trim(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_trim(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     costs = _build_costs(args, clf.features)
-    result = eca_trim(net, clf, costs, _search_options(args))
-    _emit(_trim_doc(result), args.format)
-    return 0
+    return _trim_doc(eca_trim(net, clf, costs, _search_options(args)))
 
 
-def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_exhaustive(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     costs = _build_costs(args, clf.features)
-    result = exhaustive_trim(net, clf, costs)
-    _emit(_trim_doc(result), args.format)
-    return 0
+    return _trim_doc(exhaustive_trim(net, clf, costs))
 
 
-def _cmd_maa(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_maa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     result = maa(net, clf, _split_names(args.keep))
     doc: dict[str, Any] = {"score": result.score}
     doc.update(_interval_doc(result.interval))
-    _emit(doc, args.format)
-    return 0
+    return doc
 
 
-def _cmd_mpa(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
-    _emit({"score": mpa(net, clf, _split_names(args.keep))}, args.format)
-    return 0
+def _cmd_mpa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
+    return {"score": mpa(net, clf, _split_names(args.keep))}
 
 
-def _cmd_eca(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_eca(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     trimmed = replace(
         clf,
         features=tuple(_split_names(args.trim_features)),
         threshold=args.trim_threshold,
     )
-    _emit({"eca": eca(net, clf, trimmed)}, args.format)
-    return 0
+    return {"eca": eca(net, clf, trimmed)}
 
 
-def _cmd_sdp(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_sdp(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     evidence = _parse_observation(net, args.observe)
-    value = sdp(net, clf, _split_names(args.query), evidence)
-    _emit({"sdp": value}, args.format)
-    return 0
+    return {"sdp": sdp(net, clf, _split_names(args.query), evidence)}
 
 
-def _cmd_ig(args: argparse.Namespace) -> int:
-    net = _load_network(args)
-    clf = _build_classifier(net, args)
+def _cmd_ig(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     costs = _build_costs(args, clf.features)
     report = ig_report(net, clf, costs, retune_threshold=args.retune)
-    _emit(
-        {
-            "method": report.method,
-            "chosen": list(report.chosen),
-            "threshold": report.threshold,
-            "eca": report.achieved_eca,
-            "scores": dict(report.scores),
-        },
-        args.format,
-    )
+    return {
+        "method": report.method,
+        "chosen": list(report.chosen),
+        "threshold": report.threshold,
+        "eca": report.achieved_eca,
+        "scores": dict(report.scores),
+    }
+
+
+def _run_classifier(command, args: argparse.Namespace) -> int:
+    """Run a classifier subcommand: parse the network, build the
+    classifier from the shared flags, and print the document the
+    subcommand returns in ``--format``."""
+    net = parse_network(_read(args.network))
+    clf = _build_classifier(net, args)
+    _emit(command(net, clf, args), args.format)
     return 0
 
 
@@ -323,12 +309,17 @@ def _add_format(
     p.add_argument("--format", choices=choices, default=default)
 
 
-def _add_classifier_flags(p: argparse.ArgumentParser) -> None:
+def _add_classifier_command(sub, name: str, summary: str, command) -> argparse.ArgumentParser:
+    """A subcommand run by ``_run_classifier``, with the classifier flags
+    registered first."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--network", required=True, help="network JSON file")
     p.add_argument("--class", dest="class_var", required=True, help="class variable name")
     p.add_argument("--positive", default=None, help="positive class value label (default: second declared value)")
     p.add_argument("--features", default=None, help="comma-separated feature names (default: all non-class variables)")
     p.add_argument("--threshold", type=float, default=0.5, help="decision threshold (default 0.5)")
+    p.set_defaults(func=functools.partial(_run_classifier, command))
+    return p
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -350,51 +341,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trim", help="branch-and-bound search for the best within-budget subset")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "trim", "branch-and-bound search for the best within-budget subset", _cmd_trim)
     _add_budget_flags(p)
     _add_search_flags(p)
     _add_format(p)
-    p.set_defaults(func=_cmd_trim)
 
-    p = sub.add_parser("exhaustive", help="score every within-budget subset (oracle)")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "exhaustive", "score every within-budget subset (oracle)", _cmd_exhaustive)
     _add_budget_flags(p)
     _add_format(p)
-    p.set_defaults(func=_cmd_exhaustive)
 
-    p = sub.add_parser("maa", help="best achievable agreement for a kept subset")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "maa", "best achievable agreement for a kept subset", _cmd_maa)
     p.add_argument("--keep", default=None, help="comma-separated kept features (default: none)")
     _add_format(p)
-    p.set_defaults(func=_cmd_maa)
 
-    p = sub.add_parser("mpa", help="upper bound on achievable agreement for a kept subset")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "mpa", "upper bound on achievable agreement for a kept subset", _cmd_mpa)
     p.add_argument("--keep", default=None, help="comma-separated kept features (default: none)")
     _add_format(p)
-    p.set_defaults(func=_cmd_mpa)
 
-    p = sub.add_parser("eca", help="agreement between the classifier and a trimmed variant")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "eca", "agreement between the classifier and a trimmed variant", _cmd_eca)
     p.add_argument("--trim-features", default=None, help="features kept by the trimmed classifier")
     p.add_argument("--trim-threshold", type=float, required=True, help="threshold of the trimmed classifier")
     _add_format(p)
-    p.set_defaults(func=_cmd_eca)
 
-    p = sub.add_parser("sdp", help="probability that observing more features keeps the decision")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "sdp", "probability that observing more features keeps the decision", _cmd_sdp)
     p.add_argument("--query", default=None, help="comma-separated features to be observed")
     p.add_argument("--observe", default=None, help='current evidence, e.g. "Q3=+,Q1=-"')
     _add_format(p)
-    p.set_defaults(func=_cmd_sdp)
 
-    p = sub.add_parser("ig", help="information-gain feature selection baseline")
-    _add_classifier_flags(p)
+    p = _add_classifier_command(sub, "ig", "information-gain feature selection baseline", _cmd_ig)
     _add_budget_flags(p)
     p.add_argument("--retune", action="store_true", help="score the selection at its best threshold")
     _add_format(p)
-    p.set_defaults(func=_cmd_ig)
 
     p = sub.add_parser("learn", help="learn a naive Bayes network from a CSV dataset")
     p.add_argument("--data", required=True, help="CSV file with a header row")

@@ -1,10 +1,15 @@
-"""Exact inference over discrete networks by enumeration.
+"""Exact inference over discrete networks by enumeration: the scalar
+route.
 
 An assignment maps variable names to value indices and may be partial.
-The scalar operations here enumerate hidden variables directly; they are
-intended for desk-scale networks where exactness matters more than
-speed, and refuse any enumeration of more than ``CELL_LIMIT`` (2**22)
-completions.
+The operations here enumerate hidden variables directly: marginals and
+posteriors, the same-decision probability (``sdp``) and the two-threshold
+agreement (``esdp_two_threshold``) the brute-force oracles in
+:mod:`bntrim.baselines` score with.  They are intended for desk-scale
+networks where exactness matters more than speed.  Both enumeration
+limits live here: ``CELL_LIMIT`` (2**22) on the completions of one pass
+and on the grid route's joint, ``EXHAUSTIVE_LIMIT`` (2**20) on walks over
+feature subsets or feature instantiations.
 
 Enumeration reads the network's factor plan (``bnmodel._FactorPlan``),
 built once on the network's first enumeration: variable positions,
@@ -13,12 +18,14 @@ and row strides.  Each completion is a tuple of value indices; its term
 is the product of one CPT entry per variable,
 ``rows[sum(value[q] * stride)][value[child]]``, multiplied in
 declaration order.  This is the network polynomial of
-Darwiche (JACM 2003) evaluated term by term, with no circuit compiled,
-and it shares no arithmetic with the grid route in
-:mod:`bntrim.agreement`.  ``_terms``, the one product loop, groups the
-products by the values they give some variables, so a query reads every
-sum it needs from one pass.  Sums are taken with ``math.fsum`` so results
-do not depend on enumeration order or grouping.
+Darwiche (JACM 2003) evaluated term by term, with no circuit compiled.
+It shares no arithmetic with the grid route in :mod:`bntrim.agreement`,
+whose independent check it is: it imports neither that module nor
+numpy, and the grid route takes nothing from here but ``CELL_LIMIT``.
+``_terms``, the one product loop, groups the products by the values they
+give some variables, so a query reads every sum it needs from one pass.
+Sums are taken with ``math.fsum`` so results do not depend on
+enumeration order or grouping.
 """
 
 from __future__ import annotations
@@ -26,9 +33,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_network
+from .bnmodel import (
+    BayesianNetwork,
+    Classifier,
+    check_classifier,
+    check_network,
+    check_threshold,
+    kept_in_order,
+)
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 
 Assignment = Mapping[str, int]
@@ -37,6 +51,10 @@ Assignment = Mapping[str, int]
 # completions of one call of ``_terms`` here and the joint grid in
 # :mod:`bntrim.agreement`.  The algorithms are meant for desk-scale models.
 CELL_LIMIT = 1 << 22
+
+# Guard on enumerations over feature subsets or feature instantiations
+# (the exhaustive search, the brute-force oracles, the data harness).
+EXHAUSTIVE_LIMIT = 1 << 20
 
 
 def assignment_from_labels(net: BayesianNetwork, labels: Mapping[str, str]) -> dict[str, int]:
@@ -165,3 +183,79 @@ def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:
 def decide_at(net: BayesianNetwork, clf: Classifier, a: Assignment, threshold: float) -> bool:
     """classify() under the same classifier but a different threshold."""
     return classify(net, replace(clf, threshold=threshold), a)
+
+
+def sdp(
+    net: BayesianNetwork, clf: Classifier, query: Iterable[str], evidence: Assignment
+) -> float:
+    """Probability that observing the query variables on top of the
+    evidence leaves the decision unchanged.
+
+    Computed by one enumeration of the evidence's completions, grouped by
+    class and query values; instantiations of probability zero contribute
+    nothing.
+    """
+    check_classifier(net, clf)
+    q = kept_in_order(clf, query)
+    overlap = set(q) & set(evidence)
+    if overlap:
+        raise ModelError(f"query overlaps evidence: {sorted(overlap)}")
+    bad = [n for n in evidence if n not in clf.features]
+    if bad:
+        raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
+    _check_assignment(net, evidence)
+    rows, (pe, positive) = _class_masses(
+        _terms(net, evidence, (clf.class_var, *q)), clf.positive_value
+    )
+    if pe == 0.0:
+        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
+    base = positive / pe >= clf.threshold
+    terms = [p for p, hit in rows.values() if (hit / p >= clf.threshold) == base]
+    return math.fsum(terms) / pe
+
+
+def _check_space(net: BayesianNetwork, clf: Classifier) -> None:
+    """The enumeration guard on the classifier's feature space, which the
+    scalar oracles walk one instantiation at a time."""
+    space = math.prod(net.var(f).cardinality for f in clf.features)
+    if space > EXHAUSTIVE_LIMIT:
+        raise EnumerationLimitError(
+            f"feature space of {space} instantiations exceeds the enumeration guard"
+        )
+
+
+def esdp_two_threshold(
+    net: BayesianNetwork,
+    clf: Classifier,
+    new_threshold: float,
+    hidden: Iterable[str],
+    observed: Iterable[str],
+) -> float:
+    """Expected probability that the full-evidence decision at the
+    original threshold matches the partial-evidence decision at the new
+    threshold, over joint draws of both variable sets.
+
+    With hidden = dropped features and observed = kept features this
+    equals eca() for the corresponding trimming; it is computed here by
+    scalar enumeration as an independent route, refused with
+    EnumerationLimitError before the first product when the feature space
+    exceeds EXHAUSTIVE_LIMIT instantiations.
+    """
+    check_classifier(net, clf)
+    h = kept_in_order(clf, hidden)
+    o = kept_in_order(clf, observed)
+    overlap = set(h) & set(o)
+    if overlap:
+        raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
+    new_threshold = check_threshold(new_threshold)
+    _check_space(net, clf)
+    terms = []
+    for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
+        rows, (mass, positive) = _class_masses(
+            _terms(net, dict(zip(o, ocombo)), (clf.class_var, *h)), clf.positive_value
+        )
+        if mass == 0.0:
+            continue
+        trimmed = positive / mass >= new_threshold
+        terms.extend(p for p, hit in rows.values() if (hit / p >= clf.threshold) == trimmed)
+    return math.fsum(terms)

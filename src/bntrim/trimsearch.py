@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .agreement import EXHAUSTIVE_LIMIT, MaaResult, ThresholdInterval, maa, mpa
+from .agreement import MaaResult, ThresholdInterval, maa, mpa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -37,6 +37,7 @@ from .bnmodel import (
     kept_in_order,
 )
 from .errors import EnumerationLimitError, ModelError
+from .inference import EXHAUSTIVE_LIMIT
 
 
 @dataclass

@@ -1,14 +1,15 @@
-"""Exact agreement over ``fractions.Fraction``: the reference the float
-routes are checked against, sharing no code with them.
+"""Exact agreement and same-decision probability over
+``fractions.Fraction``: the reference the float routes are checked
+against, sharing no code with them.
 
 Every CPT entry is a float, hence a dyadic rational n / 2**k, so the
-joint distribution of the network as written, every posterior and every
-agreement are rationals that this module computes without rounding.  It
-reads only ``net.variables``, the CPTs' ``child``, ``parents`` and
-``rows``, and the classifier's fields, and it indexes CPT rows by its own
-row-major rule (last parent fastest).  Decisions compare a posterior with
-``Fraction(threshold)`` by ``>=``; rows tie only when their posteriors
-are equal fractions.
+joint distribution of the network as written, every posterior, every
+agreement and every same-decision probability are rationals that this
+module computes without rounding.  It reads only ``net.variables``, the
+CPTs' ``child``, ``parents`` and ``rows``, and the classifier's fields,
+and it indexes CPT rows by its own row-major rule (last parent
+fastest).  Decisions compare a posterior with ``Fraction(threshold)`` by
+``>=``; rows tie only when their posteriors are equal fractions.
 
 The joint is enumerated in full, once per model (cached), so models are
 limited to ``MAX_FEATURES`` non-class variables of at most ``MAX_CARD``
@@ -116,3 +117,25 @@ def maa(net, alpha, kept) -> Fraction:
         score += m - 2 * h  # the group's side turns from positive to negative
         best = max(best, score)
     return best
+
+
+def sdp(net, clf, query, evidence) -> Fraction | None:
+    """Probability, given the evidence ({feature: value index}), that
+    observing the query features too leaves the decision unchanged; None
+    when the evidence has probability 0."""
+    t = Fraction(clf.threshold)
+    at = {f: i for i, f in enumerate(clf.features)}
+    seen = [(at[f], v) for f, v in evidence.items()]
+    index = [at[f] for f in query]
+    groups = {}
+    for fvals, (pos, neg) in cells(net, clf).items():
+        if all(fvals[i] == v for i, v in seen):
+            key = tuple(fvals[i] for i in index)
+            p, m = groups.get(key, (0, 0))
+            groups[key] = (p + pos, m + pos + neg)
+    pe = sum((m for _, m in groups.values()), Fraction(0))
+    if not pe:
+        return None
+    base = sum((p for p, _ in groups.values()), Fraction(0)) / pe >= t
+    kept = (m for p, m in groups.values() if m and (p / m >= t) == base)
+    return sum(kept, Fraction(0)) / pe

@@ -350,6 +350,20 @@ class TestExitCodes:
         assert code == 1
         assert "malformed cost" in err
 
+    def test_duplicate_cost_entry(self, capsys):
+        argv = ["trim", *BASE, "--budget", "2", "--costs", "Q1=1,Q1=5,Q2=1,Q3=1"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: duplicate cost entry 'Q1=5'; 'Q1' is given twice\n"
+
+    def test_duplicate_observation(self, capsys):
+        argv = ["sdp", *BASE, "--query", "Q1", "--observe", "Q2=+,Q2=-"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: duplicate observation 'Q2=-'; 'Q2' is given twice\n"
+
     def test_missing_trim_threshold(self, capsys):
         code, _, _ = run(capsys, ["eca", *BASE, "--trim-features", "Q1"])
         assert code == 1

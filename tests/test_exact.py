@@ -28,6 +28,7 @@ from bntrim import (
     CostModel,
     Cpt,
     Variable,
+    ZeroEvidenceError,
     eca,
     eca_bruteforce,
     eca_trim,
@@ -37,6 +38,7 @@ from bntrim import (
     maa_bruteforce,
     mpa,
     parse_network,
+    sdp,
 )
 
 import exact
@@ -156,6 +158,33 @@ def test_float_routes_match_exact(i, kept):
     assert abs(eca(net, clf, beta) - at_t) <= TOL
     assert abs(esdp_two_threshold(net, clf, t, dropped, kept) - at_t) <= TOL
     assert abs(eca_bruteforce(net, clf, beta) - at_t) <= TOL
+
+
+def sdp_cases(count: int = 40) -> list:
+    """Seeded criterion-5 models, each with one observed feature and 1-3
+    queried ones."""
+    rng = random.Random(20261019)
+    picks = []
+    for _ in range(count):
+        i = rng.randrange(len(FULL))
+        features = FULL[i][1].features
+        picked = rng.sample(features, min(len(features), 1 + rng.randint(1, 3)))
+        picks.append(pytest.param(i, picked[0], tuple(picked[1:]), id=f"{i}-{'+'.join(picked)}"))
+    return picks
+
+
+@pytest.mark.parametrize("i, observed, query", sdp_cases())
+def test_sdp_matches_exact(i, observed, query):
+    # Every value of the observed feature: a zero-mass one is refused.
+    net, clf, _ = FULL[i]
+    for value in range(net.var(observed).cardinality):
+        evidence = {observed: value}
+        want = exact.sdp(net, clf, query, evidence)
+        if want is None:
+            with pytest.raises(ZeroEvidenceError):
+                sdp(net, clf, query, evidence)
+        else:
+            assert abs(sdp(net, clf, query, evidence) - want) <= TOL
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0])

@@ -16,7 +16,7 @@ from bntrim import (
     maa,
     maa_bruteforce,
 )
-from bntrim import agreement, trimsearch
+from bntrim import agreement, inference, trimsearch
 
 from conftest import binary_chain
 from test_inference import count_reads
@@ -60,10 +60,10 @@ def test_feasible_subset_guard(monkeypatch):
 def test_scalar_agreement_guard(monkeypatch):
     # esdp_two_threshold walks one instantiation of the observed features
     # at a time, so the guard must fire before its first _terms call.
-    monkeypatch.setattr(agreement, "EXHAUSTIVE_LIMIT", 16)
+    monkeypatch.setattr(inference, "EXHAUSTIVE_LIMIT", 16)
     calls = []
-    terms = agreement._terms
-    monkeypatch.setattr(agreement, "_terms", lambda *a: calls.append(a) or terms(*a))
+    terms = inference._terms
+    monkeypatch.setattr(inference, "_terms", lambda *a: calls.append(a) or terms(*a))
 
     net, clf = big_nb(4)  # 16 feature instantiations: at the guard
     assert 0.0 <= esdp_two_threshold(net, clf, 0.5, clf.features[1:], clf.features[:1]) <= 1.0
@@ -78,7 +78,7 @@ def test_scalar_agreement_guard(monkeypatch):
 
 
 def test_oracle_feature_space_guard(monkeypatch):
-    monkeypatch.setattr(agreement, "EXHAUSTIVE_LIMIT", 16)
+    monkeypatch.setattr(inference, "EXHAUSTIVE_LIMIT", 16)
     reads = []
     net, clf = big_nb(4)  # 16 feature instantiations: at the guard
     net = count_reads(net, reads)

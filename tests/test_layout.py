@@ -1,0 +1,90 @@
+"""Which module holds what, read from the source with ``ast``: the grid
+route and the scalar route that checks it share no code, and every name
+the benchmark instruments exists."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
+
+import bntrim
+
+from conftest import FIXTURES
+
+SRC = pathlib.Path(bntrim.__file__).parent
+RUN = FIXTURES.parent / "perfbench" / "run.py"
+
+
+def tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def imports(module: str) -> set[tuple[str, str | None]]:
+    """(module, name bound) of every import in ``bntrim.<module>``, with
+    relative imports resolved; a module-level import binds no name here."""
+    out = set()
+    for node in ast.walk(tree(SRC / f"{module}.py")):
+        if isinstance(node, ast.Import):
+            out.update((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "bntrim." * (node.level > 0) + (node.module or "")
+            for alias in node.names:
+                if node.module is None:
+                    out.add((base + alias.name, None))
+                else:
+                    out.add((base, alias.asname or alias.name))
+    return out
+
+
+class TestRoutes:
+    def test_grid_route_takes_only_the_cell_limit(self):
+        taken = {name for mod, name in imports("agreement") if mod == "bntrim.inference"}
+        assert taken == {"CELL_LIMIT"}
+
+    def test_scalar_route_imports_no_grid(self):
+        banned = {"agreement", "trimsearch", "baselines", "evalharness", "cli"}
+        for mod, _ in imports("inference"):
+            assert mod.split(".")[0] != "numpy"
+            assert mod.removeprefix("bntrim.") not in banned
+
+    def test_oracles_use_nothing_of_the_grid_route(self):
+        grid = {
+            name or mod.rpartition(".")[2]
+            for mod, name in imports("baselines")
+            if mod == "bntrim.agreement"
+        }
+        assert grid  # the information-gain report scores with it
+        bodies = {
+            node.name: node
+            for node in tree(SRC / "baselines.py").body
+            if isinstance(node, ast.FunctionDef)
+        }
+        for oracle in ("eca_bruteforce", "maa_bruteforce"):
+            used = {n.id for n in ast.walk(bodies[oracle]) if isinstance(n, ast.Name)}
+            assert used & grid == set(), oracle
+
+
+def benchmark_names() -> tuple[list[str], list[str], dict[str, str]]:
+    """The span keys, the counted names and the caches of the benchmark
+    runner, read without importing it."""
+    values = {}
+    for node in tree(RUN).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            values[node.targets[0].id] = node.value
+    spans = [ast.literal_eval(key) for key in values["SPANS"].keys]
+    return spans, ast.literal_eval(values["COUNTED"]), ast.literal_eval(values["CACHES"])
+
+
+def test_benchmark_names_exist():
+    spans, counted, caches = benchmark_names()
+    assert spans and counted
+    for dotted in spans + list(counted):
+        module, _, name = dotted.partition(".")
+        assert callable(getattr(importlib.import_module(f"bntrim.{module}"), name, None)), dotted
+    agreement = importlib.import_module("bntrim.agreement")
+    assert len(caches) == 2
+    for name in caches.values():
+        function = getattr(agreement, name, None)
+        assert callable(getattr(function, "cache_info", None)), name
+        assert callable(getattr(function, "cache_clear", None)), name
