@@ -18,16 +18,18 @@ from bntrim import (
     EnumerationLimitError,
     ModelError,
     SearchOptions,
+    SearchStats,
     Variable,
     eca,
     eca_trim,
     exhaustive_trim,
+    is_naive_bayes,
     maa,
     nb_trim,
     trimsearch,
 )
 
-from conftest import random_costs, random_instance
+from conftest import nb_instance, random_costs, random_dag_instance, random_instance
 
 
 def big_nb(n_features: int) -> tuple[BayesianNetwork, Classifier]:
@@ -159,6 +161,82 @@ class TestSearchTrace:
             assert incumbent == result.best_score
             assert result.stats.maa_evals == sum(1 for e in events if e.action == "maa")
             assert result.stats.pruned == sum(1 for e in events if e.action == "prune")
+
+
+def tenth_costs(rng: random.Random, clf: Classifier) -> CostModel:
+    """One-decimal costs in [0.1, 0.9] and half their total as budget."""
+    costs = {f: rng.randint(1, 9) / 10 for f in clf.features}
+    return CostModel(costs, math.fsum(costs.values()) / 2)
+
+
+class TestPinnedWork:
+    """The exact work of two seeded searches: the stats and the order of
+    every traced node, so a rewrite of the search must visit, bound,
+    score and prune the same nodes in the same order."""
+
+    @staticmethod
+    def traced(net, clf, costs):
+        events = []
+        result = eca_trim(net, clf, costs, SearchOptions(trace_hook=events.append))
+        return result, [(e.action, e.included, e.excluded) for e in events]
+
+    def test_general_dag_with_one_decimal_costs(self):
+        rng = random.Random(0)
+        net, clf = random_dag_instance(rng, max_features=5)
+        costs = tenth_costs(rng, clf)
+        assert not is_naive_bayes(net, clf)  # the generic path
+        result, sequence = self.traced(net, clf, costs)
+        assert result.stats == SearchStats(maa_evals=4, bound_evals=12, nodes_expanded=9, pruned=2)
+        assert result.best_features == ("X1", "X3", "X4")
+        assert sequence == [
+            ("maa", (), ()),
+            ("update", (), ()),
+            ("bound", (), ()),
+            ("maa", ("X1",), ()),
+            ("update", ("X1",), ()),
+            ("bound", ("X1",), ()),
+            ("maa", ("X1", "X4"), ()),
+            ("update", ("X1", "X4"), ()),
+            ("bound", ("X1", "X4"), ()),
+            ("bound", ("X1", "X4"), ("X2",)),
+            ("bound", ("X1", "X4"), ("X2", "X5")),
+            ("maa", ("X1", "X4", "X3"), ("X2", "X5")),
+            ("update", ("X1", "X4", "X3"), ("X2", "X5")),
+            ("bound", ("X1",), ("X4",)),
+            ("prune", ("X1",), ("X4",)),
+            ("bound", (), ("X1",)),
+            ("prune", (), ("X1",)),
+        ]
+
+    def test_naive_bayes_frontier_skips_dominated_dead_ends(self):
+        rng = random.Random(0)
+        net, clf = nb_instance(rng, 5, max_card=2)
+        costs = tenth_costs(rng, clf)
+        result, sequence = self.traced(net, clf, costs)
+        assert result.stats == SearchStats(maa_evals=3, bound_evals=15, nodes_expanded=17, pruned=2)
+        assert result.best_features == ("X3", "X4", "X5")
+        # A node without a bound event is a dead end; some go unscored.
+        dead_ends = result.stats.nodes_expanded - sum(a == "bound" for a, _, _ in sequence)
+        assert dead_ends > result.stats.maa_evals
+        assert sequence == [
+            ("bound", (), ()),
+            ("bound", ("X1",), ()),
+            ("bound", ("X1", "X4"), ()),
+            ("maa", ("X1", "X4", "X5"), ()),
+            ("update", ("X1", "X4", "X5"), ()),
+            ("bound", ("X1",), ("X4",)),
+            ("bound", (), ("X1",)),
+            ("bound", ("X4",), ("X1",)),
+            ("bound", ("X4", "X5"), ("X1",)),
+            ("maa", ("X4", "X5", "X2"), ("X1",)),
+            ("bound", ("X4", "X5"), ("X1", "X2")),
+            ("maa", ("X4", "X5", "X3"), ("X1", "X2")),
+            ("update", ("X4", "X5", "X3"), ("X1", "X2")),
+            ("bound", ("X4",), ("X1", "X5")),
+            ("prune", ("X4",), ("X1", "X5")),
+            ("bound", (), ("X1", "X4")),
+            ("prune", (), ("X1", "X4")),
+        ]
 
 
 class TestFractionalBudget:
