@@ -97,13 +97,22 @@ def _split_names(arg: str | None) -> list[str]:
     return [part.strip() for part in arg.split(",") if part.strip()]
 
 
+def _distinct_names(arg: str | None, flag: str) -> list[str]:
+    """The names of a comma list; a name given twice is a usage error."""
+    names = _split_names(arg)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"duplicate name in {flag}; {name!r} is given twice")
+    return names
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
 
 def _build_classifier(net: BayesianNetwork, args: argparse.Namespace) -> Classifier:
-    features = _split_names(args.features)
+    features = _distinct_names(args.features, "--features")
     if not features:
         features = [v.name for v in net.variables if v.name != args.class_var]
     positive = positive_index(args.class_var, net.var(args.class_var).values, args.positive)
@@ -192,20 +201,20 @@ def _cmd_exhaustive(net: BayesianNetwork, clf: Classifier, args: argparse.Namesp
 
 
 def _cmd_maa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
-    result = maa(net, clf, _split_names(args.keep))
+    result = maa(net, clf, _distinct_names(args.keep, "--keep"))
     doc: dict[str, Any] = {"score": result.score}
     doc.update(_interval_doc(result.interval))
     return doc
 
 
 def _cmd_mpa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
-    return {"score": mpa(net, clf, _split_names(args.keep))}
+    return {"score": mpa(net, clf, _distinct_names(args.keep, "--keep"))}
 
 
 def _cmd_eca(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     trimmed = replace(
         clf,
-        features=tuple(_split_names(args.trim_features)),
+        features=tuple(_distinct_names(args.trim_features, "--trim-features")),
         threshold=args.trim_threshold,
     )
     return {"eca": eca(net, clf, trimmed)}
@@ -213,7 +222,7 @@ def _cmd_eca(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) ->
 
 def _cmd_sdp(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     evidence = _parse_observation(net, args.observe)
-    return {"sdp": sdp(net, clf, _split_names(args.query), evidence)}
+    return {"sdp": sdp(net, clf, _distinct_names(args.query, "--query"), evidence)}
 
 
 def _cmd_ig(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:

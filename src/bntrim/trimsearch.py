@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .agreement import MaaResult, ThresholdInterval, maa, mpa
+from .agreement import ThresholdInterval, maa, mpa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -85,145 +85,20 @@ class TrimResult:
     stats: SearchStats
 
 
-class _Incumbent:
-    """Best-so-far; moves only on a strictly better score, so ties go to
-    the subset met first."""
-
-    def __init__(self) -> None:
-        self.score = -math.inf
-        self.features: tuple[str, ...] = ()
-        self.interval: ThresholdInterval | None = None
-
-    def offer(
-        self, score: float, features: tuple[str, ...], interval: ThresholdInterval
-    ) -> bool:
-        if score > self.score:
-            self.score = score
-            self.features = features
-            self.interval = interval
-            return True
-        return False
-
-
 def _search_order(
     net: BayesianNetwork, clf: Classifier, stats: SearchStats
 ) -> tuple[str, ...]:
-    """Features by descending singleton MPA, ties by input order."""
-    scores = {}
-    for f in clf.features:
-        scores[f] = mpa(net, clf, (f,))
-        stats.bound_evals += 1
-    index = {f: i for i, f in enumerate(clf.features)}
-    return tuple(sorted(clf.features, key=lambda f: (-scores[f], index[f])))
-
-
-class _Searcher:
-    def __init__(
-        self,
-        net: BayesianNetwork,
-        clf: Classifier,
-        costs: CostModel,
-        order: Sequence[str],
-        trace_hook: TraceHook | None,
-        nb_frontier_only: bool,
-        stats: SearchStats,
-    ) -> None:
-        self.net = net
-        self.clf = clf
-        self.costs = costs
-        self.order = tuple(order)
-        self.all_features = frozenset(order)
-        self.incumbent = _Incumbent()
-        self.trace_hook = trace_hook
-        self.nb_frontier_only = nb_frontier_only
-        self.stats = stats
-
-    def _emit(
-        self,
-        action: str,
-        included: tuple[str, ...],
-        excluded: tuple[str, ...],
-        value: float,
-    ) -> None:
-        if self.trace_hook is not None:
-            budget_left = self.costs.budget - self.costs.total(included)
-            self.trace_hook(TraceEvent(action, included, excluded, budget_left, value))
-
-    def _score(self, included: tuple[str, ...], excluded: tuple[str, ...]) -> None:
-        self.stats.maa_evals += 1
-        res: MaaResult = maa(self.net, self.clf, included)
-        self._emit("maa", included, excluded, res.score)
-        if self.incumbent.offer(res.score, included, res.interval):
-            self._emit("update", included, excluded, res.score)
-
-    def _bound_and_prune(
-        self,
-        included: tuple[str, ...],
-        excluded: tuple[str, ...],
-        bound: float | None,
-    ) -> float | None:
-        """Check the subtree bound against the incumbent.  Returns the
-        bound, or None when the subtree is pruned.  ``bound`` is the
-        parent's, passed down when the excluded set is the parent's;
-        None computes it."""
-        if bound is None:
-            bound = mpa(self.net, self.clf, self.all_features - set(excluded))
-        self.stats.bound_evals += 1
-        self._emit("bound", included, excluded, bound)
-        if bound <= self.incumbent.score:
-            self.stats.pruned += 1
-            self._emit("prune", included, excluded, bound)
-            return None
-        return bound
-
-    def visit(
-        self,
-        included: tuple[str, ...],
-        excluded: tuple[str, ...],
-        fresh: bool,
-        bound: float | None,
-    ) -> None:
-        """Depth-first expansion of one subtree; the node's depth is the
-        number of decided features."""
-        self.stats.nodes_expanded += 1
-        undecided = self.order[len(included) + len(excluded):]
-        fits = self.costs.fits
-        extendable = any(fits(included + (f,)) for f in undecided)
-        if self.nb_frontier_only:
-            if not extendable:
-                # Dead end.  Score only budget-exhausting sets: if some
-                # excluded feature still fits, a strictly larger feasible
-                # set exists elsewhere in the tree and dominates this one.
-                if not any(fits(included + (f,)) for f in excluded):
-                    self._score(included, excluded)
-                return
-        else:
-            if fresh:
-                self._score(included, excluded)
-            if not extendable:
-                return
-        bound = self._bound_and_prune(included, excluded, bound)
-        if bound is None:
-            return
-        feature = undecided[0]
-        if fits(included + (feature,)):
-            # Same excluded set, so the same mpa(F \ E): pass it down.
-            self.visit(included + (feature,), excluded, True, bound)
-        self.visit(included, excluded + (feature,), False, None)
+    """Features by descending singleton MPA, ties by input order, since
+    ``sorted`` is stable."""
+    scores = {f: mpa(net, clf, (f,)) for f in clf.features}
+    stats.bound_evals += len(scores)
+    return tuple(sorted(clf.features, key=lambda f: -scores[f]))
 
 
 def _check_inputs(net: BayesianNetwork, clf: Classifier, costs: CostModel) -> None:
     check_classifier(net, clf)
     for f in clf.features:
         costs.cost_of(f)  # raises on a missing cost
-
-
-def _finish(clf: Classifier, incumbent: _Incumbent, stats: SearchStats) -> TrimResult:
-    if incumbent.interval is None:
-        raise ModelError("search scored no subset")  # unreachable: ∅ is always feasible
-    return TrimResult(
-        kept_in_order(clf, incumbent.features), incumbent.score, incumbent.interval, stats
-    )
 
 
 def _run(
@@ -233,12 +108,72 @@ def _run(
     trace_hook: TraceHook | None,
     nb_frontier_only: bool,
 ) -> TrimResult:
+    """The branch-and-bound search from the root: nothing decided yet."""
     _check_inputs(net, clf, costs)
     stats = SearchStats()
     order = _search_order(net, clf, stats)
-    searcher = _Searcher(net, clf, costs, order, trace_hook, nb_frontier_only, stats)
-    searcher.visit((), (), True, None)
-    return _finish(clf, searcher.incumbent, stats)
+    all_features = frozenset(order)
+    fits = costs.fits
+    # The incumbent moves only on a strictly better score, so ties go to
+    # the subset met first.  No bound prunes before the first score, so
+    # the root (generic) or the include-first dead end (frontier) is
+    # always scored and sets the interval.
+    best_score = -math.inf
+    best: tuple[str, ...] = ()
+    best_interval: ThresholdInterval
+
+    def emit(
+        action: str, included: tuple[str, ...], excluded: tuple[str, ...], value: float
+    ) -> None:
+        if trace_hook is not None:
+            budget_left = costs.budget - costs.total(included)
+            trace_hook(TraceEvent(action, included, excluded, budget_left, value))
+
+    def visit(
+        included: tuple[str, ...],
+        excluded: tuple[str, ...],
+        fresh: bool,
+        bound: float | None,
+    ) -> None:
+        """Depth-first expansion of one subtree; the node's depth is the
+        number of decided features.  ``bound`` is the parent's, passed
+        down when the excluded set is the parent's; None computes it."""
+        nonlocal best_score, best, best_interval
+        stats.nodes_expanded += 1
+        undecided = order[len(included) + len(excluded):]
+        extendable = any(fits(included + (f,)) for f in undecided)
+        if nb_frontier_only:
+            # Score only budget-exhausting dead ends: if some excluded
+            # feature still fits, a strictly larger feasible set exists
+            # elsewhere in the tree and dominates this one.
+            scored = not extendable and not any(fits(included + (f,)) for f in excluded)
+        else:
+            scored = fresh
+        if scored:
+            stats.maa_evals += 1
+            res = maa(net, clf, included)
+            emit("maa", included, excluded, res.score)
+            if res.score > best_score:
+                best_score, best, best_interval = res.score, included, res.interval
+                emit("update", included, excluded, res.score)
+        if not extendable:
+            return
+        if bound is None:
+            bound = mpa(net, clf, all_features - set(excluded))
+        stats.bound_evals += 1
+        emit("bound", included, excluded, bound)
+        if bound <= best_score:
+            stats.pruned += 1
+            emit("prune", included, excluded, bound)
+            return
+        feature = undecided[0]
+        if fits(included + (feature,)):
+            # Same excluded set, so the same mpa(F \ E): pass it down.
+            visit(included + (feature,), excluded, True, bound)
+        visit(included, excluded + (feature,), False, None)
+
+    visit((), (), True, None)
+    return TrimResult(kept_in_order(clf, best), best_score, best_interval, stats)
 
 
 def eca_trim(
@@ -291,15 +226,16 @@ def exhaustive_trim(
 ) -> TrimResult:
     """Score every within-budget subset; the oracle baseline.
 
-    Subsets are visited in ``enumerate_feasible`` order, and the
-    incumbent only moves on strict improvement, so ties resolve to the
-    first subset in that order.  Every subset counts as a node.
+    The best subset is the ``max`` of the MAA scores over
+    ``enumerate_feasible``, which keeps the first of equal scores, so ties
+    resolve to the first subset in that order.  Every subset counts as a
+    node.
     """
     _check_inputs(net, clf, costs)
-    stats = SearchStats(nodes_expanded=1 << len(clf.features))
-    incumbent = _Incumbent()
-    for combo in enumerate_feasible(clf, costs):
-        stats.maa_evals += 1
-        res = maa(net, clf, combo)
-        incumbent.offer(res.score, combo, res.interval)
-    return _finish(clf, incumbent, stats)
+    feasible = enumerate_feasible(clf, costs)
+    best, res = max(
+        ((combo, maa(net, clf, combo)) for combo in feasible),
+        key=lambda scored: scored[1].score,
+    )
+    stats = SearchStats(maa_evals=len(feasible), nodes_expanded=1 << len(clf.features))
+    return TrimResult(kept_in_order(clf, best), res.score, res.interval, stats)

@@ -146,6 +146,39 @@ class TestBaselineAndExhaustive:
         assert doc["stats"]["maa_evals"] == 8
 
 
+class TestDecimalBudget:
+    """Budgets are judged on the binary floats of the typed decimals:
+    0.1 + 0.2 rounds to 0.30000000000000004, above a budget of 0.3, while
+    the same costs and budget scaled by 10 fit exactly."""
+
+    TENTHS = ["--costs", "Q1=0.1,Q2=0.2,Q3=1", "--budget", "0.3"]
+    SCALED = ["--costs", "Q1=1,Q2=2,Q3=10", "--budget", "3"]
+
+    @pytest.mark.parametrize("command", ["trim", "exhaustive"])
+    def test_tenths_keep_q1_alone(self, capsys, command):
+        code, out, _ = run(capsys, [command, *BASE, *self.TENTHS])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_features"] == ["Q1"]
+        assert doc["score"] == pytest.approx(0.9082, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["trim", "exhaustive"])
+    def test_scaled_by_ten_keeps_q1_and_q2(self, capsys, command):
+        code, out, _ = run(capsys, [command, *BASE, *self.SCALED])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_features"] == ["Q1", "Q2"]
+        assert doc["score"] == pytest.approx(0.9748, abs=1e-9)
+
+    def test_ig_applies_the_same_rule(self, capsys):
+        chosen = []
+        for budget_flags in (self.TENTHS, self.SCALED):
+            code, out, _ = run(capsys, ["ig", *BASE, *budget_flags])
+            assert code == 0
+            chosen.append(json.loads(out)["chosen"])
+        assert chosen == [["Q1"], ["Q1", "Q2"]]
+
+
 class TestValidate:
     def test_valid_network(self, capsys):
         code, out, _ = run(capsys, ["validate", QUIZ])
@@ -363,6 +396,24 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: duplicate observation 'Q2=-'; 'Q2' is given twice\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["maa", *BASE, "--keep", "Q1,Q1"], "--keep"),
+            (["mpa", *BASE, "--keep", "Q2, Q1,Q2"], "--keep"),
+            (["sdp", *BASE, "--query", "Q1,Q1", "--observe", "Q2=+"], "--query"),
+            (["trim", *BASE, "--features", "Q1,Q1,Q2", "--budget", "2"], "--features"),
+            (["eca", *BASE, "--trim-features", "Q1,Q1", "--trim-threshold", "0.5"], "--trim-features"),
+        ],
+        ids=["maa-keep", "mpa-keep", "sdp-query", "trim-features", "eca-trim-features"],
+    )
+    def test_duplicate_name_in_a_list(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        name = "Q2" if argv[0] == "mpa" else "Q1"
+        assert err == f"error: duplicate name in {flag}; {name!r} is given twice\n"
 
     def test_missing_trim_threshold(self, capsys):
         code, _, _ = run(capsys, ["eca", *BASE, "--trim-features", "Q1"])
