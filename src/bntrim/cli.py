@@ -27,7 +27,7 @@ from .agreement import ThresholdInterval, eca, maa, mpa
 from .baselines import ig_report
 from .bnmodel import BayesianNetwork, Classifier, CostModel, positive_index
 from .errors import BntrimError, EnumerationLimitError, ParseError, UsageError
-from .evalharness import EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
+from .evalharness import THRESHOLD_MODES, EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
 from .inference import assignment_from_labels, sdp
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import SearchOptions, TraceEvent, eca_trim, exhaustive_trim
@@ -393,15 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--class", dest="class_var", required=True)
     p.add_argument("--positive", default=None)
-    p.add_argument("--split", type=float, default=0.8, help="training fraction")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--budget-frac", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--threshold-mode", choices=("maa-optimal", "fixed"), default="maa-optimal")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    _add_format(p, choices=("csv", "json", "text"), default="csv")
+    p.add_argument("--split", type=float, default=EvalConfig.split_fraction, help="training fraction")
+    p.add_argument("--folds", type=int, default=EvalConfig.folds)
+    p.add_argument("--smoothing", type=float, default=EvalConfig.smoothing)
+    p.add_argument("--budget", type=float, default=EvalConfig.budget)
+    p.add_argument("--budget-frac", type=float, default=EvalConfig.budget_fraction)
+    p.add_argument("--threshold", type=float, default=EvalConfig.threshold)
+    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=EvalConfig.threshold_mode)
+    p.add_argument("--seed", type=int, default=EvalConfig.seed, help="RNG seed (default %(default)s)")
+    _add_format(p, choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("validate", help="check a network document and list violations")

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .agreement import build_instance_table, eca, maa
 from .bnmodel import (
@@ -193,16 +193,13 @@ def learn_nb(
     variables, clf = _nb_classifier(class_column, features, domains, positive_value, threshold)
     cpts = [Cpt(class_column, (), (prior,))]
     for f in features:
-        cells = data.column_values(f)
+        counts = Counter(zip(class_cells, data.column_values(f)))
         values = domains[f]
-        rows = []
-        for cval, total in zip(class_domain, class_count):
-            counts = dict.fromkeys(values, 0)
-            for cell, ccell in zip(cells, class_cells):
-                if ccell == cval:
-                    counts[cell] += 1
-            rows.append(tuple(_smoothed(counts[v], total, len(values), smoothing) for v in values))
-        cpts.append(Cpt(f, (class_column,), tuple(rows)))
+        rows = tuple(
+            tuple(_smoothed(counts[cval, v], total, len(values), smoothing) for v in values)
+            for cval, total in zip(class_domain, class_count)
+        )
+        cpts.append(Cpt(f, (class_column,), rows))
     net = BayesianNetwork(tuple(variables), tuple(cpts))
     check_classifier(net, clf)
     return net, clf
@@ -250,126 +247,94 @@ def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: i
     return fold_of
 
 
-class _Tally(NamedTuple):
-    """A dataset's folds and counts, as ``_FoldCounts`` reads them.
-
-    ``codes`` holds each column's value indices over its ``domains``
-    vocabulary, and ``members[k]`` lists fold k's rows in data order.
-    ``train_class[k][c]`` counts the rows of class c outside fold k, and
-    ``train_counts[f][k][c][v]`` those among them with f = v.
-    """
-
-    domains: dict[str, tuple[str, ...]]
-    codes: dict[str, list[int]]
-    members: list[list[int]]
-    train_class: list[list[int]]
-    train_counts: dict[str, list[list[list[int]]]]
-
-
-class _FoldCounts:
+def _fold_scorer(
+    data: Dataset, folds: int, seed: int, domains: Mapping[str, tuple[str, ...]]
+) -> Callable[[Iterable[str], float, str | None, float], float]:
     """Stratified k-fold cross-validation of naive Bayes classifiers, over
     any feature subset of one dataset, from count tables.
 
     Naive Bayes is fully determined by its class and (class, feature
-    value) counts, so the folds are dealt and the rows counted once, on
-    the first ``accuracy`` call, and the classifier of each fold is
-    estimated from its training counts: the totals minus the fold's own.
+    value) counts, so the folds are dealt and the rows counted once, here,
+    and the returned ``accuracy(subset, smoothing, positive_label,
+    threshold)`` estimates the classifier of each fold from its training
+    counts: the totals minus the fold's own.  ``domains`` holds each
+    column's value vocabulary.
     """
+    n = len(data.rows)
+    if folds < 2:
+        raise ModelError(f"fold count must be >= 2, got {folds}")
+    if folds > n:
+        raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
+    class_column = data.class_column
+    # Each column's value indices over its vocabulary.
+    codes = {}
+    for c in data.columns:
+        index = {v: x for x, v in enumerate(domains[c])}
+        codes[c] = [index[v] for v in data.column_values(c)]
+    class_codes = codes[class_column]
+    class_card = len(domains[class_column])
+    fold_of = _deal_folds(class_codes, class_card, folds, seed)
+    members: list[list[int]] = [[] for _ in range(folds)]
+    for i, k in enumerate(fold_of):
+        members[k].append(i)
 
-    def __init__(self, data: Dataset, folds: int, seed: int) -> None:
-        self.data = data
-        self.folds = folds
-        self.seed = seed
+    def training(keys: list[int], card: int) -> list[list[list[int]]]:
+        # [fold][class][key] row counts outside each fold, as exact
+        # ints: the totals minus the fold's own counts.
+        own = [[[0] * card for _ in range(class_card)] for _ in range(folds)]
+        for k, c, x in zip(fold_of, class_codes, keys):
+            own[k][c][x] += 1
+        total = [[sum(counts) for counts in zip(*rows)] for rows in zip(*own)]
+        return [
+            [[t - x for t, x in zip(total_c, own_c)] for total_c, own_c in zip(total, rows)]
+            for rows in own
+        ]
 
-    @cached_property
-    def _tally(self) -> _Tally:
-        data, folds = self.data, self.folds
-        domains = _column_domains(data, data.columns)
-        codes = {}
-        for c, values in domains.items():
-            index = {v: x for x, v in enumerate(values)}
-            codes[c] = [index[v] for v in data.column_values(c)]
-        class_codes = codes[data.class_column]
-        class_card = len(domains[data.class_column])
-        fold_of = _deal_folds(class_codes, class_card, folds, self.seed)
-        members: list[list[int]] = [[] for _ in range(folds)]
-        for i, k in enumerate(fold_of):
-            members[k].append(i)
-
-        def training(keys: list[int], card: int) -> list[list[list[int]]]:
-            # [fold][class][key] row counts outside each fold, as exact
-            # ints: the totals minus the fold's own counts.
-            own = [[[0] * card for _ in range(class_card)] for _ in range(folds)]
-            for k, c, x in zip(fold_of, class_codes, keys):
-                own[k][c][x] += 1
-            total = [[sum(counts) for counts in zip(*rows)] for rows in zip(*own)]
-            return [
-                [[t - x for t, x in zip(total_c, own_c)] for total_c, own_c in zip(total, rows)]
-                for rows in own
-            ]
-
-        return _Tally(
-            domains,
-            codes,
-            members,
-            # The class counts: every row has the one key 0.
-            [[c[0] for c in k] for k in training([0] * len(class_codes), 1)],
-            {
-                f: training(codes[f], len(domains[f]))
-                for f in domains if f != data.class_column
-            },
-        )
+    # The class counts: every row has the one key 0.
+    train_class = [[c[0] for c in k] for k in training([0] * n, 1)]
+    train_counts = {
+        f: training(codes[f], len(domains[f])) for f in data.columns if f != class_column
+    }
 
     def accuracy(
-        self,
-        subset: Iterable[str],
-        smoothing: float,
-        positive_label: str | None,
-        threshold: float,
+        subset: Iterable[str], smoothing: float, positive_label: str | None, threshold: float
     ) -> float:
-        """``cv_accuracy`` of the subset; the feature order, the checks and
-        the arithmetic are those of ``learn_nb`` and ``posterior_class`` on
-        each fold's training rows restricted to the subset."""
-        data, folds = self.data, self.folds
-        n = len(data.rows)
-        if folds < 2:
-            raise ModelError(f"fold count must be >= 2, got {folds}")
-        if folds > n:
-            raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
+        # The feature order, the checks and the arithmetic are those of
+        # learn_nb and posterior_class on each fold's training rows
+        # restricted to the subset.
         keep = set(subset)
-        class_column = data.class_column
         features = [c for c in data.columns if c in keep and c != class_column]
         _check_smoothing(smoothing)
-        t = self._tally
-        positive = _positive_value(class_column, t.domains[class_column], positive_label)
+        positive = _positive_value(class_column, domains[class_column], positive_label)
         # learn_nb checks the first fold's class counts before the columns.
-        _prior(t.train_class[0], smoothing)
-        _, clf = _nb_classifier(class_column, features, t.domains, positive, threshold)
-        class_codes = t.codes[class_column]
+        _prior(train_class[0], smoothing)
+        _, clf = _nb_classifier(class_column, features, domains, positive, threshold)
         accuracies = []
-        for k, rows in enumerate(t.members):
-            train_class = t.train_class[k]
-            prior = _prior(train_class, smoothing)
+        for k, rows in enumerate(members):
+            class_count = train_class[k]
+            prior = _prior(class_count, smoothing)
             # Each class's term per test row: the prior times the
             # features' CPT entries in data-column order, the order in
             # which the scalar route multiplies a network's CPTs.
             terms = [[p] * len(rows) for p in prior]
             for f in features:
-                card, values = len(t.domains[f]), t.codes[f]
-                for c, counts in enumerate(t.train_counts[f][k]):
-                    cpt = [_smoothed(x, train_class[c], card, smoothing) for x in counts]
+                card, values = len(domains[f]), codes[f]
+                for c, counts in enumerate(train_counts[f][k]):
+                    cpt = [_smoothed(x, class_count[c], card, smoothing) for x in counts]
                     terms[c] = [p * cpt[values[i]] for p, i in zip(terms[c], rows)]
             hits = 0
             for i, t0, t1 in zip(rows, *terms):
                 # One rounding, as posterior_class's fsum of the two terms.
                 mass = t0 + t1
                 if mass == 0.0:
-                    evidence = {f: t.codes[f][i] for f in features}
+                    evidence = {f: codes[f][i] for f in features}
                     raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
                 posterior = (t1 if positive else t0) / mass
                 hits += (posterior >= clf.threshold) == (class_codes[i] == positive)
             accuracies.append(hits / len(rows))
         return math.fsum(accuracies) / folds
+
+    return accuracy
 
 
 def cv_accuracy(
@@ -391,20 +356,13 @@ def cv_accuracy(
     rows restricted to the subset, with value vocabularies taken from the
     full data, and it labels a test row by its exact posterior, as
     ``posterior_class`` computes it.  Both are computed from count tables
-    (``_FoldCounts``): the folds are dealt once, the rows counted once
+    (``_fold_scorer``): the folds are dealt once, the rows counted once
     per (fold, class) and (fold, feature, class, value), and a fold's
     training counts are the totals minus its own, so no model is built
     and no data copied; the scores have the same bits.
     """
-    return _FoldCounts(data, folds, seed).accuracy(subset, smoothing, positive_label, threshold)
-
-
-def _argmax_first(values: Sequence[float]) -> int:
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
+    accuracy = _fold_scorer(data, folds, seed, _column_domains(data, data.columns))
+    return accuracy(subset, smoothing, positive_label, threshold)
 
 
 def scatter(
@@ -420,6 +378,8 @@ def scatter(
     classifier — at the subset's best-agreement threshold by default, or
     at the fixed base threshold in "fixed" mode — and (b) its
     cross-validated accuracy on the training part at the base threshold.
+    The learned model and the folds both take each column's vocabulary
+    from the whole dataset.
 
     The summary reports, for the best-agreement and best-accuracy subsets,
     the fraction of held-out rows where the trimmed classifier matches the
@@ -445,27 +405,25 @@ def scatter(
     )
     budget = config.resolve_budget(len(clf_full.features))
     subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, budget))
-    cv = _FoldCounts(train, config.folds, config.seed)
 
-    def score(subset: tuple[str, ...]) -> tuple[float, float, float]:
+    def agreement_of(subset: tuple[str, ...]) -> tuple[float, float]:
+        """The subset's agreement with the full classifier and its
+        scoring threshold."""
         if config.threshold_mode == "maa-optimal":
             result = maa(net, clf_full, subset)
-            agreement, subset_threshold = result.score, result.interval.representative
-        else:
-            subset_threshold = base_threshold
-            agreement = eca(
-                net, clf_full,
-                replace(clf_full, features=subset, threshold=subset_threshold),
-            )
-        accuracy = cv.accuracy(subset, config.smoothing, positive_label, base_threshold)
-        return agreement, accuracy, subset_threshold
+            return result.score, result.interval.representative
+        return eca(net, clf_full, replace(clf_full, features=subset)), base_threshold
 
-    scored = [score(s) for s in subsets]
+    # Agreement fails only on the full joint, which every subset shares,
+    # so scoring it first leaves the first error where it was.
+    agreements = [agreement_of(s) for s in subsets]
+    cv = _fold_scorer(train, config.folds, config.seed, domains)
+    accuracies = [cv(s, config.smoothing, positive_label, base_threshold) for s in subsets]
 
-    best_eca = _argmax_first([s[0] for s in scored])
-    best_acc = _argmax_first([s[1] for s in scored])
+    best_eca = max(range(len(subsets)), key=lambda i: agreements[i][0])
+    best_acc = max(range(len(subsets)), key=accuracies.__getitem__)
     rows = []
-    for i, (subset, (agreement, accuracy, _)) in enumerate(zip(subsets, scored)):
+    for i, (subset, (agreement, _), accuracy) in enumerate(zip(subsets, agreements, accuracies)):
         if i == best_eca and i == best_acc:
             marker = "optimal-both"
         elif i == best_eca:
@@ -487,7 +445,7 @@ def scatter(
     ]
 
     def held_out(i: int) -> dict:
-        subset, (_, _, subset_threshold) = subsets[i], scored[i]
+        subset, (_, subset_threshold) = subsets[i], agreements[i]
         posteriors = _posteriors(net, clf_full, test, domains, subset)
         agree = sum((p >= subset_threshold) == full for p, full in zip(posteriors, full_labels))
         hits = sum((p >= base_threshold) == actual for p, actual in zip(posteriors, actual_labels))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 from .bnmodel import BayesianNetwork, Cpt, Variable, validate_network
@@ -42,6 +43,10 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ParseError(
+            f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -80,14 +85,15 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
             raise ParseError(f"cpd {child!r} needs a list of string 'parents'")
         if not isinstance(rows, list) or not rows:
             raise ParseError(f"cpd {child!r} needs a nonempty 'rows' array")
-        grid: list[tuple[float, ...]] = []
         for j, row in enumerate(rows):
             if not isinstance(row, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
             ):
                 raise ParseError(f"cpd {child!r} row {j} must be a list of numbers")
-            grid.append(tuple(float(x) for x in row))
-        cs.append(Cpt(child, tuple(parents), tuple(grid)))
+        try:
+            cs.append(Cpt(child, tuple(parents), tuple(map(tuple, rows))))
+        except OverflowError:  # Cpt converts each entry to float
+            raise ParseError(f"cpd {child!r} has an integer too large for a float") from None
 
     net = BayesianNetwork(tuple(vs), tuple(cs))
     problems = validate_network(net)
@@ -156,12 +162,15 @@ class Dataset:
 def parse_dataset(text: bytes | str, class_column: str) -> Dataset:
     """Parse a CSV dataset with a header row.
 
-    Rejects empty files, unknown class columns, ragged rows, missing
-    (empty) cells and repeated column names.  Row numbers in error
-    messages count data rows from 1.
+    Rejects empty files, fields past the csv module's size limit, unknown
+    class columns, ragged rows, missing (empty) cells and repeated column
+    names.  Row numbers in error messages count data rows from 1.
     """
-    lines = _decode(text, "utf-8-sig").splitlines()
-    records = [row for row in csv.reader(lines)]
+    reader = csv.reader(_decode(text, "utf-8-sig").splitlines())
+    try:
+        records = list(reader)
+    except csv.Error as e:  # a field longer than the csv module's limit
+        raise ParseError(str(e), line=reader.line_num) from None
     if not records:
         raise ParseError("empty file")
     header = tuple(records[0])

@@ -3,6 +3,7 @@ cross-check the analytic agreement computations."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from bntrim import (
     EnumerationLimitError,
     ModelError,
     Variable,
+    cli,
     eca,
     eca_bruteforce,
     eca_trim,
@@ -28,6 +30,7 @@ from bntrim import (
     maa,
     maa_bruteforce,
     marginal,
+    serialize_network,
 )
 
 from conftest import dag_networks, random_costs, random_instance, random_subset
@@ -216,6 +219,34 @@ class TestAgreementCrossChecks:
                 net, clf, Classifier(clf.class_var, clf.positive_value, chosen, clf.threshold)
             )
             assert best >= fixed - 1e-12
+
+
+class TestIgDecimalBudgets:
+    def test_choice_fits_and_is_maximal(self, tmp_path, capsys):
+        # One-decimal costs and a budget on the fsum of a random subset's
+        # costs: ig's choice fits, and no unchosen feature fits beside it,
+        # from the library and from the CLI alike.
+        rng = random.Random(2718)
+        path = tmp_path / "model.bn.json"
+        for i in range(200):
+            net, clf = random_instance(rng, i, max_features=6)
+            tenths = {f: rng.randint(1, 9) / 10 for f in clf.features}
+            budget = math.fsum(c for c in tenths.values() if rng.random() < 0.5)
+            costs = CostModel(tenths, budget)
+            chosen = ig_report(net, clf, costs).chosen
+            assert costs.fits(chosen)
+            for f in clf.features:
+                assert f in chosen or not costs.fits([*chosen, f])
+            path.write_bytes(serialize_network(net))
+            code = cli.main([
+                "ig", "--network", str(path), "--class", clf.class_var,
+                "--positive", net.var(clf.class_var).values[clf.positive_value],
+                "--threshold", repr(clf.threshold),
+                "--costs", ",".join(f"{f}={c!r}" for f, c in tenths.items()),
+                "--budget", repr(budget),
+            ])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["chosen"] == list(chosen)
 
 
 class TestOraclesValidateOncePerCall:

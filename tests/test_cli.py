@@ -311,6 +311,24 @@ class TestScatter:
         assert unflagged[1] != run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--seed", "7"])[1]
 
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_folds_use_the_csv_vocabularies(self, capsys, tmp_path, seed):
+        # Seed 0 trains without the one row where A = y, seed 3 without
+        # the one negative row; the CSV holds both values of each column.
+        path = tmp_path / "rare.csv"
+        path.write_text("C,A,B\n" + "pos,x,u\n" * 8 + "neg,x,v\npos,y,u\n")
+        argv = ["scatter", "--data", str(path), "--class", "C", "--folds", "2", "--budget", "2"]
+        code, out, err = run(capsys, [*argv, "--seed", str(seed)])
+        assert code == 0, err
+        assert [line.split(",")[0] for line in out.splitlines()] == ["subset", "", "A", "B", "A;B"]
+
+    def test_text_format_is_usage_error(self, capsys, data_path):
+        code, out, err = run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--format", "text"])
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'text'" in err
+
+
 class TestClassOnlyNetwork:
     """A network holding only the class variable, Pr(C = +) = 0.7."""
 
@@ -552,6 +570,35 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the 4194304 cell guard" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("1" + "0" * 400, "cpd 'C' has an integer too large for a float"),
+         ("1" * 5000, "an integer literal has more than 4300 digits")],
+        ids=["past-float-range", "past-digit-limit"],
+    )
+    def test_oversized_network_number_is_data_error(self, capsys, tmp_path, entry, message):
+        path = tmp_path / "big.bn.json"
+        path.write_text(
+            '{"variables": [{"name": "C", "values": ["a", "b"]}],'
+            f' "cpds": [{{"child": "C", "parents": [], "rows": [[{entry}, 0]]}}]}}'
+        )
+        code, out, err = run(capsys, ["maa", "--network", str(path), "--class", "C"])
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+        code, out, err = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert json.loads(out) == {"valid": False, "problems": [message]}
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["learn", "scatter"])
+    def test_oversized_csv_field_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "wide.csv"
+        path.write_text("C,A\npos,x\nneg," + "y" * 131_073 + "\n")
+        code, out, err = run(capsys, [command, "--data", str(path), "--class", "C"])
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: field larger than field limit (131072)\n"
 
     def test_unsmoothed_zero_evidence_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "rare.csv"

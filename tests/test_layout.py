@@ -1,6 +1,6 @@
 """Which module holds what, read from the source with ``ast``: the grid
-route and the scalar route that checks it share no code, and every name
-the benchmark instruments exists."""
+route and the scalar route that checks it share no code, every name the
+benchmark instruments exists, and no import or private name is dead."""
 
 from __future__ import annotations
 
@@ -88,3 +88,37 @@ def test_benchmark_names_exist():
         function = getattr(agreement, name, None)
         assert callable(getattr(function, "cache_info", None)), name
         assert callable(getattr(function, "cache_clear", None)), name
+
+
+def test_no_unused_imports_or_private_names():
+    """Every name a module imports is used in it, and every private
+    top-level name is referenced somewhere in the package, so a deletion
+    leaves nothing dead behind."""
+    modules = {p.stem: tree(p) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    referenced = set()
+    for module in [*modules.values(), tree(SRC / "__init__.py")]:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    for stem, module in modules.items():
+        loaded = {n.id for n in ast.walk(module) if isinstance(n, ast.Name)}
+        for node in module.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    assert bound in loaded, f"{stem} imports {bound} but never uses it"
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign)):
+                names = (
+                    [t.id for t in node.targets if isinstance(t, ast.Name)]
+                    if isinstance(node, ast.Assign)
+                    else [node.name]
+                )
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__"):
+                        assert name in referenced, f"{stem}.{name} is never referenced"
