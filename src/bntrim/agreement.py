@@ -345,8 +345,7 @@ def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Expected classification agreement between a classifier and a
     trimmed variant: the probability, over instances drawn from the
     network, that both produce the same label."""
-    check_trimming(net, alpha, beta)
-    _, mass, posterior, rate = _rows(net, alpha, kept_in_order(alpha, beta.features))
+    _, mass, posterior, rate = _rows(net, alpha, check_trimming(net, alpha, beta))
     terms = np.where(posterior >= beta.threshold, rate * mass, (1.0 - rate) * mass)
     return math.fsum(terms.tolist())
 

@@ -102,8 +102,7 @@ def ig_report(
 def eca_bruteforce(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Agreement by literal enumeration: sum Pr(f) over every full
     feature instantiation on which both classifiers decide alike."""
-    check_trimming(net, alpha, beta)
-    kept = kept_in_order(alpha, beta.features)
+    kept = check_trimming(net, alpha, beta)
     dropped = tuple(f for f in alpha.features if f not in kept)
     return esdp_two_threshold(net, alpha, beta.threshold, dropped, kept)
 

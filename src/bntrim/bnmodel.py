@@ -299,24 +299,26 @@ def check_classifier(net: BayesianNetwork, clf: Classifier) -> None:
         net.var(f)
 
 
-def check_trimming(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> None:
-    """Raise ModelError unless beta is a trimming of alpha: the same class
-    variable and positive value over a subset of alpha's features."""
+def check_trimming(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> tuple[str, ...]:
+    """Beta's features in alpha's order; ModelError unless beta is a trimming
+    of alpha: its class variable and positive value over alpha's features."""
     check_classifier(net, alpha)
     if beta.class_var != alpha.class_var or beta.positive_value != alpha.positive_value:
         raise ModelError("trimmed classifier must keep the class variable and positive value")
-    extra = set(beta.features) - set(alpha.features)
-    if extra:
-        raise ModelError(f"trimmed classifier uses features not in the original: {sorted(extra)}")
+    return kept_in_order(alpha, beta.features)
 
 
 def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
-    """The kept features in classifier feature order; raises ModelError
-    when one is not a feature."""
-    kept_set = set(kept)
-    extra = kept_set - set(clf.features)
+    """The names in classifier feature order; the one reading of feature
+    names, raising ModelError when one is not a feature or is given twice."""
+    names = tuple(kept)
+    kept_set = set(names)
+    extra = kept_set.difference(clf.features)
     if extra:
         raise ModelError(f"kept set names non-features: {sorted(extra)}")
+    if len(kept_set) != len(names):
+        twice = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ModelError(f"kept set names {twice!r} twice")
     return tuple(f for f in clf.features if f in kept_set)
 
 
@@ -448,10 +450,7 @@ def cond_independent_given_class(
     """True when the subset is independent of the remaining features given
     the class variable, by d-separation in the network DAG."""
     check_classifier(net, clf)
-    sub = set(subset)
-    extra = sub - set(clf.features)
-    if extra:
-        raise ModelError(f"subset names non-features: {sorted(extra)}")
+    sub = set(kept_in_order(clf, subset))
     rest = set(clf.features) - sub
     if not sub or not rest:
         return True

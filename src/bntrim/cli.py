@@ -396,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=EvalConfig.split_fraction, help="training fraction")
     p.add_argument("--folds", type=int, default=EvalConfig.folds)
     p.add_argument("--smoothing", type=float, default=EvalConfig.smoothing)
-    p.add_argument("--budget", type=float, default=EvalConfig.budget)
-    p.add_argument("--budget-frac", type=float, default=EvalConfig.budget_fraction)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--budget", type=float, default=EvalConfig.budget)
+    group.add_argument("--budget-frac", type=float, default=EvalConfig.budget_fraction)
     p.add_argument("--threshold", type=float, default=EvalConfig.threshold)
     p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=EvalConfig.threshold_mode)
     p.add_argument("--seed", type=int, default=EvalConfig.seed, help="RNG seed (default %(default)s)")

@@ -16,6 +16,8 @@ sanity-check the exact computation against simulation.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass, replace
@@ -32,6 +34,7 @@ from .bnmodel import (
     check_classifier,
     check_network,
     check_threshold,
+    check_trimming,
     positive_index,
 )
 from .errors import ModelError, ZeroEvidenceError
@@ -463,15 +466,16 @@ def scatter(
 
 
 def write_scatter_csv(rows: Iterable[ScatterRow]) -> bytes:
-    """CSV rendering of scatter rows; subsets are ';'-joined, floats are
-    printed with 12 significant digits, lines end with LF."""
-    out = ["subset,eca,cv_accuracy,marker"]
-    for r in rows:
-        out.append(
-            f"{';'.join(r.subset)},{format(r.eca, '.12g')},"
-            f"{format(r.cv_accuracy, '.12g')},{r.marker}"
-        )
-    return ("\n".join(out) + "\n").encode("utf-8")
+    """CSV rendering of scatter rows: subsets ';'-joined (quoted where a name
+    needs it), floats with 12 significant digits, LF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("subset", "eca", "cv_accuracy", "marker"))
+    writer.writerows(
+        (";".join(r.subset), format(r.eca, ".12g"), format(r.cv_accuracy, ".12g"), r.marker)
+        for r in rows
+    )
+    return out.getvalue().encode("utf-8")
 
 
 def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, int]]:
@@ -522,17 +526,15 @@ def empirical_agreement(
 ) -> float:
     """Monte-Carlo estimate of agreement: the fraction of sampled
     instances both classifiers label identically."""
-    check_classifier(net, alpha)
-    check_classifier(net, beta)
+    kept = check_trimming(net, alpha, beta)
     cache: dict[tuple[int, ...], bool] = {}
     agree = 0
     for a in sample_rows(net, count, seed):
-        key = tuple(a[f] for f in alpha.features) + tuple(a[f] for f in beta.features)
+        key = tuple(a[f] for f in alpha.features)
         hit = cache.get(key)
         if hit is None:
-            full = {f: a[f] for f in alpha.features}
-            kept = {f: a[f] for f in beta.features}
-            hit = classify(net, alpha, full) == classify(net, beta, kept)
+            full = dict(zip(alpha.features, key))
+            hit = classify(net, alpha, full) == classify(net, beta, {f: a[f] for f in kept})
             cache[key] = hit
         agree += hit
     return agree / count

@@ -160,9 +160,7 @@ def posterior_class(net: BayesianNetwork, clf: Classifier, a: Assignment) -> flo
     ZeroEvidenceError when the evidence has probability zero.
     """
     check_classifier(net, clf)
-    bad = [n for n in a if n not in clf.features]
-    if bad:
-        raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
+    kept_in_order(clf, a)
     _check_assignment(net, a)
     _, (pe, positive) = _class_masses(_terms(net, a, (clf.class_var,)), clf.positive_value)
     if pe == 0.0:
@@ -185,6 +183,21 @@ def decide_at(net: BayesianNetwork, clf: Classifier, a: Assignment, threshold: f
     return classify(net, replace(clf, threshold=threshold), a)
 
 
+def _agreeing(
+    net: BayesianNetwork, clf: Classifier, evidence: Assignment, query: tuple, threshold: float
+) -> tuple[float, list[float]]:
+    """The evidence's mass, and the masses of the query instantiations whose
+    decision at the classifier's threshold matches the evidence's own at
+    ``threshold``, from one pass grouped by class and query values."""
+    rows, (mass, positive) = _class_masses(
+        _terms(net, evidence, (clf.class_var, *query)), clf.positive_value
+    )
+    if mass == 0.0:
+        return mass, []
+    base = positive / mass >= threshold
+    return mass, [p for p, hit in rows.values() if (hit / p >= clf.threshold) == base]
+
+
 def sdp(
     net: BayesianNetwork, clf: Classifier, query: Iterable[str], evidence: Assignment
 ) -> float:
@@ -196,21 +209,11 @@ def sdp(
     nothing.
     """
     check_classifier(net, clf)
-    q = kept_in_order(clf, query)
-    overlap = set(q) & set(evidence)
-    if overlap:
-        raise ModelError(f"query overlaps evidence: {sorted(overlap)}")
-    bad = [n for n in evidence if n not in clf.features]
-    if bad:
-        raise ModelError(f"evidence names non-feature variables: {sorted(bad)}")
+    q = tuple(f for f in kept_in_order(clf, (*query, *evidence)) if f not in evidence)
     _check_assignment(net, evidence)
-    rows, (pe, positive) = _class_masses(
-        _terms(net, evidence, (clf.class_var, *q)), clf.positive_value
-    )
+    pe, terms = _agreeing(net, clf, evidence, q, clf.threshold)
     if pe == 0.0:
         raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
-    base = positive / pe >= clf.threshold
-    terms = [p for p, hit in rows.values() if (hit / p >= clf.threshold) == base]
     return math.fsum(terms) / pe
 
 
@@ -242,20 +245,13 @@ def esdp_two_threshold(
     exceeds EXHAUSTIVE_LIMIT instantiations.
     """
     check_classifier(net, clf)
-    h = kept_in_order(clf, hidden)
-    o = kept_in_order(clf, observed)
-    overlap = set(h) & set(o)
-    if overlap:
-        raise ModelError(f"hidden and observed sets overlap: {sorted(overlap)}")
+    hidden = tuple(hidden)
+    both = kept_in_order(clf, (*hidden, *observed))
+    h = tuple(f for f in both if f in hidden)
+    o = tuple(f for f in both if f not in hidden)
     new_threshold = check_threshold(new_threshold)
     _check_space(net, clf)
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in o)):
-        rows, (mass, positive) = _class_masses(
-            _terms(net, dict(zip(o, ocombo)), (clf.class_var, *h)), clf.positive_value
-        )
-        if mass == 0.0:
-            continue
-        trimmed = positive / mass >= new_threshold
-        terms.extend(p for p, hit in rows.values() if (hit / p >= clf.threshold) == trimmed)
+        terms += _agreeing(net, clf, dict(zip(o, ocombo)), h, new_threshold)[1]
     return math.fsum(terms)

@@ -17,12 +17,17 @@ from bntrim import (
     ModelError,
     Variable,
     check_classifier,
+    build_instance_table,
     check_network,
     cond_independent_given_class,
     eca,
+    eca_bruteforce,
     eca_trim,
+    empirical_agreement,
+    esdp_two_threshold,
     is_naive_bayes,
     maa,
+    maa_bruteforce,
     marginal,
     mpa,
     parse_network,
@@ -393,6 +398,132 @@ class TestCondIndependentGivenClass:
                 assert factorizes
                 agree += 1
         assert agree > 0
+
+
+KEEP_CLASS = "trimmed classifier must keep the class variable and positive value"
+
+# Every library call that takes feature names, as a function of the names
+# and the classifier they are read against.  A sequence can repeat a name;
+# a mapping cannot, and a trimmed Classifier refuses repeats (and the class
+# variable) itself.
+SEQUENCE_READERS = {
+    "maa": lambda net, clf, names: maa(net, clf, names),
+    "mpa": lambda net, clf, names: mpa(net, clf, names),
+    "build_instance_table": lambda net, clf, names: build_instance_table(net, clf, names),
+    "maa_bruteforce": lambda net, clf, names: maa_bruteforce(net, clf, names),
+    "cond_independent_given_class": lambda net, clf, names: cond_independent_given_class(
+        net, clf, names
+    ),
+    "sdp query": lambda net, clf, names: sdp(net, clf, names, {}),
+    "esdp_two_threshold hidden": lambda net, clf, names: esdp_two_threshold(
+        net, clf, 0.5, names, ()
+    ),
+    "esdp_two_threshold observed": lambda net, clf, names: esdp_two_threshold(
+        net, clf, 0.5, (), names
+    ),
+}
+MAPPING_READERS = {
+    "sdp evidence": lambda net, clf, names: sdp(net, clf, (), dict.fromkeys(names, 0)),
+    "posterior_class": lambda net, clf, names: posterior_class(
+        net, clf, dict.fromkeys(names, 0)
+    ),
+}
+TRIMMING_READERS = {
+    "eca": lambda net, clf, names: eca(net, clf, replace(clf, features=names)),
+    "eca_bruteforce": lambda net, clf, names: eca_bruteforce(
+        net, clf, replace(clf, features=names)
+    ),
+    "empirical_agreement": lambda net, clf, names: empirical_agreement(
+        net, clf, replace(clf, features=names), 10, 0
+    ),
+}
+
+
+class TestOneReadingOfFeatureNames:
+    """``kept_in_order`` decides, for every call, that each name is a
+    feature and none repeats, with one message each."""
+
+    @pytest.mark.parametrize(
+        "reader", [*SEQUENCE_READERS.values(), *MAPPING_READERS.values(), *TRIMMING_READERS.values()],
+        ids=[*SEQUENCE_READERS, *MAPPING_READERS, *TRIMMING_READERS],
+    )
+    def test_non_feature(self, quiz_net, quiz_alpha, reader):
+        with pytest.raises(ModelError) as info:
+            reader(quiz_net, quiz_alpha, ("Q1", "Z"))
+        assert str(info.value) == "kept set names non-features: ['Z']"
+
+    @pytest.mark.parametrize(
+        "reader", [*SEQUENCE_READERS.values(), *MAPPING_READERS.values()],
+        ids=[*SEQUENCE_READERS, *MAPPING_READERS],
+    )
+    def test_class_variable(self, quiz_net, quiz_alpha, reader):
+        with pytest.raises(ModelError) as info:
+            reader(quiz_net, quiz_alpha, ("C",))
+        assert str(info.value) == "kept set names non-features: ['C']"
+
+    @pytest.mark.parametrize("reader", SEQUENCE_READERS.values(), ids=SEQUENCE_READERS)
+    def test_repeated_name(self, quiz_net, quiz_alpha, reader):
+        with pytest.raises(ModelError) as info:
+            reader(quiz_net, quiz_alpha, ("Q2", "Q1", "Q2"))
+        assert str(info.value) == "kept set names 'Q2' twice"
+
+    @pytest.mark.parametrize("reader", TRIMMING_READERS.values(), ids=TRIMMING_READERS)
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("Q1", "Q1"), "classifier features contain duplicates"),
+            (("C",), "class variable cannot be a feature"),
+        ],
+    )
+    def test_trimmed_classifier_refuses_before_the_call(
+        self, quiz_net, quiz_alpha, reader, names, message
+    ):
+        with pytest.raises(ModelError) as info:
+            reader(quiz_net, quiz_alpha, names)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, clf: sdp(net, clf, ("Q1", "Q2"), {"Q1": 0}),
+            lambda net, clf: esdp_two_threshold(net, clf, 0.5, ("Q1",), ("Q3", "Q1")),
+        ],
+        ids=["sdp", "esdp_two_threshold"],
+    )
+    def test_overlap_is_a_repeat(self, quiz_net, quiz_alpha, call):
+        with pytest.raises(ModelError) as info:
+            call(quiz_net, quiz_alpha)
+        assert str(info.value) == "kept set names 'Q1' twice"
+
+
+class TestEmpiricalAgreementRefusesWhatEcaRefuses:
+    @pytest.mark.parametrize(
+        "alpha_features, beta, message",
+        [
+            (("Q1", "Q2", "Q3"), Classifier("Q1", 0, ("Q2",), 0.5), KEEP_CLASS),
+            (("Q1", "Q2", "Q3"), Classifier("C", 1, ("Q2",), 0.5), KEEP_CLASS),
+            (("Q1", "Q2"), Classifier("C", 0, ("Q3",), 0.5), "kept set names non-features: ['Q3']"),
+            (("Q1", "Q2"), Classifier("C", 0, ("Q2", "Q3"), 0.5), "kept set names non-features: ['Q3']"),
+            (("Q1", "Q2", "Q3"), Classifier("C", 0, ("Q3", "Q1"), 0.3), None),
+            (("Q1", "Q2", "Q3"), Classifier("C", 0, (), 0.5), None),
+        ],
+        ids=[
+            "other class variable", "other positive value", "outside alpha",
+            "partly outside alpha", "trimming", "empty trimming",
+        ],
+    )
+    def test_same_pairs_same_messages(self, quiz_net, quiz_alpha, alpha_features, beta, message):
+        alpha = replace(quiz_alpha, features=alpha_features)
+
+        def refusal(call):
+            try:
+                call()
+            except ModelError as e:
+                return str(e)
+            return None
+
+        assert refusal(lambda: eca(quiz_net, alpha, beta)) == message
+        assert refusal(lambda: empirical_agreement(quiz_net, alpha, beta, 50, 0)) == message
 
 
 class TestNetworkHash:

@@ -3,6 +3,8 @@ the exit-code ladder (0 ok, 1 usage, 2 data, 3 enumeration guard)."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -10,7 +12,7 @@ import sys
 
 import pytest
 
-from bntrim import cli, serialize_dataset, serialize_network
+from bntrim import Dataset, cli, serialize_dataset, serialize_network
 
 from conftest import FIXTURES, binary_chain
 from test_evalharness import RARE_HELD_OUT_SEED, noisy_dataset, rare_value_dataset
@@ -321,6 +323,26 @@ class TestScatter:
         code, out, err = run(capsys, [*argv, "--seed", str(seed)])
         assert code == 0, err
         assert [line.split(",")[0] for line in out.splitlines()] == ["subset", "", "A", "B", "A;B"]
+
+    def test_csv_quotes_names_that_need_it(self, capsys, tmp_path):
+        names = ("A,x", 'B"q')
+        rows = noisy_dataset().rows
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(serialize_dataset(Dataset(("label", *names), rows, "label")))
+        code, out, err = run(capsys, ["scatter", "--data", str(path), "--class", "label", "--budget", "2"])
+        assert code == 0, err
+        records = list(csv.reader(io.StringIO(out)))
+        assert records[0] == ["subset", "eca", "cv_accuracy", "marker"]
+        assert [len(r) for r in records] == [4] * 5
+        assert [r[0] for r in records[1:]] == ["", names[0], names[1], ";".join(names)]
+
+    def test_budget_flags_are_exclusive(self, capsys, data_path):
+        code, out, err = run(
+            capsys, ["scatter", "--data", data_path, *self.ARGS, "--budget-frac", "0.5"]
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --budget-frac: not allowed with argument --budget" in err
 
     def test_text_format_is_usage_error(self, capsys, data_path):
         code, out, err = run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--format", "text"])

@@ -201,7 +201,7 @@ class TestScalarPathContract:
         "features, a, message",
         [
             (("Q1", "Z"), {"Q1": 0}, "unknown variable 'Z'"),
-            (("Q1", "Q2", "Q3"), {"Z": 0}, "evidence names non-feature variables: ['Z']"),
+            (("Q1", "Q2", "Q3"), {"Z": 0}, "kept set names non-features: ['Z']"),
             (("Q1", "Q2", "Q3"), {"Q1": 2}, "value index 2 out of range for 'Q1'"),
             (("Q1", "Q2", "Q3"), {"Q3": 0.0}, "value index 0.0 out of range for 'Q3'"),
         ],
