@@ -64,9 +64,7 @@ from .evalharness import (
 from .inference import (
     assignment_from_labels,
     classify,
-    decide_at,
     esdp_two_threshold,
-    joint_prob,
     marginal,
     posterior_class,
     sdp,
@@ -79,14 +77,12 @@ from .netio import (
     serialize_network,
 )
 from .trimsearch import (
-    SearchOptions,
     SearchStats,
     TraceEvent,
     TrimResult,
     eca_trim,
     enumerate_feasible,
     exhaustive_trim,
-    nb_trim,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +102,6 @@ __all__ = [
     "ModelError",
     "ParseError",
     "ScatterRow",
-    "SearchOptions",
     "SearchStats",
     "SelectionReport",
     "ThresholdInterval",
@@ -123,7 +118,6 @@ __all__ = [
     "compute_maa",
     "cond_independent_given_class",
     "cv_accuracy",
-    "decide_at",
     "eca",
     "eca_bruteforce",
     "eca_trim",
@@ -135,13 +129,11 @@ __all__ = [
     "ig_select",
     "info_gain",
     "is_naive_bayes",
-    "joint_prob",
     "learn_nb",
     "maa",
     "maa_bruteforce",
     "marginal",
     "mpa",
-    "nb_trim",
     "parse_dataset",
     "parse_network",
     "posterior_class",

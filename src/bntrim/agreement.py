@@ -92,12 +92,10 @@ class ThresholdInterval:
 
     lo: float
     hi: float
-    representative: float
 
-    @classmethod
-    def from_bounds(cls, lo: float, hi: float) -> "ThresholdInterval":
-        rep = hi if math.isfinite(hi) else lo + 1.0
-        return cls(lo, hi, rep)
+    @property
+    def representative(self) -> float:
+        return self.hi if math.isfinite(self.hi) else self.lo + 1.0
 
     def contains(self, t: float) -> bool:
         return self.lo < t <= self.hi
@@ -406,7 +404,7 @@ def _sweep(mass: np.ndarray, posterior: np.ndarray, rate: np.ndarray) -> MaaResu
 
     lo = -math.inf if best_cut == 0 else posterior[groups[best_cut - 1][1] - 1].item()
     hi = posterior[groups[best_cut][0]].item() if best_cut < len(groups) else math.inf
-    return MaaResult(best_score, ThresholdInterval.from_bounds(lo, hi))
+    return MaaResult(best_score, ThresholdInterval(lo, hi))
 
 
 def compute_maa(table: InstanceTable) -> MaaResult:

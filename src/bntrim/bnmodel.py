@@ -205,6 +205,14 @@ def check_threshold(threshold: float) -> float:
     return threshold
 
 
+def names_tuple(names: Iterable[str]) -> tuple[str, ...]:
+    """The names as a tuple; ModelError for a bare string, which would
+    otherwise be read as one name per character."""
+    if isinstance(names, str):
+        raise ModelError(f"expected a collection of names, got the string {names!r}")
+    return tuple(names)
+
+
 def positive_index(class_var: str, values: Sequence[str], label: str | None) -> int:
     """The index of the positive label in the class's value order: the
     second value when no label is given."""
@@ -232,7 +240,7 @@ class Classifier:
     threshold: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", tuple(self.features))
+        object.__setattr__(self, "features", names_tuple(self.features))
         if len(set(self.features)) != len(self.features):
             raise ModelError("classifier features contain duplicates")
         if self.class_var in self.features:
@@ -311,7 +319,7 @@ def check_trimming(net: BayesianNetwork, alpha: Classifier, beta: Classifier) ->
 def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
     """The names in classifier feature order; the one reading of feature
     names, raising ModelError when one is not a feature or is given twice."""
-    names = tuple(kept)
+    names = names_tuple(kept)
     kept_set = set(names)
     extra = kept_set.difference(clf.features)
     if extra:

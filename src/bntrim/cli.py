@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -30,7 +31,7 @@ from .errors import BntrimError, EnumerationLimitError, ParseError, UsageError
 from .evalharness import THRESHOLD_MODES, EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
 from .inference import assignment_from_labels, sdp
 from .netio import parse_dataset, parse_network, serialize_network
-from .trimsearch import SearchOptions, TraceEvent, eca_trim, exhaustive_trim
+from .trimsearch import TraceEvent, eca_trim, exhaustive_trim
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,19 +92,40 @@ def _interval_doc(interval: ThresholdInterval) -> dict:
     }
 
 
-def _split_names(arg: str | None) -> list[str]:
-    if not arg:
-        return []
-    return [part.strip() for part in arg.split(",") if part.strip()]
-
-
-def _distinct_names(arg: str | None, flag: str) -> list[str]:
-    """The names of a comma list; a name given twice is a usage error."""
-    names = _split_names(arg)
-    for i, name in enumerate(names):
-        if name in names[:i]:
+def _entries(arg: str | None, flag: str, read=lambda entry: (entry, entry)) -> dict:
+    """{name: item} over the entries of a comma list, blanks dropped,
+    where ``read`` turns an entry into its (name, item); a name given
+    twice is a usage error."""
+    out: dict = {}
+    for entry in (arg or "").split(","):
+        entry = entry.strip()
+        if not entry:
+            continue
+        name, item = read(entry)
+        if name in out:
             raise UsageError(f"duplicate name in {flag}; {name!r} is given twice")
-    return names
+        out[name] = item
+    return out
+
+
+def _names(arg: str | None, flag: str) -> tuple[str, ...]:
+    """The names of a comma list; ``=`` is part of a name."""
+    return tuple(_entries(arg, flag))
+
+
+def _pairs(arg: str | None, flag: str, form: str, value=str) -> dict:
+    """The NAME=VALUE entries of a comma list as {name: value(VALUE)}; an
+    entry with no name, or a VALUE that ``value`` refuses, is a usage
+    error."""
+
+    def read(entry: str) -> tuple:
+        name, sep, text = entry.partition("=")
+        if sep and name:
+            with contextlib.suppress(ValueError):
+                return name, value(text)
+        raise UsageError(f"malformed entry {entry!r} in {flag}; expected {form}")
+
+    return _entries(arg, flag, read)
 
 
 def _read(path: str) -> bytes:
@@ -112,52 +134,23 @@ def _read(path: str) -> bytes:
 
 
 def _build_classifier(net: BayesianNetwork, args: argparse.Namespace) -> Classifier:
-    features = _distinct_names(args.features, "--features")
-    if not features:
-        features = [v.name for v in net.variables if v.name != args.class_var]
+    features = _names(args.features, "--features") or tuple(
+        v.name for v in net.variables if v.name != args.class_var
+    )
     positive = positive_index(args.class_var, net.var(args.class_var).values, args.positive)
-    return Classifier(args.class_var, positive, tuple(features), args.threshold)
-
-
-def _parse_costs(arg: str | None, features: Sequence[str]) -> dict[str, float]:
-    if not arg:
-        return {f: 1.0 for f in features}
-    out: dict[str, float] = {}
-    for item in arg.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise UsageError(f"malformed cost entry {item!r}; expected NAME=NUMBER")
-        if name in out:
-            raise UsageError(f"duplicate cost entry {item!r}; {name!r} is given twice")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise UsageError(f"malformed cost value in {item!r}") from None
-    return out
+    return Classifier(args.class_var, positive, features, args.threshold)
 
 
 def _build_costs(args: argparse.Namespace, features: Sequence[str]) -> CostModel:
-    costs = _parse_costs(args.costs, features)
+    if args.costs:
+        costs = _pairs(args.costs, "--costs", "NAME=NUMBER", float)
+    else:
+        costs = {f: 1.0 for f in features}
     if args.budget is not None:
         budget = args.budget
     else:
         budget = fraction_budget(args.budget_frac, len(features))
     return CostModel(costs, budget)
-
-
-def _parse_observation(net: BayesianNetwork, arg: str | None) -> dict[str, int]:
-    labels: dict[str, str] = {}
-    for item in _split_names(arg):
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise UsageError(f"malformed observation {item!r}; expected VAR=VALUE")
-        if name in labels:
-            raise UsageError(f"duplicate observation {item!r}; {name!r} is given twice")
-        labels[name] = value
-    return assignment_from_labels(net, labels)
 
 
 def _trace_printer(event: TraceEvent) -> None:
@@ -168,11 +161,6 @@ def _trace_printer(event: TraceEvent) -> None:
         f"b={_fmt(event.budget_left)} value={_fmt(event.value)}",
         file=sys.stderr,
     )
-
-
-def _search_options(args: argparse.Namespace) -> SearchOptions:
-    hook = _trace_printer if args.trace else None
-    return SearchOptions(use_nb_fast_path=args.nb == "auto", trace_hook=hook)
 
 
 def _trim_doc(result) -> dict:
@@ -192,7 +180,9 @@ def _trim_doc(result) -> dict:
 
 def _cmd_trim(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     costs = _build_costs(args, clf.features)
-    return _trim_doc(eca_trim(net, clf, costs, _search_options(args)))
+    hook = _trace_printer if args.trace else None
+    result = eca_trim(net, clf, costs, use_nb_fast_path=args.nb == "auto", trace_hook=hook)
+    return _trim_doc(result)
 
 
 def _cmd_exhaustive(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
@@ -201,28 +191,28 @@ def _cmd_exhaustive(net: BayesianNetwork, clf: Classifier, args: argparse.Namesp
 
 
 def _cmd_maa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
-    result = maa(net, clf, _distinct_names(args.keep, "--keep"))
+    result = maa(net, clf, _names(args.keep, "--keep"))
     doc: dict[str, Any] = {"score": result.score}
     doc.update(_interval_doc(result.interval))
     return doc
 
 
 def _cmd_mpa(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
-    return {"score": mpa(net, clf, _distinct_names(args.keep, "--keep"))}
+    return {"score": mpa(net, clf, _names(args.keep, "--keep"))}
 
 
 def _cmd_eca(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     trimmed = replace(
         clf,
-        features=tuple(_distinct_names(args.trim_features, "--trim-features")),
+        features=_names(args.trim_features, "--trim-features"),
         threshold=args.trim_threshold,
     )
     return {"eca": eca(net, clf, trimmed)}
 
 
 def _cmd_sdp(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
-    evidence = _parse_observation(net, args.observe)
-    return {"sdp": sdp(net, clf, _distinct_names(args.query, "--query"), evidence)}
+    evidence = assignment_from_labels(net, _pairs(args.observe, "--observe", "VAR=VALUE"))
+    return {"sdp": sdp(net, clf, _names(args.query, "--query"), evidence)}
 
 
 def _cmd_ig(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:

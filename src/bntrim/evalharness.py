@@ -35,6 +35,7 @@ from .bnmodel import (
     check_network,
     check_threshold,
     check_trimming,
+    names_tuple,
     positive_index,
 )
 from .errors import ModelError, ZeroEvidenceError
@@ -365,7 +366,7 @@ def cv_accuracy(
     and no data copied; the scores have the same bits.
     """
     accuracy = _fold_scorer(data, folds, seed, _column_domains(data, data.columns))
-    return accuracy(subset, smoothing, positive_label, threshold)
+    return accuracy(names_tuple(subset), smoothing, positive_label, threshold)
 
 
 def scatter(
@@ -482,6 +483,8 @@ def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, i
     """Ancestral sampling: draw full assignments in topological order,
     reading each variable's CPT row through the network's factor plan."""
     check_network(net)
+    if count < 0:
+        raise ModelError(f"sample count must be >= 0, got {count}")
     plan = net._plan
     steps = [(name, plan.factors[plan.position[name]]) for name in net.order]
     rng = random.Random(seed)
@@ -527,6 +530,8 @@ def empirical_agreement(
     """Monte-Carlo estimate of agreement: the fraction of sampled
     instances both classifiers label identically."""
     kept = check_trimming(net, alpha, beta)
+    if count < 1:
+        raise ModelError(f"sample count must be >= 1, got {count}")
     cache: dict[tuple[int, ...], bool] = {}
     agree = 0
     for a in sample_rows(net, count, seed):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from typing import Iterable, Mapping
 
 from .bnmodel import (
@@ -42,6 +41,7 @@ from .bnmodel import (
     check_network,
     check_threshold,
     kept_in_order,
+    names_tuple,
 )
 from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 
@@ -138,15 +138,6 @@ def _class_masses(groups: dict, positive: int) -> tuple[dict, tuple[float, float
     return rows, (fsum(chain(groups.values())), fsum(chain(hits.values())))
 
 
-def joint_prob(net: BayesianNetwork, a: Assignment) -> float:
-    """Probability of one full assignment: the product of CPT entries."""
-    _check_assignment(net, a)
-    if len(a) != len(net.variables):
-        missing = [v.name for v in net.variables if v.name not in a]
-        raise ModelError(f"full assignment required, missing {missing}")
-    return math.fsum(_terms(net, a).get((), ()))
-
-
 def marginal(net: BayesianNetwork, a: Assignment) -> float:
     """Probability of a partial assignment: joint summed over completions."""
     _check_assignment(net, a)
@@ -178,11 +169,6 @@ def classify(net: BayesianNetwork, clf: Classifier, a: Assignment) -> bool:
     return posterior_class(net, clf, a) >= clf.threshold
 
 
-def decide_at(net: BayesianNetwork, clf: Classifier, a: Assignment, threshold: float) -> bool:
-    """classify() under the same classifier but a different threshold."""
-    return classify(net, replace(clf, threshold=threshold), a)
-
-
 def _agreeing(
     net: BayesianNetwork, clf: Classifier, evidence: Assignment, query: tuple, threshold: float
 ) -> tuple[float, list[float]]:
@@ -209,6 +195,7 @@ def sdp(
     nothing.
     """
     check_classifier(net, clf)
+    query = names_tuple(query)
     q = tuple(f for f in kept_in_order(clf, (*query, *evidence)) if f not in evidence)
     _check_assignment(net, evidence)
     pe, terms = _agreeing(net, clf, evidence, q, clf.threshold)
@@ -245,8 +232,8 @@ def esdp_two_threshold(
     exceeds EXHAUSTIVE_LIMIT instantiations.
     """
     check_classifier(net, clf)
-    hidden = tuple(hidden)
-    both = kept_in_order(clf, (*hidden, *observed))
+    hidden = names_tuple(hidden)
+    both = kept_in_order(clf, (*hidden, *names_tuple(observed)))
     h = tuple(f for f in both if f in hidden)
     o = tuple(f for f in both if f not in hidden)
     new_threshold = check_threshold(new_threshold)

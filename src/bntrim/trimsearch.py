@@ -7,12 +7,14 @@ bound ``mpa(F \\ E)`` cannot beat the incumbent.  The bound is computed on
 F \\ E even when that set itself exceeds the budget; it still bounds every
 descendant subset.
 
-``nb_trim`` is the naive-Bayes specialization: there MAA equals MPA and
-is monotone in the kept set, so only budget-exhausting subsets (those no
-remaining feature can extend within budget) need scoring.
+On naive-Bayes models ``eca_trim`` takes the frontier specialization:
+there MAA equals MPA and is monotone in the kept set, so only
+budget-exhausting subsets (those no remaining feature can extend within
+budget) need scoring.  ``use_nb_fast_path=False`` forces the generic
+search.
 
 ``exhaustive_trim`` scores every within-budget subset and is the oracle
-the other two are tested against.
+the search is tested against.
 
 Determinism: the branch order is fixed up front (descending
 single-feature MPA, ties by input order), include is explored before
@@ -36,7 +38,7 @@ from .bnmodel import (
     is_naive_bayes,
     kept_in_order,
 )
-from .errors import EnumerationLimitError, ModelError
+from .errors import EnumerationLimitError
 from .inference import EXHAUSTIVE_LIMIT
 
 
@@ -67,14 +69,6 @@ class TraceEvent:
 
 
 TraceHook = Callable[[TraceEvent], None]
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    # True takes the naive-Bayes frontier path when the model is naive
-    # Bayes; False forces the generic search.
-    use_nb_fast_path: bool = True
-    trace_hook: TraceHook | None = None
 
 
 @dataclass(frozen=True)
@@ -180,31 +174,19 @@ def eca_trim(
     net: BayesianNetwork,
     clf: Classifier,
     costs: CostModel,
-    opts: SearchOptions | None = None,
+    *,
+    use_nb_fast_path: bool = True,
+    trace_hook: TraceHook | None = None,
 ) -> TrimResult:
     """Find the within-budget feature subset with the highest achievable
     agreement, and the threshold interval attaining it.
 
-    Dispatches to the naive-Bayes frontier specialization when the model
-    qualifies, unless ``opts.use_nb_fast_path`` is False.
+    Takes the naive-Bayes frontier specialization when the model
+    qualifies, unless ``use_nb_fast_path`` is False; ``trace_hook``, when
+    given, receives every search event.
     """
-    opts = opts or SearchOptions()
-    fast = opts.use_nb_fast_path and is_naive_bayes(net, clf)
-    return _run(net, clf, costs, opts.trace_hook, nb_frontier_only=fast)
-
-
-def nb_trim(
-    net: BayesianNetwork,
-    clf: Classifier,
-    costs: CostModel,
-    opts: SearchOptions | None = None,
-) -> TrimResult:
-    """Naive-Bayes trimming: agreement equals its upper bound and grows
-    with the kept set, so only budget-exhausting subsets are scored."""
-    if not is_naive_bayes(net, clf):
-        raise ModelError("nb_trim requires a naive Bayes classifier structure")
-    opts = opts or SearchOptions()
-    return _run(net, clf, costs, opts.trace_hook, nb_frontier_only=True)
+    fast = use_nb_fast_path and is_naive_bayes(net, clf)
+    return _run(net, clf, costs, trace_hook, nb_frontier_only=fast)
 
 
 def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...]]:

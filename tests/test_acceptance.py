@@ -28,7 +28,6 @@ import pytest
 
 from bntrim import (
     CostModel,
-    SearchOptions,
     build_instance_table,
     cond_independent_given_class,
     eca,
@@ -42,7 +41,6 @@ from bntrim import (
     maa,
     maa_bruteforce,
     mpa,
-    nb_trim,
     posterior_class,
 )
 
@@ -183,8 +181,8 @@ def test_criterion_6_search_effort_beats_enumeration():
     start = time.perf_counter()
     net, clf = nb_instance(random.Random(1207), 12, max_card=2)
     costs = CostModel.unit(clf.features, 4)
-    generic = eca_trim(net, clf, costs, SearchOptions(use_nb_fast_path=False))
-    fast = nb_trim(net, clf, costs)
+    generic = eca_trim(net, clf, costs, use_nb_fast_path=False)
+    fast = eca_trim(net, clf, costs)
     oracle = exhaustive_trim(net, clf, costs)
     elapsed = time.perf_counter() - start
 

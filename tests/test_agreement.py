@@ -26,7 +26,6 @@ from bntrim import (
     build_instance_table,
     classify,
     compute_maa,
-    decide_at,
     eca,
     eca_trim,
     esdp_two_threshold,
@@ -115,18 +114,18 @@ class TestInstanceTable:
 
 class TestThresholdInterval:
     def test_contains_is_left_open_right_closed(self):
-        iv = ThresholdInterval.from_bounds(0.2, 0.5)
+        iv = ThresholdInterval(0.2, 0.5)
         assert not iv.contains(0.2)
         assert iv.contains(0.5)
         assert iv.contains(0.3)
         assert not iv.contains(0.6)
 
     def test_representative_rules(self):
-        assert ThresholdInterval.from_bounds(0.2, 0.5).representative == 0.5
-        sentinel = ThresholdInterval.from_bounds(0.25, math.inf)
+        assert ThresholdInterval(0.2, 0.5).representative == 0.5
+        sentinel = ThresholdInterval(0.25, math.inf)
         assert sentinel.representative == 1.25
         assert sentinel.contains(100.0)
-        low = ThresholdInterval.from_bounds(-math.inf, 0.3)
+        low = ThresholdInterval(-math.inf, 0.3)
         assert low.representative == 0.3
 
 
@@ -273,15 +272,16 @@ def classify_sdp(net, clf, query, evidence) -> float:
     return math.fsum(terms) / pe
 
 
-def decide_at_esdp(net, clf, new_threshold, hidden, observed) -> float:
+def classify_esdp(net, clf, new_threshold, hidden, observed) -> float:
     """esdp_two_threshold with each observed instantiation's decision taken
-    by decide_at, which computes its mass a second time."""
+    by classify at the new threshold, which computes its mass a second
+    time."""
     terms = []
     for ocombo in itertools.product(*(range(net.var(f).cardinality) for f in observed)):
         part = dict(zip(observed, ocombo))
         if marginal(net, part) == 0.0:
             continue
-        trimmed_decision = decide_at(net, clf, part, new_threshold)
+        trimmed_decision = classify(net, replace(clf, threshold=new_threshold), part)
         for hcombo in itertools.product(*(range(net.var(f).cardinality) for f in hidden)):
             full = {**part, **dict(zip(hidden, hcombo))}
             p = marginal(net, full)
@@ -313,7 +313,7 @@ class TestOraclesComputeEachMassOnce:
         new_threshold = data.draw(st.sampled_from(attained))
 
         got = esdp_two_threshold(net, at, new_threshold, hidden, observed)
-        assert got.hex() == decide_at_esdp(net, at, new_threshold, hidden, observed).hex()
+        assert got.hex() == classify_esdp(net, at, new_threshold, hidden, observed).hex()
         if marginal(net, evidence) > 0.0:
             got = sdp(net, at, hidden, evidence)
             assert got.hex() == classify_sdp(net, at, hidden, evidence).hex()

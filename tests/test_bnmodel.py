@@ -20,6 +20,7 @@ from bntrim import (
     build_instance_table,
     check_network,
     cond_independent_given_class,
+    cv_accuracy,
     eca,
     eca_bruteforce,
     eca_trim,
@@ -34,6 +35,7 @@ from bntrim import (
     posterior_class,
     sample_rows,
     sdp,
+    synthesize_dataset,
     validate_network,
 )
 from bntrim import bnmodel
@@ -438,6 +440,30 @@ TRIMMING_READERS = {
     ),
 }
 
+# Every call that takes feature names, read against a model whose
+# features have one-letter names, where a bare string split into its
+# characters would name real features.
+STRING_READERS = {
+    **SEQUENCE_READERS,
+    **TRIMMING_READERS,
+    "Classifier": lambda net, clf, names: Classifier("C", 1, names, 0.5),
+    "cv_accuracy": lambda net, clf, names: cv_accuracy(
+        synthesize_dataset(net, "C", 30, 0), names, 3, 0
+    ),
+}
+
+
+def one_letter_model() -> tuple[BayesianNetwork, Classifier]:
+    net = BayesianNetwork(
+        (Variable("C", ("neg", "pos")), Variable("A", ("a", "b")), Variable("B", ("a", "b"))),
+        (
+            Cpt("C", (), ((0.5, 0.5),)),
+            Cpt("A", ("C",), ((0.9, 0.1), (0.2, 0.8))),
+            Cpt("B", ("C",), ((0.7, 0.3), (0.4, 0.6))),
+        ),
+    )
+    return net, Classifier("C", 1, ("A", "B"), 0.5)
+
 
 class TestOneReadingOfFeatureNames:
     """``kept_in_order`` decides, for every call, that each name is a
@@ -494,6 +520,13 @@ class TestOneReadingOfFeatureNames:
         with pytest.raises(ModelError) as info:
             call(quiz_net, quiz_alpha)
         assert str(info.value) == "kept set names 'Q1' twice"
+
+    @pytest.mark.parametrize("reader", STRING_READERS.values(), ids=STRING_READERS)
+    def test_bare_string_is_refused(self, reader):
+        net, clf = one_letter_model()
+        with pytest.raises(ModelError) as info:
+            reader(net, clf, "AB")
+        assert str(info.value) == "expected a collection of names, got the string 'AB'"
 
 
 class TestEmpiricalAgreementRefusesWhatEcaRefuses:

@@ -421,21 +421,56 @@ class TestExitCodes:
     def test_malformed_costs(self, capsys):
         code, _, err = run(capsys, ["trim", *BASE, "--budget", "2", "--costs", "Q1=x"])
         assert code == 1
-        assert "malformed cost" in err
+        assert err == "error: malformed entry 'Q1=x' in --costs; expected NAME=NUMBER\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["trim", *BASE, "--budget", "2", "--costs", "Q1=1,Q2"],
+                "malformed entry 'Q2' in --costs; expected NAME=NUMBER",
+            ),
+            (
+                ["trim", *BASE, "--budget", "2", "--costs", "=1"],
+                "malformed entry '=1' in --costs; expected NAME=NUMBER",
+            ),
+            (
+                ["trim", *BASE, "--budget", "2", "--costs", "Q1=1,Q1=x"],
+                "malformed entry 'Q1=x' in --costs; expected NAME=NUMBER",
+            ),
+            (
+                ["sdp", *BASE, "--query", "Q1", "--observe", "Q2"],
+                "malformed entry 'Q2' in --observe; expected VAR=VALUE",
+            ),
+            (
+                ["sdp", *BASE, "--query", "Q1", "--observe", "Q3=+,=-"],
+                "malformed entry '=-' in --observe; expected VAR=VALUE",
+            ),
+        ],
+        ids=["costs-no-value", "costs-no-name", "costs-bad-repeat", "observe-no-value", "observe-no-name"],
+    )
+    def test_malformed_entry(self, capsys, argv, err):
+        code, out, got = run(capsys, argv)
+        assert (code, out, got) == (1, "", f"error: {err}\n")
+
+    def test_equals_sign_is_part_of_a_name(self, capsys):
+        code, out, err = run(capsys, ["maa", *BASE, "--keep", "Q1=x"])
+        assert (code, out) == (2, "")
+        assert err == "error: kept set names non-features: ['Q1=x']\n"
 
     def test_duplicate_cost_entry(self, capsys):
         argv = ["trim", *BASE, "--budget", "2", "--costs", "Q1=1,Q1=5,Q2=1,Q3=1"]
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err == "error: duplicate cost entry 'Q1=5'; 'Q1' is given twice\n"
+        assert err == "error: duplicate name in --costs; 'Q1' is given twice\n"
 
     def test_duplicate_observation(self, capsys):
         argv = ["sdp", *BASE, "--query", "Q1", "--observe", "Q2=+,Q2=-"]
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err == "error: duplicate observation 'Q2=-'; 'Q2' is given twice\n"
+        assert err == "error: duplicate name in --observe; 'Q2' is given twice\n"
 
     @pytest.mark.parametrize(
         "argv, flag",

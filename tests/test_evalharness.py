@@ -597,6 +597,37 @@ class TestSampling:
         learned_row = learned.cpt("Q1").rows[0][0]
         assert learned_row == pytest.approx(true_row, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda net, clf: sample_rows(net, -2, 0), "sample count must be >= 0, got -2"),
+            (
+                lambda net, clf: synthesize_dataset(net, "C", -1, 0),
+                "sample count must be >= 0, got -1",
+            ),
+            (
+                lambda net, clf: empirical_agreement(net, clf, clf, 0, 0),
+                "sample count must be >= 1, got 0",
+            ),
+            (
+                lambda net, clf: empirical_agreement(net, clf, clf, -3, 0),
+                "sample count must be >= 1, got -3",
+            ),
+        ],
+        ids=["sample_rows", "synthesize_dataset", "empirical_agreement zero", "empirical_agreement negative"],
+    )
+    def test_sample_counts_are_checked(self, call, message):
+        net = load_network("quiz.bn.json")
+        alpha = Classifier("C", 0, ("Q1", "Q2", "Q3"), 0.07)
+        with pytest.raises(ModelError) as info:
+            call(net, alpha)
+        assert str(info.value) == message
+
+    def test_zero_samples_are_no_rows(self):
+        net = load_network("quiz.bn.json")
+        assert sample_rows(net, 0, 0) == []
+        assert synthesize_dataset(net, "C", 0, 0).rows == ()
+
     def test_empirical_agreement_of_identical_classifiers(self):
         net = load_network("quiz.bn.json")
         alpha = Classifier("C", 0, ("Q1", "Q2", "Q3"), 0.07)

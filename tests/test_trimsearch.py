@@ -17,7 +17,6 @@ from bntrim import (
     Cpt,
     EnumerationLimitError,
     ModelError,
-    SearchOptions,
     SearchStats,
     Variable,
     eca,
@@ -25,7 +24,6 @@ from bntrim import (
     exhaustive_trim,
     is_naive_bayes,
     maa,
-    nb_trim,
     trimsearch,
 )
 
@@ -62,7 +60,7 @@ class TestEcaTrimOnFixtures:
             quiz_net,
             quiz_alpha,
             CostModel.unit(quiz_alpha.features, 0),
-            SearchOptions(use_nb_fast_path=False),
+            use_nb_fast_path=False,
         )
         assert result.best_features == ()
         assert result.best_score == pytest.approx(0.7318, abs=1e-9)
@@ -94,7 +92,7 @@ class TestSearchTrace:
             quiz_net,
             quiz_alpha,
             CostModel.unit(quiz_alpha.features, 2),
-            SearchOptions(use_nb_fast_path=False, trace_hook=events.append),
+            use_nb_fast_path=False, trace_hook=events.append,
         )
         assert result.stats.maa_evals == 3
         assert result.stats.nodes_expanded == 5
@@ -129,7 +127,7 @@ class TestSearchTrace:
                 net,
                 clf,
                 costs,
-                SearchOptions(use_nb_fast_path=i % 4 == 0, trace_hook=events.append),
+                use_nb_fast_path=i % 4 == 0, trace_hook=events.append,
             )
             bounds = [e for e in events if e.action == "bound"]
             assert result.stats.bound_evals == len(clf.features) + len(bounds)
@@ -147,7 +145,7 @@ class TestSearchTrace:
                 net,
                 clf,
                 costs,
-                SearchOptions(use_nb_fast_path=False, trace_hook=events.append),
+                use_nb_fast_path=False, trace_hook=events.append,
             )
             incumbent = -math.inf
             for e in events:
@@ -177,7 +175,7 @@ class TestPinnedWork:
     @staticmethod
     def traced(net, clf, costs):
         events = []
-        result = eca_trim(net, clf, costs, SearchOptions(trace_hook=events.append))
+        result = eca_trim(net, clf, costs, trace_hook=events.append)
         return result, [(e.action, e.included, e.excluded) for e in events]
 
     def test_general_dag_with_one_decimal_costs(self):
@@ -246,7 +244,7 @@ class TestFractionalBudget:
         costs = CostModel({"Q1": 0.1, "Q2": 0.6, "Q3": 0.7}, 1.4)
         assert costs.fits(quiz_alpha.features)
         for fast in (True, False):
-            result = eca_trim(quiz_net, quiz_alpha, costs, SearchOptions(use_nb_fast_path=fast))
+            result = eca_trim(quiz_net, quiz_alpha, costs, use_nb_fast_path=fast)
             assert result.best_features == ("Q1", "Q2", "Q3")
             assert result.best_score == 1.0
         assert exhaustive_trim(quiz_net, quiz_alpha, costs).best_features == quiz_alpha.features
@@ -268,18 +266,18 @@ class TestFractionalBudget:
         # Even seeds draw naive-Bayes models, which also run the NB path.
         fast_paths = (False, True) if seed % 2 == 0 else (False,)
         for fast in fast_paths:
-            result = eca_trim(net, clf, model, SearchOptions(use_nb_fast_path=fast))
+            result = eca_trim(net, clf, model, use_nb_fast_path=fast)
             assert model.fits(result.best_features)
             assert result.best_score == pytest.approx(expected.best_score, abs=1e-12)
 
 
 class TestNbTrim:
+    """eca_trim on naive-Bayes models, where it takes the frontier search."""
+
     def test_quiz_budget_two_evaluates_frontier_only(self, quiz_net, quiz_alpha):
         events = []
         costs = CostModel.unit(quiz_alpha.features, 2)
-        result = nb_trim(
-            quiz_net, quiz_alpha, costs, SearchOptions(trace_hook=events.append)
-        )
+        result = eca_trim(quiz_net, quiz_alpha, costs, trace_hook=events.append)
         assert result.best_features == ("Q1", "Q2")
         assert result.best_score == pytest.approx(0.9748, abs=1e-9)
         maa_events = [e for e in events if e.action == "maa"]
@@ -288,8 +286,8 @@ class TestNbTrim:
 
     def test_fewer_evaluations_than_generic(self, quiz_net, quiz_alpha):
         costs = CostModel.unit(quiz_alpha.features, 2)
-        generic = eca_trim(quiz_net, quiz_alpha, costs, SearchOptions(use_nb_fast_path=False))
-        fast = nb_trim(quiz_net, quiz_alpha, costs)
+        generic = eca_trim(quiz_net, quiz_alpha, costs, use_nb_fast_path=False)
+        fast = eca_trim(quiz_net, quiz_alpha, costs)
         assert fast.stats.maa_evals <= generic.stats.maa_evals
         assert fast.best_score == pytest.approx(generic.best_score, abs=1e-12)
 
@@ -300,13 +298,9 @@ class TestNbTrim:
 
     def test_single_feature_model(self):
         net, clf = big_nb(1)
-        result = nb_trim(net, clf, CostModel.unit(clf.features, 1))
+        result = eca_trim(net, clf, CostModel.unit(clf.features, 1))
         assert result.best_features == clf.features
         assert result.best_score == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_naive_bayes(self, gbn4_net, gbn4_alpha):
-        with pytest.raises(ModelError):
-            nb_trim(gbn4_net, gbn4_alpha, CostModel.unit(gbn4_alpha.features, 2))
 
     def test_matches_generic_on_random_naive_bayes(self):
         from conftest import random_nb_instance
@@ -315,8 +309,8 @@ class TestNbTrim:
         for _ in range(20):
             net, clf = random_nb_instance(rng, max_features=6)
             costs = random_costs(rng, clf)
-            fast = nb_trim(net, clf, costs)
-            generic = eca_trim(net, clf, costs, SearchOptions(use_nb_fast_path=False))
+            fast = eca_trim(net, clf, costs)
+            generic = eca_trim(net, clf, costs, use_nb_fast_path=False)
             assert fast.best_score == pytest.approx(generic.best_score, abs=1e-12)
             assert fast.stats.maa_evals <= generic.stats.maa_evals
 

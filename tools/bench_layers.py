@@ -72,7 +72,6 @@ from bntrim import (  # noqa: E402
     Classifier,
     CostModel,
     EvalConfig,
-    SearchOptions,
     build_instance_table,
     compute_maa,
     cv_accuracy,
@@ -210,8 +209,7 @@ def case_eca_trim(nb_path: bool):
     def make():
         net, clf = nb_model(16)
         costs = CostModel.unit(clf.features, 8.0)
-        opts = SearchOptions(use_nb_fast_path=nb_path)
-        return lambda: eca_trim(net, clf, costs, opts)
+        return lambda: eca_trim(net, clf, costs, use_nb_fast_path=nb_path)
     return make
 
 
