@@ -9,11 +9,11 @@ positive exactly when the posterior probability of the positive value is
 greater than or equal to the threshold.
 
 All types are immutable after construction and safe to share across
-threads.  Validity (references, row shapes and sums, acyclicity) is one
-rule, :func:`validate_network`'s problem list, computed once per network
-and reported instead of raised so that broken documents can be diagnosed;
-:func:`check_network`, which every library entry point reaches, raises
-exactly when that list is nonempty.
+threads.  Validity (names and value labels, references, row shapes and
+sums, acyclicity) is one rule, :func:`validate_network`'s problem list,
+computed once per network and reported instead of raised so that broken
+documents can be diagnosed; :func:`check_network`, which every library
+entry point reaches, raises exactly when that list is nonempty.
 """
 
 from __future__ import annotations
@@ -32,19 +32,18 @@ ROW_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Variable:
-    """A named discrete variable with an ordered tuple of value labels."""
+    """A named discrete variable with an ordered tuple of value labels.
+
+    A valid variable has a nonempty name and at least two distinct labels;
+    :func:`validate_network` reports a variable that breaks this with the
+    network's other problems.
+    """
 
     name: str
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
-        if not self.name:
-            raise ModelError("variable name must be nonempty")
-        if len(self.values) < 2:
-            raise ModelError(f"variable {self.name!r} needs at least 2 values")
-        if len(set(self.values)) != len(self.values):
-            raise ModelError(f"variable {self.name!r} has duplicate value labels")
 
     @property
     def cardinality(self) -> int:
@@ -262,9 +261,9 @@ class CostModel:
         object.__setattr__(self, "budget", float(self.budget))
         for name, c in self.costs.items():
             if not math.isfinite(c) or c <= 0.0:
-                raise ModelError(f"cost of {name!r} must be positive, got {c}")
+                raise ModelError(f"cost of {name!r} must be a finite value > 0, got {c}")
         if not math.isfinite(self.budget) or self.budget < 0.0:
-            raise ModelError(f"budget must be >= 0, got {self.budget}")
+            raise ModelError(f"budget must be a finite value >= 0, got {self.budget}")
 
     def cost_of(self, name: str) -> float:
         try:
@@ -333,7 +332,8 @@ def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
 def validate_network(net: BayesianNetwork) -> list[str]:
     """The network's violation messages, as a fresh list; empty means valid.
 
-    Checks: duplicate names, missing or duplicate CPTs, dangling
+    Checks: empty or duplicate names, variables with fewer than two or
+    repeated value labels, missing or duplicate CPTs, dangling
     references, repeated parents, wrong row counts, row arity, entries
     outside [0, 1], row sums != 1, and, only when all of those pass,
     cycles.  Computed once per network and shared with
@@ -350,10 +350,16 @@ def _problems_and_order(
     problems: list[str] = []
     names = [v.name for v in net.variables]
     seen: set[str] = set()
-    for n in names:
-        if n in seen:
-            problems.append(f"duplicate variable name {n!r}")
-        seen.add(n)
+    for v in net.variables:
+        if v.name in seen:
+            problems.append(f"duplicate variable name {v.name!r}")
+        seen.add(v.name)
+        if not v.name:
+            problems.append("variable name must be nonempty")
+        if len(v.values) < 2:
+            problems.append(f"variable {v.name!r} needs at least 2 values")
+        if len(set(v.values)) != len(v.values):
+            problems.append(f"variable {v.name!r} has duplicate value labels")
 
     cpt_children = [c.child for c in net.cpts]
     cseen: set[str] = set()

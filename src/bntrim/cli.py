@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over one library call; the CLI does no
 arithmetic of its own beyond resolving ``--budget-frac`` into an absolute
-budget.  The subcommands that take a classifier share one runner,
+budget, by one rule (``_budget``) for ``trim``, ``exhaustive``, ``ig`` and
+``scatter`` alike.  The subcommands that take a classifier share one runner,
 ``_run_classifier``: it parses the network, builds the classifier and
 prints the document the subcommand returns.  Output goes to stdout in a
 fixed field order with floats printed to 12 significant digits, so
@@ -21,14 +22,14 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import Any, Sequence
 
 from .agreement import ThresholdInterval, eca, maa, mpa
 from .baselines import ig_report
 from .bnmodel import BayesianNetwork, Classifier, CostModel, positive_index
-from .errors import BntrimError, EnumerationLimitError, ParseError, UsageError
-from .evalharness import THRESHOLD_MODES, EvalConfig, fraction_budget, learn_nb, scatter, write_scatter_csv
+from .errors import BntrimError, EnumerationLimitError, ModelError, ParseError, UsageError
+from .evalharness import THRESHOLD_MODES, EvalConfig, learn_nb, scatter, write_scatter_csv
 from .inference import assignment_from_labels, sdp
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import TraceEvent, eca_trim, exhaustive_trim
@@ -141,16 +142,22 @@ def _build_classifier(net: BayesianNetwork, args: argparse.Namespace) -> Classif
     return Classifier(args.class_var, positive, features, args.threshold)
 
 
+def _budget(args: argparse.Namespace, feature_count: int) -> float:
+    """The one budget rule: ``--budget`` when given, otherwise
+    ceil(FRAC * feature count) for a ``--budget-frac`` FRAC in (0, 1]."""
+    if args.budget is not None:
+        return args.budget
+    if not 0.0 < args.budget_frac <= 1.0:
+        raise ModelError(f"budget fraction must be in (0,1], got {args.budget_frac}")
+    return float(math.ceil(args.budget_frac * feature_count))
+
+
 def _build_costs(args: argparse.Namespace, features: Sequence[str]) -> CostModel:
     if args.costs:
         costs = _pairs(args.costs, "--costs", "NAME=NUMBER", float)
     else:
         costs = {f: 1.0 for f in features}
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budget = fraction_budget(args.budget_frac, len(features))
-    return CostModel(costs, budget)
+    return CostModel(costs, _budget(args, len(features)))
 
 
 def _trace_printer(event: TraceEvent) -> None:
@@ -255,34 +262,16 @@ def _cmd_learn(args: argparse.Namespace) -> int:
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
     data = parse_dataset(_read(args.data), args.class_var)
-    config = EvalConfig(
-        split_fraction=args.split,
-        folds=args.folds,
-        seed=args.seed,
-        smoothing=args.smoothing,
-        budget=args.budget,
-        budget_fraction=args.budget_frac,
-        threshold=args.threshold,
-        threshold_mode=args.threshold_mode,
-    )
+    # Every feature is a CSV column but the class.
+    budget = _budget(args, len(data.columns) - 1)
+    settings = {f.name: getattr(args, f.name) for f in fields(EvalConfig)}
+    config = EvalConfig(**settings | {"budget": budget})
     rows, summary = scatter(data, config, positive_label=args.positive)
     if args.format == "csv":
         sys.stdout.write(write_scatter_csv(rows).decode("utf-8"))
         print(json.dumps(_jsonable(summary)), file=sys.stderr)
         return 0
-    doc = {
-        "rows": [
-            {
-                "subset": list(r.subset),
-                "eca": r.eca,
-                "cv_accuracy": r.cv_accuracy,
-                "marker": r.marker,
-            }
-            for r in rows
-        ],
-        "summary": summary,
-    }
-    _emit(doc, args.format)
+    _emit({"rows": [asdict(r) for r in rows], "summary": summary}, args.format)
     return 0
 
 
@@ -302,30 +291,32 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format(
-    p: argparse.ArgumentParser, choices=("json", "text"), default="json"
-) -> None:
-    p.add_argument("--format", choices=choices, default=default)
-
-
 def _add_classifier_command(sub, name: str, summary: str, command) -> argparse.ArgumentParser:
     """A subcommand run by ``_run_classifier``, with the classifier flags
-    registered first."""
+    and ``--format`` registered first."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("--network", required=True, help="network JSON file")
     p.add_argument("--class", dest="class_var", required=True, help="class variable name")
     p.add_argument("--positive", default=None, help="positive class value label (default: second declared value)")
     p.add_argument("--features", default=None, help="comma-separated feature names (default: all non-class variables)")
     p.add_argument("--threshold", type=float, default=0.5, help="decision threshold (default 0.5)")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=functools.partial(_run_classifier, command))
     return p
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--costs", default=None, help='per-feature costs, e.g. "A=1,B=2.5" (default: 1 each)')
-    group = p.add_mutually_exclusive_group(required=True)
+def _add_budget_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """The exclusive --budget/--budget-frac pair, read by ``_budget``; the
+    fraction's default is reachable only where the pair is optional."""
+    group = p.add_mutually_exclusive_group(required=required)
     group.add_argument("--budget", type=float, default=None, help="absolute budget")
-    group.add_argument("--budget-frac", type=float, default=None, help="budget as ceil(FRAC * feature count)")
+    group.add_argument("--budget-frac", type=float, default=0.5, help="budget as ceil(FRAC * feature count)")
+
+
+def _add_cost_flags(p: argparse.ArgumentParser) -> None:
+    """--costs and the required budget pair of the search subcommands."""
+    p.add_argument("--costs", default=None, help='per-feature costs, e.g. "A=1,B=2.5" (default: 1 each)')
+    _add_budget_flags(p, required=True)
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -341,36 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_classifier_command(sub, "trim", "branch-and-bound search for the best within-budget subset", _cmd_trim)
-    _add_budget_flags(p)
+    _add_cost_flags(p)
     _add_search_flags(p)
-    _add_format(p)
 
     p = _add_classifier_command(sub, "exhaustive", "score every within-budget subset (oracle)", _cmd_exhaustive)
-    _add_budget_flags(p)
-    _add_format(p)
+    _add_cost_flags(p)
 
     p = _add_classifier_command(sub, "maa", "best achievable agreement for a kept subset", _cmd_maa)
     p.add_argument("--keep", default=None, help="comma-separated kept features (default: none)")
-    _add_format(p)
 
     p = _add_classifier_command(sub, "mpa", "upper bound on achievable agreement for a kept subset", _cmd_mpa)
     p.add_argument("--keep", default=None, help="comma-separated kept features (default: none)")
-    _add_format(p)
 
     p = _add_classifier_command(sub, "eca", "agreement between the classifier and a trimmed variant", _cmd_eca)
     p.add_argument("--trim-features", default=None, help="features kept by the trimmed classifier")
     p.add_argument("--trim-threshold", type=float, required=True, help="threshold of the trimmed classifier")
-    _add_format(p)
 
     p = _add_classifier_command(sub, "sdp", "probability that observing more features keeps the decision", _cmd_sdp)
     p.add_argument("--query", default=None, help="comma-separated features to be observed")
     p.add_argument("--observe", default=None, help='current evidence, e.g. "Q3=+,Q1=-"')
-    _add_format(p)
 
     p = _add_classifier_command(sub, "ig", "information-gain feature selection baseline", _cmd_ig)
-    _add_budget_flags(p)
+    _add_cost_flags(p)
     p.add_argument("--retune", action="store_true", help="score the selection at its best threshold")
-    _add_format(p)
 
     p = sub.add_parser("learn", help="learn a naive Bayes network from a CSV dataset")
     p.add_argument("--data", required=True, help="CSV file with a header row")
@@ -383,21 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV file with a header row")
     p.add_argument("--class", dest="class_var", required=True)
     p.add_argument("--positive", default=None)
-    p.add_argument("--split", type=float, default=EvalConfig.split_fraction, help="training fraction")
+    # Each flag's dest is the name of the EvalConfig field it sets.
+    p.add_argument("--split", dest="split_fraction", type=float, default=EvalConfig.split_fraction, help="training fraction")
     p.add_argument("--folds", type=int, default=EvalConfig.folds)
     p.add_argument("--smoothing", type=float, default=EvalConfig.smoothing)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=float, default=EvalConfig.budget)
-    group.add_argument("--budget-frac", type=float, default=EvalConfig.budget_fraction)
+    _add_budget_flags(p, required=False)
     p.add_argument("--threshold", type=float, default=EvalConfig.threshold)
     p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=EvalConfig.threshold_mode)
     p.add_argument("--seed", type=int, default=EvalConfig.seed, help="RNG seed (default %(default)s)")
-    _add_format(p, choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("validate", help="check a network document and list violations")
     p.add_argument("network", help="network JSON file")
-    _add_format(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_validate)
 
     return parser

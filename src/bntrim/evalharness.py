@@ -3,11 +3,11 @@ score every feasible feature subset, and compare model-level agreement
 against held-out behaviour.
 
 The main entry point is :func:`scatter`: split the data, learn a
-full-feature classifier on the training part, then for every within-budget
-subset report its agreement with the full classifier (``eca`` column) next
-to its k-fold cross-validated accuracy on the training part.  The summary
-evaluates the best-agreement and best-accuracy subsets on the held-out
-part.
+full-feature classifier on the training part, then for every subset within
+the configured absolute budget report its agreement with the full
+classifier (``eca`` column) next to its k-fold cross-validated accuracy on
+the training part.  The summary evaluates the best-agreement and
+best-accuracy subsets on the held-out part.
 
 Also houses the seeded synthetic-data utilities: ancestral sampling from a
 network, dataset synthesis, and the empirical agreement estimate used to
@@ -20,7 +20,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,17 +50,17 @@ THRESHOLD_MODES = ("maa-optimal", "fixed")
 class EvalConfig:
     """Knobs for the evaluation harness.
 
+    ``budget`` is the absolute unit-cost budget every scored subset fits;
+    it has no default (the CLI resolves ``--budget-frac`` into it).
     ``threshold`` is both the learned classifier's decision threshold and
-    the scoring threshold in "fixed" mode.  The budget is ``budget`` when
-    given, otherwise ``ceil(budget_fraction * feature count)``.
+    the scoring threshold in "fixed" mode.
     """
 
+    budget: float
     split_fraction: float = 0.8
     folds: int = 10
     seed: int = 0
     smoothing: float = 1.0
-    budget: float | None = None
-    budget_fraction: float = 0.5
     threshold: float = 0.5
     threshold_mode: str = "maa-optimal"
 
@@ -70,26 +70,12 @@ class EvalConfig:
         if self.folds < 2:
             raise ModelError(f"fold count must be >= 2, got {self.folds}")
         _check_smoothing(self.smoothing)
-        if self.budget is not None:
-            CostModel({}, self.budget)  # checks the budget
-        fraction_budget(self.budget_fraction, 0)  # checks the fraction
+        CostModel({}, self.budget)  # checks the budget
         check_threshold(self.threshold)
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ModelError(
                 f"unknown threshold mode {self.threshold_mode!r}; choose from {THRESHOLD_MODES}"
             )
-
-    def resolve_budget(self, feature_count: int) -> float:
-        if self.budget is not None:
-            return self.budget
-        return fraction_budget(self.budget_fraction, feature_count)
-
-
-def fraction_budget(fraction: float, feature_count: int) -> float:
-    """``ceil(fraction * feature_count)``; ModelError unless 0 < fraction <= 1."""
-    if not 0.0 < fraction <= 1.0:
-        raise ModelError(f"budget fraction must be in (0,1], got {fraction}")
-    return float(math.ceil(fraction * feature_count))
 
 
 @dataclass(frozen=True)
@@ -374,7 +360,8 @@ def scatter(
     config: EvalConfig,
     positive_label: str | None = None,
 ) -> tuple[list[ScatterRow], dict]:
-    """Agreement-vs-accuracy sweep over all feasible subsets.
+    """Agreement-vs-accuracy sweep over every feature subset whose size
+    (unit costs) fits ``config.budget``.
 
     The data is split by a seeded permutation into training and held-out
     parts.  A full-feature classifier is learned on the training part;
@@ -407,8 +394,7 @@ def scatter(
         train, smoothing=config.smoothing, domains=domains,
         positive_label=positive_label, threshold=base_threshold,
     )
-    budget = config.resolve_budget(len(clf_full.features))
-    subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, budget))
+    subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, config.budget))
 
     def agreement_of(subset: tuple[str, ...]) -> tuple[float, float]:
         """The subset's agreement with the full classifier and its
@@ -471,7 +457,7 @@ def write_scatter_csv(rows: Iterable[ScatterRow]) -> bytes:
     needs it), floats with 12 significant digits, LF line ends."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("subset", "eca", "cv_accuracy", "marker"))
+    writer.writerow(f.name for f in fields(ScatterRow))
     writer.writerows(
         (";".join(r.subset), format(r.eca, ".12g"), format(r.cv_accuracy, ".12g"), r.marker)
         for r in rows
@@ -496,12 +482,14 @@ def sample_rows(net: BayesianNetwork, count: int, seed: int) -> list[dict[str, i
             probs = rows[sum(values[q] * stride for q, stride in parents)]
             u = rng.random()
             acc = 0.0
-            value = len(probs) - 1
-            for i, p in enumerate(probs):
+            for value, p in enumerate(probs):
                 acc += p
                 if u < acc:
-                    value = i
                     break
+            else:
+                # u fell in the gap a row summing just below 1 leaves:
+                # take the last value that can occur.
+                value = max(i for i, p in enumerate(probs) if p > 0.0)
             values[child] = a[name] = value
         out.append(a)
     return out

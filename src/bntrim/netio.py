@@ -67,10 +67,7 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
             raise ParseError(f"variables[{i}] needs a string 'name'")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ParseError(f"variable {name!r} needs a list of string 'values'")
-        try:
-            vs.append(Variable(name, tuple(values)))
-        except ModelError as e:
-            raise ParseError(str(e)) from None
+        vs.append(Variable(name, tuple(values)))
 
     cs: list[Cpt] = []
     for i, entry in enumerate(cpds):

@@ -51,17 +51,26 @@ def tiny_net(prior=(0.5, 0.5), rows=((0.9, 0.1), (0.2, 0.8))) -> BayesianNetwork
 
 
 class TestVariable:
+    """A bad variable is one of its network's validity problems, which
+    check_network raises for, not an error of its own construction."""
+
+    @staticmethod
+    def assert_sole_problem(variable: Variable, message: str) -> None:
+        card = len(variable.values)
+        net = BayesianNetwork((variable,), (Cpt(variable.name, (), ((1.0 / card,) * card,)),))
+        assert validate_network(net) == [message]
+        with pytest.raises(ModelError) as info:
+            check_network(net)
+        assert str(info.value) == f"network is not valid: {message}"
+
     def test_needs_two_values(self):
-        with pytest.raises(ModelError):
-            Variable("A", ("only",))
+        self.assert_sole_problem(Variable("A", ("only",)), "variable 'A' needs at least 2 values")
 
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(ModelError):
-            Variable("A", ("x", "x"))
+        self.assert_sole_problem(Variable("A", ("x", "x")), "variable 'A' has duplicate value labels")
 
     def test_rejects_empty_name(self):
-        with pytest.raises(ModelError):
-            Variable("", ("x", "y"))
+        self.assert_sole_problem(Variable("", ("x", "y")), "variable name must be nonempty")
 
     def test_index_of(self):
         v = Variable("A", ("x", "y", "z"))

@@ -9,10 +9,11 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import pytest
 
-from bntrim import Dataset, cli, serialize_dataset, serialize_network
+from bntrim import Dataset, EvalConfig, cli, serialize_dataset, serialize_network
 
 from conftest import FIXTURES, binary_chain
 from test_evalharness import RARE_HELD_OUT_SEED, noisy_dataset, rare_value_dataset
@@ -237,6 +238,35 @@ class TestValidate:
             assert "cpt 'Q1' lists parent 'C' twice" in err
             assert "Traceback" not in err
 
+    def test_variable_problems_listed_with_the_rest(self, capsys, tmp_path):
+        bad = {
+            "variables": [
+                {"name": "C", "values": ["+"]},
+                {"name": "A", "values": ["x", "x"]},
+                {"name": "B", "values": ["u", "v", "w"]},
+            ],
+            "cpds": [
+                {"child": "C", "parents": [], "rows": [[1.0]]},
+                {"child": "A", "parents": ["C"], "rows": [[0.5, 0.5]]},
+                {"child": "B", "parents": [], "rows": [[0.5, 0.5]]},
+                {"child": "Z", "parents": [], "rows": [[1.0]]},
+            ],
+        }
+        problems = [
+            "variable 'C' needs at least 2 values",
+            "variable 'A' has duplicate value labels",
+            "cpt 'B' row 0: expected 3 entries, found 2",
+            "cpt references unknown child 'Z'",
+        ]
+        path = tmp_path / "bad.bn.json"
+        path.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert json.loads(out) == {"valid": False, "problems": problems}
+        code, out, err = run(capsys, ["maa", "--network", str(path), "--class", "C"])
+        assert (code, out) == (2, "")
+        assert err == "error: invalid network: " + "; ".join(problems) + "\n"
+
     def test_garbage_input(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {{{")
@@ -349,6 +379,41 @@ class TestScatter:
         assert code == 1
         assert out == ""
         assert "invalid choice: 'text'" in err
+
+    def test_every_setting_is_a_flag_with_the_field_default(self):
+        # _cmd_scatter reads each EvalConfig field from the flag of that
+        # dest; only the budget, resolved by cli._budget, has no default.
+        args = cli.build_parser().parse_args(["scatter", "--data", "d.csv", "--class", "C"])
+        for f in fields(EvalConfig):
+            assert hasattr(args, f.name), f.name
+            if f.default is not MISSING:
+                assert getattr(args, f.name) == f.default, f.name
+        assert [f.name for f in fields(EvalConfig) if f.default is MISSING] == ["budget"]
+
+    @pytest.mark.parametrize(
+        "flags, budget", [(["--budget-frac", "0.6"], "2"), ([], "1")], ids=["0.6", "default"]
+    )
+    def test_fraction_is_the_budget_of_the_csv_feature_count(self, capsys, data_path, flags, budget):
+        # Two features: ceil(0.6 * 2) = 2, and the default ceil(0.5 * 2) = 1.
+        argv = ["scatter", "--data", data_path, "--class", "label", "--folds", "4"]
+        fraction = run(capsys, [*argv, *flags])
+        assert fraction[0] == 0
+        assert fraction == run(capsys, [*argv, "--budget", budget])
+        other = {"1": "2", "2": "1"}[budget]
+        assert fraction[1] != run(capsys, [*argv, "--budget", other])[1]
+
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "1.5", "0"])
+    def test_fraction_outside_unit_interval(self, capsys, data_path, fraction):
+        argv = ["scatter", "--data", data_path, "--class", "label", "--budget-frac", fraction]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: budget fraction must be in (0,1], got {float(fraction)}\n"
+
+    def test_fraction_is_checked_before_the_other_settings(self, capsys, data_path):
+        argv = ["scatter", "--data", data_path, "--class", "label", "--split", "2", "--budget-frac", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: budget fraction must be in (0,1], got 2.0\n"
 
 
 class TestClassOnlyNetwork:
@@ -522,6 +587,19 @@ class TestExitCodes:
     def test_negative_budget(self, capsys):
         code, _, _ = run(capsys, ["trim", *BASE, "--budget", "-1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "1e400"], "budget must be a finite value >= 0, got inf"),
+            (["--budget", "2", "--costs", "Q1=inf"], "cost of 'Q1' must be a finite value > 0, got inf"),
+        ],
+        ids=["budget", "cost"],
+    )
+    def test_infinite_budget_or_cost_names_finiteness(self, capsys, flags, message):
+        code, out, err = run(capsys, ["trim", *BASE, *flags])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "payload, message",

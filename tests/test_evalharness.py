@@ -14,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bntrim import (
+    BayesianNetwork,
     BntrimError,
     Classifier,
     CostModel,
+    Cpt,
     Dataset,
     EnumerationLimitError,
     EvalConfig,
     ModelError,
+    Variable,
     ZeroEvidenceError,
     classify,
     cv_accuracy,
@@ -33,6 +36,7 @@ from bntrim import (
     sample_rows,
     scatter,
     synthesize_dataset,
+    validate_network,
     write_scatter_csv,
 )
 
@@ -483,7 +487,7 @@ class TestScatter:
             assert summary[side] == held_out_reference(data, config, summary[side]["subset"])
 
     def test_unsmoothed_held_out_value_has_zero_evidence(self):
-        config = EvalConfig(seed=RARE_HELD_OUT_SEED, folds=2, smoothing=0.0)
+        config = EvalConfig(seed=RARE_HELD_OUT_SEED, folds=2, smoothing=0.0, budget=1.0)
         with pytest.raises(ZeroEvidenceError) as info:
             scatter(rare_value_dataset(), config)
         assert str(info.value) == "evidence {'F': 2} has probability 0"
@@ -547,8 +551,8 @@ class TestEvalConfig:
             {"smoothing": float("nan")},
             {"smoothing": float("inf")},
             {"budget": -1.0},
-            {"budget_fraction": 0.0},
-            {"budget_fraction": 1.5},
+            {"split_fraction": math.nan},
+            {"threshold": math.inf},
             {"threshold": -0.1},
             {"threshold_mode": "whatever"},
             {"threshold": float("nan")},
@@ -556,7 +560,7 @@ class TestEvalConfig:
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ModelError):
-            EvalConfig(**kwargs)
+            EvalConfig(**{"budget": 1.0, **kwargs})
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
     def test_budget_follows_the_cost_model_rule(self, budget):
@@ -565,11 +569,6 @@ class TestEvalConfig:
         with pytest.raises(ModelError) as rule:
             CostModel({}, budget)
         assert str(info.value) == str(rule.value)
-
-    def test_budget_resolution(self):
-        assert EvalConfig(budget=2.5).resolve_budget(8) == 2.5
-        assert EvalConfig(budget_fraction=0.5).resolve_budget(5) == 3.0
-        assert EvalConfig(budget_fraction=1 / 3).resolve_budget(12) == 4.0
 
 
 class TestSampling:
@@ -622,6 +621,16 @@ class TestSampling:
         with pytest.raises(ModelError) as info:
             call(net, alpha)
         assert str(info.value) == message
+
+    def test_draw_past_a_short_row_takes_the_last_possible_value(self, monkeypatch):
+        # The row sums to 1 - 4e-10, within ROW_SUM_TOL, and its last value
+        # has probability 0; a draw above the row's sum must not pick it.
+        net = BayesianNetwork(
+            (Variable("A", ("a", "b", "c")),), (Cpt("A", (), ((0.5, 0.5 - 4e-10, 0.0),)),)
+        )
+        assert validate_network(net) == []
+        monkeypatch.setattr(random.Random, "random", lambda self: 1 - 1e-10)
+        assert sample_rows(net, 3, 0) == [{"A": 1}] * 3
 
     def test_zero_samples_are_no_rows(self):
         net = load_network("quiz.bn.json")
