@@ -39,7 +39,6 @@ from .bnmodel import (
     check_classifier,
     check_network,
     cond_independent_given_class,
-    is_naive_bayes,
     validate_network,
 )
 from .errors import (
@@ -128,7 +127,6 @@ __all__ = [
     "ig_report",
     "ig_select",
     "info_gain",
-    "is_naive_bayes",
     "learn_nb",
     "maa",
     "maa_bruteforce",

@@ -87,6 +87,7 @@ def ig_report(
     with ``retune_threshold`` the selection is scored at its best
     achievable agreement instead (a stronger baseline).
     """
+    costs.check_features(clf.features)
     scores = info_gain(net, clf)
     chosen = ig_select(scores, costs)
     if retune_threshold:

@@ -9,16 +9,18 @@ positive exactly when the posterior probability of the positive value is
 greater than or equal to the threshold.
 
 All types are immutable after construction and safe to share across
-threads.  Validity (names and value labels, references, row shapes and
-sums, acyclicity) is one rule, :func:`validate_network`'s problem list,
-computed once per network and reported instead of raised so that broken
-documents can be diagnosed; :func:`check_network`, which every library
-entry point reaches, raises exactly when that list is nonempty.
+threads.  Validity (field types, names and value labels, references,
+row shapes and sums, acyclicity) is one rule, :func:`validate_network`'s
+problem list, computed once per network and reported instead of raised
+so that broken documents can be diagnosed (the constructors judge
+nothing); :func:`check_network`, which every library entry point
+reaches, raises exactly when that list is nonempty.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,16 +36,16 @@ ROW_SUM_TOL = 1e-9
 class Variable:
     """A named discrete variable with an ordered tuple of value labels.
 
-    A valid variable has a nonempty name and at least two distinct labels;
-    :func:`validate_network` reports a variable that breaks this with the
-    network's other problems.
+    A valid variable has a nonempty string name and a tuple (or list) of
+    at least two distinct string labels; :func:`validate_network` reports
+    a variable that breaks this with the network's other problems.
     """
 
     name: str
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _tuple(self.values))
 
     @property
     def cardinality(self) -> int:
@@ -72,10 +74,23 @@ class Cpt:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self, "rows", tuple(tuple(float(x) for x in row) for row in self.rows)
-        )
+        object.__setattr__(self, "parents", _tuple(self.parents))
+        object.__setattr__(self, "rows", _tuple(self.rows, lambda row: _tuple(row, _entry)))
+
+
+def _tuple(value: object, item=lambda x: x) -> object:
+    """A list or tuple as the tuple of ``item`` of each element, else as given."""
+    return tuple(map(item, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _entry(x: object) -> object:
+    """A number (not a bool) as a float if a float holds it, else as given."""
+    if type(x) is float or isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return x
 
 
 class _FactorPlan(NamedTuple):
@@ -97,7 +112,7 @@ class _FactorPlan(NamedTuple):
     factors: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[float, ...], ...]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesianNetwork:
     """A set of variables plus one CPT per variable.
 
@@ -105,14 +120,13 @@ class BayesianNetwork:
     the network is invalid; use :func:`validate_network` to find out why.
     Both come from one check, run once on first use (``_validity``).
     Valid networks also carry a factor plan (``_FactorPlan``), built on
-    first use.
+    first use.  Equal networks have equal variables, CPTs and order.
     """
 
     variables: tuple[Variable, ...]
     cpts: tuple[Cpt, ...]
     _var_map: dict = field(init=False, repr=False, compare=False)
     _cpt_map: dict = field(init=False, repr=False, compare=False)
-    _children: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -123,25 +137,26 @@ class BayesianNetwork:
         cpt_map: dict[str, Cpt] = {}
         for c in self.cpts:
             cpt_map.setdefault(c.child, c)
-        children: dict[str, tuple[str, ...]] = {name: () for name in var_map}
-        for c in self.cpts:
-            for p in c.parents:
-                if p in children and c.child in var_map:
-                    children[p] = children[p] + (c.child,)
         object.__setattr__(self, "_var_map", var_map)
         object.__setattr__(self, "_cpt_map", cpt_map)
-        object.__setattr__(self, "_children", children)
 
     @cached_property
     def _hash(self) -> int:
         return hash((self.variables, self.cpts))
 
     def __hash__(self) -> int:
-        # The value the generated dataclass hash gives (over the fields
-        # that take part in equality), computed once: the agreement caches
-        # hash the network on every lookup, and the generated hash walks
-        # every CPT row each time.
+        # Computed once: the agreement caches hash the network on every
+        # lookup, and hashing walks every CPT row.
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        # Validity takes part: an entry True equals 1.0 but is no number,
+        # and the agreement caches must not answer for an invalid network.
+        if not isinstance(other, BayesianNetwork):
+            return NotImplemented
+        return (self.variables, self.cpts, self.order) == (
+            other.variables, other.cpts, other.order
+        )
 
     @cached_property
     def _validity(self) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
@@ -186,10 +201,6 @@ class BayesianNetwork:
 
     def parents(self, name: str) -> tuple[str, ...]:
         return self.cpt(name).parents
-
-    def children(self, name: str) -> tuple[str, ...]:
-        self.var(name)
-        return self._children[name]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -271,6 +282,14 @@ class CostModel:
         except KeyError:
             raise ModelError(f"no cost given for feature {name!r}") from None
 
+    def check_features(self, features: Sequence[str]) -> None:
+        """ModelError unless the costs name exactly the features."""
+        for f in features:
+            self.cost_of(f)
+        extra = self.costs.keys() - set(features)
+        if extra:
+            raise ModelError(f"costs name non-features: {sorted(extra)}")
+
     def total(self, names: Iterable[str]) -> float:
         return math.fsum(self.cost_of(n) for n in names)
 
@@ -332,12 +351,14 @@ def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
 def validate_network(net: BayesianNetwork) -> list[str]:
     """The network's violation messages, as a fresh list; empty means valid.
 
-    Checks: empty or duplicate names, variables with fewer than two or
-    repeated value labels, missing or duplicate CPTs, dangling
-    references, repeated parents, wrong row counts, row arity, entries
-    outside [0, 1], row sums != 1, and, only when all of those pass,
-    cycles.  Computed once per network and shared with
-    :func:`check_network` and ``BayesianNetwork.order``.
+    Checks: field types (tuples of string labels and parents, a nonempty
+    tuple of rows of floats), empty or duplicate names, variables with
+    fewer than two or repeated value labels, missing or duplicate CPTs,
+    dangling references, repeated parents, wrong row counts, row arity,
+    entries outside [0, 1], row sums != 1, and, only when all of those
+    pass, cycles; no check reads a field of the wrong type.  Computed
+    once per network and shared with :func:`check_network` and
+    ``BayesianNetwork.order``.
     """
     return list(net._validity[0])
 
@@ -349,52 +370,69 @@ def _problems_and_order(
     order breaking ties) when there are none."""
     problems: list[str] = []
     names = [v.name for v in net.variables]
-    seen: set[str] = set()
+    # Each name's cardinality (its first declaration's), None for bad labels.
+    cards: dict[str, int | None] = {}
     for v in net.variables:
-        if v.name in seen:
+        if v.name in cards:
             problems.append(f"duplicate variable name {v.name!r}")
-        seen.add(v.name)
         if not v.name:
             problems.append("variable name must be nonempty")
-        if len(v.values) < 2:
+        typed = isinstance(v.values, tuple) and all(isinstance(x, str) for x in v.values)
+        cards.setdefault(v.name, len(v.values) if typed else None)
+        if not typed:
+            problems.append(f"variable {v.name!r} needs a list of string 'values'")
+        elif len(v.values) < 2:
             problems.append(f"variable {v.name!r} needs at least 2 values")
-        if len(set(v.values)) != len(v.values):
+        elif len(set(v.values)) != len(v.values):
             problems.append(f"variable {v.name!r} has duplicate value labels")
-
-    cpt_children = [c.child for c in net.cpts]
     cseen: set[str] = set()
-    for ch in cpt_children:
-        if ch in cseen:
-            problems.append(f"duplicate cpt for {ch!r}")
-        cseen.add(ch)
-    for n in names:
-        if n not in cseen:
-            problems.append(f"variable {n!r} has no cpt")
+    for c in net.cpts:
+        if c.child in cseen:
+            problems.append(f"duplicate cpt for {c.child!r}")
+        cseen.add(c.child)
+    problems.extend(f"variable {n!r} has no cpt" for n in names if n not in cseen)
 
     for c in net.cpts:
-        if c.child not in seen:
+        typed = isinstance(c.parents, tuple) and all(isinstance(p, str) for p in c.parents)
+        if not typed:
+            problems.append(f"cpd {c.child!r} needs a list of string 'parents'")
+        rows = c.rows if isinstance(c.rows, tuple) else ()
+        if not rows:
+            problems.append(f"cpd {c.child!r} needs a nonempty 'rows' array")
+        # Cpt keeps as given an entry that is no number or an int no float holds.
+        floats = [isinstance(row, tuple) and {float}.issuperset(map(type, row)) for row in rows]
+        if not all(floats):
+            kinds = [set(map(type, row)) if isinstance(row, tuple) else {None} for row in rows]
+            for j, kind in enumerate(kinds):
+                if kind - {float, int}:
+                    problems.append(f"cpd {c.child!r} row {j} must be a list of numbers")
+            if any(int in kind and kind <= {float, int} for kind in kinds):
+                problems.append(f"cpd {c.child!r} has an integer too large for a float")
+        if c.child not in cards:
             problems.append(f"cpt references unknown child {c.child!r}")
             continue
-        dangling = [p for p in c.parents if p not in seen]
+        if not typed or not rows:
+            continue
+        dangling = [p for p in c.parents if p not in cards]
         if dangling:
-            for p in dangling:
-                problems.append(f"cpt {c.child!r} references unknown parent {p!r}")
+            problems.extend(f"cpt {c.child!r} references unknown parent {p!r}" for p in dangling)
             continue
         repeated = dict.fromkeys(p for i, p in enumerate(c.parents) if p in c.parents[:i])
         if repeated:
             problems.extend(f"cpt {c.child!r} lists parent {p!r} twice" for p in repeated)
             continue
-        card = net.var(c.child).cardinality
-        expect_rows = 1
-        for p in c.parents:
-            expect_rows *= net.var(p).cardinality
-        if len(c.rows) != expect_rows:
+        parent_cards = [cards[p] for p in c.parents]
+        expect_rows = None if None in parent_cards else math.prod(parent_cards)
+        if expect_rows is not None and len(rows) != expect_rows:
             problems.append(
-                f"cpt {c.child!r}: expected {expect_rows} rows, found {len(c.rows)}"
+                f"cpt {c.child!r}: expected {expect_rows} rows, found {len(rows)}"
             )
             continue
-        for i, row in enumerate(c.rows):
-            if len(row) != card:
+        card = cards[c.child]
+        for i, row in enumerate(rows):
+            if not floats[i]:
+                continue
+            if card is not None and len(row) != card:
                 problems.append(
                     f"cpt {c.child!r} row {i}: expected {card} entries, found {len(row)}"
                 )
@@ -414,13 +452,17 @@ def _problems_and_order(
 
     # Kahn's algorithm, on a network whose names, CPTs and parents all
     # resolve; ties go to declaration order so the result is deterministic.
+    children: dict[str, list[str]] = {n: [] for n in names}
+    for c in net.cpts:
+        for p in c.parents:
+            children[p].append(c.child)
     indeg = {n: len(net._cpt_map[n].parents) for n in names}
     ready = deque(n for n in names if indeg[n] == 0)
     order: list[str] = []
     while ready:
         n = ready.popleft()
         order.append(n)
-        for ch in net._children[n]:
+        for ch in children[n]:
             indeg[ch] -= 1
             if indeg[ch] == 0:
                 ready.append(ch)
@@ -439,25 +481,6 @@ def _problems_and_order(
     return ("cycle detected: " + " -> ".join(cycle),), None
 
 
-def is_naive_bayes(net: BayesianNetwork, clf: Classifier) -> bool:
-    """True when the classifier variables form a naive Bayes structure.
-
-    The class variable must be a root, every feature's sole parent must be
-    the class variable, and no feature may have a child among the
-    classifier variables.
-    """
-    check_classifier(net, clf)
-    if net.parents(clf.class_var):
-        return False
-    member = set(clf.features) | {clf.class_var}
-    for f in clf.features:
-        if net.parents(f) != (clf.class_var,):
-            return False
-        if any(ch in member for ch in net.children(f)):
-            return False
-    return True
-
-
 def cond_independent_given_class(
     net: BayesianNetwork, clf: Classifier, subset: Iterable[str]
 ) -> bool:
@@ -465,48 +488,46 @@ def cond_independent_given_class(
     the class variable, by d-separation in the network DAG."""
     check_classifier(net, clf)
     sub = set(kept_in_order(clf, subset))
-    rest = set(clf.features) - sub
-    if not sub or not rest:
-        return True
-    return _d_separated(net, sub, rest, {clf.class_var})
+    return _separated_given_class(net, clf, {f: f in sub for f in clf.features})
 
 
-def _d_separated(
-    net: BayesianNetwork, x: set[str], y: set[str], z: set[str]
+def _separated_given_class(
+    net: BayesianNetwork, clf: Classifier, side: Mapping[str, object]
 ) -> bool:
-    # Moralized-ancestral-graph criterion: restrict to ancestors of
-    # x | y | z, marry co-parents, drop directions, delete z, then test
-    # whether any undirected path connects x and y.
-    relevant = set(x) | set(y) | set(z)
-    anc = set(relevant)
-    frontier = list(relevant)
-    while frontier:
-        n = frontier.pop()
-        for p in net.parents(n):
-            if p not in anc:
-                anc.add(p)
-                frontier.append(p)
-
-    adj: dict[str, set[str]] = {n: set() for n in anc}
-    for n in anc:
-        ps = [p for p in net.parents(n) if p in anc]
-        for p in ps:
-            adj[p].add(n)
-            adj[n].add(p)
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                adj[ps[i]].add(ps[j])
-                adj[ps[j]].add(ps[i])
-
-    blocked = set(z)
-    seen = set(x) - blocked
-    frontier = list(seen)
-    while frontier:
-        n = frontier.pop()
-        if n in y:
-            return False
-        for m in adj[n]:
-            if m not in seen and m not in blocked:
-                seen.add(m)
-                frontier.append(m)
+    """Whether features on different sides (``side`` maps each feature to
+    its side) are d-separated given the class, for a classifier
+    :func:`check_classifier` accepts: whether no connected component of
+    the moralized ancestral graph of the class and the features, less the
+    class, holds features of two sides (Lauritzen et al. 1990)."""
+    cls = clf.class_var
+    # Union-find: the moral graph makes each family (a variable and its
+    # parents) a clique, so uniting each family less the class labels the
+    # components.  A component with features has one of them as its root.
+    up: dict[str, str] = {}
+    stack = [cls, *clf.features]
+    seen = set(stack)
+    while stack:
+        n = stack.pop()
+        anchor = None if n == cls else n
+        for p in net._cpt_map[n].parents:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+            if p == cls:
+                continue
+            if anchor is None:
+                anchor = p
+                continue
+            a, b = anchor, p
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a == b:
+                continue
+            if b in side:
+                if side.get(a, side[b]) != side[b]:
+                    return False
+                a, b = b, a
+            up[b] = a
     return True

@@ -320,7 +320,7 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nb", choices=("auto", "off"), default="auto", help="naive-Bayes frontier specialization: auto on naive-Bayes models, or off")
+    p.add_argument("--nb", choices=("auto", "off"), default="auto", help="frontier search: auto on models whose features are independent given the class, or off")
     p.add_argument("--trace", action="store_true", help="log search nodes to stderr")
 
 

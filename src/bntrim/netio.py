@@ -35,7 +35,9 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
     """Parse a JSON network document and validate it.
 
     Raises ParseError with position information for malformed JSON and
-    with a violation list for structurally invalid networks.
+    with a violation list for structurally invalid networks: the entries
+    that are no object or lack a string name or child, else every
+    problem :func:`validate_network` finds.
     """
     try:
         doc = json.loads(_decode(text, "utf-8"))
@@ -57,43 +59,21 @@ def parse_network(text: bytes | str) -> BayesianNetwork:
     if not isinstance(cpds, list):
         raise ParseError("missing 'cpds' array")
 
-    vs: list[Variable] = []
-    for i, entry in enumerate(variables):
-        if not isinstance(entry, dict):
-            raise ParseError(f"variables[{i}] must be an object")
-        name = entry.get("name")
-        values = entry.get("values")
-        if not isinstance(name, str):
-            raise ParseError(f"variables[{i}] needs a string 'name'")
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ParseError(f"variable {name!r} needs a list of string 'values'")
-        vs.append(Variable(name, tuple(values)))
-
-    cs: list[Cpt] = []
-    for i, entry in enumerate(cpds):
-        if not isinstance(entry, dict):
-            raise ParseError(f"cpds[{i}] must be an object")
-        child = entry.get("child")
-        parents = entry.get("parents", [])
-        rows = entry.get("rows")
-        if not isinstance(child, str):
-            raise ParseError(f"cpds[{i}] needs a string 'child'")
-        if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
-            raise ParseError(f"cpd {child!r} needs a list of string 'parents'")
-        if not isinstance(rows, list) or not rows:
-            raise ParseError(f"cpd {child!r} needs a nonempty 'rows' array")
-        for j, row in enumerate(rows):
-            if not isinstance(row, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-            ):
-                raise ParseError(f"cpd {child!r} row {j} must be a list of numbers")
-        try:
-            cs.append(Cpt(child, tuple(parents), tuple(map(tuple, rows))))
-        except OverflowError:  # Cpt converts each entry to float
-            raise ParseError(f"cpd {child!r} has an integer too large for a float") from None
-
-    net = BayesianNetwork(tuple(vs), tuple(cs))
-    problems = validate_network(net)
+    # Entries with no string name or child cannot be told apart, so they
+    # are reported alone; other field types are validate_network's rule.
+    problems = []
+    for key, entries, name in (("variables", variables, "name"), ("cpds", cpds, "child")):
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                problems.append(f"{key}[{i}] must be an object")
+            elif not isinstance(entry.get(name), str):
+                problems.append(f"{key}[{i}] needs a string {name!r}")
+    if not problems:
+        net = BayesianNetwork(
+            tuple(Variable(e.get("name"), e.get("values")) for e in variables),
+            tuple(Cpt(e.get("child"), e.get("parents", []), e.get("rows")) for e in cpds),
+        )
+        problems = validate_network(net)
     if problems:
         raise ParseError("invalid network: " + "; ".join(problems), problems=tuple(problems))
     return net

@@ -7,11 +7,11 @@ bound ``mpa(F \\ E)`` cannot beat the incumbent.  The bound is computed on
 F \\ E even when that set itself exceeds the budget; it still bounds every
 descendant subset.
 
-On naive-Bayes models ``eca_trim`` takes the frontier specialization:
-there MAA equals MPA and is monotone in the kept set, so only
-budget-exhausting subsets (those no remaining feature can extend within
-budget) need scoring.  ``use_nb_fast_path=False`` forces the generic
-search.
+When the features are d-separated from one another given the class, as
+in naive Bayes, ``eca_trim`` takes the frontier specialization: there MAA
+equals MPA and is monotone in the kept set, so only budget-exhausting
+subsets (those no remaining feature can extend within budget) need
+scoring.  ``use_nb_fast_path=False`` forces the generic search.
 
 ``exhaustive_trim`` scores every within-budget subset and is the oracle
 the search is tested against.
@@ -34,8 +34,8 @@ from .bnmodel import (
     BayesianNetwork,
     Classifier,
     CostModel,
+    _separated_given_class,
     check_classifier,
-    is_naive_bayes,
     kept_in_order,
 )
 from .errors import EnumerationLimitError
@@ -91,8 +91,7 @@ def _search_order(
 
 def _check_inputs(net: BayesianNetwork, clf: Classifier, costs: CostModel) -> None:
     check_classifier(net, clf)
-    for f in clf.features:
-        costs.cost_of(f)  # raises on a missing cost
+    costs.check_features(clf.features)
 
 
 def _run(
@@ -103,7 +102,6 @@ def _run(
     nb_frontier_only: bool,
 ) -> TrimResult:
     """The branch-and-bound search from the root: nothing decided yet."""
-    _check_inputs(net, clf, costs)
     stats = SearchStats()
     order = _search_order(net, clf, stats)
     all_features = frozenset(order)
@@ -181,11 +179,12 @@ def eca_trim(
     """Find the within-budget feature subset with the highest achievable
     agreement, and the threshold interval attaining it.
 
-    Takes the naive-Bayes frontier specialization when the model
-    qualifies, unless ``use_nb_fast_path`` is False; ``trace_hook``, when
-    given, receives every search event.
+    Takes the frontier specialization when every feature is d-separated
+    from the others given the class, unless ``use_nb_fast_path`` is
+    False; ``trace_hook``, when given, receives every search event.
     """
-    fast = use_nb_fast_path and is_naive_bayes(net, clf)
+    _check_inputs(net, clf, costs)
+    fast = use_nb_fast_path and _separated_given_class(net, clf, {f: f for f in clf.features})
     return _run(net, clf, costs, trace_hook, nb_frontier_only=fast)
 
 

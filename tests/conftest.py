@@ -20,6 +20,7 @@ from bntrim import (
     check_classifier,
     parse_network,
 )
+from bntrim import bnmodel
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -115,6 +116,36 @@ def random_dag_instance(
     clf = Classifier("C", rng.randrange(2), tuple(names[1:]), rng.uniform(0.1, 0.9))
     check_classifier(net, clf)
     return net, clf
+
+
+def binary_dag(parents: dict[str, tuple[str, ...]], seed: int = 0) -> BayesianNetwork:
+    """Binary variables in the given order, with the given parents and
+    seeded random CPT rows."""
+    rng = random.Random(seed)
+    variables = tuple(Variable(m, ("v0", "v1")) for m in parents)
+    cpds = tuple(Cpt(m, ps, _random_rows(rng, 2 ** len(ps), 2)) for m, ps in parents.items())
+    return BayesianNetwork(variables, cpds)
+
+
+# Classifiers over binary models with class C: the features are mutually
+# d-separated given C in the first group, and not in the second.
+SEPARATED_MODELS = {
+    "latent parent": ({"C": (), "L": ("C",), "F1": ("L",), "F2": ("C",), "F3": ("C",)}, ("F1", "F2", "F3")),
+    "class parent": ({"X": (), "C": ("X",), "F1": ("C",), "F2": ("C",)}, ("X", "F1", "F2")),
+    "isolated feature": ({"C": (), "Z": (), "F1": ("C",), "F2": ("C",)}, ("F1", "F2", "Z")),
+}
+COUPLED_MODELS = {
+    "feature edge": ({"C": (), "F1": ("C",), "F2": ("C", "F1"), "F3": ("C",)}, ("F1", "F2", "F3")),
+    "shared latent parent": ({"C": (), "L": (), "F1": ("C", "L"), "F2": ("C", "L")}, ("F1", "F2")),
+    "two class parents": ({"X": (), "Y": (), "C": ("X", "Y"), "F1": ("C",)}, ("X", "Y", "F1")),
+}
+
+
+def features_separated(net: BayesianNetwork, clf: Classifier) -> bool:
+    """The frontier search's precondition: every feature d-separated from
+    the other features given the class."""
+    check_classifier(net, clf)
+    return bnmodel._separated_given_class(net, clf, {f: f for f in clf.features})
 
 
 def binary_chain(n: int) -> BayesianNetwork:

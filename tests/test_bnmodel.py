@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,6 @@ from bntrim import (
     eca_trim,
     empirical_agreement,
     esdp_two_threshold,
-    is_naive_bayes,
     maa,
     maa_bruteforce,
     marginal,
@@ -40,7 +40,14 @@ from bntrim import (
 )
 from bntrim import bnmodel
 
-from conftest import FIXTURES, random_dag_instance
+from conftest import (
+    COUPLED_MODELS,
+    FIXTURES,
+    SEPARATED_MODELS,
+    binary_dag,
+    features_separated,
+    random_dag_instance,
+)
 
 
 def tiny_net(prior=(0.5, 0.5), rows=((0.9, 0.1), (0.2, 0.8))) -> BayesianNetwork:
@@ -142,7 +149,6 @@ class TestNetworkStructure:
         assert net.order == ("A", "B")
         assert net.names == ("B", "A")
         assert net.parents("B") == ("A",)
-        assert net.children("A") == ("B",)
 
     def test_cycle_yields_no_order_and_fails_check(self):
         net = BayesianNetwork(
@@ -247,6 +253,13 @@ INVALID = {
     "cycle": _two_variable(("C",), ((0.9, 0.1), (0.2, 0.8)), ("X",), ((0.5, 0.5),) * 2),
     "dangling parent": _two_variable(("C", "Ghost"), ((0.9, 0.1), (0.2, 0.8))),
     "repeated parent": _two_variable(("C", "C"), ((0.9, 0.1),) * 2 + ((0.2, 0.8),) * 2),
+    "bool entry": _two_variable(("C",), ((True, False), (0.2, 0.8))),
+    "string entry": _two_variable(("C",), (("0.5", 0.5), (0.2, 0.8))),
+    "bare-string parents": _two_variable("C", ((0.9, 0.1), (0.2, 0.8))),
+    "bare-string labels": BayesianNetwork(
+        (Variable("C", ("neg", "pos")), Variable("X", "ab")),
+        (Cpt("C", (), ((0.5, 0.5),)), Cpt("X", ("C",), ((0.9, 0.1), (0.2, 0.8)))),
+    ),
 }
 CLF = Classifier("C", 1, ("X",), 0.5)
 ENTRY_POINTS = {
@@ -328,22 +341,25 @@ class TestCheckClassifier:
             check_classifier(net, Classifier("C", 0, ("X",), 0.5))
 
 
-class TestIsNaiveBayes:
-    def test_quiz_is_naive_bayes(self, quiz_net, quiz_alpha):
-        assert is_naive_bayes(quiz_net, quiz_alpha)
+class TestFeaturesSeparatedGivenClass:
+    """The frontier search's precondition: every feature d-separated from
+    the other features given the class."""
+
+    def test_quiz_is_separated(self, quiz_net, quiz_alpha):
+        assert features_separated(quiz_net, quiz_alpha)
 
     def test_gbn4_is_not(self, gbn4_net, gbn4_alpha):
-        assert not is_naive_bayes(gbn4_net, gbn4_alpha)
+        assert not features_separated(gbn4_net, gbn4_alpha)
 
-    def test_class_with_parent_is_not(self):
-        net = BayesianNetwork(
-            (Variable("X", ("a", "b")), Variable("C", ("a", "b"))),
-            (
-                Cpt("X", (), ((0.5, 0.5),)),
-                Cpt("C", ("X",), ((0.5, 0.5), (0.2, 0.8))),
-            ),
-        )
-        assert not is_naive_bayes(net, Classifier("C", 0, ("X",), 0.5))
+    @pytest.mark.parametrize("name", SEPARATED_MODELS)
+    def test_separated_beyond_naive_bayes_structure(self, name):
+        parents, features = SEPARATED_MODELS[name]
+        assert features_separated(binary_dag(parents), Classifier("C", 1, features, 0.5))
+
+    @pytest.mark.parametrize("name", COUPLED_MODELS)
+    def test_coupled_features(self, name):
+        parents, features = COUPLED_MODELS[name]
+        assert not features_separated(binary_dag(parents), Classifier("C", 1, features, 0.5))
 
 
 class TestCondIndependentGivenClass:
@@ -361,6 +377,15 @@ class TestCondIndependentGivenClass:
     def test_rejects_non_feature(self, quiz_net, quiz_alpha):
         with pytest.raises(ModelError):
             cond_independent_given_class(quiz_net, quiz_alpha, ("C",))
+
+    @pytest.mark.parametrize("name", [*SEPARATED_MODELS, *COUPLED_MODELS])
+    def test_first_feature_against_the_rest(self, name):
+        # Latent variables and parents of the class, which the random
+        # models below do not have.
+        parents, features = {**SEPARATED_MODELS, **COUPLED_MODELS}[name]
+        net, clf = binary_dag(parents), Classifier("C", 1, features, 0.5)
+        independent = cond_independent_given_class(net, clf, features[:1])
+        assert independent == (name in SEPARATED_MODELS)
 
     def test_matches_distribution_factorization(self):
         # d-separation must agree with a numeric independence check:
@@ -566,6 +591,47 @@ class TestEmpiricalAgreementRefusesWhatEcaRefuses:
 
         assert refusal(lambda: eca(quiz_net, alpha, beta)) == message
         assert refusal(lambda: empirical_agreement(quiz_net, alpha, beta, 50, 0)) == message
+
+
+class TestDocumentTypes:
+    """Networks built in code follow the network document's type rule:
+    the constructors keep what is neither a list nor a number as given,
+    and validate_network reports it."""
+
+    def test_bare_string_labels(self):
+        variable = Variable("A", "xy")
+        assert variable.values == "xy"
+        net = BayesianNetwork((variable,), (Cpt("A", (), ((0.5, 0.5),)),))
+        assert validate_network(net) == ["variable 'A' needs a list of string 'values'"]
+
+    def test_bare_string_parents(self):
+        cpt = Cpt("B", "AC", ((0.5, 0.5),) * 4)
+        assert cpt.parents == "AC"
+        net = BayesianNetwork(
+            tuple(Variable(n, ("x", "y")) for n in "ABC"),
+            (Cpt("A", (), ((0.5, 0.5),)), cpt, Cpt("C", (), ((0.5, 0.5),))),
+        )
+        assert validate_network(net) == ["cpd 'B' needs a list of string 'parents'"]
+
+    @pytest.mark.parametrize("entry", [True, "0.5"], ids=["bool", "string"])
+    def test_entries_that_are_no_numbers(self, entry):
+        net = tiny_net(prior=(entry, 0.5))
+        assert net.cpt("C").rows[0][0] is entry
+        assert validate_network(net) == ["cpd 'C' row 0 must be a list of numbers"]
+
+    def test_numbers_become_floats(self):
+        rows = Cpt("A", [], [[1, Fraction(0)]]).rows
+        assert rows == ((1.0, 0.0),)
+        assert all(type(x) is float for x in rows[0])
+
+    def test_invalid_network_hashes_and_misses_the_caches(self):
+        # (True, False) == (1.0, 0.0), so only validity tells the two apart.
+        valid, invalid = tiny_net(prior=(1.0, 0.0)), tiny_net(prior=(True, False))
+        clf = Classifier("C", 1, ("X",), 0.5)
+        assert hash(invalid) == hash(valid) and invalid != valid
+        assert maa(valid, clf, ("X",)).score == 1.0
+        with pytest.raises(ModelError, match="row 0 must be a list of numbers"):
+            maa(invalid, clf, ("X",))
 
 
 class TestNetworkHash:

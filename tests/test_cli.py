@@ -267,6 +267,41 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err == "error: invalid network: " + "; ".join(problems) + "\n"
 
+    def test_type_faults_listed_with_the_rest(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "quiz.bn.json").read_text())
+        doc["variables"][1]["values"] = "xy"
+        doc["cpds"][0]["rows"] = [[0.6, 0.6]]
+        doc["cpds"][2]["rows"][1][0] = "a"
+        problems = [
+            "variable 'Q1' needs a list of string 'values'",
+            "cpt 'C' row 0: row sum 1.2 != 1",
+            "cpd 'Q2' row 1 must be a list of numbers",
+        ]
+        path = tmp_path / "typed.bn.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert json.loads(out) == {"valid": False, "problems": problems}
+
+    def test_entries_without_a_name_listed_together(self, capsys, tmp_path):
+        # The row sum of C is not read: without its names, the network
+        # cannot be assembled.
+        doc = json.loads((FIXTURES / "quiz.bn.json").read_text())
+        doc["variables"][1]["name"] = 1
+        doc["variables"][2] = "Q2"
+        doc["cpds"][0]["rows"] = [[0.6, 0.6]]
+        doc["cpds"][3] = None
+        problems = [
+            "variables[1] needs a string 'name'",
+            "variables[2] must be an object",
+            "cpds[3] must be an object",
+        ]
+        path = tmp_path / "shapes.bn.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["validate", str(path)])
+        assert code == 2
+        assert json.loads(out) == {"valid": False, "problems": problems}
+
     def test_garbage_input(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json {{{")
@@ -528,6 +563,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: duplicate name in --costs; 'Q1' is given twice\n"
+
+    @pytest.mark.parametrize("command", ["trim", "exhaustive", "ig"])
+    def test_costs_for_non_features(self, capsys, command):
+        argv = [command, *BASE, "--budget", "2", "--costs", "Q1=1,Q2=1,Q3=1,Q9=5,C=2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: costs name non-features: ['C', 'Q9']\n"
 
     def test_duplicate_observation(self, capsys):
         argv = ["sdp", *BASE, "--query", "Q1", "--observe", "Q2=+,Q2=-"]

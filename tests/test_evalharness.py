@@ -168,9 +168,10 @@ class TestLearnNb:
     def test_learned_model_is_valid_and_normalized(self):
         net, clf = learn_nb(noisy_dataset())
         assert marginal(net, {}) == pytest.approx(1.0, abs=1e-9)
-        from bntrim import is_naive_bayes
-
-        assert is_naive_bayes(net, clf)
+        # Naive-Bayes structure: the class is a root and each feature's
+        # sole parent.
+        assert net.parents(clf.class_var) == ()
+        assert all(net.parents(f) == (clf.class_var,) for f in clf.features)
 
 
 class TestEnumerateFeasible:

@@ -22,12 +22,20 @@ from bntrim import (
     eca,
     eca_trim,
     exhaustive_trim,
-    is_naive_bayes,
     maa,
     trimsearch,
 )
 
-from conftest import nb_instance, random_costs, random_dag_instance, random_instance
+from conftest import (
+    COUPLED_MODELS,
+    SEPARATED_MODELS,
+    binary_dag,
+    features_separated,
+    nb_instance,
+    random_costs,
+    random_dag_instance,
+    random_instance,
+)
 
 
 def big_nb(n_features: int) -> tuple[BayesianNetwork, Classifier]:
@@ -182,7 +190,7 @@ class TestPinnedWork:
         rng = random.Random(0)
         net, clf = random_dag_instance(rng, max_features=5)
         costs = tenth_costs(rng, clf)
-        assert not is_naive_bayes(net, clf)  # the generic path
+        assert not features_separated(net, clf)  # the generic path
         result, sequence = self.traced(net, clf, costs)
         assert result.stats == SearchStats(maa_evals=4, bound_evals=12, nodes_expanded=9, pruned=2)
         assert result.best_features == ("X1", "X3", "X4")
@@ -313,6 +321,46 @@ class TestNbTrim:
             generic = eca_trim(net, clf, costs, use_nb_fast_path=False)
             assert fast.best_score == pytest.approx(generic.best_score, abs=1e-12)
             assert fast.stats.maa_evals <= generic.stats.maa_evals
+
+
+class TestFrontierDispatch:
+    """eca_trim takes the frontier search exactly when every feature is
+    d-separated from the others given the class, naive Bayes or not."""
+
+    @staticmethod
+    def searches(net, clf, costs):
+        """eca_trim by default, then the frontier and the generic search."""
+        return (
+            eca_trim(net, clf, costs),
+            trimsearch._run(net, clf, costs, None, nb_frontier_only=True),
+            eca_trim(net, clf, costs, use_nb_fast_path=False),
+        )
+
+    @pytest.mark.parametrize("name", SEPARATED_MODELS)
+    def test_separated_models_take_the_frontier(self, name):
+        parents, features = SEPARATED_MODELS[name]
+        net, clf = binary_dag(parents), Classifier("C", 1, features, 0.5)
+        costs = CostModel.unit(features, 2)
+        auto, frontier, generic = self.searches(net, clf, costs)
+        assert auto.stats.maa_evals == frontier.stats.maa_evals < generic.stats.maa_evals
+        assert auto == frontier
+        exact = exhaustive_trim(net, clf, costs).best_score
+        assert abs(auto.best_score - exact) <= 1e-12
+
+    def test_quiz_takes_the_frontier(self, quiz_net, quiz_alpha):
+        auto, frontier, generic = self.searches(quiz_net, quiz_alpha, CostModel.unit(quiz_alpha.features, 2))
+        assert auto == frontier != generic
+
+    @pytest.mark.parametrize("name", COUPLED_MODELS)
+    def test_coupled_models_take_the_generic_search(self, name):
+        parents, features = COUPLED_MODELS[name]
+        net, clf = binary_dag(parents), Classifier("C", 1, features, 0.5)
+        auto, frontier, generic = self.searches(net, clf, CostModel.unit(features, 1))
+        assert auto == generic != frontier
+
+    def test_gbn4_takes_the_generic_search(self, gbn4_net, gbn4_alpha):
+        auto, frontier, generic = self.searches(gbn4_net, gbn4_alpha, CostModel.unit(gbn4_alpha.features, 2))
+        assert auto == generic != frontier
 
 
 class TestExhaustive:

@@ -37,8 +37,9 @@ binary features, with the model's grid built before the timing starts:
                    ``compute_maa`` on the instance table built beforehand;
 * ``mpa n=16``     the bound keeping all 16 features;
 * ``eca_trim nb n=16``, ``eca_trim nb-off n=16``  the search at unit
-                   costs and budget 8, with the naive-Bayes path on and
-                   off.
+                   costs and budget 8, with the frontier search on (the
+                   default, which naive Bayes takes since its features
+                   are independent given the class) and off.
 
 The tier-1 test suite then runs once; its wall seconds and the duration
 of criterion 5 are recorded as single runs.
