@@ -10,7 +10,9 @@ table we get, in one pass each:
               threshold (split rows at the threshold, sum the matching
               side's mass);
 * ``compute_maa`` the best achievable agreement over all thresholds,
-              found by sweeping the rows in posterior order.
+              found by sweeping the cuts in posterior order: a float
+              sweep with an error bound shortlists the cuts that can be
+              best, and only the shortlist is scored exactly.
 
 ``mpa``, an upper bound that lets every row pick its better side, and
 ``maa`` read the same row arrays (``_rows``) without building a table.
@@ -362,16 +364,6 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
 
 
-def _group_rows(posterior: np.ndarray) -> list[tuple[int, int]]:
-    """Consecutive [start, end) runs of rows whose posteriors are equal
-    within POSTERIOR_GROUP_RTOL, as ``math.isclose`` decides for finite
-    floats: |b - a| <= rtol * max(|a|, |b|)."""
-    a, b = posterior[:-1], posterior[1:]
-    close = np.abs(b - a) <= POSTERIOR_GROUP_RTOL * np.maximum(np.abs(a), np.abs(b))
-    bounds = [0, *((~close).nonzero()[0] + 1).tolist(), len(posterior)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 # Every finite float is an integer multiple of 2**-1074, the smallest
 # subnormal, so sums of floats are held exactly as integers in that unit.
 _UNIT = 1 << 1074
@@ -386,41 +378,94 @@ def _units(x: float) -> int:
 def _sweep(mass: np.ndarray, posterior: np.ndarray, rate: np.ndarray) -> MaaResult:
     """The MAA sweep over rows given as arrays sorted by posterior; see
     ``compute_maa``."""
-    if not len(mass):
+    n = len(mass)
+    if not n:
         raise ModelError("instance table has no rows")
-    groups = _group_rows(posterior)
-    pos = [_units(x) for x in (rate * mass).tolist()]
-    steps = [_units(x) - p for x, p in zip(((1.0 - rate) * mass).tolist(), pos)]
+    # Float stage: every cut's approximate score, and the shortlist of
+    # cuts within the error bound of the best one.
+    pos = rate * mass
+    neg = (1.0 - rate) * mass
+    # Cut j classifies rows from starts[j] on positive: 0, the first row of
+    # each later posterior group, then n.  Groups are runs of posteriors
+    # equal within POSTERIOR_GROUP_RTOL as math.isclose decides, which for
+    # sorted nonnegative posteriors a <= b reads b - a <= rtol * b.
+    a, b = posterior[:-1], posterior[1:]
+    edge = np.ones(n + 1, dtype=bool)
+    np.greater(b - a, POSTERIOR_GROUP_RTOL * b, out=edge[1:n])
+    starts = edge.nonzero()[0]
+    # below[i]: the negative sides of rows before i; above[i]: the positive
+    # sides from row i on.  Each is one recursive float summation.
+    below, above = np.zeros(n + 1), np.zeros(n + 1)
+    np.cumsum(neg, out=below[1:])
+    np.cumsum(pos[::-1], out=above[n - 1::-1])
+    approx = below[starts] + above[starts]
+    top = approx.max().item()
+    err = (n + 1) * _U / (1.0 - (n + 1) * _U) * (below[-1].item() + above[0].item())
+    slack = 2.0 * err + (top + err) * 2.0**-50 + 2.0**-1072
+    near = (approx >= top - slack).nonzero()[0]
 
-    total = sum(pos)
-    best_score = total / _UNIT
-    best_cut = 0
-    for j, (start, end) in enumerate(groups, 1):
-        total += sum(steps[start:end])
-        score = total / _UNIT
-        if score > best_score:
-            best_score = score
-            best_cut = j
+    # Exact stage: the shortlisted cut's fsum, or every cut's exact sum.
+    if len(near) == 1:
+        cut = near.item()
+        start = starts[cut]
+        score = math.fsum([*neg[:start].tolist(), *pos[start:].tolist()])
+    else:
+        ups = [_units(x) for x in pos.tolist()]
+        steps = [_units(x) - p for x, p in zip(neg.tolist(), ups)]
+        total = sum(ups)
+        score, cut = total / _UNIT, 0
+        bounds = starts.tolist()
+        for j in range(1, len(bounds)):
+            total += sum(steps[bounds[j - 1]:bounds[j]])
+            if total / _UNIT > score:
+                score, cut = total / _UNIT, j
 
-    lo = -math.inf if best_cut == 0 else posterior[groups[best_cut - 1][1] - 1].item()
-    hi = posterior[groups[best_cut][0]].item() if best_cut < len(groups) else math.inf
-    return MaaResult(best_score, ThresholdInterval(lo, hi))
+    lo = -math.inf if cut == 0 else posterior[starts[cut] - 1].item()
+    hi = posterior[starts[cut]].item() if cut < len(starts) - 1 else math.inf
+    return MaaResult(score, ThresholdInterval(lo, hi))
 
 
 def compute_maa(table: InstanceTable) -> MaaResult:
     """Best achievable agreement over all thresholds for a fixed table.
 
-    Sweeps the candidate cuts in posterior order: cut j classifies rows
-    below group j negative and the rest positive.  A running integer
-    holds the exact value of cut j's terms, negative sides below the cut
-    and positive sides from it on, in units of 2**-1074: it starts as the
-    exact sum of every positive side, and crossing a group adds each
-    row's negative side and subtracts its positive side.  Dividing it by
-    the unit is correctly rounded (Python's int true division), as
-    ``fsum`` of the cut's terms is, so each score is the same float
-    ``fsum`` gives and the result equals a brute-force maximum of eca
-    over the candidate thresholds at linear cost.  Ties go to the lowest
-    cut, and a strict improvement is required to move off it.
+    Cut j classifies the rows below posterior group j negative and the
+    rest positive.  Its terms are each row's negative side,
+    (1 - rate) * mass, below the cut and its positive side, rate * mass,
+    from the cut on: n = len(rows) nonnegative floats, and its score is
+    their correctly rounded sum, the float ``fsum`` gives.  The result is
+    the lowest cut of largest score, so it equals a brute-force maximum
+    of eca over the candidate thresholds.  It is found in two stages.
+
+    * Float stage.  One prefix ``cumsum`` of the negative sides and one
+      suffix ``cumsum`` of the positive sides give every cut's
+      approximate score as the sum of two entries.  So each is a float
+      sum of its n terms in which every term meets at most n additions,
+      each multiplying it by some 1 + d, |d| <= u = 2**-53.  Its error is
+      then at most gamma(n) = n*u / (1 - n*u) times the terms' sum, as
+      for recursive summation of nonnegative terms (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, ch. 4), and that sum is at
+      most N + P, the totals of every negative and every positive side.
+      Addition has no underflow error (Hauser, TOPLAS 1996), so this
+      holds for subnormal terms too.  The float N + P is itself such a
+      sum, at least (1 - gamma(n)) times the exact one, so
+      E = gamma(n + 1) times it bounds every approximation's error.
+    * Shortlist.  A cut whose rounded score could equal the best's has
+      an exact score within one ulp of the best exact score, so its
+      approximation is within 2E plus that ulp of the largest one.  The
+      shortlist keeps every cut within 2E plus a margin of that largest
+      approximation: four ulps' worth, 2**-50 times it plus E, covers the
+      ulp and the roundings in the test, and 2**-1072 covers E's
+      underflow when the totals are tiny.  So the best cut is always on
+      it.
+    * Exact stage.  A one-cut shortlist holds the best cut, scored by
+      one ``fsum`` of its terms.  A longer one, as when every cut ties,
+      falls back to one running Python integer holding every cut's exact
+      sum in units of 2**-1074: it starts as the sum of every positive
+      side, and crossing a group adds each row's negative side and
+      subtracts its positive side.  Dividing it by the unit is correctly
+      rounded (Python's int true division), as ``fsum`` is, so the exact
+      stage stays linear.  Ties go to the lowest cut, and a strict
+      improvement is required to move off it.
     """
     rows = table.rows
     return _sweep(

@@ -142,7 +142,13 @@ class BayesianNetwork:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.variables, self.cpts))
+        try:
+            return hash((self.variables, self.cpts))
+        except TypeError:
+            # Only a field validate_network reports can be unhashable, so
+            # the caches that hash a network refuse it as check_network does.
+            check_network(self)
+            raise
 
     def __hash__(self) -> int:
         # Computed once: the agreement caches hash the network on every
@@ -351,14 +357,14 @@ def kept_in_order(clf: Classifier, kept: Iterable[str]) -> tuple[str, ...]:
 def validate_network(net: BayesianNetwork) -> list[str]:
     """The network's violation messages, as a fresh list; empty means valid.
 
-    Checks: field types (tuples of string labels and parents, a nonempty
-    tuple of rows of floats), empty or duplicate names, variables with
-    fewer than two or repeated value labels, missing or duplicate CPTs,
-    dangling references, repeated parents, wrong row counts, row arity,
-    entries outside [0, 1], row sums != 1, and, only when all of those
-    pass, cycles; no check reads a field of the wrong type.  Computed
-    once per network and shared with :func:`check_network` and
-    ``BayesianNetwork.order``.
+    Checks: field types (string names and children, tuples of string
+    labels and parents, a nonempty tuple of rows of floats), empty or
+    duplicate names, variables with fewer than two or repeated value
+    labels, missing or duplicate CPTs, dangling references, repeated
+    parents, wrong row counts, row arity, entries outside [0, 1], row
+    sums != 1, and, only when all of those pass, cycles; no check reads a
+    field of the wrong type.  Computed once per network and shared with
+    :func:`check_network` and ``BayesianNetwork.order``.
     """
     return list(net._validity[0])
 
@@ -375,7 +381,9 @@ def _problems_and_order(
     for v in net.variables:
         if v.name in cards:
             problems.append(f"duplicate variable name {v.name!r}")
-        if not v.name:
+        if not isinstance(v.name, str):
+            problems.append(f"variable {v.name!r} needs a string 'name'")
+        elif not v.name:
             problems.append("variable name must be nonempty")
         typed = isinstance(v.values, tuple) and all(isinstance(x, str) for x in v.values)
         cards.setdefault(v.name, len(v.values) if typed else None)
@@ -387,6 +395,8 @@ def _problems_and_order(
             problems.append(f"variable {v.name!r} has duplicate value labels")
     cseen: set[str] = set()
     for c in net.cpts:
+        if not isinstance(c.child, str):
+            problems.append(f"cpd {c.child!r} needs a string 'child'")
         if c.child in cseen:
             problems.append(f"duplicate cpt for {c.child!r}")
         cseen.add(c.child)

@@ -502,10 +502,66 @@ def tie_instance_tables(draw):
     return InstanceTable(("X",), rows)
 
 
+@st.composite
+def near_tie_instance_tables(draw):
+    """Rows in distinct posterior groups, alternating between masses in
+    [0.01, 1] and masses 2**-53 to 2**-80 times one of those, so the cuts
+    on either side of a small row differ by less than one ulp of the
+    score: their float approximations cannot tell them apart."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    masses = draw(st.lists(st.floats(0.01, 1.0, allow_nan=False), min_size=n, max_size=n))
+    shifts = draw(st.lists(st.integers(53, 80), min_size=n, max_size=n))
+    masses = [m * 2.0 ** -e if i % 2 else m for i, (m, e) in enumerate(zip(masses, shifts))]
+    rate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
+    rates = draw(st.lists(rate, min_size=n, max_size=n))
+    rows = tuple(
+        InstanceRow((i,), m, i / n, r) for i, (m, r) in enumerate(zip(masses, rates))
+    )
+    return InstanceTable(("X",), rows)
+
+
+@st.composite
+def plateau_instance_tables(draw):
+    """Hundreds to thousands of rows, each its own posterior group, all at
+    rate exactly 1/2: every cut scores half the total mass exactly, so
+    every cut ties and the sweep must keep the lowest."""
+    n = draw(st.integers(min_value=200, max_value=1200))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = tuple(InstanceRow((i,), rng.uniform(0.01, 1.0), i / n, 0.5) for i in range(n))
+    return InstanceTable(("X",), rows)
+
+
+@st.composite
+def maa_wide_scale_tables(draw):
+    """2 048 to 4 096 rows, the size of a table keeping 11 or 12 binary
+    features, with posteriors on a grid of 256 and some rates at 0, 1/2
+    and 1."""
+    n = draw(st.integers(min_value=2048, max_value=4096))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    masses = [rng.random() for _ in range(n)]
+    total = math.fsum(masses)
+    posteriors = sorted(rng.randrange(257) / 256.0 for _ in range(n))
+    rates = [rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(n)]
+    rows = tuple(
+        InstanceRow((i,), m / total, p, r)
+        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
+    )
+    return InstanceTable(("X",), rows)
+
+
 class TestComputeMaaProperties:
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(wide_instance_tables(), tie_instance_tables()))
+    @given(st.one_of(wide_instance_tables(), tie_instance_tables(), near_tie_instance_tables()))
     def test_matches_independent_sweep_exactly_on_wide_tables(self, table):
+        result = compute_maa(table)
+        score, lo, hi = sweep_oracle(table.rows)
+        assert result.score == score
+        assert result.interval.lo == lo
+        assert result.interval.hi == hi
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(plateau_instance_tables(), maa_wide_scale_tables()))
+    def test_matches_independent_sweep_exactly_on_large_tables(self, table):
         result = compute_maa(table)
         score, lo, hi = sweep_oracle(table.rows)
         assert result.score == score

@@ -260,6 +260,11 @@ INVALID = {
         (Variable("C", ("neg", "pos")), Variable("X", "ab")),
         (Cpt("C", (), ((0.5, 0.5),)), Cpt("X", ("C",), ((0.9, 0.1), (0.2, 0.8)))),
     ),
+    # Unhashable, so the agreement caches meet it in hash() before check_network.
+    "set labels": BayesianNetwork(
+        (Variable("C", ("neg", "pos")), Variable("X", {"a", "b"})),
+        (Cpt("C", (), ((0.5, 0.5),)), Cpt("X", ("C",), ((0.9, 0.1), (0.2, 0.8)))),
+    ),
 }
 CLF = Classifier("C", 1, ("X",), 0.5)
 ENTRY_POINTS = {
@@ -618,6 +623,16 @@ class TestDocumentTypes:
         net = tiny_net(prior=(entry, 0.5))
         assert net.cpt("C").rows[0][0] is entry
         assert validate_network(net) == ["cpd 'C' row 0 must be a list of numbers"]
+
+    def test_names_that_are_no_strings(self):
+        net = BayesianNetwork(
+            (Variable("C", ("a", "b")), Variable(5, ("u", "v"))),
+            (Cpt("C", (), ((0.5, 0.5),)), Cpt(5, ("C",), ((0.5, 0.5), (0.2, 0.8)))),
+        )
+        assert validate_network(net) == [
+            "variable 5 needs a string 'name'",
+            "cpd 5 needs a string 'child'",
+        ]
 
     def test_numbers_become_floats(self):
         rows = Cpt("A", [], [[1, Fraction(0)]]).rows

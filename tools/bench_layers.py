@@ -35,6 +35,10 @@ binary features, with the model's grid built before the timing starts:
 * ``maa n=N``, ``compute_maa n=N``  best agreement keeping all N = 12,
                    14, 16 features: ``maa`` from the network, and
                    ``compute_maa`` on the instance table built beforehand;
+* ``compute_maa plateau``  ``compute_maa`` on a 4 096-row table, each
+                   row its own posterior group and every rate 1/2, so
+                   every cut ties exactly and the sweep takes its exact
+                   fallback over every cut: its worst case;
 * ``mpa n=16``     the bound keeping all 16 features;
 * ``eca_trim nb n=16``, ``eca_trim nb-off n=16``  the search at unit
                    costs and budget 8, with the frontier search on (the
@@ -73,6 +77,8 @@ from bntrim import (  # noqa: E402
     Classifier,
     CostModel,
     EvalConfig,
+    InstanceRow,
+    InstanceTable,
     build_instance_table,
     compute_maa,
     cv_accuracy,
@@ -201,6 +207,16 @@ def case_compute_maa(n: int):
     return make
 
 
+def case_compute_maa_plateau():
+    rng = random.Random(1)
+    masses = [rng.random() for _ in range(4096)]
+    total = sum(masses)
+    table = InstanceTable(("X",), tuple(
+        InstanceRow((i,), m / total, i / 4096, 0.5) for i, m in enumerate(masses)
+    ))
+    return lambda: compute_maa(table)
+
+
 def case_mpa():
     net, clf = nb_model(16)
     return lambda: mpa(net, clf, clf.features)
@@ -223,6 +239,7 @@ CASES = {
     "scatter": case_scatter,
     **{f"maa n={n}": case_maa(n) for n in (12, 14, 16)},
     **{f"compute_maa n={n}": case_compute_maa(n) for n in (12, 14, 16)},
+    "compute_maa plateau": case_compute_maa_plateau,
     "mpa n=16": case_mpa,
     "eca_trim nb n=16": case_eca_trim(True),
     "eca_trim nb-off n=16": case_eca_trim(False),
