@@ -16,6 +16,10 @@ table we get, in one pass each:
 
 ``mpa``, an upper bound that lets every row pick its better side, and
 ``maa`` read the same row arrays (``_rows``) without building a table.
+The search reads its bounds from a (total, hit) tensor instead
+(``_mpa_stack``, ``_sum_out``): ``_mpa_estimate`` gives a float estimate
+of ``mpa`` with a certified error bound, and the search calls ``mpa``
+only when the estimate cannot decide.
 
 Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair, so repeated subset evaluations during search
@@ -35,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -362,6 +366,91 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     """
     _, mass, _, rate = _rows(net, clf, kept_in_order(clf, kept))
     return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
+
+
+class _MpaStack(NamedTuple):
+    """A kept set's (total, hit) tensor, from which the search reads
+    ``mpa`` estimates without building rows.
+
+    ``cells[0]`` holds each cell's total mass, the grid's pos + neg cells
+    added once per cell, and ``cells[1]`` its hit cell.  Axis 1 + i is
+    classifier feature i; a summed-out feature keeps its axis at size 1,
+    so the kept set is the features whose axes have more than one cell.
+    ``additions`` is the most float additions any grid cell met on its
+    way into a cell of ``cells``.
+    """
+
+    cells: np.ndarray
+    additions: int
+
+
+def _mpa_stack(net: BayesianNetwork, clf: Classifier) -> _MpaStack:
+    """The (total, hit) stack of every feature, the root of a search."""
+    cells = _classifier_grid(net, clf)
+    return _MpaStack(np.stack((cells[0] + cells[1], cells[2])), 0)
+
+
+def _sum_out(stack: _MpaStack, positions: Iterable[int]) -> _MpaStack:
+    """The stack with the features at these classifier positions summed
+    out, in one numpy call.  Each new cell is a float sum of m old ones,
+    m the product of the summed axes' sizes, and whatever order numpy
+    adds them in, each meets at most m - 1 additions."""
+    cells = stack.cells.sum(axis=tuple(1 + i for i in positions), keepdims=True)
+    return _MpaStack(cells, stack.additions + stack.cells.size // cells.size - 1)
+
+
+def _mpa_estimate(stack: _MpaStack) -> tuple[float, float]:
+    """A float estimate of ``mpa`` of the stack's kept set, and a bound
+    on its distance to the float ``mpa`` returns: (A, B) with
+    |mpa - A| <= B.
+
+    With T and H a stack cell's floats, A is the float sum of
+    max(H, T - H) over its R cells.  Write u = 2**-53,
+    gamma(n) = n*u / (1 - n*u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3-4), a = ``additions``, and per row of
+    the kept set: M the exact sum of its grid cells' pos and neg, Tx
+    and Hx the exact sums of its grid totals and hits, and
+    Q = max(Hx, Tx - Hx), so Tx <= 2Q.  Both values are compared with
+    the exact sum of every row's Q.
+
+    * A's side.  A grid total is pos + neg rounded once, so
+      |Tx - M| <= u*M.  The stack's cells are float sums of nonnegative
+      grid cells, each meeting at most a additions, so they lie within
+      gamma(a) of Tx and Hx.  The subtraction T - H rounds once more,
+      and max is 1-Lipschitz, so each term is within
+      (4*gamma(a) + 2u(1 + gamma(a))) * Q of its Q.  Summing the R
+      nonnegative terms in any order meets at most R - 1 additions, so
+      adds gamma(R - 1) times their sum (numpy's pairwise order is not
+      assumed).
+    * ``mpa``'s side.  Its row mass is M and its hit sum Hx, each
+      correctly rounded; its rate is their quotient capped at 1, within
+      gamma(3) of Hx/M capped, plus 2**-1075 when the quotient
+      underflows; 1 - rate rounds within u; the product with the mass
+      rounds within u, plus 2**-1075 for underflow; and max(Hx, M - Hx)
+      (M when Hx > M) lies within u*M of Q.  Each term is then within
+      about 7u*M <= 15u*Q of its Q, plus (M + 1) * 2**-1075 for the
+      underflows, and the ``fsum`` of the terms rounds once more,
+      within u.
+    * Together.  |mpa - A| <= K*Q plus the underflow slack, where
+      K <= gamma(R) + 4*gamma(a) + 20u once the products of small
+      terms are absorbed, for any R and a up to the cell guard's 2**22;
+      Q <= A / (1 - K) turns this into a bound in A.  So
+      B = (R + 4a + 24) * u * A + (R + 4) * 2**-1074 bounds the error:
+      the relative term's spare 4u*A covers the roundings in computing
+      B and the quotients' underflow (2**-1075 times the masses, which
+      total about 2A at most), and the absolute term covers the
+      products' R * 2**-1075 and the relative term's own underflow.
+
+    Addition has no underflow error (Hauser, TOPLAS 1996), so the
+    bound holds for subnormal cells too.  As ``mpa`` and A are floats,
+    A + B < x (or A - B > x) computed in floats, for a float x, still
+    implies ``mpa`` < x (or > x): rounding is monotone.
+    """
+    total, hit = stack.cells
+    approx = np.maximum(hit, total - hit).sum().item()
+    rows = hit.size
+    err = (rows + 4 * stack.additions + 24) * _U * approx + (rows + 4) * 2.0**-1074
+    return approx, err
 
 
 # Every finite float is an integer multiple of 2**-1074, the smallest

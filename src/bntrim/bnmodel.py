@@ -78,6 +78,14 @@ class Cpt:
         object.__setattr__(self, "rows", _tuple(self.rows, lambda row: _tuple(row, _entry)))
 
 
+def _hashable(value: object) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _tuple(value: object, item=lambda x: x) -> object:
     """A list or tuple as the tuple of ``item`` of each element, else as given."""
     return tuple(map(item, value)) if isinstance(value, (list, tuple)) else value
@@ -131,12 +139,16 @@ class BayesianNetwork:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "cpts", tuple(self.cpts))
+        # Unhashable names stay out of the maps: validate_network reports
+        # them as it does any other name that is no string.
         var_map: dict[str, Variable] = {}
         for v in self.variables:
-            var_map.setdefault(v.name, v)
+            if _hashable(v.name):
+                var_map.setdefault(v.name, v)
         cpt_map: dict[str, Cpt] = {}
         for c in self.cpts:
-            cpt_map.setdefault(c.child, c)
+            if _hashable(c.child):
+                cpt_map.setdefault(c.child, c)
         object.__setattr__(self, "_var_map", var_map)
         object.__setattr__(self, "_cpt_map", cpt_map)
 
@@ -379,14 +391,16 @@ def _problems_and_order(
     # Each name's cardinality (its first declaration's), None for bad labels.
     cards: dict[str, int | None] = {}
     for v in net.variables:
-        if v.name in cards:
+        keyed = _hashable(v.name)
+        if keyed and v.name in cards:
             problems.append(f"duplicate variable name {v.name!r}")
         if not isinstance(v.name, str):
             problems.append(f"variable {v.name!r} needs a string 'name'")
         elif not v.name:
             problems.append("variable name must be nonempty")
         typed = isinstance(v.values, tuple) and all(isinstance(x, str) for x in v.values)
-        cards.setdefault(v.name, len(v.values) if typed else None)
+        if keyed:
+            cards.setdefault(v.name, len(v.values) if typed else None)
         if not typed:
             problems.append(f"variable {v.name!r} needs a list of string 'values'")
         elif len(v.values) < 2:
@@ -397,10 +411,14 @@ def _problems_and_order(
     for c in net.cpts:
         if not isinstance(c.child, str):
             problems.append(f"cpd {c.child!r} needs a string 'child'")
+        if not _hashable(c.child):
+            continue
         if c.child in cseen:
             problems.append(f"duplicate cpt for {c.child!r}")
         cseen.add(c.child)
-    problems.extend(f"variable {n!r} has no cpt" for n in names if n not in cseen)
+    problems.extend(
+        f"variable {n!r} has no cpt" for n in names if _hashable(n) and n not in cseen
+    )
 
     for c in net.cpts:
         typed = isinstance(c.parents, tuple) and all(isinstance(p, str) for p in c.parents)
@@ -418,6 +436,8 @@ def _problems_and_order(
                     problems.append(f"cpd {c.child!r} row {j} must be a list of numbers")
             if any(int in kind and kind <= {float, int} for kind in kinds):
                 problems.append(f"cpd {c.child!r} has an integer too large for a float")
+        if not _hashable(c.child):
+            continue
         if c.child not in cards:
             problems.append(f"cpt references unknown child {c.child!r}")
             continue

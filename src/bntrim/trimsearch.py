@@ -7,6 +7,19 @@ bound ``mpa(F \\ E)`` cannot beat the incumbent.  The bound is computed on
 F \\ E even when that set itself exceeds the budget; it still bounds every
 descendant subset.
 
+The bound is filtered: each node carries the (total, hit) tensor over
+F \\ E, which ``agreement`` builds once per search for the root and an
+exclude child sums over its new feature's axis (an include child reuses
+its parent's tensor and bound).  ``agreement._mpa_estimate`` reads a
+float estimate of ``mpa(F \\ E)`` off the tensor, with a certified error
+bound B.  The node is pruned when estimate + B falls below the incumbent
+and kept when estimate - B lies above it; only in between is the exact
+``mpa`` computed (once per node, shared with its include children), and
+``mpa <= incumbent`` decides.  So every decision is the exact one.  The
+branch order's singleton bounds are estimated the same way, and a
+feature whose interval meets another's is ordered by its exact ``mpa``.
+A trace prints the exact bound, computed for printing.
+
 When the features are d-separated from one another given the class, as
 in naive Bayes, ``eca_trim`` takes the frontier specialization: there MAA
 equals MPA and is monotone in the kept set, so only budget-exhausting
@@ -29,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .agreement import ThresholdInterval, maa, mpa
+from .agreement import ThresholdInterval, _mpa_estimate, _mpa_stack, _MpaStack, _sum_out, maa, mpa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -80,13 +93,40 @@ class TrimResult:
 
 
 def _search_order(
-    net: BayesianNetwork, clf: Classifier, stats: SearchStats
+    net: BayesianNetwork, clf: Classifier, root: _MpaStack, stats: SearchStats
 ) -> tuple[str, ...]:
     """Features by descending singleton MPA, ties by input order, since
-    ``sorted`` is stable."""
-    scores = {f: mpa(net, clf, (f,)) for f in clf.features}
-    stats.bound_evals += len(scores)
-    return tuple(sorted(clf.features, key=lambda f: -scores[f]))
+    ``sorted`` is stable.  Each singleton's bound is estimated from the
+    root stack with its certified error; a feature whose interval meets
+    another's is keyed by its exact ``mpa``, so the order is the exact
+    one."""
+    n = len(clf.features)
+    spans = []
+    for i in range(n):
+        approx, err = _mpa_estimate(_sum_out(root, [j for j in range(n) if j != i]))
+        spans.append((approx - err, approx + err, approx))
+    keys = {}
+    for i, (f, (lo, hi, approx)) in enumerate(zip(clf.features, spans)):
+        apart = all(
+            hi < other_lo or other_hi < lo
+            for j, (other_lo, other_hi, _) in enumerate(spans)
+            if j != i
+        )
+        keys[f] = approx if apart else mpa(net, clf, (f,))
+    stats.bound_evals += n
+    return tuple(sorted(clf.features, key=lambda f: -keys[f]))
+
+
+@dataclass
+class _Bound:
+    """A node's bound mpa(F \\ E): the estimate from its (total, hit)
+    stack, the estimate's certified error, and the exact value once a
+    comparison or the trace has needed it."""
+
+    stack: _MpaStack
+    approx: float
+    err: float
+    exact: float | None = None
 
 
 def _check_inputs(net: BayesianNetwork, clf: Classifier, costs: CostModel) -> None:
@@ -103,7 +143,9 @@ def _run(
 ) -> TrimResult:
     """The branch-and-bound search from the root: nothing decided yet."""
     stats = SearchStats()
-    order = _search_order(net, clf, stats)
+    root = _mpa_stack(net, clf)
+    order = _search_order(net, clf, root, stats)
+    position = {f: i for i, f in enumerate(clf.features)}
     all_features = frozenset(order)
     fits = costs.fits
     # The incumbent moves only on a strictly better score, so ties go to
@@ -121,15 +163,33 @@ def _run(
             budget_left = costs.budget - costs.total(included)
             trace_hook(TraceEvent(action, included, excluded, budget_left, value))
 
+    def exact(bound: _Bound, excluded: tuple[str, ...]) -> float:
+        if bound.exact is None:
+            bound.exact = mpa(net, clf, all_features - set(excluded))
+        return bound.exact
+
+    def cannot_beat(bound: _Bound, excluded: tuple[str, ...]) -> bool:
+        """mpa(F \\ E) <= best_score: decided by the estimate when its
+        error bound keeps it clear of the incumbent, else by the exact
+        mpa."""
+        if bound.approx + bound.err < best_score:
+            return True
+        if bound.approx - bound.err > best_score:
+            return False
+        return exact(bound, excluded) <= best_score
+
     def visit(
         included: tuple[str, ...],
         excluded: tuple[str, ...],
         fresh: bool,
-        bound: float | None,
+        bound: _Bound | None,
+        stack: _MpaStack,
     ) -> None:
         """Depth-first expansion of one subtree; the node's depth is the
         number of decided features.  ``bound`` is the parent's, passed
-        down when the excluded set is the parent's; None computes it."""
+        down when the excluded set is the parent's; with None, the node
+        sums its newest exclusion out of ``stack``, its parent's (the
+        root's at the root), and estimates its own."""
         nonlocal best_score, best, best_interval
         stats.nodes_expanded += 1
         undecided = order[len(included) + len(excluded):]
@@ -151,20 +211,23 @@ def _run(
         if not extendable:
             return
         if bound is None:
-            bound = mpa(net, clf, all_features - set(excluded))
+            if excluded:
+                stack = _sum_out(stack, (position[excluded[-1]],))
+            bound = _Bound(stack, *_mpa_estimate(stack))
         stats.bound_evals += 1
-        emit("bound", included, excluded, bound)
-        if bound <= best_score:
+        if trace_hook is not None:
+            emit("bound", included, excluded, exact(bound, excluded))
+        if cannot_beat(bound, excluded):
             stats.pruned += 1
-            emit("prune", included, excluded, bound)
+            emit("prune", included, excluded, bound.exact)  # set when traced
             return
         feature = undecided[0]
         if fits(included + (feature,)):
             # Same excluded set, so the same mpa(F \ E): pass it down.
-            visit(included + (feature,), excluded, True, bound)
-        visit(included, excluded + (feature,), False, None)
+            visit(included + (feature,), excluded, True, bound, bound.stack)
+        visit(included, excluded + (feature,), False, None, bound.stack)
 
-    visit((), (), True, None)
+    visit((), (), True, None, root)
     return TrimResult(kept_in_order(clf, best), best_score, best_interval, stats)
 
 

@@ -166,6 +166,53 @@ def random_instance(
     return random_dag_instance(rng, max_features, max_card)
 
 
+def bound_filter_models(count: int = 200) -> list[tuple[BayesianNetwork, Classifier]]:
+    """Seeded models for the search bound's float estimate: naive Bayes
+    and general DAGs of up to 6 features with at most 3 values, varied
+    in a cycle of five: as drawn; about a third of the CPT rows made
+    deterministic (one entry 1, the rest 0); an all-binary naive Bayes
+    whose first feature's CPT the next two repeat, so singleton bounds
+    tie exactly; threshold 0 (every positive-mass cell a hit) or 2 (no
+    hit); and rows with subnormal-scale entries, so products of them
+    underflow."""
+    rng = random.Random(230)
+    out = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 2:
+            net, clf = nb_instance(rng, rng.randint(3, 6), max_card=2)
+            first = net.cpts[1].rows
+            cpts = [c if c.child not in ("X2", "X3") else Cpt(c.child, c.parents, first) for c in net.cpts]
+        else:
+            net, clf = random_instance(rng, i // 5, max_features=6)
+            cpts = list(net.cpts)
+        if kind == 1:
+            def hot(row: tuple[float, ...]) -> tuple[float, ...]:
+                one = rng.randrange(len(row))
+                return tuple(float(j == one) for j in range(len(row)))
+
+            cpts = [
+                Cpt(c.child, c.parents, tuple(hot(row) if rng.random() < 0.35 else row for row in c.rows))
+                for c in cpts
+            ]
+        elif kind == 3:
+            clf = Classifier(clf.class_var, clf.positive_value, clf.features, 2.0 * (i // 5 % 2))
+        elif kind == 4:
+            tiny = (1e-300, 1e-310, 5e-324)
+            cpts = [
+                Cpt(c.child, c.parents, tuple(
+                    (rng.choice(tiny), *row[1:-1], 1.0 - math.fsum(row[1:-1]))
+                    if rng.random() < 0.5 else row
+                    for row in c.rows
+                ))
+                for c in cpts
+            ]
+        net = BayesianNetwork(net.variables, tuple(cpts))
+        check_classifier(net, clf)
+        out.append((net, clf))
+    return out
+
+
 def random_costs(rng: random.Random, clf: Classifier) -> CostModel:
     costs = {f: float(rng.choice((1, 2, 3))) for f in clf.features}
     budget = rng.uniform(0.0, math.fsum(costs.values()))

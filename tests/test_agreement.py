@@ -36,7 +36,10 @@ from bntrim import (
     sdp,
 )
 
+from bntrim import agreement
+
 from conftest import (
+    bound_filter_models,
     dag_networks,
     nb_instance,
     random_dag_instance,
@@ -353,6 +356,42 @@ class TestMpa:
                     max(r.positive_rate, 1.0 - r.positive_rate) * r.mass for r in rows
                 )
                 assert mpa(net, clf, kept) == expected
+
+
+class TestMpaEstimate:
+    """The search's float estimate of mpa from a (total, hit) stack, and
+    its certified error."""
+
+    def test_error_bound_holds_for_every_kept_set_and_summing_order(self):
+        rng = random.Random(2301)
+        for net, clf in bound_filter_models():
+            root = agreement._mpa_stack(net, clf)
+            n = len(clf.features)
+            for _ in range(4):
+                dropped = [i for i in range(n) if rng.random() < 0.5]
+                rng.shuffle(dropped)
+                one_by_one = root
+                for i in dropped:
+                    one_by_one = agreement._sum_out(one_by_one, (i,))
+                at_once = agreement._sum_out(root, dropped)
+                exact = mpa(net, clf, [f for i, f in enumerate(clf.features) if i not in dropped])
+                for stack in (one_by_one, at_once):
+                    approx, err = agreement._mpa_estimate(stack)
+                    assert abs(exact - approx) <= err
+                    # Certified, but not vacuous: a few hundred ulps here.
+                    assert err <= 1e-12 * approx + 1e-300
+
+    def test_root_stack_and_summing_out(self, quiz_net, quiz_alpha):
+        root = agreement._mpa_stack(quiz_net, quiz_alpha)
+        assert root.cells.shape == (2, 2, 2, 2) and root.additions == 0
+        stack = agreement._sum_out(agreement._sum_out(root, (0,)), (2,))
+        assert stack.cells.shape == (2, 1, 2, 1) and stack.additions == 2
+        assert agreement._sum_out(root, (0, 2)).additions == 3
+        approx, err = agreement._mpa_estimate(stack)
+        assert abs(approx - mpa(quiz_net, quiz_alpha, ("Q2",))) <= err
+        empty = agreement._sum_out(root, (0, 1, 2))
+        approx, err = agreement._mpa_estimate(empty)
+        assert abs(approx - mpa(quiz_net, quiz_alpha, ())) <= err
 
 
 class TestComputeMaa:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -633,6 +634,21 @@ class TestDocumentTypes:
             "variable 5 needs a string 'name'",
             "cpd 5 needs a string 'child'",
         ]
+
+    def test_unhashable_names_are_reported(self):
+        # Built without error, though the names cannot key a dict.
+        net = BayesianNetwork((Variable(["A"], ("x", "y")),), (Cpt(["A"], (), ((0.5, 0.5),)),))
+        problems = ["variable ['A'] needs a string 'name'", "cpd ['A'] needs a string 'child'"]
+        assert validate_network(net) == problems
+        with pytest.raises(ModelError, match=re.escape("; ".join(problems))):
+            check_network(net)
+        net = BayesianNetwork(
+            (Variable("C", ("a", "b")), Variable("X", ("u", "v"))),
+            (Cpt("C", (), ((0.5, 0.5),)), Cpt(["X"], ("C",), ((0.5, 0.5), (0.2, 0.8)))),
+        )
+        assert validate_network(net) == ["cpd ['X'] needs a string 'child'", "variable 'X' has no cpt"]
+        with pytest.raises(ModelError, match="needs a string 'child'"):
+            maa(net, Classifier("C", 1, ("X",), 0.5), ("X",))
 
     def test_numbers_become_floats(self):
         rows = Cpt("A", [], [[1, Fraction(0)]]).rows

@@ -48,6 +48,13 @@ class TestRoutes:
             assert mod.split(".")[0] != "numpy"
             assert mod.removeprefix("bntrim.") not in banned
 
+    def test_search_imports_no_numpy(self):
+        # The search reads its bounds through agreement's helpers, so the
+        # grid arithmetic behind them stays in that module.
+        modules = {mod.split(".")[0] for mod, _ in imports("trimsearch")}
+        assert "numpy" not in modules
+        assert ("bntrim.agreement", "_mpa_estimate") in imports("trimsearch")
+
     def test_oracles_use_nothing_of_the_grid_route(self):
         grid = {
             name or mod.rpartition(".")[2]

@@ -20,9 +20,11 @@ from bntrim import (
     SearchStats,
     Variable,
     eca,
+    agreement,
     eca_trim,
     exhaustive_trim,
     maa,
+    mpa,
     trimsearch,
 )
 
@@ -30,6 +32,7 @@ from conftest import (
     COUPLED_MODELS,
     SEPARATED_MODELS,
     binary_dag,
+    bound_filter_models,
     features_separated,
     nb_instance,
     random_costs,
@@ -139,9 +142,13 @@ class TestSearchTrace:
             )
             bounds = [e for e in events if e.action == "bound"]
             assert result.stats.bound_evals == len(clf.features) + len(bounds)
-            # One mpa per distinct excluded set, plus the branch-order singletons.
+            # One exact mpa per distinct excluded set, printed by the trace,
+            # after the branch order's exact singletons: those whose
+            # estimate is too close to another's to order them.
             distinct = {frozenset(e.excluded) for e in bounds}
-            assert len(calls) == len(distinct) + len(clf.features)
+            singletons = len(calls) - len(distinct)
+            assert 0 <= singletons <= len(clf.features)
+            assert all(len(kept) == 1 for kept in calls[:singletons])
 
     def test_pruning_is_admissible_on_random_instances(self):
         rng = random.Random(99177)
@@ -442,3 +449,93 @@ class TestAgainstExhaustive:
                 Classifier("C", 0, subset, quiz_alpha.threshold),
             )
             assert best >= fixed - 1e-12
+
+
+class TestFilteredBound:
+    """The search decides prune-or-keep on a float estimate of
+    mpa(F \\ E) with a certified error, and computes the exact mpa only
+    when the estimate cannot decide; every decision must be the exact
+    one."""
+
+    @staticmethod
+    def kept(clf: Classifier, stack) -> tuple[str, ...]:
+        return tuple(f for f, size in zip(clf.features, stack.cells.shape[1:]) if size > 1)
+
+    def test_every_estimate_holds_mpa_and_every_decision_is_exact(self, monkeypatch):
+        estimates = []
+        real_estimate = trimsearch._mpa_estimate
+
+        def recording(stack):
+            approx, err = real_estimate(stack)
+            estimates.append((stack, approx, err))
+            return approx, err
+
+        monkeypatch.setattr(trimsearch, "_mpa_estimate", recording)
+        rng = random.Random(2323)
+        kept_bounds = pruned_bounds = 0
+        for i, (net, clf) in enumerate(bound_filter_models()):
+            costs = random_costs(rng, clf)
+            events = []
+            estimates.clear()
+            eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0, trace_hook=events.append)
+            # Every singleton and every node estimate brackets the exact mpa.
+            assert len(estimates) >= len(clf.features)
+            for stack, approx, err in estimates:
+                assert abs(mpa(net, clf, self.kept(clf, stack)) - approx) <= err
+            # The trace prints the exact bound, and a node is pruned
+            # exactly when that bound cannot beat the incumbent.
+            incumbent = -math.inf
+            for j, e in enumerate(events):
+                if e.action == "update":
+                    incumbent = e.value
+                elif e.action == "bound":
+                    assert e.value == mpa(net, clf, set(clf.features) - set(e.excluded))
+                    after = events[j + 1] if j + 1 < len(events) else None
+                    pruned = after is not None and after.action == "prune" and (
+                        after.included, after.excluded) == (e.included, e.excluded)
+                    assert pruned == (e.value <= incumbent)
+                    kept_bounds += not pruned
+                    pruned_bounds += pruned
+        assert kept_bounds and pruned_bounds
+
+    def test_traced_and_untraced_searches_agree(self, monkeypatch):
+        calls = []
+        real_mpa, real_order = trimsearch.mpa, trimsearch._search_order
+
+        def counting_mpa(net, clf, kept):
+            calls.append(kept)
+            return real_mpa(net, clf, kept)
+
+        order_calls = []
+
+        def counting_order(*args):
+            before = len(calls)
+            order = real_order(*args)
+            order_calls.append(len(calls) - before)
+            return order
+
+        monkeypatch.setattr(trimsearch, "mpa", counting_mpa)
+        monkeypatch.setattr(trimsearch, "_search_order", counting_order)
+        rng = random.Random(2324)
+        decisions = fallbacks = 0
+        for i, (net, clf) in enumerate(bound_filter_models()):
+            costs = random_costs(rng, clf)
+            calls.clear()
+            order_calls.clear()
+            plain = eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0)
+            decisions += plain.stats.bound_evals - len(clf.features)
+            fallbacks += len(calls) - order_calls[0]
+            traced = eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0, trace_hook=lambda e: None)
+            assert plain == traced
+        # Floats settle most decisions; exact ties reach the fallback.
+        assert 0 < fallbacks < decisions / 2
+
+    def test_search_order_is_the_exact_order(self):
+        tied = 0
+        for net, clf in bound_filter_models():
+            exact = {f: mpa(net, clf, (f,)) for f in clf.features}
+            expected = tuple(sorted(clf.features, key=lambda f: -exact[f]))
+            root = agreement._mpa_stack(net, clf)
+            assert trimsearch._search_order(net, clf, root, SearchStats()) == expected
+            tied += len(set(exact.values())) < len(exact)
+        assert tied >= 40  # the models with repeated CPTs, at least
