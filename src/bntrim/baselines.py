@@ -1,10 +1,14 @@
 """Comparison strategies and brute-force oracles.
 
 ``info_gain``/``ig_select`` implement the classic mutual-information
-feature ranking, computed from the model distribution (no data needed).
+feature ranking, computed from the model distribution (no data needed):
+``info_gain`` reads its masses from the classifier grid of
+:mod:`bntrim.agreement` (``_value_masses``), the grid that ``ig_report``'s
+``eca`` or ``maa`` then reads again from its cache.
 ``eca_bruteforce`` and ``maa_bruteforce`` recompute agreement and best
-agreement by literal enumeration through ``inference.esdp_two_threshold``,
-which shares no arithmetic with the instance-table path.
+agreement by literal enumeration through ``inference.esdp_two_threshold``
+and ``inference._terms``, and use nothing of the grid route, so they
+share no arithmetic with the instance-table path they check.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .agreement import eca, maa
+from .agreement import _value_masses, eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -40,18 +44,16 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
     """Mutual information I(class; feature) in bits, per feature.
 
     Terms with zero joint mass contribute nothing.  Keys follow the
-    classifier's feature order.
+    classifier's feature order.  Every mass is a correctly rounded sum
+    of the cached classifier grid's cells, which ``eca`` and ``maa`` read
+    too.
     """
-    check_classifier(net, clf)
+    masses, class_masses = _value_masses(net, clf)
     out: dict[str, float] = {}
-    for f in clf.features:
-        # One pass over the joint per feature, grouped by (class value,
-        # feature value) and read with each class value as the positive one.
-        groups = _terms(net, {}, (clf.class_var, f))
+    for f, (feature_masses, *joints) in zip(clf.features, masses):
         terms = []
-        for c in range(2):
-            rows, (_, class_mass) = _class_masses(groups, c)
-            for feature_mass, joint in rows.values():
+        for class_mass, joint_masses in zip(class_masses, joints):
+            for feature_mass, joint in zip(feature_masses, joint_masses):
                 if joint > 0.0:
                     terms.append(joint * math.log2(joint / (class_mass * feature_mass)))
         out[f] = math.fsum(terms)

@@ -9,7 +9,8 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bntrim import (
     BayesianNetwork,
@@ -19,6 +20,7 @@ from bntrim import (
     EnumerationLimitError,
     ModelError,
     Variable,
+    agreement,
     cli,
     eca,
     eca_bruteforce,
@@ -87,6 +89,35 @@ class TestInfoGain:
         got = {f: x.hex() for f, x in info_gain(net, clf).items()}
         assert got == {f: x.hex() for f, x in marginal_info_gain(net, clf).items()}
 
+    @pytest.mark.parametrize("per_pass", [1, 2])
+    def test_same_bits_in_smaller_batches(self, monkeypatch, per_pass):
+        # Models this small sum every feature in one pass; a smaller batch
+        # splits them, the last batch short when per_pass does not divide
+        # the feature count, and widths differ within a batch.
+        rng = random.Random(99)
+        for i in range(20):
+            net, clf = random_instance(rng, i, max_features=5)
+            cells = math.prod(net.var(f).cardinality for f in clf.features)
+            monkeypatch.setattr(agreement, "_BATCH_CELLS", per_pass * 2 * cells)
+            got = {f: x.hex() for f, x in info_gain(net, clf).items()}
+            assert got == {f: x.hex() for f, x in marginal_info_gain(net, clf).items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(dag_networks(max_features=5, max_card=3), st.data())
+    def test_latent_variables_within_1e_12(self, model, data):
+        # A classifier over a strict subset of the non-class variables
+        # leaves latent ones, which the grid sums out with numpy, so its
+        # cells are rounded sums, not the scalar route's products.
+        net, full = model
+        names = full.features
+        assume(len(names) > 1)
+        kept = data.draw(st.sets(st.sampled_from(names), min_size=1, max_size=len(names) - 1))
+        clf = Classifier("C", full.positive_value, tuple(f for f in names if f in kept), 0.5)
+        got, want = info_gain(net, clf), marginal_info_gain(net, clf)
+        assert list(got) == list(want) == list(clf.features)
+        for f in clf.features:
+            assert abs(got[f] - want[f]) <= 1e-12, f
+
 
 class TestIgSelect:
     def test_takes_top_scores_within_budget(self):
@@ -122,6 +153,14 @@ class TestIgReport:
         assert report.achieved_eca == pytest.approx(
             maa(quiz_net, quiz_alpha, report.chosen).score, abs=1e-12
         )
+
+    @pytest.mark.parametrize("retune", [False, True])
+    def test_builds_the_classifier_grid_once(self, quiz_net, quiz_alpha, retune):
+        # info_gain builds the grid; the report's eca or maa reads it back.
+        agreement._classifier_grid.cache_clear()
+        ig_report(quiz_net, quiz_alpha, CostModel.unit(quiz_alpha.features, 2), retune)
+        info = agreement._classifier_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestEcaBruteforce:
@@ -250,9 +289,10 @@ class TestIgDecimalBudgets:
 
 
 class TestOraclesValidateOncePerCall:
-    """The oracles and ``info_gain`` validate their inputs up front, then
-    enumerate through ``inference._terms`` without validating each
-    assignment again."""
+    """The oracles validate their inputs up front, then enumerate through
+    ``inference._terms`` without validating each assignment again;
+    ``info_gain`` validates once, when it builds the classifier grid, and
+    reads every mass from it."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -278,7 +318,8 @@ class TestOraclesValidateOncePerCall:
         assert len(checks) == 1  # the evidence, once
 
     def test_info_gain(self, quiz_net, quiz_alpha, checks):
-        # One marginal per mass would make 2 + 3 * (2 + 2 + 2) = 20 checks here.
+        # One marginal per mass would make 2 + 3 * (2 + 2 + 2) = 20 checks
+        # here; the grid reads no assignment, so it checks none.
         info_gain(quiz_net, quiz_alpha)
         assert checks == []
 
