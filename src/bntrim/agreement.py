@@ -16,10 +16,10 @@ table we get, in one pass each:
 
 ``mpa``, an upper bound that lets every row pick its better side, and
 ``maa`` read the same row arrays (``_rows``) without building a table.
-The search reads its bounds from a (total, hit) tensor instead
-(``_mpa_stack``, ``_sum_out``): ``_mpa_estimate`` gives a float estimate
-of ``mpa`` with a certified error bound, and the search calls ``mpa``
-only when the estimate cannot decide.  ``_value_masses`` reads from the
+The search reads its bounds through ``_MpaBound`` instead, which holds
+a kept set's (total, hit) tensor, a float estimate of its ``mpa`` with a
+certified error bound, and the exact ``mpa``, computed only when the
+estimate cannot decide a comparison.  ``_value_masses`` reads from the
 same grid every class, feature-value and (class, value) mass the
 information-gain ranking in :mod:`bntrim.baselines` needs.
 
@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -428,48 +428,26 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
 
 
-class _MpaStack(NamedTuple):
-    """A kept set's (total, hit) tensor, from which the search reads
-    ``mpa`` estimates without building rows.
+class _MpaBound:
+    """``mpa`` of a kept set as the search reads it: a float estimate
+    from the set's (total, hit) stack with a certified error, and the
+    exact value, computed at most once and only when a comparison or the
+    caller needs it.
 
     ``cells[0]`` holds each cell's total mass, the grid's pos + neg cells
     added once per cell, and ``cells[1]`` its hit cell.  Axis 1 + i is
     classifier feature i; a summed-out feature keeps its axis at size 1,
-    so the kept set is the features whose axes have more than one cell.
-    ``additions`` is the most float additions any grid cell met on its
-    way into a cell of ``cells``.
-    """
+    so the kept set is the features whose axes have more than one cell
+    (every feature has at least two values).  ``additions`` is the most
+    float additions any grid cell met on its way into a cell of
+    ``cells``.
 
-    cells: np.ndarray
-    additions: int
-
-
-def _mpa_stack(net: BayesianNetwork, clf: Classifier) -> _MpaStack:
-    """The (total, hit) stack of every feature, the root of a search."""
-    cells = _classifier_grid(net, clf)
-    return _MpaStack(np.stack((cells[0] + cells[1], cells[2])), 0)
-
-
-def _sum_out(stack: _MpaStack, positions: Iterable[int]) -> _MpaStack:
-    """The stack with the features at these classifier positions summed
-    out, in one numpy call.  Each new cell is a float sum of m old ones,
-    m the product of the summed axes' sizes, and whatever order numpy
-    adds them in, each meets at most m - 1 additions."""
-    cells = stack.cells.sum(axis=tuple(1 + i for i in positions), keepdims=True)
-    return _MpaStack(cells, stack.additions + stack.cells.size // cells.size - 1)
-
-
-def _mpa_estimate(stack: _MpaStack) -> tuple[float, float]:
-    """A float estimate of ``mpa`` of the stack's kept set, and a bound
-    on its distance to the float ``mpa`` returns: (A, B) with
-    |mpa - A| <= B.
-
-    With T and H a stack cell's floats, A is the float sum of
-    max(H, T - H) over its R cells.  Write u = 2**-53,
-    gamma(n) = n*u / (1 - n*u) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3-4), a = ``additions``, and per row of
-    the kept set: M the exact sum of its grid cells' pos and neg, Tx
-    and Hx the exact sums of its grid totals and hits, and
+    The estimate A is the float sum of max(H, T - H) over the stack's R
+    cells, T and H a cell's floats, and ``err`` is B with |mpa - A| <= B.
+    Write u = 2**-53, gamma(n) = n*u / (1 - n*u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3-4), a = ``additions``, and
+    per row of the kept set: M the exact sum of its grid cells' pos and
+    neg, Tx and Hx the exact sums of its grid totals and hits, and
     Q = max(Hx, Tx - Hx), so Tx <= 2Q.  Both values are compared with
     the exact sum of every row's Q.
 
@@ -504,13 +482,64 @@ def _mpa_estimate(stack: _MpaStack) -> tuple[float, float]:
     Addition has no underflow error (Hauser, TOPLAS 1996), so the
     bound holds for subnormal cells too.  As ``mpa`` and A are floats,
     A + B < x (or A - B > x) computed in floats, for a float x, still
-    implies ``mpa`` < x (or > x): rounding is monotone.
+    implies ``mpa`` < x (or > x): rounding is monotone.  So ``at_most``
+    and ``<`` give the exact answers, and reach for the exact ``mpa``
+    only when the intervals [A - B, A + B] they compare meet.
     """
-    total, hit = stack.cells
-    approx = np.maximum(hit, total - hit).sum().item()
-    rows = hit.size
-    err = (rows + 4 * stack.additions + 24) * _U * approx + (rows + 4) * 2.0**-1074
-    return approx, err
+
+    def __init__(self, net: BayesianNetwork, clf: Classifier, cells: np.ndarray, additions: int):
+        self.net, self.clf, self.cells, self.additions = net, clf, cells, additions
+        total, hit = cells
+        self.approx = np.maximum(hit, total - hit).sum().item()
+        rows = hit.size
+        self.err = (rows + 4 * additions + 24) * _U * self.approx + (rows + 4) * 2.0**-1074
+        self._exact: float | None = None
+
+    @classmethod
+    def root(cls, net: BayesianNetwork, clf: Classifier) -> _MpaBound:
+        """The bound keeping every feature, the root of a search."""
+        cells = _classifier_grid(net, clf)
+        return cls(net, clf, np.stack((cells[0] + cells[1], cells[2])), 0)
+
+    @property
+    def kept(self) -> tuple[str, ...]:
+        return tuple(f for f, size in zip(self.clf.features, self.cells.shape[1:]) if size > 1)
+
+    def without(self, features: Iterable[str]) -> _MpaBound:
+        """The bound of the kept set less these features, their axes
+        summed out of the stack in one numpy call.  Each new cell is a
+        float sum of m old ones, m the product of the summed axes' sizes,
+        and whatever order numpy adds them in, each meets at most m - 1
+        additions."""
+        gone = set(features)
+        axes = tuple(1 + i for i, f in enumerate(self.clf.features) if f in gone)
+        cells = self.cells.sum(axis=axes, keepdims=True)
+        return _MpaBound(self.net, self.clf, cells, self.additions + self.cells.size // cells.size - 1)
+
+    def exact(self) -> float:
+        """The ``mpa`` of the kept set, computed on first use."""
+        if self._exact is None:
+            self._exact = mpa(self.net, self.clf, self.kept)
+        return self._exact
+
+    def at_most(self, x: float) -> bool:
+        """mpa <= x: the estimate decides when its error keeps it clear
+        of x, the exact ``mpa`` otherwise."""
+        if self.approx + self.err < x:
+            return True
+        if self.approx - self.err > x:
+            return False
+        return self.exact() <= x
+
+    def __lt__(self, other: _MpaBound) -> bool:
+        """This bound's mpa is below the other's: the estimates decide
+        when their error intervals are disjoint, the exact values
+        otherwise."""
+        if self.approx + self.err < other.approx - other.err:
+            return True
+        if other.approx + other.err < self.approx - self.err:
+            return False
+        return self.exact() < other.exact()
 
 
 # Every finite float is an integer multiple of 2**-1074, the smallest

@@ -46,7 +46,8 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
     Terms with zero joint mass contribute nothing.  Keys follow the
     classifier's feature order.  Every mass is a correctly rounded sum
     of the cached classifier grid's cells, which ``eca`` and ``maa`` read
-    too.
+    too.  Where the class mass times the feature mass underflows to 0,
+    the term's logarithm is taken as a difference of logarithms.
     """
     masses, class_masses = _value_masses(net, clf)
     out: dict[str, float] = {}
@@ -55,7 +56,12 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
         for class_mass, joint_masses in zip(class_masses, joints):
             for feature_mass, joint in zip(feature_masses, joint_masses):
                 if joint > 0.0:
-                    terms.append(joint * math.log2(joint / (class_mass * feature_mass)))
+                    product = class_mass * feature_mass
+                    if product > 0.0:
+                        ratio = math.log2(joint / product)
+                    else:
+                        ratio = math.log2(joint) - math.log2(class_mass) - math.log2(feature_mass)
+                    terms.append(joint * ratio)
         out[f] = math.fsum(terms)
     return out
 

@@ -176,20 +176,14 @@ def _trim_doc(result) -> dict:
         "score": result.best_score,
     }
     doc.update(_interval_doc(result.threshold))
-    doc["stats"] = {
-        "maa_evals": result.stats.maa_evals,
-        "bound_evals": result.stats.bound_evals,
-        "nodes_expanded": result.stats.nodes_expanded,
-        "pruned": result.stats.pruned,
-    }
+    doc["stats"] = asdict(result.stats)
     return doc
 
 
 def _cmd_trim(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
     costs = _build_costs(args, clf.features)
     hook = _trace_printer if args.trace else None
-    result = eca_trim(net, clf, costs, use_nb_fast_path=args.nb == "auto", trace_hook=hook)
-    return _trim_doc(result)
+    return _trim_doc(eca_trim(net, clf, costs, trace_hook=hook))
 
 
 def _cmd_exhaustive(net: BayesianNetwork, clf: Classifier, args: argparse.Namespace) -> dict:
@@ -319,11 +313,6 @@ def _add_cost_flags(p: argparse.ArgumentParser) -> None:
     _add_budget_flags(p, required=True)
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nb", choices=("auto", "off"), default="auto", help="frontier search: auto on models whose features are independent given the class, or off")
-    p.add_argument("--trace", action="store_true", help="log search nodes to stderr")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bntrim",
@@ -333,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_classifier_command(sub, "trim", "branch-and-bound search for the best within-budget subset", _cmd_trim)
     _add_cost_flags(p)
-    _add_search_flags(p)
+    p.add_argument("--trace", action="store_true", help="log search nodes to stderr")
 
     p = _add_classifier_command(sub, "exhaustive", "score every within-budget subset (oracle)", _cmd_exhaustive)
     _add_cost_flags(p)

@@ -7,24 +7,21 @@ bound ``mpa(F \\ E)`` cannot beat the incumbent.  The bound is computed on
 F \\ E even when that set itself exceeds the budget; it still bounds every
 descendant subset.
 
-The bound is filtered: each node carries the (total, hit) tensor over
-F \\ E, which ``agreement`` builds once per search for the root and an
-exclude child sums over its new feature's axis (an include child reuses
-its parent's tensor and bound).  ``agreement._mpa_estimate`` reads a
-float estimate of ``mpa(F \\ E)`` off the tensor, with a certified error
-bound B.  The node is pruned when estimate + B falls below the incumbent
-and kept when estimate - B lies above it; only in between is the exact
-``mpa`` computed (once per node, shared with its include children), and
-``mpa <= incumbent`` decides.  So every decision is the exact one.  The
-branch order's singleton bounds are estimated the same way, and a
-feature whose interval meets another's is ordered by its exact ``mpa``.
-A trace prints the exact bound, computed for printing.
+The bound is filtered: each node holds an ``agreement._MpaBound`` over
+F \\ E, whose root ``agreement`` builds once per search and which an
+exclude child gets from its parent's by summing out the new feature (an
+include child shares its parent's).  The bound decides prune-or-keep
+from a float estimate of ``mpa(F \\ E)`` with a certified error, and
+computes the exact ``mpa`` only when the estimate cannot (once per node,
+shared with its include children), so every decision is the exact one.
+The branch order compares the singleton bounds the same way.  A trace
+prints the exact bound, computed for printing.
 
 When the features are d-separated from one another given the class, as
 in naive Bayes, ``eca_trim`` takes the frontier specialization: there MAA
 equals MPA and is monotone in the kept set, so only budget-exhausting
 subsets (those no remaining feature can extend within budget) need
-scoring.  ``use_nb_fast_path=False`` forces the generic search.
+scoring.  Other models take the generic search.
 
 ``exhaustive_trim`` scores every within-budget subset and is the oracle
 the search is tested against.
@@ -42,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .agreement import ThresholdInterval, _mpa_estimate, _mpa_stack, _MpaStack, _sum_out, maa, mpa
+from .agreement import ThresholdInterval, _MpaBound, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -92,41 +89,14 @@ class TrimResult:
     stats: SearchStats
 
 
-def _search_order(
-    net: BayesianNetwork, clf: Classifier, root: _MpaStack, stats: SearchStats
-) -> tuple[str, ...]:
-    """Features by descending singleton MPA, ties by input order, since
-    ``sorted`` is stable.  Each singleton's bound is estimated from the
-    root stack with its certified error; a feature whose interval meets
-    another's is keyed by its exact ``mpa``, so the order is the exact
-    one."""
-    n = len(clf.features)
-    spans = []
-    for i in range(n):
-        approx, err = _mpa_estimate(_sum_out(root, [j for j in range(n) if j != i]))
-        spans.append((approx - err, approx + err, approx))
-    keys = {}
-    for i, (f, (lo, hi, approx)) in enumerate(zip(clf.features, spans)):
-        apart = all(
-            hi < other_lo or other_hi < lo
-            for j, (other_lo, other_hi, _) in enumerate(spans)
-            if j != i
-        )
-        keys[f] = approx if apart else mpa(net, clf, (f,))
-    stats.bound_evals += n
-    return tuple(sorted(clf.features, key=lambda f: -keys[f]))
-
-
-@dataclass
-class _Bound:
-    """A node's bound mpa(F \\ E): the estimate from its (total, hit)
-    stack, the estimate's certified error, and the exact value once a
-    comparison or the trace has needed it."""
-
-    stack: _MpaStack
-    approx: float
-    err: float
-    exact: float | None = None
+def _search_order(clf: Classifier, root: _MpaBound, stats: SearchStats) -> tuple[str, ...]:
+    """Features by descending singleton MPA, ties by input order, as
+    ``sorted`` stays stable with ``reverse``.  The singleton bounds
+    compare by their estimates, and by their exact ``mpa`` only where
+    the estimates' error intervals meet, so the order is the exact one."""
+    singles = {f: root.without(g for g in clf.features if g != f) for f in clf.features}
+    stats.bound_evals += len(singles)
+    return tuple(sorted(clf.features, key=singles.__getitem__, reverse=True))
 
 
 def _check_inputs(net: BayesianNetwork, clf: Classifier, costs: CostModel) -> None:
@@ -143,10 +113,8 @@ def _run(
 ) -> TrimResult:
     """The branch-and-bound search from the root: nothing decided yet."""
     stats = SearchStats()
-    root = _mpa_stack(net, clf)
-    order = _search_order(net, clf, root, stats)
-    position = {f: i for i, f in enumerate(clf.features)}
-    all_features = frozenset(order)
+    root = _MpaBound.root(net, clf)
+    order = _search_order(clf, root, stats)
     fits = costs.fits
     # The incumbent moves only on a strictly better score, so ties go to
     # the subset met first.  No bound prunes before the first score, so
@@ -163,33 +131,14 @@ def _run(
             budget_left = costs.budget - costs.total(included)
             trace_hook(TraceEvent(action, included, excluded, budget_left, value))
 
-    def exact(bound: _Bound, excluded: tuple[str, ...]) -> float:
-        if bound.exact is None:
-            bound.exact = mpa(net, clf, all_features - set(excluded))
-        return bound.exact
-
-    def cannot_beat(bound: _Bound, excluded: tuple[str, ...]) -> bool:
-        """mpa(F \\ E) <= best_score: decided by the estimate when its
-        error bound keeps it clear of the incumbent, else by the exact
-        mpa."""
-        if bound.approx + bound.err < best_score:
-            return True
-        if bound.approx - bound.err > best_score:
-            return False
-        return exact(bound, excluded) <= best_score
-
     def visit(
-        included: tuple[str, ...],
-        excluded: tuple[str, ...],
-        fresh: bool,
-        bound: _Bound | None,
-        stack: _MpaStack,
+        included: tuple[str, ...], excluded: tuple[str, ...], fresh: bool, bound: _MpaBound
     ) -> None:
         """Depth-first expansion of one subtree; the node's depth is the
-        number of decided features.  ``bound`` is the parent's, passed
-        down when the excluded set is the parent's; with None, the node
-        sums its newest exclusion out of ``stack``, its parent's (the
-        root's at the root), and estimates its own."""
+        number of decided features.  A fresh node (the root or an include
+        child) shares its parent's excluded set and gets its bound; an
+        exclude child gets its parent's and sums its newest exclusion out
+        of it when it needs its own."""
         nonlocal best_score, best, best_interval
         stats.nodes_expanded += 1
         undecided = order[len(included) + len(excluded):]
@@ -210,24 +159,23 @@ def _run(
                 emit("update", included, excluded, res.score)
         if not extendable:
             return
-        if bound is None:
-            if excluded:
-                stack = _sum_out(stack, (position[excluded[-1]],))
-            bound = _Bound(stack, *_mpa_estimate(stack))
+        if not fresh:
+            bound = bound.without(excluded[-1:])
         stats.bound_evals += 1
         if trace_hook is not None:
-            emit("bound", included, excluded, exact(bound, excluded))
-        if cannot_beat(bound, excluded):
+            emit("bound", included, excluded, bound.exact())
+        if bound.at_most(best_score):
             stats.pruned += 1
-            emit("prune", included, excluded, bound.exact)  # set when traced
+            if trace_hook is not None:
+                emit("prune", included, excluded, bound.exact())
             return
         feature = undecided[0]
         if fits(included + (feature,)):
             # Same excluded set, so the same mpa(F \ E): pass it down.
-            visit(included + (feature,), excluded, True, bound, bound.stack)
-        visit(included, excluded + (feature,), False, None, bound.stack)
+            visit(included + (feature,), excluded, True, bound)
+        visit(included, excluded + (feature,), False, bound)
 
-    visit((), (), True, None, root)
+    visit((), (), True, root)
     return TrimResult(kept_in_order(clf, best), best_score, best_interval, stats)
 
 
@@ -236,19 +184,18 @@ def eca_trim(
     clf: Classifier,
     costs: CostModel,
     *,
-    use_nb_fast_path: bool = True,
     trace_hook: TraceHook | None = None,
 ) -> TrimResult:
     """Find the within-budget feature subset with the highest achievable
     agreement, and the threshold interval attaining it.
 
-    Takes the frontier specialization when every feature is d-separated
-    from the others given the class, unless ``use_nb_fast_path`` is
-    False; ``trace_hook``, when given, receives every search event.
+    Takes the frontier specialization exactly when every feature is
+    d-separated from the others given the class; ``trace_hook``, when
+    given, receives every search event.
     """
     _check_inputs(net, clf, costs)
-    fast = use_nb_fast_path and _separated_given_class(net, clf, {f: f for f in clf.features})
-    return _run(net, clf, costs, trace_hook, nb_frontier_only=fast)
+    frontier = _separated_given_class(net, clf, {f: f for f in clf.features})
+    return _run(net, clf, costs, trace_hook, nb_frontier_only=frontier)
 
 
 def enumerate_feasible(clf: Classifier, costs: CostModel) -> list[tuple[str, ...]]:

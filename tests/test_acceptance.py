@@ -42,6 +42,7 @@ from bntrim import (
     maa_bruteforce,
     mpa,
     posterior_class,
+    trimsearch,
 )
 
 from conftest import (
@@ -181,7 +182,7 @@ def test_criterion_6_search_effort_beats_enumeration():
     start = time.perf_counter()
     net, clf = nb_instance(random.Random(1207), 12, max_card=2)
     costs = CostModel.unit(clf.features, 4)
-    generic = eca_trim(net, clf, costs, use_nb_fast_path=False)
+    generic = trimsearch._run(net, clf, costs, None, nb_frontier_only=False)
     fast = eca_trim(net, clf, costs)
     oracle = exhaustive_trim(net, clf, costs)
     elapsed = time.perf_counter() - start

@@ -365,33 +365,31 @@ class TestMpaEstimate:
     def test_error_bound_holds_for_every_kept_set_and_summing_order(self):
         rng = random.Random(2301)
         for net, clf in bound_filter_models():
-            root = agreement._mpa_stack(net, clf)
-            n = len(clf.features)
+            root = agreement._MpaBound.root(net, clf)
             for _ in range(4):
-                dropped = [i for i in range(n) if rng.random() < 0.5]
+                dropped = [f for f in clf.features if rng.random() < 0.5]
                 rng.shuffle(dropped)
                 one_by_one = root
-                for i in dropped:
-                    one_by_one = agreement._sum_out(one_by_one, (i,))
-                at_once = agreement._sum_out(root, dropped)
-                exact = mpa(net, clf, [f for i, f in enumerate(clf.features) if i not in dropped])
-                for stack in (one_by_one, at_once):
-                    approx, err = agreement._mpa_estimate(stack)
-                    assert abs(exact - approx) <= err
+                for f in dropped:
+                    one_by_one = one_by_one.without((f,))
+                at_once = root.without(dropped)
+                exact = mpa(net, clf, [f for f in clf.features if f not in dropped])
+                for bound in (one_by_one, at_once):
+                    assert abs(exact - bound.approx) <= bound.err
                     # Certified, but not vacuous: a few hundred ulps here.
-                    assert err <= 1e-12 * approx + 1e-300
+                    assert bound.err <= 1e-12 * bound.approx + 1e-300
 
     def test_root_stack_and_summing_out(self, quiz_net, quiz_alpha):
-        root = agreement._mpa_stack(quiz_net, quiz_alpha)
+        root = agreement._MpaBound.root(quiz_net, quiz_alpha)
         assert root.cells.shape == (2, 2, 2, 2) and root.additions == 0
-        stack = agreement._sum_out(agreement._sum_out(root, (0,)), (2,))
-        assert stack.cells.shape == (2, 1, 2, 1) and stack.additions == 2
-        assert agreement._sum_out(root, (0, 2)).additions == 3
-        approx, err = agreement._mpa_estimate(stack)
-        assert abs(approx - mpa(quiz_net, quiz_alpha, ("Q2",))) <= err
-        empty = agreement._sum_out(root, (0, 1, 2))
-        approx, err = agreement._mpa_estimate(empty)
-        assert abs(approx - mpa(quiz_net, quiz_alpha, ())) <= err
+        bound = root.without(("Q1",)).without(("Q3",))
+        assert bound.cells.shape == (2, 1, 2, 1) and bound.additions == 2
+        assert bound.kept == ("Q2",)
+        assert root.without(("Q1", "Q3")).additions == 3
+        assert abs(bound.approx - mpa(quiz_net, quiz_alpha, ("Q2",))) <= bound.err
+        empty = root.without(quiz_alpha.features)
+        assert empty.kept == ()
+        assert abs(empty.approx - mpa(quiz_net, quiz_alpha, ())) <= empty.err
 
 
 class TestComputeMaa:

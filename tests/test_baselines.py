@@ -7,6 +7,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,7 +36,12 @@ from bntrim import (
     serialize_network,
 )
 
-from conftest import dag_networks, random_costs, random_instance, random_subset
+import exact
+from conftest import bound_filter_models, dag_networks, random_costs, random_instance, random_subset
+
+# The entries of bound_filter_models in which a class mass times a
+# feature-value mass underflows to 0 while their joint mass is positive.
+UNDERFLOW_MODELS = (14, 29, 69, 89, 104, 159, 169, 199)
 
 
 def marginal_info_gain(net, clf):
@@ -53,6 +59,32 @@ def marginal_info_gain(net, clf):
                 joint = marginal(net, {clf.class_var: c, f: v})
                 if joint > 0.0:
                     terms.append(joint * math.log2(joint / (class_mass[c] * feature_mass[v])))
+        out[f] = math.fsum(terms)
+    return out
+
+
+def exact_info_gain(net, clf):
+    """info_gain with every mass an exact fraction (``exact.cells``),
+    each term's logarithm taken of its exact ratio, scaled by a power of
+    two into [1/2, 2) so its float stays in range, and the terms summed
+    with fsum."""
+    grid = exact.cells(net, clf)
+    class_mass = [sum(sides[c] for sides in grid.values()) for c in range(2)]
+    out = {}
+    for i, f in enumerate(clf.features):
+        joint = {}
+        for fvals, sides in grid.items():
+            for c, m in enumerate(sides):
+                joint[c, fvals[i]] = joint.get((c, fvals[i]), 0) + m
+        value_mass = {}
+        for (_, v), m in joint.items():
+            value_mass[v] = value_mass.get(v, 0) + m
+        terms = []
+        for (c, v), m in joint.items():
+            if m:
+                ratio = m / (class_mass[c] * value_mass[v])
+                k = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+                terms.append(float(m) * (k + math.log2(ratio / Fraction(2) ** k)))
         out[f] = math.fsum(terms)
     return out
 
@@ -117,6 +149,23 @@ class TestInfoGain:
         assert list(got) == list(want) == list(clf.features)
         for f in clf.features:
             assert abs(got[f] - want[f]) <= 1e-12, f
+
+
+    def test_underflowing_mass_products_within_1e_12_of_exact(self):
+        models = bound_filter_models()
+        for i in UNDERFLOW_MODELS:
+            net, clf = models[i]
+            masses, class_masses = agreement._value_masses(net, clf)
+            assert any(
+                joint > 0.0 and class_mass * feature_mass == 0.0
+                for feature_masses, *joints in masses
+                for class_mass, joint_masses in zip(class_masses, joints)
+                for feature_mass, joint in zip(feature_masses, joint_masses)
+            ), i
+            got, want = info_gain(net, clf), exact_info_gain(net, clf)
+            assert list(got) == list(want) == list(clf.features)
+            for f in clf.features:
+                assert abs(got[f] - want[f]) <= 1e-12, (i, f)
 
 
 class TestIgSelect:

@@ -3,9 +3,11 @@ the exit-code ladder (0 ok, 1 usage, 2 data, 3 enumeration guard)."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,14 +15,16 @@ from dataclasses import MISSING, fields
 
 import pytest
 
-from bntrim import Dataset, EvalConfig, cli, serialize_dataset, serialize_network
+from bntrim import CostModel, Dataset, EvalConfig, cli, serialize_dataset, serialize_network, trimsearch
 
-from conftest import FIXTURES, binary_chain
+from conftest import FIXTURES, binary_chain, bound_filter_models
 from test_evalharness import RARE_HELD_OUT_SEED, noisy_dataset, rare_value_dataset
 from test_trimsearch import big_nb
 
 QUIZ = str(FIXTURES / "quiz.bn.json")
 BASE = ["--network", QUIZ, "--class", "C", "--positive", "+", "--threshold", "0.07"]
+GBN4 = ["--network", str(FIXTURES / "gbn4.bn.json"), "--class", "C", "--positive", "+"]
+TRACE_LINE = re.compile(r"^(maa|update|bound|prune) I=\S+ E=\S+ b=\S+ value=\S+$")
 
 
 def run(capsys, argv):
@@ -31,7 +35,7 @@ def run(capsys, argv):
 
 class TestTrim:
     def test_json_output(self, capsys):
-        code, out, _ = run(capsys, ["trim", *BASE, "--budget", "2", "--nb", "off"])
+        code, out, _ = run(capsys, ["trim", *BASE, "--budget", "2"])
         assert code == 0
         doc = json.loads(out)
         assert doc["best_features"] == ["Q1", "Q2"]
@@ -39,15 +43,15 @@ class TestTrim:
         assert doc["threshold_interval"][0] == pytest.approx(1 / 13, abs=1e-9)
         assert doc["representative"] == pytest.approx(1 / 3, abs=1e-9)
         assert doc["stats"] == {
-            "maa_evals": 3,
+            "maa_evals": 1,
             "bound_evals": 7,
             "nodes_expanded": 5,
             "pruned": 2,
         }
 
     def test_auto_dispatch_uses_nb_frontier(self, capsys):
-        # The fixture is naive Bayes, so the default "--nb auto" takes the
-        # specialized path: same answer, single scoring pass.
+        # The fixture is naive Bayes, so the search takes the specialized
+        # path: same answer, single scoring pass.
         code, out, _ = run(capsys, ["trim", *BASE, "--budget", "2"])
         assert code == 0
         doc = json.loads(out)
@@ -60,24 +64,58 @@ class TestTrim:
         second = run(capsys, ["trim", *BASE, "--budget", "2"])
         assert first == second
 
+    # GBN4 is a general DAG whose features are coupled given the class,
+    # so the command takes the generic search on it.
     def test_text_format(self, capsys):
-        code, out, _ = run(
-            capsys, ["trim", *BASE, "--budget", "2", "--nb", "off", "--format", "text"]
-        )
+        code, out, _ = run(capsys, ["trim", *GBN4, "--budget", "2", "--format", "text"])
         assert code == 0
+        assert "best_features: F2 F3" in out
+        assert "score: 0.948" in out
+        assert "stats.maa_evals: 4" in out
+
+    def test_trace_goes_to_stderr(self, capsys):
+        code, out, err = run(capsys, ["trim", *GBN4, "--budget", "2", "--trace"])
+        assert code == 0
+        json.loads(out)  # stdout still clean JSON
+        lines = err.strip().split("\n")
+        assert all(TRACE_LINE.match(line) for line in lines)
+        assert lines[0].startswith("maa I=- E=- b=2 value=0.5768")
+        assert any(line.startswith("prune ") for line in lines)
+
+
+class TestGenericSearchOutput:
+    """The generic search on QUIZ, which the command does not take there
+    (QUIZ is naive Bayes), reached through ``trimsearch._run`` and
+    printed by the command's own document, format and trace printer."""
+
+    @staticmethod
+    def generic(quiz_net, quiz_alpha, trace_hook=None):
+        costs = CostModel.unit(quiz_alpha.features, 2)
+        return trimsearch._run(quiz_net, quiz_alpha, costs, trace_hook, nb_frontier_only=False)
+
+    def test_json_output(self, capsys, quiz_net, quiz_alpha):
+        cli._emit(cli._trim_doc(self.generic(quiz_net, quiz_alpha)), "json")
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["best_features"] == ["Q1", "Q2"]
+        assert doc["score"] == pytest.approx(0.9748, abs=1e-9)
+        assert doc["stats"] == {
+            "maa_evals": 3,
+            "bound_evals": 7,
+            "nodes_expanded": 5,
+            "pruned": 2,
+        }
+
+    def test_text_format(self, capsys, quiz_net, quiz_alpha):
+        cli._emit(cli._trim_doc(self.generic(quiz_net, quiz_alpha)), "text")
+        out = capsys.readouterr().out
         assert "best_features: Q1 Q2" in out
         assert "score: 0.9748" in out
         assert "stats.maa_evals: 3" in out
 
-    def test_trace_goes_to_stderr(self, capsys):
-        code, out, err = run(
-            capsys, ["trim", *BASE, "--budget", "2", "--nb", "off", "--trace"]
-        )
-        assert code == 0
-        json.loads(out)  # stdout still clean JSON
-        lines = err.strip().split("\n")
-        shape = re.compile(r"^(maa|update|bound|prune) I=\S+ E=\S+ b=\S+ value=\S+$")
-        assert all(shape.match(line) for line in lines)
+    def test_trace(self, capsys, quiz_net, quiz_alpha):
+        self.generic(quiz_net, quiz_alpha, cli._trace_printer)
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert all(TRACE_LINE.match(line) for line in lines)
         assert lines[0].startswith("maa I=- E=- b=2 value=0.7318")
         assert any(line.startswith("prune ") for line in lines)
 
@@ -138,6 +176,20 @@ class TestBaselineAndExhaustive:
         assert doc["method"] == "information-gain+retune"
         assert doc["eca"] == pytest.approx(0.9748, abs=1e-9)
         assert doc["threshold"] == pytest.approx(1 / 3, abs=1e-9)
+
+    @pytest.mark.parametrize("flags", [[], ["--retune"]])
+    def test_ig_when_mass_products_underflow(self, capsys, tmp_path, flags):
+        # Entry 14 has CPT entries of 1e-300 and below, so some class mass
+        # times feature-value mass underflows to 0.
+        net, clf = bound_filter_models()[14]
+        path = tmp_path / "tiny.bn.json"
+        path.write_bytes(serialize_network(net))
+        argv = ["ig", "--network", str(path), "--class", clf.class_var, "--budget", "1", *flags]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        scores = json.loads(out)["scores"]
+        assert list(scores) == list(clf.features)
+        assert all(math.isfinite(x) for x in scores.values())
 
     def test_exhaustive_with_fractional_budget(self, capsys):
         # ceil(0.67 * 3) = 3, so everything fits and the full set wins.
@@ -788,7 +840,9 @@ class TestExitCodes:
         assert "evidence {'F': 2} has probability 0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--order", "input"], ["--nb", "on"]])
+    @pytest.mark.parametrize(
+        "flags", [["--order", "input"], ["--nb", "on"], ["--nb", "off"], ["--nb", "auto"]]
+    )
     def test_removed_search_flags_are_usage_errors(self, capsys, flags):
         code, out, err = run(capsys, ["trim", *BASE, "--budget", "2", *flags])
         assert code == 1
@@ -833,6 +887,38 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "usage:" in out
+
+
+CLASSIFIER_FLAGS = ("-h", "--help", "--network", "--class", "--positive", "--features", "--threshold", "--format")
+BUDGET_FLAGS = ("--costs", "--budget", "--budget-frac")
+
+# Every subcommand's option strings (a positional by its name), in the
+# order the parser declares them.  A flag added or removed is an edit here.
+SURFACE = {
+    "trim": (*CLASSIFIER_FLAGS, *BUDGET_FLAGS, "--trace"),
+    "exhaustive": (*CLASSIFIER_FLAGS, *BUDGET_FLAGS),
+    "maa": (*CLASSIFIER_FLAGS, "--keep"),
+    "mpa": (*CLASSIFIER_FLAGS, "--keep"),
+    "eca": (*CLASSIFIER_FLAGS, "--trim-features", "--trim-threshold"),
+    "sdp": (*CLASSIFIER_FLAGS, "--query", "--observe"),
+    "ig": (*CLASSIFIER_FLAGS, *BUDGET_FLAGS, "--retune"),
+    "learn": ("-h", "--help", "--data", "--class", "--smoothing", "--out"),
+    "scatter": (
+        "-h", "--help", "--data", "--class", "--positive", "--split", "--folds", "--smoothing",
+        "--budget", "--budget-frac", "--threshold", "--threshold-mode", "--seed", "--format",
+    ),
+    "validate": ("-h", "--help", "network", "--format"),
+}
+
+
+def test_command_line_surface_is_pinned():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: tuple(s for action in sub._actions for s in action.option_strings or [action.dest])
+        for name, sub in commands.choices.items()
+    }
+    assert surface == SURFACE
 
 
 def test_module_entry_point_matches_in_process(capsys, tmp_path):

@@ -49,11 +49,11 @@ class TestRoutes:
             assert mod.removeprefix("bntrim.") not in banned
 
     def test_search_imports_no_numpy(self):
-        # The search reads its bounds through agreement's helpers, so the
-        # grid arithmetic behind them stays in that module.
+        # The search reads its bounds through agreement's bound type, so
+        # the grid arithmetic behind them stays in that module.
         modules = {mod.split(".")[0] for mod, _ in imports("trimsearch")}
         assert "numpy" not in modules
-        assert ("bntrim.agreement", "_mpa_estimate") in imports("trimsearch")
+        assert ("bntrim.agreement", "_MpaBound") in imports("trimsearch")
 
     def test_oracles_use_nothing_of_the_grid_route(self):
         grid = {

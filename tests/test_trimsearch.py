@@ -67,11 +67,12 @@ class TestEcaTrimOnFixtures:
         assert result.threshold.contains(quiz_alpha.threshold)
 
     def test_zero_budget_keeps_empty_set(self, quiz_net, quiz_alpha):
-        result = eca_trim(
+        result = trimsearch._run(
             quiz_net,
             quiz_alpha,
             CostModel.unit(quiz_alpha.features, 0),
-            use_nb_fast_path=False,
+            None,
+            nb_frontier_only=False,
         )
         assert result.best_features == ()
         assert result.best_score == pytest.approx(0.7318, abs=1e-9)
@@ -99,11 +100,12 @@ class TestSearchTrace:
 
     def test_generic_search_trace(self, quiz_net, quiz_alpha):
         events = []
-        result = eca_trim(
+        result = trimsearch._run(
             quiz_net,
             quiz_alpha,
             CostModel.unit(quiz_alpha.features, 2),
-            use_nb_fast_path=False, trace_hook=events.append,
+            events.append,
+            nb_frontier_only=False,
         )
         assert result.stats.maa_evals == 3
         assert result.stats.nodes_expanded == 5
@@ -121,24 +123,25 @@ class TestSearchTrace:
 
     def test_include_child_reuses_parent_bound(self, monkeypatch):
         calls = []
-        real_mpa = trimsearch.mpa
+        real_mpa = agreement.mpa
 
         def counting_mpa(net, clf, kept):
             calls.append(kept)
             return real_mpa(net, clf, kept)
 
-        monkeypatch.setattr(trimsearch, "mpa", counting_mpa)
+        monkeypatch.setattr(agreement, "mpa", counting_mpa)
         rng = random.Random(6061)
         for i in range(8):
             net, clf = random_instance(rng, i, max_features=7)
             costs = random_costs(rng, clf)
             events = []
             calls.clear()
-            result = eca_trim(
+            result = trimsearch._run(
                 net,
                 clf,
                 costs,
-                use_nb_fast_path=i % 4 == 0, trace_hook=events.append,
+                events.append,
+                nb_frontier_only=i % 4 == 0,
             )
             bounds = [e for e in events if e.action == "bound"]
             assert result.stats.bound_evals == len(clf.features) + len(bounds)
@@ -156,11 +159,12 @@ class TestSearchTrace:
             net, clf = random_instance(rng, i, max_features=6)
             costs = random_costs(rng, clf)
             events = []
-            result = eca_trim(
+            result = trimsearch._run(
                 net,
                 clf,
                 costs,
-                use_nb_fast_path=False, trace_hook=events.append,
+                events.append,
+                nb_frontier_only=False,
             )
             incumbent = -math.inf
             for e in events:
@@ -259,7 +263,7 @@ class TestFractionalBudget:
         costs = CostModel({"Q1": 0.1, "Q2": 0.6, "Q3": 0.7}, 1.4)
         assert costs.fits(quiz_alpha.features)
         for fast in (True, False):
-            result = eca_trim(quiz_net, quiz_alpha, costs, use_nb_fast_path=fast)
+            result = trimsearch._run(quiz_net, quiz_alpha, costs, None, nb_frontier_only=fast)
             assert result.best_features == ("Q1", "Q2", "Q3")
             assert result.best_score == 1.0
         assert exhaustive_trim(quiz_net, quiz_alpha, costs).best_features == quiz_alpha.features
@@ -281,7 +285,7 @@ class TestFractionalBudget:
         # Even seeds draw naive-Bayes models, which also run the NB path.
         fast_paths = (False, True) if seed % 2 == 0 else (False,)
         for fast in fast_paths:
-            result = eca_trim(net, clf, model, use_nb_fast_path=fast)
+            result = trimsearch._run(net, clf, model, None, nb_frontier_only=fast)
             assert model.fits(result.best_features)
             assert result.best_score == pytest.approx(expected.best_score, abs=1e-12)
 
@@ -301,7 +305,7 @@ class TestNbTrim:
 
     def test_fewer_evaluations_than_generic(self, quiz_net, quiz_alpha):
         costs = CostModel.unit(quiz_alpha.features, 2)
-        generic = eca_trim(quiz_net, quiz_alpha, costs, use_nb_fast_path=False)
+        generic = trimsearch._run(quiz_net, quiz_alpha, costs, None, nb_frontier_only=False)
         fast = eca_trim(quiz_net, quiz_alpha, costs)
         assert fast.stats.maa_evals <= generic.stats.maa_evals
         assert fast.best_score == pytest.approx(generic.best_score, abs=1e-12)
@@ -325,7 +329,7 @@ class TestNbTrim:
             net, clf = random_nb_instance(rng, max_features=6)
             costs = random_costs(rng, clf)
             fast = eca_trim(net, clf, costs)
-            generic = eca_trim(net, clf, costs, use_nb_fast_path=False)
+            generic = trimsearch._run(net, clf, costs, None, nb_frontier_only=False)
             assert fast.best_score == pytest.approx(generic.best_score, abs=1e-12)
             assert fast.stats.maa_evals <= generic.stats.maa_evals
 
@@ -340,7 +344,7 @@ class TestFrontierDispatch:
         return (
             eca_trim(net, clf, costs),
             trimsearch._run(net, clf, costs, None, nb_frontier_only=True),
-            eca_trim(net, clf, costs, use_nb_fast_path=False),
+            trimsearch._run(net, clf, costs, None, nb_frontier_only=False),
         )
 
     @pytest.mark.parametrize("name", SEPARATED_MODELS)
@@ -458,30 +462,32 @@ class TestFilteredBound:
     one."""
 
     @staticmethod
-    def kept(clf: Classifier, stack) -> tuple[str, ...]:
-        return tuple(f for f, size in zip(clf.features, stack.cells.shape[1:]) if size > 1)
+    def search(net, clf, costs, i, trace_hook=None):
+        """eca_trim's own choice of search on even i, the generic search
+        on odd i."""
+        frontier = i % 2 == 0 and features_separated(net, clf)
+        return trimsearch._run(net, clf, costs, trace_hook, nb_frontier_only=frontier)
 
     def test_every_estimate_holds_mpa_and_every_decision_is_exact(self, monkeypatch):
-        estimates = []
-        real_estimate = trimsearch._mpa_estimate
+        bounds = []
+        real_init = agreement._MpaBound.__init__
 
-        def recording(stack):
-            approx, err = real_estimate(stack)
-            estimates.append((stack, approx, err))
-            return approx, err
+        def recording(self, *args):
+            real_init(self, *args)
+            bounds.append(self)
 
-        monkeypatch.setattr(trimsearch, "_mpa_estimate", recording)
+        monkeypatch.setattr(agreement._MpaBound, "__init__", recording)
         rng = random.Random(2323)
         kept_bounds = pruned_bounds = 0
         for i, (net, clf) in enumerate(bound_filter_models()):
             costs = random_costs(rng, clf)
             events = []
-            estimates.clear()
-            eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0, trace_hook=events.append)
+            bounds.clear()
+            self.search(net, clf, costs, i, events.append)
             # Every singleton and every node estimate brackets the exact mpa.
-            assert len(estimates) >= len(clf.features)
-            for stack, approx, err in estimates:
-                assert abs(mpa(net, clf, self.kept(clf, stack)) - approx) <= err
+            assert len(bounds) >= len(clf.features)
+            for bound in bounds:
+                assert abs(mpa(net, clf, bound.kept) - bound.approx) <= bound.err
             # The trace prints the exact bound, and a node is pruned
             # exactly when that bound cannot beat the incumbent.
             incumbent = -math.inf
@@ -500,7 +506,7 @@ class TestFilteredBound:
 
     def test_traced_and_untraced_searches_agree(self, monkeypatch):
         calls = []
-        real_mpa, real_order = trimsearch.mpa, trimsearch._search_order
+        real_mpa, real_order = agreement.mpa, trimsearch._search_order
 
         def counting_mpa(net, clf, kept):
             calls.append(kept)
@@ -514,7 +520,7 @@ class TestFilteredBound:
             order_calls.append(len(calls) - before)
             return order
 
-        monkeypatch.setattr(trimsearch, "mpa", counting_mpa)
+        monkeypatch.setattr(agreement, "mpa", counting_mpa)
         monkeypatch.setattr(trimsearch, "_search_order", counting_order)
         rng = random.Random(2324)
         decisions = fallbacks = 0
@@ -522,10 +528,10 @@ class TestFilteredBound:
             costs = random_costs(rng, clf)
             calls.clear()
             order_calls.clear()
-            plain = eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0)
+            plain = self.search(net, clf, costs, i)
             decisions += plain.stats.bound_evals - len(clf.features)
             fallbacks += len(calls) - order_calls[0]
-            traced = eca_trim(net, clf, costs, use_nb_fast_path=i % 2 == 0, trace_hook=lambda e: None)
+            traced = self.search(net, clf, costs, i, lambda e: None)
             assert plain == traced
         # Floats settle most decisions; exact ties reach the fallback.
         assert 0 < fallbacks < decisions / 2
@@ -535,7 +541,7 @@ class TestFilteredBound:
         for net, clf in bound_filter_models():
             exact = {f: mpa(net, clf, (f,)) for f in clf.features}
             expected = tuple(sorted(clf.features, key=lambda f: -exact[f]))
-            root = agreement._mpa_stack(net, clf)
-            assert trimsearch._search_order(net, clf, root, SearchStats()) == expected
+            root = agreement._MpaBound.root(net, clf)
+            assert trimsearch._search_order(clf, root, SearchStats()) == expected
             tied += len(set(exact.values())) < len(exact)
         assert tied >= 40  # the models with repeated CPTs, at least

@@ -48,9 +48,11 @@ binary features, with the model's grid built before the timing starts:
                    repeat from cleared grid caches like ``info_gain``, so
                    the grid is built inside the timing;
 * ``eca_trim nb n=16``, ``eca_trim nb-off n=16``  the search at unit
-                   costs and budget 8, with the frontier search on (the
-                   default, which naive Bayes takes since its features
-                   are independent given the class) and off.
+                   costs and budget 8: ``eca_trim``, which takes the
+                   frontier search on naive Bayes since its features are
+                   independent given the class, and the generic search,
+                   reached through ``trimsearch._run(...,
+                   nb_frontier_only=False)``.
 
 ``eca_trim trim pool`` runs ``eca_trim`` on every entry of perfbench's
 ``trim`` pool (108 naive Bayes and general DAG models of 9-11 binary
@@ -107,6 +109,7 @@ from bntrim import (  # noqa: E402
     scatter,
     sdp,
     synthesize_dataset,
+    trimsearch,
 )
 from conftest import acceptance_instances, nb_instance, nested_subsets  # noqa: E402
 from generate import (  # noqa: E402
@@ -255,11 +258,13 @@ def case_info_gain_nb():
     return run
 
 
-def case_eca_trim(nb_path: bool):
+def case_eca_trim(frontier: bool):
     def make():
         net, clf = nb_model(16)
         costs = CostModel.unit(clf.features, 8.0)
-        return lambda: eca_trim(net, clf, costs, use_nb_fast_path=nb_path)
+        if frontier:
+            return lambda: eca_trim(net, clf, costs)
+        return lambda: trimsearch._run(net, clf, costs, None, nb_frontier_only=False)
     return make
 
 
