@@ -24,7 +24,9 @@ from dataclasses import dataclass, fields, replace
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .agreement import build_instance_table, eca, maa
+import numpy as np
+
+from .agreement import _rows, eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -35,6 +37,7 @@ from .bnmodel import (
     check_network,
     check_threshold,
     check_trimming,
+    kept_in_order,
     names_tuple,
     positive_index,
 )
@@ -200,22 +203,28 @@ def _posteriors(
     domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
 ) -> list[float]:
     """The posterior of every data row given its values of the features,
-    the number classify compares with a threshold, read from the
-    features' instance table.  A learned classifier covers every
-    non-class variable, so the table's posteriors have posterior_class's
-    bits; a row whose values the table lacks has probability 0."""
-    table = build_instance_table(net, clf, features)
-    posterior = {row.values: row.posterior for row in table.rows}
-    cols = [(data.column_index(f), domains[f]) for f in table.features]
-    out = []
-    for row in data.rows:
-        key = tuple(dom.index(row[i]) for i, dom in cols)
-        p = posterior.get(key)
-        if p is None:
-            evidence = dict(zip(table.features, key))
-            raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
-        out.append(p)
-    return out
+    the number classify compares with a threshold.  The features' instance
+    table rows come as arrays (``agreement._rows``), and each data row
+    reads the posterior at its C-order index over the kept features, the
+    features in classifier order.  A learned classifier covers every
+    non-class variable, so the posteriors have posterior_class's bits; a
+    row whose index the table lacks has probability 0."""
+    kept = kept_in_order(clf, features)
+    index, _, posterior, _ = _rows(net, clf, kept)
+    cards = [net.var(f).cardinality for f in kept]
+    lookup = np.full(math.prod(cards), np.nan)  # no posterior is NaN
+    lookup[index] = posterior
+    codes = [[domains[f].index(v) for v in data.column_values(f)] for f in kept]
+    key = np.zeros(len(data.rows), dtype=np.intp)
+    for column, card in zip(codes, cards):
+        key = key * card + column
+    out = lookup[key]
+    missing = np.isnan(out).nonzero()[0]
+    if len(missing):
+        i = missing[0]
+        evidence = {f: column[i] for f, column in zip(kept, codes)}
+        raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
+    return out.tolist()
 
 
 def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: int) -> list[int]:
@@ -239,16 +248,27 @@ def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: i
 
 def _fold_scorer(
     data: Dataset, folds: int, seed: int, domains: Mapping[str, tuple[str, ...]]
-) -> Callable[[Iterable[str], float, str | None, float], float]:
+) -> Callable[[Sequence[Iterable[str]], float, str | None, float], list[float]]:
     """Stratified k-fold cross-validation of naive Bayes classifiers, over
-    any feature subset of one dataset, from count tables.
+    feature subsets of one dataset, from count tables.
 
     Naive Bayes is fully determined by its class and (class, feature
-    value) counts, so the folds are dealt and the rows counted once, here,
-    and the returned ``accuracy(subset, smoothing, positive_label,
-    threshold)`` estimates the classifier of each fold from its training
-    counts: the totals minus the fold's own.  ``domains`` holds each
-    column's value vocabulary.
+    value) counts, so the folds are dealt and the rows counted once, here:
+    one ``np.bincount`` per column over (fold, class, value) keys, and a
+    fold's training counts are the totals minus the fold's own.  The
+    returned ``accuracy(subsets, smoothing, positive_label, threshold)``
+    scores every subset at once and returns one score per subset.  Per
+    feature, each row's CPT entry per class is estimated by ``_smoothed``
+    from the training counts of the row's fold, as one (class, row)
+    array, and multiplied into the class terms of every subset that keeps
+    the feature, in data-column order, the order in which the scalar
+    route multiplies a network's CPTs; so each score has the bits of
+    ``learn_nb`` and ``posterior_class`` run per fold on its training
+    rows.  The first error is the one scoring the subsets one at a time
+    would raise: subsets in order, within a subset the classifier checks
+    first, then fold by fold the class-prior check before the fold's
+    first zero-evidence row.  ``domains`` holds each column's value
+    vocabulary.
     """
     n = len(data.rows)
     if folds < 2:
@@ -256,73 +276,84 @@ def _fold_scorer(
     if folds > n:
         raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
     class_column = data.class_column
+    features = [c for c in data.columns if c != class_column]
     # Each column's value indices over its vocabulary.
     codes = {}
     for c in data.columns:
         index = {v: x for x, v in enumerate(domains[c])}
         codes[c] = [index[v] for v in data.column_values(c)]
-    class_codes = codes[class_column]
     class_card = len(domains[class_column])
-    fold_of = _deal_folds(class_codes, class_card, folds, seed)
-    members: list[list[int]] = [[] for _ in range(folds)]
-    for i, k in enumerate(fold_of):
-        members[k].append(i)
+    fold_of = np.array(_deal_folds(codes[class_column], class_card, folds, seed))
+    # Rows from here on go fold by fold, each fold's in data order.
+    order = fold_of.argsort(kind="stable")
+    fold_of = fold_of[order]
+    codes = {c: np.array(column)[order] for c, column in codes.items()}
+    class_codes = codes[class_column]
+    starts = np.searchsorted(fold_of, np.arange(folds))
+    sizes = np.bincount(fold_of, minlength=folds)
 
-    def training(keys: list[int], card: int) -> list[list[list[int]]]:
-        # [fold][class][key] row counts outside each fold, as exact
-        # ints: the totals minus the fold's own counts.
-        own = [[[0] * card for _ in range(class_card)] for _ in range(folds)]
-        for k, c, x in zip(fold_of, class_codes, keys):
-            own[k][c][x] += 1
-        total = [[sum(counts) for counts in zip(*rows)] for rows in zip(*own)]
-        return [
-            [[t - x for t, x in zip(total_c, own_c)] for total_c, own_c in zip(total, rows)]
-            for rows in own
-        ]
+    def training(keys: np.ndarray, card: int) -> np.ndarray:
+        # (fold, class, key) row counts outside each fold, as exact ints.
+        own = np.bincount(
+            (fold_of * class_card + class_codes) * card + keys, minlength=folds * class_card * card
+        ).reshape(folds, class_card, card)
+        return own.sum(axis=0) - own
 
-    # The class counts: every row has the one key 0.
-    train_class = [[c[0] for c in k] for k in training([0] * n, 1)]
-    train_counts = {
-        f: training(codes[f], len(domains[f])) for f in data.columns if f != class_column
-    }
+    train_class = training(np.zeros(n, dtype=int), 1)[:, :, 0]
+    # Per feature, each row's training counts of its value by class, and
+    # each row's training class counts: (class, row) arrays.
+    row_counts = np.array(
+        [training(codes[f], len(domains[f]))[fold_of, :, codes[f]].T for f in features], dtype=int
+    ).reshape(len(features), class_card, n)
+    row_class = train_class[fold_of].T
+    cards = np.array([len(domains[f]) for f in features]).reshape(-1, 1, 1)
 
     def accuracy(
-        subset: Iterable[str], smoothing: float, positive_label: str | None, threshold: float
-    ) -> float:
+        subsets: Sequence[Iterable[str]], smoothing: float, positive_label: str | None,
+        threshold: float,
+    ) -> list[float]:
         # The feature order, the checks and the arithmetic are those of
         # learn_nb and posterior_class on each fold's training rows
-        # restricted to the subset.
-        keep = set(subset)
-        features = [c for c in data.columns if c in keep and c != class_column]
+        # restricted to each subset.
+        if not subsets:
+            return []
+        kept = [[f for f in features if f in keep] for keep in map(set, subsets)]
         _check_smoothing(smoothing)
         positive = _positive_value(class_column, domains[class_column], positive_label)
         # learn_nb checks the first fold's class counts before the columns.
-        _prior(train_class[0], smoothing)
-        _, clf = _nb_classifier(class_column, features, domains, positive, threshold)
-        accuracies = []
-        for k, rows in enumerate(members):
-            class_count = train_class[k]
-            prior = _prior(class_count, smoothing)
-            # Each class's term per test row: the prior times the
-            # features' CPT entries in data-column order, the order in
-            # which the scalar route multiplies a network's CPTs.
-            terms = [[p] * len(rows) for p in prior]
-            for f in features:
-                card, values = len(domains[f]), codes[f]
-                for c, counts in enumerate(train_counts[f][k]):
-                    cpt = [_smoothed(x, class_count[c], card, smoothing) for x in counts]
-                    terms[c] = [p * cpt[values[i]] for p, i in zip(terms[c], rows)]
-            hits = 0
-            for i, t0, t1 in zip(rows, *terms):
-                # One rounding, as posterior_class's fsum of the two terms.
-                mass = t0 + t1
-                if mass == 0.0:
-                    evidence = {f: codes[f][i] for f in features}
-                    raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
-                posterior = (t1 if positive else t0) / mass
-                hits += (posterior >= clf.threshold) == (class_codes[i] == positive)
-            accuracies.append(hits / len(rows))
-        return math.fsum(accuracies) / folds
+        _prior(train_class[0].tolist(), smoothing)
+        chosen = np.array([[f in names for f in features] for names in kept], dtype=bool)
+        # The first fold whose class prior _prior refuses, else folds.
+        refused = (train_class.min(axis=1) == 0) & (smoothing == 0.0)
+        no_prior = int(refused.argmax()) if refused.any() else folds
+        # Folds from no_prior on divide by zero; they are never scored.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prior = _smoothed(
+                train_class, train_class.sum(axis=1, keepdims=True), class_card, smoothing
+            )
+            cpt = _smoothed(row_counts, row_class, cards, smoothing)
+            # Each subset's class terms per row: the prior times its
+            # features' CPT entries in data-column order.
+            terms = np.empty((len(kept), 2, n))
+            terms[...] = prior[fold_of].T
+            for j in range(len(features)):
+                terms[chosen[:, j]] *= cpt[j]
+            # One rounding, as posterior_class's fsum of the two terms.
+            mass = terms[:, 0] + terms[:, 1]
+            posterior = terms[:, positive] / mass
+        zero = mass == 0.0
+        first_zero = zero.argmax(axis=1).tolist()
+        for names, row, has_zero in zip(kept, first_zero, zero.any(axis=1).tolist()):
+            _, clf = _nb_classifier(class_column, names, domains, positive, threshold)
+            fold = int(fold_of[row]) if has_zero else folds
+            if no_prior <= fold and no_prior < folds:
+                _prior(train_class[no_prior].tolist(), smoothing)
+            if fold < folds:
+                evidence = {f: int(codes[f][row]) for f in names}
+                raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
+        hits = (posterior >= clf.threshold) == (class_codes == positive)
+        per_fold = np.add.reduceat(hits, starts, axis=1, dtype=int) / sizes
+        return [math.fsum(fold_accuracies) / folds for fold_accuracies in per_fold.tolist()]
 
     return accuracy
 
@@ -346,13 +377,14 @@ def cv_accuracy(
     rows restricted to the subset, with value vocabularies taken from the
     full data, and it labels a test row by its exact posterior, as
     ``posterior_class`` computes it.  Both are computed from count tables
-    (``_fold_scorer``): the folds are dealt once, the rows counted once
-    per (fold, class) and (fold, feature, class, value), and a fold's
-    training counts are the totals minus its own, so no model is built
-    and no data copied; the scores have the same bits.
+    (``_fold_scorer``, called with this one subset): the folds are dealt
+    once, the rows counted once per (fold, class) and (fold, feature,
+    class, value), and a fold's training counts are the totals minus its
+    own, so no model is built and no data copied; the scores have the
+    same bits.
     """
     accuracy = _fold_scorer(data, folds, seed, _column_domains(data, data.columns))
-    return accuracy(names_tuple(subset), smoothing, positive_label, threshold)
+    return accuracy([names_tuple(subset)], smoothing, positive_label, threshold)[0]
 
 
 def scatter(
@@ -370,12 +402,16 @@ def scatter(
     at the fixed base threshold in "fixed" mode — and (b) its
     cross-validated accuracy on the training part at the base threshold.
     The learned model and the folds both take each column's vocabulary
-    from the whole dataset.
+    from the whole dataset, and one ``_fold_scorer`` call cross-validates
+    every subset at once.
 
     The summary reports, for the best-agreement and best-accuracy subsets,
     the fraction of held-out rows where the trimmed classifier matches the
     full classifier's label (at the subset's scoring threshold) and the
     fraction where it matches the actual label (at the base threshold).
+    Each held-out row's posteriors are read from the learned model's
+    instance table rows by the row's index over the kept features
+    (``_posteriors``).
     """
     n = len(data.rows)
     if n < 2:
@@ -407,8 +443,9 @@ def scatter(
     # Agreement fails only on the full joint, which every subset shares,
     # so scoring it first leaves the first error where it was.
     agreements = [agreement_of(s) for s in subsets]
-    cv = _fold_scorer(train, config.folds, config.seed, domains)
-    accuracies = [cv(s, config.smoothing, positive_label, base_threshold) for s in subsets]
+    accuracies = _fold_scorer(train, config.folds, config.seed, domains)(
+        subsets, config.smoothing, positive_label, base_threshold
+    )
 
     best_eca = max(range(len(subsets)), key=lambda i: agreements[i][0])
     best_acc = max(range(len(subsets)), key=accuracies.__getitem__)

@@ -406,6 +406,95 @@ class TestCvAccuracyCountRoute:
         posterior_class(*learn_nb(noisy_dataset()), {"A": 0})
         assert calls == [1]  # the counter sees the scalar route
 
+
+@st.composite
+def cv_batch_cases(draw):
+    """cv_cases with 1-6 subsets: the drawn one and up to five more over
+    the dataset's columns (the class among them) and an unknown name, in
+    any order."""
+    data, subset, args = draw(cv_cases())
+    names = [*data.columns, "unknown"]
+    more = draw(st.lists(st.lists(st.sampled_from(names), unique=True).map(tuple), max_size=5))
+    return data, draw(st.permutations([subset, *more])), args
+
+
+def one_call_per_subset(data, subsets, args):
+    """cv_accuracy per subset in order, in hex, or the first error."""
+    out = []
+    for subset in subsets:
+        got = outcome(cv_accuracy, data, subset, *args)
+        if isinstance(got, tuple):
+            return got
+        out.append(got)
+    return out
+
+
+def one_batched_call(data, subsets, args):
+    """One _fold_scorer call over every subset, in hex, or its error."""
+    folds, seed, *rest = args
+    domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+    try:
+        scores = evalharness._fold_scorer(data, folds, seed, domains)(subsets, *rest)
+    except BntrimError as e:
+        return type(e), str(e)
+    return [a.hex() for a in scores]
+
+
+def later_subset_cases():
+    """(data, subsets, args, first failing subset, error type): each case
+    fails first in a later subset, or in a fold after the first."""
+    # Unsmoothed, F's values "c", "d" and "e" occur once or twice, so
+    # their rows have probability 0 in their own fold; G's occur in every
+    # fold of both classes, and H has one value, so a classifier cannot
+    # take it as a feature.
+    rare = Dataset(("C", "F", "G", "H"), tuple(
+        ("pos" if i % 2 else "neg", "ab"[i // 2 % 2] if i < 14 else "cde"[i % 3],
+         "xy"[i % 4 < 2], "h")
+        for i in range(18)
+    ), "C")
+    # Five "neg" rows are dealt first, so the one "pos" row falls in the
+    # last of three folds (seed 0: rows 0 and 5), whose training part
+    # lacks "pos".  F takes a new value in every row, so each row has
+    # probability 0 in its own fold; G's value "r" only in row 0.
+    lonely = Dataset(("C", "F", "G"), tuple(
+        ("pos" if i == 5 else "neg", f"v{i}", "r" if i == 0 else "g") for i in range(6)
+    ), "C")
+    return [
+        (rare, [("G",), (), ("F", "G")], (3, 0, 0.0, None, 0.5), 2, ZeroEvidenceError),
+        (lonely, [("G",), ("F",)], (3, 0, 0.0, None, 0.5), 0, ModelError),
+        (lonely, [("F",), ("G",)], (3, 0, 0.0, None, 0.5), 0, ZeroEvidenceError),
+        (rare, [("G",), (), ("G", "H"), ("F",)], (3, 0, 0.0, None, 0.5), 2, ModelError),
+        (rare, [("G",), ("F",), ("H",)], (3, 0, 0.0, None, 0.5), 1, ZeroEvidenceError),
+    ]
+
+
+class TestBatchedFoldScorer:
+    """One _fold_scorer call over several subsets against one cv_accuracy
+    call per subset: the same bits, or the same first error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cv_batch_cases())
+    def test_same_bits_as_one_call_per_subset(self, case):
+        data, subsets, args = case
+        assert one_batched_call(data, subsets, args) == one_call_per_subset(data, subsets, args)
+
+    @pytest.mark.parametrize(
+        "data, subsets, args, failing, error", later_subset_cases(),
+        ids=["zero evidence in a later subset", "fold lacks a class before its zero evidence",
+             "zero evidence before the fold that lacks a class",
+             "single-valued column in a later subset",
+             "zero evidence before a later single-valued column"],
+    )
+    def test_same_first_error_as_one_call_per_subset(self, data, subsets, args, failing, error):
+        expected = one_call_per_subset(data, subsets, args)
+        assert expected[0] is error
+        assert one_batched_call(data, subsets, args) == expected
+        # The subsets before the failing one score, alone and batched.
+        clean = one_call_per_subset(data, subsets[:failing], args)
+        assert isinstance(clean, list)
+        assert one_batched_call(data, subsets[:failing], args) == clean
+
+
 class TestScatter:
     @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])
     def test_one_learn_nb_and_one_fold_deal_per_call(self, monkeypatch, budget, subsets):
@@ -539,6 +628,47 @@ class TestRowPosteriors:
         with pytest.raises(ZeroEvidenceError) as info:
             _posteriors(net, clf, test, domains, ("F",))
         assert str(info.value) == "evidence {'F': 3} has probability 0"
+
+    @pytest.mark.parametrize(
+        "features", [("A", "B", "D"), ("D", "A"), ("B", "D"), ("D", "B", "A"), ("D",)]
+    )
+    def test_ternary_features_in_any_order(self, features):
+        # A and D take three values and B two, so each value index weighs
+        # differently in the C-order index over the kept features; the
+        # features come in classifier order, out of it, or partly.
+        rng = random.Random(3)
+        rows = tuple(
+            ("pos" if rng.random() < 0.4 else "neg", "abc"[rng.randrange(3)],
+             "uv"[rng.randrange(2)], "xyz"[rng.randrange(3)])
+            for _ in range(60)
+        )
+        data = Dataset(("C", "A", "B", "D"), rows, "C")
+        domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+        assert [len(domains[f]) for f in "ABD"] == [3, 2, 3]
+        net, clf = learn_nb(data, domains=domains)
+        per_row = [
+            posterior_class(
+                net, clf, {f: domains[f].index(row[data.column_index(f)]) for f in features}
+            ).hex()
+            for row in data.rows
+        ]
+        assert len(set(per_row)) >= 3
+        got = _posteriors(net, clf, data, domains, features)
+        assert [p.hex() for p in got] == per_row
+
+    def test_zero_evidence_lists_kept_features_in_classifier_order(self):
+        # Unsmoothed: (F, G) = ("b", "y") never occurs with either class,
+        # since "b" occurs only with "pos" and "y" only with "neg".
+        train = Dataset(("C", "F", "G"), (
+            ("neg", "a", "y"), ("neg", "c", "x"), ("pos", "b", "x"), ("pos", "a", "x"),
+        ), "C")
+        test = Dataset(("C", "F", "G"), (("pos", "a", "x"), ("neg", "b", "y")), "C")
+        domains = {"C": ("neg", "pos"), "F": ("a", "b", "c"), "G": ("x", "y")}
+        net, clf = learn_nb(train, smoothing=0.0, domains=domains)
+        for features in (("G", "F"), ("F", "G")):
+            with pytest.raises(ZeroEvidenceError) as info:
+                _posteriors(net, clf, test, domains, features)
+            assert str(info.value) == "evidence {'F': 1, 'G': 1} has probability 0"
 
 
 class TestEvalConfig:

@@ -67,9 +67,12 @@ of criterion 5 are recorded as single runs.
 ``--compare A B`` reads BENCH_A.json and BENCH_B.json, prints B's median
 over A's per case and suite time, and exits 1 when one of A's is missing
 from B or one of B's is SLOWER: its median more than 10 % above A's and
-every one of its runs slower than every one of A's (a suite time is its
-one run).  A median more than 10 % above A's whose runs overlap A's is
-printed as ``unresolved``: the host's drift between runs is that large.
+every one of its runs slower than every one of A's, with at least two
+runs on each side.  A median more than 10 % above A's is otherwise
+printed as ``unresolved``: when the runs overlap, the host's drift
+between runs is that large, and a timing of one run (each suite time)
+cannot show whether they would, since the shared host drifts by more
+than 10 % between two runs of the suite.
 """
 
 from __future__ import annotations
@@ -379,7 +382,8 @@ def compare(before: str, after: str) -> int:
             ratio = t_new / t_old
             flag = ""
             if ratio > SLOWER:
-                flag = "  SLOWER" if min(runs_new) > max(runs_old) else "  unresolved"
+                resolved = min(len(runs_old), len(runs_new)) >= 2 and min(runs_new) > max(runs_old)
+                flag = "  SLOWER" if resolved else "  unresolved"
             print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
             if flag == "  SLOWER":
                 failed.append(name)
