@@ -12,7 +12,6 @@ command in :mod:`bntrim.cli`.
 """
 
 from .agreement import (
-    InstanceRow,
     InstanceTable,
     MaaResult,
     ThresholdInterval,
@@ -95,7 +94,6 @@ __all__ = [
     "Dataset",
     "EnumerationLimitError",
     "EvalConfig",
-    "InstanceRow",
     "InstanceTable",
     "MaaResult",
     "ModelError",

@@ -1,21 +1,23 @@
 """Agreement measures between a classifier and its trimmed variants.
 
-The central object is the instance table of a kept feature subset: one row
-per instantiation of the kept features carrying its marginal mass, the
-class posterior given the instantiation, and the probability that the
-*original* classifier decides positive given the instantiation.  From the
-table we get, in one pass each:
+The central object is the instance table of a kept feature subset
+(``build_instance_table``): for every instantiation of the kept features
+with positive mass, its marginal mass, the class posterior given the
+instantiation, and the probability that the *original* classifier decides
+positive given the instantiation, each as one array over the rows in
+posterior order.  Every measure reads it, in one pass each:
 
 * ``eca``     expected agreement with a trimmed classifier at a fixed
               threshold (split rows at the threshold, sum the matching
               side's mass);
+* ``mpa``     an upper bound on agreement that lets every row pick its
+              better side;
 * ``compute_maa`` the best achievable agreement over all thresholds,
               found by sweeping the cuts in posterior order: a float
               sweep with an error bound shortlists the cuts that can be
-              best, and only the shortlist is scored exactly.
+              best, and only the shortlist is scored exactly.  ``maa`` is
+              this sweep of a subset's table.
 
-``mpa``, an upper bound that lets every row pick its better side, and
-``maa`` read the same row arrays (``_rows``) without building a table.
 The search reads its bounds through ``_MpaBound`` instead, which holds
 a kept set's (total, hit) tensor, a float estimate of its ``mpa`` with a
 certified error bound, and the exact ``mpa``, computed only when the
@@ -73,29 +75,26 @@ _NUMPY_MIN_CELLS = 512
 _BATCH_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class InstanceRow:
-    """One instantiation of the kept features.
+@dataclass(frozen=True, eq=False)
+class InstanceTable:
+    """The instance table of a kept feature subset as row arrays, one
+    entry per positive-mass instantiation of the kept features, sorted by
+    nondecreasing posterior.  ``eq=False``: arrays have no truth value.
 
-    mass           marginal probability of the instantiation
-    posterior      class posterior given the instantiation
-    positive_rate  probability that the original classifier decides
-                   positive, given the instantiation
+    features   the kept features, in classifier order
+    rows       each row's position in the C-order enumeration of the kept
+               features' values (the order ``itertools.product`` gives)
+    mass       marginal probability of the instantiation
+    posterior  class posterior given the instantiation
+    rate       probability that the original classifier decides
+               positive, given the instantiation
     """
 
-    values: tuple[int, ...]
-    mass: float
-    posterior: float
-    positive_rate: float
-
-
-@dataclass(frozen=True)
-class InstanceTable:
-    """Rows for every positive-mass instantiation of the kept features,
-    sorted by nondecreasing posterior."""
-
     features: tuple[str, ...]
-    rows: tuple[InstanceRow, ...]
+    rows: np.ndarray
+    mass: np.ndarray
+    posterior: np.ndarray
+    rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -292,48 +291,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rows(
-    net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The instance table's rows as arrays: (index, mass, posterior, rate).
-
-    ``index`` is each row's position in the C-order enumeration of the
-    kept features.  Per instantiation, mass is the correctly rounded sum
-    of its pos and neg cells, posterior its pos sum over the mass and
-    rate its hit sum over the mass, capped at 1.  Zero-mass rows are
-    dropped and the rest sorted by posterior, stably, so ties keep
-    enumeration order.  The row sums are the same floats either way they
-    are taken: ``fsum`` per row below ``_NUMPY_MIN_CELLS`` cells, one
-    ``_row_sums`` pass over all three kinds of row from there on.
-    """
-    pos, neg, hit = _row_cells(net, clf, kept_t)
-    n_rows, width = pos.shape
-    if pos.size < _NUMPY_MIN_CELLS:
-        sums = [
-            (math.fsum(p + q), math.fsum(p), math.fsum(h))
-            for p, q, h in zip(pos.tolist(), neg.tolist(), hit.tolist())
-        ]
-        mass, pos_sum, hit_sum = np.array(sums).T
-    else:
-        # Column j of cells across 3 * n_rows rows: pos then neg cells of
-        # each instantiation (its mass), then pos cells alone, then hit
-        # cells alone, zero-padded to a power of two.
-        cols = np.zeros((1 << (2 * width - 1).bit_length(), 3 * n_rows))
-        cols[:width, :n_rows] = pos.T
-        cols[width:2 * width, :n_rows] = neg.T
-        cols[:width, n_rows:2 * n_rows] = pos.T
-        cols[:width, 2 * n_rows:] = hit.T
-        mass, pos_sum, hit_sum = _row_sums(cols.T).reshape(3, n_rows)
-    index = (mass > 0.0).nonzero()[0]
-    mass = mass[index]
-    # pos_sum <= mass, as the pos cells are among the mass cells, but a
-    # hit cell is pos + neg rounded per cell, so hit_sum can exceed mass.
-    posterior = pos_sum[index] / mass
-    rate = np.minimum(hit_sum[index] / mass, 1.0)
-    order = posterior.argsort(kind="stable")
-    return index[order], mass[order], posterior[order], rate[order]
-
-
 def _value_masses(
     net: BayesianNetwork, clf: Classifier
 ) -> tuple[list[tuple[list[float], list[float], list[float]]], tuple[float, float]]:
@@ -387,30 +344,53 @@ def build_instance_table(
 ) -> InstanceTable:
     """Instance table of the kept feature subset against the classifier.
 
-    Zero-mass instantiations are dropped.  Rows come back sorted by
-    nondecreasing posterior; ties keep enumeration order, so the result
-    is deterministic.  Row sums are correctly rounded (certified in numpy
-    on larger tables, ``fsum`` otherwise) over the same cell multisets
-    the enumeration path in inference.py sums, so posteriors agree
-    bit-for-bit with posterior_class whenever the classifier covers every
-    non-class variable.
+    Per instantiation, mass is the correctly rounded sum of its pos and
+    neg cells, posterior its pos sum over the mass and rate its hit sum
+    over the mass, capped at 1.  Zero-mass rows are dropped and the rest
+    sorted by posterior, stably, so ties keep enumeration order and the
+    result is deterministic.  The row sums are the same floats either way
+    they are taken: ``fsum`` per row below ``_NUMPY_MIN_CELLS`` cells, one
+    ``_row_sums`` pass over all three kinds of row from there on.  They
+    are sums over the same cell multisets the enumeration path in
+    inference.py sums, so posteriors agree bit-for-bit with
+    posterior_class whenever the classifier covers every non-class
+    variable.  Every array is a fresh copy, never a view of a cache.
     """
     kept_t = kept_in_order(clf, kept)
-    index, mass, posterior, rate = _rows(net, clf, kept_t)
-    values = list(itertools.product(*(range(net.var(f).cardinality) for f in kept_t)))
-    rows = tuple(
-        InstanceRow(values[i], m, p, r)
-        for i, m, p, r in zip(index.tolist(), mass.tolist(), posterior.tolist(), rate.tolist())
-    )
-    return InstanceTable(kept_t, rows)
+    pos, neg, hit = _row_cells(net, clf, kept_t)
+    n_rows, width = pos.shape
+    if pos.size < _NUMPY_MIN_CELLS:
+        sums = [
+            (math.fsum(p + q), math.fsum(p), math.fsum(h))
+            for p, q, h in zip(pos.tolist(), neg.tolist(), hit.tolist())
+        ]
+        mass, pos_sum, hit_sum = np.array(sums).T
+    else:
+        # Column j of cells across 3 * n_rows rows: pos then neg cells of
+        # each instantiation (its mass), then pos cells alone, then hit
+        # cells alone, zero-padded to a power of two.
+        cols = np.zeros((1 << (2 * width - 1).bit_length(), 3 * n_rows))
+        cols[:width, :n_rows] = pos.T
+        cols[width:2 * width, :n_rows] = neg.T
+        cols[:width, n_rows:2 * n_rows] = pos.T
+        cols[:width, 2 * n_rows:] = hit.T
+        mass, pos_sum, hit_sum = _row_sums(cols.T).reshape(3, n_rows)
+    index = (mass > 0.0).nonzero()[0]
+    mass = mass[index]
+    # pos_sum <= mass, as the pos cells are among the mass cells, but a
+    # hit cell is pos + neg rounded per cell, so hit_sum can exceed mass.
+    posterior = pos_sum[index] / mass
+    rate = np.minimum(hit_sum[index] / mass, 1.0)
+    order = posterior.argsort(kind="stable")
+    return InstanceTable(kept_t, index[order], mass[order], posterior[order], rate[order])
 
 
 def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
     """Expected classification agreement between a classifier and a
     trimmed variant: the probability, over instances drawn from the
     network, that both produce the same label."""
-    _, mass, posterior, rate = _rows(net, alpha, check_trimming(net, alpha, beta))
-    terms = np.where(posterior >= beta.threshold, rate * mass, (1.0 - rate) * mass)
+    t = build_instance_table(net, alpha, check_trimming(net, alpha, beta))
+    terms = np.where(t.posterior >= beta.threshold, t.rate * t.mass, (1.0 - t.rate) * t.mass)
     return math.fsum(terms.tolist())
 
 
@@ -419,13 +399,12 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     contributes its larger side, as if the threshold could be chosen per
     row instead of globally.
 
-    Each term is the one the instance table's row gives (its mass times
-    the larger of its positive rate and one minus it), and the terms are
-    summed with fsum, which is correctly rounded, so the result does not
-    depend on the row order; no table is built.
+    Each term is the instance table row's mass times the larger of its
+    rate and one minus it, and the terms are summed with fsum, which is
+    correctly rounded, so the result does not depend on the row order.
     """
-    _, mass, _, rate = _rows(net, clf, kept_in_order(clf, kept))
-    return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
+    t = build_instance_table(net, clf, kept)
+    return math.fsum((np.maximum(t.rate, 1.0 - t.rate) * t.mass).tolist())
 
 
 class _MpaBound:
@@ -553,9 +532,49 @@ def _units(x: float) -> int:
     return n << (1075 - d.bit_length())
 
 
-def _sweep(mass: np.ndarray, posterior: np.ndarray, rate: np.ndarray) -> MaaResult:
-    """The MAA sweep over rows given as arrays sorted by posterior; see
-    ``compute_maa``."""
+def compute_maa(table: InstanceTable) -> MaaResult:
+    """Best achievable agreement over all thresholds for a fixed table.
+
+    Cut j classifies the rows below posterior group j negative and the
+    rest positive.  Its terms are each row's negative side,
+    (1 - rate) * mass, below the cut and its positive side, rate * mass,
+    from the cut on: n = len(rows) nonnegative floats, and its score is
+    their correctly rounded sum, the float ``fsum`` gives.  The result is
+    the lowest cut of largest score, so it equals a brute-force maximum
+    of eca over the candidate thresholds.  It is found in two stages.
+
+    * Float stage.  One prefix ``cumsum`` of the negative sides and one
+      suffix ``cumsum`` of the positive sides give every cut's
+      approximate score as the sum of two entries.  So each is a float
+      sum of its n terms in which every term meets at most n additions,
+      each multiplying it by some 1 + d, |d| <= u = 2**-53.  Its error is
+      then at most gamma(n) = n*u / (1 - n*u) times the terms' sum, as
+      for recursive summation of nonnegative terms (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, ch. 4), and that sum is at
+      most N + P, the totals of every negative and every positive side.
+      Addition has no underflow error (Hauser, TOPLAS 1996), so this
+      holds for subnormal terms too.  The float N + P is itself such a
+      sum, at least (1 - gamma(n)) times the exact one, so
+      E = gamma(n + 1) times it bounds every approximation's error.
+    * Shortlist.  A cut whose rounded score could equal the best's has
+      an exact score within one ulp of the best exact score, so its
+      approximation is within 2E plus that ulp of the largest one.  The
+      shortlist keeps every cut within 2E plus a margin of that largest
+      approximation: four ulps' worth, 2**-50 times it plus E, covers the
+      ulp and the roundings in the test, and 2**-1072 covers E's
+      underflow when the totals are tiny.  So the best cut is always on
+      it.
+    * Exact stage.  A one-cut shortlist holds the best cut, scored by
+      one ``fsum`` of its terms.  A longer one, as when every cut ties,
+      falls back to one running Python integer holding every cut's exact
+      sum in units of 2**-1074: it starts as the sum of every positive
+      side, and crossing a group adds each row's negative side and
+      subtracts its positive side.  Dividing it by the unit is correctly
+      rounded (Python's int true division), as ``fsum`` is, so the exact
+      stage stays linear.  Ties go to the lowest cut, and a strict
+      improvement is required to move off it.
+    """
+    mass, posterior, rate = table.mass, table.posterior, table.rate
     n = len(mass)
     if not n:
         raise ModelError("instance table has no rows")
@@ -603,60 +622,8 @@ def _sweep(mass: np.ndarray, posterior: np.ndarray, rate: np.ndarray) -> MaaResu
     return MaaResult(score, ThresholdInterval(lo, hi))
 
 
-def compute_maa(table: InstanceTable) -> MaaResult:
-    """Best achievable agreement over all thresholds for a fixed table.
-
-    Cut j classifies the rows below posterior group j negative and the
-    rest positive.  Its terms are each row's negative side,
-    (1 - rate) * mass, below the cut and its positive side, rate * mass,
-    from the cut on: n = len(rows) nonnegative floats, and its score is
-    their correctly rounded sum, the float ``fsum`` gives.  The result is
-    the lowest cut of largest score, so it equals a brute-force maximum
-    of eca over the candidate thresholds.  It is found in two stages.
-
-    * Float stage.  One prefix ``cumsum`` of the negative sides and one
-      suffix ``cumsum`` of the positive sides give every cut's
-      approximate score as the sum of two entries.  So each is a float
-      sum of its n terms in which every term meets at most n additions,
-      each multiplying it by some 1 + d, |d| <= u = 2**-53.  Its error is
-      then at most gamma(n) = n*u / (1 - n*u) times the terms' sum, as
-      for recursive summation of nonnegative terms (Higham, *Accuracy
-      and Stability of Numerical Algorithms*, ch. 4), and that sum is at
-      most N + P, the totals of every negative and every positive side.
-      Addition has no underflow error (Hauser, TOPLAS 1996), so this
-      holds for subnormal terms too.  The float N + P is itself such a
-      sum, at least (1 - gamma(n)) times the exact one, so
-      E = gamma(n + 1) times it bounds every approximation's error.
-    * Shortlist.  A cut whose rounded score could equal the best's has
-      an exact score within one ulp of the best exact score, so its
-      approximation is within 2E plus that ulp of the largest one.  The
-      shortlist keeps every cut within 2E plus a margin of that largest
-      approximation: four ulps' worth, 2**-50 times it plus E, covers the
-      ulp and the roundings in the test, and 2**-1072 covers E's
-      underflow when the totals are tiny.  So the best cut is always on
-      it.
-    * Exact stage.  A one-cut shortlist holds the best cut, scored by
-      one ``fsum`` of its terms.  A longer one, as when every cut ties,
-      falls back to one running Python integer holding every cut's exact
-      sum in units of 2**-1074: it starts as the sum of every positive
-      side, and crossing a group adds each row's negative side and
-      subtracts its positive side.  Dividing it by the unit is correctly
-      rounded (Python's int true division), as ``fsum`` is, so the exact
-      stage stays linear.  Ties go to the lowest cut, and a strict
-      improvement is required to move off it.
-    """
-    rows = table.rows
-    return _sweep(
-        np.array([r.mass for r in rows], dtype=float),
-        np.array([r.posterior for r in rows], dtype=float),
-        np.array([r.positive_rate for r in rows], dtype=float),
-    )
-
-
 def maa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> MaaResult:
     """Best agreement achievable by keeping the given subset and retuning
-    the threshold, together with the maximizing threshold interval.  The
-    same sweep as ``compute_maa`` over the same rows, fed the row arrays
-    directly instead of a built table."""
-    _, mass, posterior, rate = _rows(net, clf, kept_in_order(clf, kept))
-    return _sweep(mass, posterior, rate)
+    the threshold, together with the maximizing threshold interval: the
+    ``compute_maa`` sweep of the subset's instance table."""
+    return compute_maa(build_instance_table(net, clf, kept))

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .agreement import _rows, eca, maa
+from .agreement import build_instance_table, eca, maa
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -203,17 +203,17 @@ def _posteriors(
     domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
 ) -> list[float]:
     """The posterior of every data row given its values of the features,
-    the number classify compares with a threshold.  The features' instance
-    table rows come as arrays (``agreement._rows``), and each data row
-    reads the posterior at its C-order index over the kept features, the
-    features in classifier order.  A learned classifier covers every
-    non-class variable, so the posteriors have posterior_class's bits; a
-    row whose index the table lacks has probability 0."""
-    kept = kept_in_order(clf, features)
-    index, _, posterior, _ = _rows(net, clf, kept)
+    the number classify compares with a threshold.  Each data row reads
+    the posterior of the features' instance table row at its C-order
+    index over the kept features, the table's features in classifier
+    order.  A learned classifier covers every non-class variable, so the
+    posteriors have posterior_class's bits; a row whose index the table
+    lacks has probability 0."""
+    table = build_instance_table(net, clf, features)
+    kept = table.features
     cards = [net.var(f).cardinality for f in kept]
     lookup = np.full(math.prod(cards), np.nan)  # no posterior is NaN
-    lookup[index] = posterior
+    lookup[table.rows] = table.posterior
     codes = [[domains[f].index(v) for v in data.column_values(f)] for f in kept]
     key = np.zeros(len(data.rows), dtype=np.intp)
     for column, card in zip(codes, cards):
@@ -248,7 +248,7 @@ def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: i
 
 def _fold_scorer(
     data: Dataset, folds: int, seed: int, domains: Mapping[str, tuple[str, ...]]
-) -> Callable[[Sequence[Iterable[str]], float, str | None, float], list[float]]:
+) -> Callable[[Sequence[Sequence[str]], float, str | None, float], list[float]]:
     """Stratified k-fold cross-validation of naive Bayes classifiers, over
     feature subsets of one dataset, from count tables.
 
@@ -265,10 +265,10 @@ def _fold_scorer(
     route multiplies a network's CPTs; so each score has the bits of
     ``learn_nb`` and ``posterior_class`` run per fold on its training
     rows.  The first error is the one scoring the subsets one at a time
-    would raise: subsets in order, within a subset the classifier checks
-    first, then fold by fold the class-prior check before the fold's
-    first zero-evidence row.  ``domains`` holds each column's value
-    vocabulary.
+    would raise: subsets in order, within a subset first its names, read
+    as ``kept_in_order`` reads them, then the classifier checks, then fold
+    by fold the class-prior check before the fold's first zero-evidence
+    row.  ``domains`` holds each column's value vocabulary.
     """
     n = len(data.rows)
     if folds < 2:
@@ -306,10 +306,13 @@ def _fold_scorer(
         [training(codes[f], len(domains[f]))[fold_of, :, codes[f]].T for f in features], dtype=int
     ).reshape(len(features), class_card, n)
     row_class = train_class[fold_of].T
+    # Each subset's names are read against the data's features as
+    # kept_in_order reads a classifier's; nothing else of it is read.
+    every = Classifier(class_column, 1, tuple(features), 0.5)
     cards = np.array([len(domains[f]) for f in features]).reshape(-1, 1, 1)
 
     def accuracy(
-        subsets: Sequence[Iterable[str]], smoothing: float, positive_label: str | None,
+        subsets: Sequence[Sequence[str]], smoothing: float, positive_label: str | None,
         threshold: float,
     ) -> list[float]:
         # The feature order, the checks and the arithmetic are those of
@@ -317,12 +320,13 @@ def _fold_scorer(
         # restricted to each subset.
         if not subsets:
             return []
-        kept = [[f for f in features if f in keep] for keep in map(set, subsets)]
         _check_smoothing(smoothing)
         positive = _positive_value(class_column, domains[class_column], positive_label)
         # learn_nb checks the first fold's class counts before the columns.
         _prior(train_class[0].tolist(), smoothing)
-        chosen = np.array([[f in names for f in features] for names in kept], dtype=bool)
+        # A name of no feature chooses nothing here; the loop below
+        # rejects it at its subset's turn.
+        chosen = np.array([[f in keep for f in features] for keep in map(set, subsets)], dtype=bool)
         # The first fold whose class prior _prior refuses, else folds.
         refused = (train_class.min(axis=1) == 0) & (smoothing == 0.0)
         no_prior = int(refused.argmax()) if refused.any() else folds
@@ -334,7 +338,7 @@ def _fold_scorer(
             cpt = _smoothed(row_counts, row_class, cards, smoothing)
             # Each subset's class terms per row: the prior times its
             # features' CPT entries in data-column order.
-            terms = np.empty((len(kept), 2, n))
+            terms = np.empty((len(subsets), 2, n))
             terms[...] = prior[fold_of].T
             for j in range(len(features)):
                 terms[chosen[:, j]] *= cpt[j]
@@ -343,7 +347,8 @@ def _fold_scorer(
             posterior = terms[:, positive] / mass
         zero = mass == 0.0
         first_zero = zero.argmax(axis=1).tolist()
-        for names, row, has_zero in zip(kept, first_zero, zero.any(axis=1).tolist()):
+        for subset, row, has_zero in zip(subsets, first_zero, zero.any(axis=1).tolist()):
+            names = kept_in_order(every, subset)
             _, clf = _nb_classifier(class_column, names, domains, positive, threshold)
             fold = int(fold_of[row]) if has_zero else folds
             if no_prior <= fold and no_prior < folds:

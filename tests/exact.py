@@ -76,11 +76,11 @@ def _dyadic(x: float) -> tuple[int, int]:
 def rows(net, alpha, kept) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
     """(posterior, mass, mass alpha labels positive) for every
     instantiation of the kept features with positive mass."""
-    return _rows(net, alpha, tuple(kept))
+    return _cached_rows(net, alpha, tuple(kept))
 
 
 @lru_cache(maxsize=64)
-def _rows(net, alpha, kept):
+def _cached_rows(net, alpha, kept):
     threshold = Fraction(alpha.threshold)
     index = [alpha.features.index(f) for f in kept]
     sums = {}

@@ -94,9 +94,9 @@ def test_criterion_1_two_feature_table_fidelity(gbn4_net, gbn4_alpha):
     assert result.interval.hi == 0.5
 
     # Reference column order is by descending posterior.
-    rows = list(reversed(table.rows))
-    positive = [r.mass * r.positive_rate for r in rows]
-    negative = [r.mass * (1.0 - r.positive_rate) for r in rows]
+    rows = list(zip(table.mass.tolist()[::-1], table.rate.tolist()[::-1]))
+    positive = [m * r for m, r in rows]
+    negative = [m * (1.0 - r) for m, r in rows]
     exact_positive = [Fraction(9, 250), Fraction(243, 1250), Fraction(189, 625), Fraction(0)]
     exact_negative = [Fraction(11, 250), Fraction(171, 625), Fraction(81, 625), Fraction(1, 50)]
     for got, want in zip(positive + negative, exact_positive + exact_negative):
@@ -114,7 +114,9 @@ def test_criterion_2_three_feature_quiz_fidelity(quiz_net, quiz_alpha):
     posterior_up = posterior_class(quiz_net, quiz_alpha, {"Q3": 0})
     posterior_down = posterior_class(quiz_net, quiz_alpha, {"Q3": 1})
     full_table = build_instance_table(quiz_net, quiz_alpha, quiz_alpha.features)
-    positive_rate = math.fsum(r.mass for r in full_table.rows if r.positive_rate == 1.0)
+    positive_rate = math.fsum(
+        m for m, r in zip(full_table.mass.tolist(), full_table.rate.tolist()) if r == 1.0
+    )
     single_feature = eca(quiz_net, quiz_alpha, _trimmed(quiz_alpha, ("Q3",), 0.15))
     empty_best = maa(quiz_net, quiz_alpha, ()).score
     elapsed = time.perf_counter() - start
@@ -225,8 +227,8 @@ def test_criterion_9_positive_rate_monotone_along_sorted_rows():
         net, clf = random_nb_instance(rng)
         subset = random_subset(random.Random(7000 + i), clf)
         crossed_up = False
-        for row in build_instance_table(net, clf, subset).rows:
-            if row.positive_rate > 0.5:
+        for rate in build_instance_table(net, clf, subset).rate.tolist():
+            if rate > 0.5:
                 crossed_up = True
             else:
-                assert not (crossed_up and row.positive_rate < 0.5)
+                assert not (crossed_up and rate < 0.5)

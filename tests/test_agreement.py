@@ -8,6 +8,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from bntrim import (
     Classifier,
     CostModel,
     Cpt,
-    InstanceRow,
     InstanceTable,
     ModelError,
     ThresholdInterval,
@@ -52,25 +52,42 @@ def trimmed(clf: Classifier, features, threshold: float) -> Classifier:
     return Classifier(clf.class_var, clf.positive_value, tuple(features), threshold)
 
 
+def row_values(net: BayesianNetwork, table: InstanceTable) -> list[tuple[int, ...]]:
+    """Each row's instantiation of the table's features, read off its
+    C-order index."""
+    every = list(itertools.product(*(range(net.var(f).cardinality) for f in table.features)))
+    return [every[i] for i in table.rows.tolist()]
+
+
+def row_table(masses, posteriors, rates) -> InstanceTable:
+    """A one-feature table of the given rows, in the given order."""
+    return InstanceTable(
+        ("X",), np.arange(len(masses)), np.array(masses, dtype=float),
+        np.array(posteriors, dtype=float), np.array(rates, dtype=float),
+    )
+
+
 class TestInstanceTable:
     def test_quiz_single_feature_rows(self, quiz_net, quiz_alpha):
         table = build_instance_table(quiz_net, quiz_alpha, ("Q3",))
         assert table.features == ("Q3",)
-        assert [r.values for r in table.rows] == [(1,), (0,)]  # sorted by posterior
-        lo, hi = table.rows
-        assert lo.mass == pytest.approx(0.78, abs=1e-12)
-        assert lo.posterior == pytest.approx(1 / 13, abs=1e-12)
-        assert lo.positive_rate == pytest.approx(0.2284615384615385, abs=1e-12)
-        assert hi.mass == pytest.approx(0.22, abs=1e-12)
-        assert hi.posterior == pytest.approx(2 / 11, abs=1e-12)
-        assert hi.positive_rate == pytest.approx(0.4090909090909091, abs=1e-12)
+        assert row_values(quiz_net, table) == [(1,), (0,)]  # sorted by posterior
+        (lo_mass, hi_mass), (lo_posterior, hi_posterior), (lo_rate, hi_rate) = (
+            table.mass.tolist(), table.posterior.tolist(), table.rate.tolist()
+        )
+        assert lo_mass == pytest.approx(0.78, abs=1e-12)
+        assert lo_posterior == pytest.approx(1 / 13, abs=1e-12)
+        assert lo_rate == pytest.approx(0.2284615384615385, abs=1e-12)
+        assert hi_mass == pytest.approx(0.22, abs=1e-12)
+        assert hi_posterior == pytest.approx(2 / 11, abs=1e-12)
+        assert hi_rate == pytest.approx(0.4090909090909091, abs=1e-12)
 
     def test_gbn4_pair_rows(self, gbn4_net, gbn4_alpha):
         table = build_instance_table(gbn4_net, gbn4_alpha, ("F1", "F2"))
-        assert [r.values for r in table.rows] == [(1, 1), (0, 1), (0, 0), (1, 0)]
-        masses = [r.mass for r in table.rows]
-        posteriors = [r.posterior for r in table.rows]
-        rates = [r.positive_rate for r in table.rows]
+        assert row_values(gbn4_net, table) == [(1, 1), (0, 1), (0, 0), (1, 0)]
+        masses = table.mass.tolist()
+        posteriors = table.posterior.tolist()
+        rates = table.rate.tolist()
         assert masses == pytest.approx([0.02, 0.432, 0.468, 0.08], abs=1e-12)
         assert posteriors == pytest.approx([0.0, 0.5, 9 / 13, 0.75], abs=1e-12)
         assert rates == pytest.approx([0.0, 0.7, 0.4153846153846154, 0.45], abs=1e-12)
@@ -83,18 +100,18 @@ class TestInstanceTable:
             (gbn4_net, gbn4_alpha, ("F1", "F2", "F3")),
         ):
             table = build_instance_table(net, clf, subset)
-            assert math.fsum(r.mass for r in table.rows) == pytest.approx(1.0, abs=1e-9)
-            for r in table.rows:
-                assert 0.0 <= r.posterior <= 1.0
-                assert 0.0 <= r.positive_rate <= 1.0
+            assert math.fsum(table.mass.tolist()) == pytest.approx(1.0, abs=1e-9)
+            for posterior, rate in zip(table.posterior.tolist(), table.rate.tolist()):
+                assert 0.0 <= posterior <= 1.0
+                assert 0.0 <= rate <= 1.0
 
     def test_full_feature_set_has_indicator_rates(self, gbn4_net, gbn4_alpha):
         table = build_instance_table(gbn4_net, gbn4_alpha, gbn4_alpha.features)
-        assert all(r.positive_rate in (0.0, 1.0) for r in table.rows)
+        assert all(rate in (0.0, 1.0) for rate in table.rate.tolist())
 
     def test_rows_sorted_nondecreasing(self, gbn4_net, gbn4_alpha):
         table = build_instance_table(gbn4_net, gbn4_alpha, ("F2", "F3"))
-        posteriors = [r.posterior for r in table.rows]
+        posteriors = table.posterior.tolist()
         assert posteriors == sorted(posteriors)
 
     def test_zero_mass_rows_dropped(self):
@@ -104,7 +121,7 @@ class TestInstanceTable:
         )
         table = build_instance_table(net, Classifier("C", 0, ("X",), 0.5), ("X",))
         assert len(table.rows) == 1
-        assert table.rows[0].values == (0,)
+        assert row_values(net, table)[0] == (0,)
 
     def test_kept_features_normalized_to_classifier_order(self, quiz_net, quiz_alpha):
         table = build_instance_table(quiz_net, quiz_alpha, ("Q3", "Q1"))
@@ -113,6 +130,31 @@ class TestInstanceTable:
     def test_rejects_non_feature(self, quiz_net, quiz_alpha):
         with pytest.raises(ModelError):
             build_instance_table(quiz_net, quiz_alpha, ("C",))
+
+    @pytest.mark.parametrize("features", [3, 10])
+    def test_arrays_are_fresh_copies(self, features):
+        # A caller zeroing a table in place must not reach the cached
+        # classifier grid behind later tables, whether the rows are summed
+        # by fsum (3 features) or by one numpy pass (10).
+        net, clf = nb_instance(random.Random(features), features, max_card=2)
+        kept = clf.features[1:]
+        beta = trimmed(clf, kept, clf.threshold)
+
+        def bits():
+            table = build_instance_table(net, clf, kept)
+            arrays = [x.hex() for a in (table.mass, table.posterior, table.rate) for x in a.tolist()]
+            result = maa(net, clf, kept)
+            return (
+                table.rows.tolist(), arrays, result.score.hex(), result.interval,
+                mpa(net, clf, kept).hex(), eca(net, clf, beta).hex(),
+            )
+
+        before = bits()
+        table = build_instance_table(net, clf, kept)
+        assert (table.mass.size * 2 >= agreement._NUMPY_MIN_CELLS) == (features == 10)
+        for array in (table.mass, table.posterior, table.rate):
+            array[...] = 0.0
+        assert bits() == before
 
 
 class TestThresholdInterval:
@@ -341,8 +383,8 @@ class TestMpa:
         assert mpa(quiz_net, quiz_alpha, ("Q1", "Q2", "Q3")) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_fsum_over_table_rows(self):
-        # mpa sums its own per-row terms without building a table; they
-        # must agree to the bit with the terms read off the table's rows.
+        # mpa's terms must agree to the bit with the terms read off the
+        # table's rows one at a time.
         rng = random.Random(2024)
         for i in range(24):
             if i % 2 == 0:
@@ -351,9 +393,9 @@ class TestMpa:
                 net, clf = random_dag_instance(rng, max_features=6, max_card=3)
             for _ in range(4):
                 kept = random_subset(rng, clf)
-                rows = build_instance_table(net, clf, kept).rows
+                table = build_instance_table(net, clf, kept)
                 expected = math.fsum(
-                    max(r.positive_rate, 1.0 - r.positive_rate) * r.mass for r in rows
+                    max(r, 1.0 - r) * m for m, r in zip(table.mass.tolist(), table.rate.tolist())
                 )
                 assert mpa(net, clf, kept) == expected
 
@@ -428,7 +470,7 @@ class TestComputeMaa:
         assert result.interval.contains(quiz_alpha.threshold)
 
     def test_single_row_tie_takes_lowest_interval(self):
-        table = InstanceTable((), (InstanceRow((), 1.0, 0.3, 0.5),))
+        table = InstanceTable((), np.array([0]), np.array([1.0]), np.array([0.3]), np.array([0.5]))
         result = compute_maa(table)
         assert result.score == 0.5
         assert result.interval.lo == -math.inf
@@ -455,25 +497,26 @@ class TestComputeMaa:
             assert maa(quiz_net, quiz_alpha, subset).score >= at_original - 1e-12
 
 
-def sweep_oracle(rows: tuple[InstanceRow, ...]):
+def sweep_oracle(table: InstanceTable):
     """Independent threshold sweep: try every cut over distinct posteriors
     (rows below the cut decide negative) plus the all-negative cut."""
+    masses, posteriors, rates = table.mass.tolist(), table.posterior.tolist(), table.rate.tolist()
     boundaries = [0]
-    for i in range(1, len(rows)):
-        if rows[i].posterior != rows[i - 1].posterior:
+    for i in range(1, len(posteriors)):
+        if posteriors[i] != posteriors[i - 1]:
             boundaries.append(i)
-    boundaries.append(len(rows))
+    boundaries.append(len(posteriors))
     best_score = -math.inf
     best_cut = 0
     for cut in boundaries:
-        terms = [r.mass * (1.0 - r.positive_rate) for r in rows[:cut]]
-        terms += [r.mass * r.positive_rate for r in rows[cut:]]
+        terms = [m * (1.0 - r) for m, r in zip(masses[:cut], rates[:cut])]
+        terms += [m * r for m, r in zip(masses[cut:], rates[cut:])]
         score = math.fsum(terms)
         if score > best_score:
             best_score = score
             best_cut = cut
-    lo = rows[best_cut - 1].posterior if best_cut > 0 else -math.inf
-    hi = rows[best_cut].posterior if best_cut < len(rows) else math.inf
+    lo = posteriors[best_cut - 1] if best_cut > 0 else -math.inf
+    hi = posteriors[best_cut] if best_cut < len(posteriors) else math.inf
     return best_score, lo, hi
 
 
@@ -488,11 +531,7 @@ def instance_tables(draw):
     )
     total = math.fsum(masses)
     rates = draw(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=n, max_size=n))
-    rows = tuple(
-        InstanceRow((i,), m / total, p / 64.0, r)
-        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
-    )
-    return InstanceTable(("X",), rows)
+    return row_table([m / total for m in masses], [p / 64.0 for p in posteriors], rates)
 
 
 @st.composite
@@ -513,11 +552,7 @@ def wide_instance_tables(draw):
         )
     )
     rates = draw(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=n, max_size=n))
-    rows = tuple(
-        InstanceRow((i,), m, p / 64.0, r)
-        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
-    )
-    return InstanceTable(("X",), rows)
+    return row_table(masses, [p / 64.0 for p in posteriors], rates)
 
 
 @st.composite
@@ -532,11 +567,7 @@ def tie_instance_tables(draw):
     exponents = st.integers(low, low + 60)
     masses = draw(st.lists(exponents.map(lambda e: 2.0 ** -e), min_size=n, max_size=n))
     rates = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n))
-    rows = tuple(
-        InstanceRow((i,), m, p / 8.0, r)
-        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
-    )
-    return InstanceTable(("X",), rows)
+    return row_table(masses, [p / 8.0 for p in posteriors], rates)
 
 
 @st.composite
@@ -551,10 +582,7 @@ def near_tie_instance_tables(draw):
     masses = [m * 2.0 ** -e if i % 2 else m for i, (m, e) in enumerate(zip(masses, shifts))]
     rate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_nan=False))
     rates = draw(st.lists(rate, min_size=n, max_size=n))
-    rows = tuple(
-        InstanceRow((i,), m, i / n, r) for i, (m, r) in enumerate(zip(masses, rates))
-    )
-    return InstanceTable(("X",), rows)
+    return row_table(masses, [i / n for i in range(n)], rates)
 
 
 @st.composite
@@ -564,8 +592,8 @@ def plateau_instance_tables(draw):
     every cut ties and the sweep must keep the lowest."""
     n = draw(st.integers(min_value=200, max_value=1200))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    rows = tuple(InstanceRow((i,), rng.uniform(0.01, 1.0), i / n, 0.5) for i in range(n))
-    return InstanceTable(("X",), rows)
+    masses = [rng.uniform(0.01, 1.0) for _ in range(n)]
+    return row_table(masses, [i / n for i in range(n)], [0.5] * n)
 
 
 @st.composite
@@ -579,11 +607,7 @@ def maa_wide_scale_tables(draw):
     total = math.fsum(masses)
     posteriors = sorted(rng.randrange(257) / 256.0 for _ in range(n))
     rates = [rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(n)]
-    rows = tuple(
-        InstanceRow((i,), m / total, p, r)
-        for i, (m, p, r) in enumerate(zip(masses, posteriors, rates))
-    )
-    return InstanceTable(("X",), rows)
+    return row_table([m / total for m in masses], posteriors, rates)
 
 
 class TestComputeMaaProperties:
@@ -591,7 +615,7 @@ class TestComputeMaaProperties:
     @given(st.one_of(wide_instance_tables(), tie_instance_tables(), near_tie_instance_tables()))
     def test_matches_independent_sweep_exactly_on_wide_tables(self, table):
         result = compute_maa(table)
-        score, lo, hi = sweep_oracle(table.rows)
+        score, lo, hi = sweep_oracle(table)
         assert result.score == score
         assert result.interval.lo == lo
         assert result.interval.hi == hi
@@ -600,7 +624,7 @@ class TestComputeMaaProperties:
     @given(st.one_of(plateau_instance_tables(), maa_wide_scale_tables()))
     def test_matches_independent_sweep_exactly_on_large_tables(self, table):
         result = compute_maa(table)
-        score, lo, hi = sweep_oracle(table.rows)
+        score, lo, hi = sweep_oracle(table)
         assert result.score == score
         assert result.interval.lo == lo
         assert result.interval.hi == hi
@@ -609,7 +633,7 @@ class TestComputeMaaProperties:
     @given(instance_tables())
     def test_matches_independent_sweep_exactly(self, table):
         result = compute_maa(table)
-        score, lo, hi = sweep_oracle(table.rows)
+        score, lo, hi = sweep_oracle(table)
         assert result.score == score
         assert result.interval.lo == lo
         assert result.interval.hi == hi
@@ -618,11 +642,10 @@ class TestComputeMaaProperties:
     @given(instance_tables())
     def test_score_bounds(self, table):
         result = compute_maa(table)
-        all_positive = math.fsum(r.mass * r.positive_rate for r in table.rows)
-        all_negative = math.fsum(r.mass * (1.0 - r.positive_rate) for r in table.rows)
-        potential = math.fsum(
-            r.mass * max(r.positive_rate, 1.0 - r.positive_rate) for r in table.rows
-        )
+        rows = list(zip(table.mass.tolist(), table.rate.tolist()))
+        all_positive = math.fsum(m * r for m, r in rows)
+        all_negative = math.fsum(m * (1.0 - r) for m, r in rows)
+        potential = math.fsum(m * max(r, 1.0 - r) for m, r in rows)
         assert result.score >= max(all_positive, all_negative) - 1e-12
         assert result.score <= potential + 1e-12
 

@@ -445,7 +445,8 @@ class TestCondIndependentGivenClass:
 KEEP_CLASS = "trimmed classifier must keep the class variable and positive value"
 
 # Every library call that takes feature names, as a function of the names
-# and the classifier they are read against.  A sequence can repeat a name;
+# and the classifier they are read against (cv_accuracy's, against a
+# dataset sampled from the network).  A sequence can repeat a name;
 # a mapping cannot, and a trimmed Classifier refuses repeats (and the class
 # variable) itself.
 SEQUENCE_READERS = {
@@ -462,6 +463,9 @@ SEQUENCE_READERS = {
     ),
     "esdp_two_threshold observed": lambda net, clf, names: esdp_two_threshold(
         net, clf, 0.5, (), names
+    ),
+    "cv_accuracy": lambda net, clf, names: cv_accuracy(
+        synthesize_dataset(net, "C", 30, 0), names, 3, 0
     ),
 }
 MAPPING_READERS = {
@@ -487,9 +491,6 @@ STRING_READERS = {
     **SEQUENCE_READERS,
     **TRIMMING_READERS,
     "Classifier": lambda net, clf, names: Classifier("C", 1, names, 0.5),
-    "cv_accuracy": lambda net, clf, names: cv_accuracy(
-        synthesize_dataset(net, "C", 30, 0), names, 3, 0
-    ),
 }
 
 

@@ -41,6 +41,7 @@ from bntrim import (
 )
 
 from bntrim import evalharness, inference
+from bntrim.bnmodel import kept_in_order
 from bntrim.evalharness import THRESHOLD_MODES, _posteriors
 from conftest import load_network, nb_instance
 
@@ -240,9 +241,9 @@ class TestCvAccuracy:
 
 def per_fold_posteriors(data, subset, folds, seed, smoothing, positive_label, threshold):
     """cv_accuracy the long way, up to the decisions: deal the folds, then
-    per fold learn_nb on the subset's training rows and one
-    posterior_class per test row.  Per fold, the (posterior, actual
-    label) of each test row."""
+    check the subset's names, then per fold learn_nb on the subset's
+    training rows and one posterior_class per test row.  Per fold, the
+    (posterior, actual label) of each test row."""
     work = data.restrict(list(subset))
     n = len(work.rows)
     if folds < 2:
@@ -268,6 +269,15 @@ def per_fold_posteriors(data, subset, folds, seed, smoothing, positive_label, th
     for fold in range(folds):
         train_idx = [i for i in range(n) if fold_of[i] != fold]
         test_idx = [i for i in range(n) if fold_of[i] == fold]
+        if fold == 0:
+            # learn_nb's checks before its classifier's, on a class-only
+            # model, then the subset's names read against every feature.
+            learn_nb(
+                work.take(train_idx).restrict([]), smoothing=smoothing, domains=domains,
+                positive_label=positive_label,
+            )
+            every = [c for c in data.columns if c != data.class_column]
+            kept_in_order(Classifier(data.class_column, 1, every, 0.5), subset)
         net, clf = learn_nb(
             work.take(train_idx), smoothing=smoothing, domains=domains,
             positive_label=positive_label, threshold=threshold,

@@ -1,6 +1,7 @@
 """Which module holds what, read from the source with ``ast``: the grid
 route and the scalar route that checks it share no code, every name the
-benchmark instruments exists, and no import or private name is dead."""
+benchmark instruments exists and its row counters count table rows, and
+no import or private name is dead."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import importlib
 import pathlib
 
 import bntrim
+from bntrim import build_instance_table, compute_maa
 
 from conftest import FIXTURES
 
@@ -72,13 +74,20 @@ class TestRoutes:
             assert used & grid == set(), oracle
 
 
-def benchmark_names() -> tuple[list[str], list[str], dict[str, str]]:
-    """The span keys, the counted names and the caches of the benchmark
-    runner, read without importing it."""
+def runner_values() -> dict[str, ast.expr]:
+    """The value of every top-level assignment in the benchmark runner,
+    read without importing it."""
     values = {}
     for node in tree(RUN).body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
             values[node.targets[0].id] = node.value
+    return values
+
+
+def benchmark_names() -> tuple[list[str], list[str], dict[str, str]]:
+    """The span keys, the counted names and the caches of the benchmark
+    runner."""
+    values = runner_values()
     spans = [ast.literal_eval(key) for key in values["SPANS"].keys]
     return spans, ast.literal_eval(values["COUNTED"]), ast.literal_eval(values["CACHES"])
 
@@ -95,6 +104,27 @@ def test_benchmark_names_exist():
         function = getattr(agreement, name, None)
         assert callable(getattr(function, "cache_info", None)), name
         assert callable(getattr(function, "cache_clear", None)), name
+
+
+def test_row_counters_count_table_rows(gbn4_net, gbn4_alpha):
+    """Each ``ROWS`` span's counter, compiled from the runner's source and
+    called as its tracer calls it, on a real call's arguments and result,
+    counts the instance table's rows."""
+    values = runner_values()
+    spans = values["SPANS"]
+    counters = {ast.literal_eval(key): value for key, value in zip(spans.keys, spans.values)}
+    args = (gbn4_net, gbn4_alpha, ("F1", "F2"))
+    table = build_instance_table(*args)
+    calls = {
+        "agreement.build_instance_table": (args, table),
+        "agreement.compute_maa": ((table,), compute_maa(table)),
+    }
+    rows = ast.literal_eval(values["ROWS"])
+    assert set(rows) == set(calls)
+    assert len(table.rows) == 4
+    for name in rows:
+        counter = eval(compile(ast.Expression(counters[name]), str(RUN), "eval"), {})
+        assert counter(*calls[name]) == len(table.rows), name
 
 
 def test_no_unused_imports_or_private_names():

@@ -1,14 +1,14 @@
 """The grid route's row sums.
 
 ``agreement._row_sums`` must return, bit for bit, what ``math.fsum`` gives
-for every row; and ``mpa``, ``build_instance_table``, ``eca`` and ``maa``,
-which read their rows through it above ``_NUMPY_MIN_CELLS`` cells, must
-give the same floats as the per-row ``fsum`` loops they replaced (copied
-below as ``loop_*``), on both sides of that crossover."""
+for every row; and ``build_instance_table``, which takes its row sums from
+it above ``_NUMPY_MIN_CELLS`` cells, and ``mpa``, ``eca`` and ``maa``,
+which read the table it builds, must give the same floats as the per-row
+``fsum`` loops they replaced (copied below as ``loop_*``, with each row
+named by its C-order index), on both sides of that crossover."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from bntrim import (
     BayesianNetwork,
     Classifier,
-    InstanceRow,
     InstanceTable,
     build_instance_table,
     compute_maa,
@@ -150,9 +149,8 @@ def loop_cells(net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]):
 def loop_table(net: BayesianNetwork, clf: Classifier, kept) -> InstanceTable:
     kept_t = kept_in_order(clf, kept)
     width, pos, neg, hit = loop_cells(net, clf, kept_t)
-    values = itertools.product(*(range(net.var(f).cardinality) for f in kept_t))
     rows = []
-    for lo, v in zip(range(0, len(pos), width), values):
+    for index, lo in enumerate(range(0, len(pos), width)):
         hi = lo + width
         pos_cells = pos[lo:hi]
         m = math.fsum(pos_cells + neg[lo:hi])
@@ -160,9 +158,9 @@ def loop_table(net: BayesianNetwork, clf: Classifier, kept) -> InstanceTable:
             continue
         posterior = min(math.fsum(pos_cells) / m, 1.0)
         rate = min(math.fsum(hit[lo:hi]) / m, 1.0)
-        rows.append(InstanceRow(v, m, posterior, rate))
-    rows.sort(key=lambda r: r.posterior)
-    return InstanceTable(kept_t, tuple(rows))
+        rows.append((index, m, posterior, rate))
+    rows.sort(key=lambda r: r[2])
+    return InstanceTable(kept_t, *(np.array(column) for column in zip(*rows)))
 
 
 def loop_mpa(net: BayesianNetwork, clf: Classifier, kept) -> float:
@@ -179,21 +177,22 @@ def loop_mpa(net: BayesianNetwork, clf: Classifier, kept) -> float:
 
 def loop_eca(table: InstanceTable, t: float) -> float:
     return math.fsum(
-        r.positive_rate * r.mass if r.posterior >= t else (1.0 - r.positive_rate) * r.mass
-        for r in table.rows
+        r * m if p >= t else (1.0 - r) * m
+        for m, p, r in zip(table.mass.tolist(), table.posterior.tolist(), table.rate.tolist())
     )
 
 
-def row_hex(rows) -> list[tuple]:
-    return [(r.values, r.mass.hex(), r.posterior.hex(), r.positive_rate.hex()) for r in rows]
+def row_hex(table: InstanceTable) -> list[tuple]:
+    floats = ([x.hex() for x in a.tolist()] for a in (table.mass, table.posterior, table.rate))
+    return list(zip(table.rows.tolist(), *floats))
 
 
 def assert_same_as_loops(net: BayesianNetwork, clf: Classifier, kept) -> None:
     reference = loop_table(net, clf, kept)
-    assert row_hex(build_instance_table(net, clf, kept).rows) == row_hex(reference.rows)
+    assert row_hex(build_instance_table(net, clf, kept)) == row_hex(reference)
     assert mpa(net, clf, kept).hex() == loop_mpa(net, clf, kept).hex()
     ts = {clf.threshold, 0.0, 1.0, 2.0}
-    ts.update(r.posterior for r in reference.rows[:: max(1, len(reference.rows) // 4)])
+    ts.update(reference.posterior.tolist()[:: max(1, len(reference.rows) // 4)])
     for t in sorted(ts):
         beta = replace(clf, features=reference.features, threshold=t)
         assert eca(net, clf, beta).hex() == loop_eca(reference, t).hex()

@@ -89,6 +89,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
@@ -96,7 +98,6 @@ from bntrim import (  # noqa: E402
     Classifier,
     CostModel,
     EvalConfig,
-    InstanceRow,
     InstanceTable,
     agreement,
     build_instance_table,
@@ -241,9 +242,10 @@ def case_compute_maa_plateau():
     rng = random.Random(1)
     masses = [rng.random() for _ in range(4096)]
     total = sum(masses)
-    table = InstanceTable(("X",), tuple(
-        InstanceRow((i,), m / total, i / 4096, 0.5) for i, m in enumerate(masses)
-    ))
+    table = InstanceTable(
+        ("X",), np.arange(4096), np.array([m / total for m in masses]),
+        np.array([i / 4096 for i in range(4096)]), np.full(4096, 0.5),
+    )
     return lambda: compute_maa(table)
 
 
