@@ -28,9 +28,10 @@ information-gain ranking in :mod:`bntrim.baselines` needs.
 Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair, so repeated subset evaluations during search
 stay cheap.  Every row sum is correctly rounded, the float ``math.fsum``
-gives: small tables take them from an ``fsum`` per row, larger ones from
-one vectorized pass (``_row_sums``) whose error bound certifies each
-row's rounding and sends the rows it cannot certify to ``fsum``.
+gives, and ``_row_sums`` alone takes them, from the cells its callers
+name: a small call from an ``fsum`` per row, a larger one from one
+vectorized pass whose error bound certifies each row's rounding and
+sends the rows it cannot certify to ``fsum``.
 
 This module is the grid route alone.  The scalar route that checks it
 (``sdp``, ``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from
@@ -39,11 +40,10 @@ which this module takes only ``CELL_LIMIT``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,23 +55,23 @@ from .inference import CELL_LIMIT
 # threshold candidate when sweeping.
 POSTERIOR_GROUP_RTOL = 1e-9
 
-# Tables with fewer grid cells (rows x width) than this sum their rows
-# with one math.fsum per row, the rest with one _row_sums pass.  Timed on
-# a 2-core Xeon (Python 3.11, numpy 2.4), mpa and maa per call, numpy
-# against fsum: at 256 cells 0.6-0.9x below 64 rows; at 512 cells
-# 0.8-1.0x below 32 rows and 1.1-14x from there; at 1024 cells 1.2-15x
-# on all but one shape.  numpy's fixed cost per call (about 100 us for
-# some 100 small-array operations) is what small tables cannot pay back.
-_NUMPY_MIN_CELLS = 512
+# _row_sums takes one math.fsum per row below this count, rows x the
+# tallest block's cells per row (6x a table's grid cells), else one numpy
+# pass.  Timed on a 2-core Xeon (Python 3.11, numpy 2.4), mpa and maa per
+# call, numpy against fsum: at a count of 1536 0.6-0.9x below 64 rows; at
+# 3072 0.8-1.0x below 32 rows and 1.1-14x from there; at 6144 1.2-15x on
+# all but one shape.  numpy's fixed cost per call (about 100 us for some
+# 100 small-array operations) is what small counts cannot pay back.
+_NUMPY_MIN_CELLS = 3072
 
-# Information gain sums several features' rows in one _row_sums pass while
-# the array holds at most this many cells before padding, else one
-# feature's.  Timed on a 2-core Xeon against 2**15 to 2**19, on naive
-# Bayes of 10-16 binary and 10 ternary features: 2**16 was fastest at 12
-# and 16 features and within 20 % of the fastest on all five; 2**15 took
-# 1.5x as long at 10 features, 2**19 2x as long at 16, where the arrays
-# outgrow the cache, and a batch per feature 2x as long on the perfbench
-# ``scalar`` pool's small models, where each pass's fixed cost dominates.
+# Information gain sums several features' rows in one _row_sums call while
+# their pos and neg cells total at most this many, else one feature's.
+# Timed on a 2-core Xeon against 2**15 to 2**19, on naive Bayes of 10-16
+# binary and 10 ternary features: 2**16 was fastest at 12 and 16 features
+# and within 20 % of the fastest on all five; 2**15 took 1.5x as long at
+# 10 features, 2**19 2x as long at 16, where the arrays outgrow the cache,
+# and a batch per feature 2x as long on the perfbench ``scalar`` pool's
+# small models, where each pass's fixed cost dominates.
 _BATCH_CELLS = 1 << 16
 
 
@@ -183,32 +183,31 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
     return cells
 
 
-def _row_cells(
-    net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid's pos, neg and hit cells grouped by kept instantiation.
-
-    Returns three (rows, width) arrays: row i holds the cells of the i-th
-    instantiation of the kept features, in C order over their shape (the
-    order ``itertools.product`` enumerates it in).  Each array is the
-    transpose of a C-contiguous (width, rows) one, so ``_row_sums`` reads
-    every cell position across all rows from contiguous memory.
+def _row_cells(cells: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """A C-contiguous (kind, cell, row) array of a stack laid out as
+    ``_classifier_grid``'s, kind first, then one axis per feature: row
+    (last index) i holds the cells of the i-th instantiation of the
+    features at ``axes``, in C order (``itertools.product``'s order).
     """
-    cells = _classifier_grid(net, clf)
-    kept_axes = [clf.features.index(f) for f in kept_t]
-    rest_axes = [i for i in range(len(clf.features)) if i not in kept_axes]
-    n_rows = math.prod(cells.shape[1 + i] for i in kept_axes)
-    perm = [0, *(1 + i for i in rest_axes), *(1 + i for i in kept_axes)]
-    pos, neg, hit = np.transpose(cells, perm).reshape(3, -1, n_rows)
-    return pos.T, neg.T, hit.T
+    rest = [1 + i for i in range(cells.ndim - 1) if i not in axes]
+    n_rows = math.prod(cells.shape[1 + i] for i in axes)
+    moved = np.transpose(cells, [0, *rest, *(1 + i for i in axes)])
+    return np.ascontiguousarray(moved).reshape(len(cells), -1, n_rows)
 
 
 _U = 2.0**-53  # unit roundoff of float64
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of every row of a nonnegative 2-D array:
-    the float ``math.fsum`` returns for each row, in one numpy pass.
+def _row_sums(blocks: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """The correctly rounded sum of every row of every block: the float
+    ``math.fsum`` returns for each row.
+
+    A block is a tuple of nonnegative (cells, rows) arrays, and its row j
+    sums column j of each, as (pos, neg) sums a mass; the result lists
+    each block's row sums in turn.  Below ``_NUMPY_MIN_CELLS`` (rows times
+    the tallest block's cells per row) each row is one ``fsum``, else the
+    blocks fill one zero-padded array, a column per row, for one numpy
+    pass (a lone array of power-of-two height is read in place).
 
     A row of k <= 2 cells needs at most one ``+``, which is correctly
     rounded.  Longer rows are zero-padded to a power of two, so no level
@@ -259,15 +258,25 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     Ogita, Rump & Oishi, *Accurate Sum and Dot Product* (SIAM J. Sci.
     Comput. 26, 2005), describe the error-free transformations used.
     """
-    rows, k = x.shape
-    if k <= 2:
-        return x[:, 0] + x[:, 1] if k == 2 else x.sum(axis=1)
-    cols = x.T  # (k, rows): each level below slices whole columns
-    size = 1 << (k - 1).bit_length()
-    if size != k or not cols.flags.c_contiguous:
-        padded = np.zeros((size, rows))
-        padded[:k] = cols
-        cols = padded
+    height = max(sum(len(a) for a in block) for block in blocks)
+    rows = sum(block[0].shape[1] for block in blocks)
+    if rows * height < _NUMPY_MIN_CELLS:
+        sums = [math.fsum(row) for block in blocks for row in np.concatenate(block).T.tolist()]
+        return np.array(sums)
+    size = 1 << (height - 1).bit_length()
+    if len(blocks) == len(blocks[0]) == 1 and size == height:
+        cols = blocks[0][0]  # already the layout: read below, never written
+    else:
+        cols = np.zeros((size, rows))
+        at = 0
+        for block in blocks:
+            top = 0
+            for a in block:
+                cols[top:top + len(a), at:at + a.shape[1]] = a
+                top += len(a)
+            at += block[0].shape[1]
+    if len(cols) <= 2:
+        return cols.sum(axis=0)
     s, err, levels = cols, None, 0
     while len(s) > 1:
         half = len(s) // 2
@@ -287,7 +296,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
         smallest = np.where(cells > 0.0, cells, np.inf).min(axis=0)
         q = np.ldexp(1.0, np.frexp(smallest)[1] - 53)
         for i in unsure[2.0 * bound[unsure] >= q].tolist():
-            r[i] = math.fsum(x[i].tolist())
+            r[i] = math.fsum(cols[:, i].tolist())
     return r
 
 
@@ -307,35 +316,28 @@ def _value_masses(
     and a zero cell adds nothing, so every sum has the bits of the
     ``fsum`` the scalar route takes of the same products.
 
-    Features are summed in batches of about ``_BATCH_CELLS`` cells per
-    array, each batch in two ``_row_sums`` passes, one over its pos and
-    neg rows and one over its mass rows, each array zero-padded to its
-    widest row, and the class masses take one more pass.
+    ``_row_cells`` reads the pos and neg cells as one kind whose first
+    axis, the class side, is kept like a feature.  A batch of features of
+    at most ``_BATCH_CELLS`` cells takes two ``_row_sums`` calls, a block
+    per feature: a row per (side, value) pair, then the same cells a row
+    per value.  The class masses take one more call, a row per side.
     """
-    cells = _classifier_grid(net, clf)
-    size = cells[0].size
-    cards = cells.shape[1:]
-    per_batch = max(1, _BATCH_CELLS // (2 * size))
+    sides = _classifier_grid(net, clf)[None, :2]
+    cards = sides.shape[2:]
+    per_batch = max(1, _BATCH_CELLS // sides.size)
     out = []
     for start in range(0, len(cards), per_batch):
         batch = range(start, min(start + per_batch, len(cards)))
-        ends = [0, *itertools.accumulate(cards[i] for i in batch)]
-        width = max(size // cards[i] for i in batch)
-        sides = np.zeros((1 << (width - 1).bit_length(), 2 * ends[-1]))
-        masses = np.zeros((1 << (2 * width - 1).bit_length(), ends[-1]))
-        for i, a, b in zip(batch, ends, ends[1:]):
-            # Axes (rest of the grid, class side, feature value): a
-            # (side, value) pair's cells fill one column of ``sides`` and
-            # a value's cells, of both sides, one column of ``masses``.
-            cube = np.moveaxis(cells[:2], (0, 1 + i), (-2, -1))
-            sides[:size // (b - a), 2 * a:2 * b] = cube.reshape(-1, 2 * (b - a))
-            masses[:2 * size // (b - a), a:b] = cube.reshape(-1, b - a)
-        side_sums = _row_sums(sides.T).tolist()
-        mass_sums = _row_sums(masses.T).tolist()
-        for a, b in zip(ends, ends[1:]):
-            pos_neg = side_sums[2 * a:2 * b]
-            out.append((mass_sums[a:b], pos_neg[:b - a], pos_neg[b - a:]))
-    positive, negative = _row_sums(cells[:2].reshape(2, -1)).tolist()
+        # (cell, side x value) arrays, read again as (cell x side, value).
+        pairs = [_row_cells(sides, (0, 1 + i))[0] for i in batch]
+        side_sums = _row_sums([(x,) for x in pairs]).tolist()
+        mass_sums = _row_sums([(x.reshape(-1, cards[i]),) for i, x in zip(batch, pairs)]).tolist()
+        a = 0
+        for i in batch:
+            b = a + cards[i]
+            out.append((mass_sums[a:b], side_sums[2 * a:a + b], side_sums[a + b:2 * b]))
+            a = b
+    positive, negative = _row_sums([(_row_cells(sides, (0,))[0],)]).tolist()
     return out, (positive, negative)
 
 
@@ -346,35 +348,20 @@ def build_instance_table(
 
     Per instantiation, mass is the correctly rounded sum of its pos and
     neg cells, posterior its pos sum over the mass and rate its hit sum
-    over the mass, capped at 1.  Zero-mass rows are dropped and the rest
-    sorted by posterior, stably, so ties keep enumeration order and the
-    result is deterministic.  The row sums are the same floats either way
-    they are taken: ``fsum`` per row below ``_NUMPY_MIN_CELLS`` cells, one
-    ``_row_sums`` pass over all three kinds of row from there on.  They
-    are sums over the same cell multisets the enumeration path in
-    inference.py sums, so posteriors agree bit-for-bit with
-    posterior_class whenever the classifier covers every non-class
-    variable.  Every array is a fresh copy, never a view of a cache.
+    over the mass, capped at 1; all three kinds of row sum come from one
+    ``_row_sums`` call.  Zero-mass rows are dropped and the rest sorted by
+    posterior, stably, so ties keep enumeration order and the result is
+    deterministic.  The row sums are over the same cell multisets the
+    enumeration path in inference.py sums, so posteriors agree
+    bit-for-bit with posterior_class whenever the classifier covers every
+    non-class variable.  Every array is a fresh copy, never a view of a
+    cache.
     """
     kept_t = kept_in_order(clf, kept)
-    pos, neg, hit = _row_cells(net, clf, kept_t)
-    n_rows, width = pos.shape
-    if pos.size < _NUMPY_MIN_CELLS:
-        sums = [
-            (math.fsum(p + q), math.fsum(p), math.fsum(h))
-            for p, q, h in zip(pos.tolist(), neg.tolist(), hit.tolist())
-        ]
-        mass, pos_sum, hit_sum = np.array(sums).T
-    else:
-        # Column j of cells across 3 * n_rows rows: pos then neg cells of
-        # each instantiation (its mass), then pos cells alone, then hit
-        # cells alone, zero-padded to a power of two.
-        cols = np.zeros((1 << (2 * width - 1).bit_length(), 3 * n_rows))
-        cols[:width, :n_rows] = pos.T
-        cols[width:2 * width, :n_rows] = neg.T
-        cols[:width, n_rows:2 * n_rows] = pos.T
-        cols[:width, 2 * n_rows:] = hit.T
-        mass, pos_sum, hit_sum = _row_sums(cols.T).reshape(3, n_rows)
+    pos, neg, hit = _row_cells(
+        _classifier_grid(net, clf), [clf.features.index(f) for f in kept_t]
+    )
+    mass, pos_sum, hit_sum = _row_sums([(pos, neg), (pos,), (hit,)]).reshape(3, -1)
     index = (mass > 0.0).nonzero()[0]
     mass = mass[index]
     # pos_sum <= mass, as the pos cells are among the mass cells, but a

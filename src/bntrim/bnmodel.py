@@ -314,8 +314,13 @@ class CostModel:
     def fits(self, names: Iterable[str]) -> bool:
         """Whether the named features fit the budget together.  The one
         feasibility rule: the correctly rounded total, never a running
-        remainder, whose rounding errors pile up on fractional costs."""
-        return self.total(names) <= self.budget
+        remainder, whose rounding errors pile up on fractional costs.  A
+        total past the largest float, on which ``fsum`` raises, exceeds
+        every finite budget."""
+        try:
+            return self.total(names) <= self.budget
+        except OverflowError:
+            return False
 
     @classmethod
     def unit(cls, features: Iterable[str], budget: float) -> "CostModel":

@@ -93,9 +93,19 @@ def _column_domains(data: Dataset, columns: Iterable[str]) -> dict[str, tuple[st
     return {c: tuple(sorted(set(data.column_values(c)))) for c in columns}
 
 
-def _check_smoothing(smoothing: float) -> None:
+def _check_smoothing(smoothing: float, card: int = 0) -> None:
+    """ModelError unless smoothing is finite and >= 0, and so is every
+    denominator ``_smoothed`` takes over columns of at most ``card``
+    values, total + smoothing * card.  That sum is finite exactly when
+    smoothing * card is: a row count is far below half an ulp of the
+    largest float."""
     if not (math.isfinite(smoothing) and smoothing >= 0.0):
         raise ModelError(f"smoothing must be a finite value >= 0, got {smoothing}")
+    if not math.isfinite(smoothing * card):
+        raise ModelError(
+            f"smoothing {smoothing} overflows the estimate's denominator"
+            f" total + smoothing * {card}"
+        )
 
 
 def _smoothed(count: int, total: int, card: int, smoothing: float) -> float:
@@ -155,10 +165,11 @@ def learn_nb(
     Every CPT cell gets additive smoothing: Pr(f=v|c) is
     (count + smoothing) / (class count + smoothing * domain size), and the
     class prior is smoothed the same way; smoothing must be finite and
-    >= 0.  ``domains`` fixes each column's value vocabulary (needed when a
-    subsample may miss values); by default the vocabularies are the sorted
-    distinct values in the data.  The positive label defaults to the later
-    class value in sorted order.
+    >= 0, and keep every denominator finite.  ``domains`` fixes each
+    column's value vocabulary (needed when a subsample may miss values);
+    by default the vocabularies are the sorted distinct values in the
+    data.  The positive label defaults to the later class value in sorted
+    order.
     """
     class_column = data.class_column
     if not data.rows:
@@ -179,6 +190,7 @@ def learn_nb(
     class_domain = domains[class_column]
     positive_value = _positive_value(class_column, class_domain, positive_label)
 
+    _check_smoothing(smoothing, max(len(domains[c]) for c in columns))
     class_cells = data.column_values(class_column)
     class_count = [class_cells.count(v) for v in class_domain]
     prior = _prior(class_count, smoothing)
@@ -266,9 +278,10 @@ def _fold_scorer(
     ``learn_nb`` and ``posterior_class`` run per fold on its training
     rows.  The first error is the one scoring the subsets one at a time
     would raise: subsets in order, within a subset first its names, read
-    as ``kept_in_order`` reads them, then the classifier checks, then fold
-    by fold the class-prior check before the fold's first zero-evidence
-    row.  ``domains`` holds each column's value vocabulary.
+    as ``kept_in_order`` reads them, then the smoothing and classifier
+    checks over its columns, then fold by fold the class-prior check
+    before the fold's first zero-evidence row.  ``domains`` holds each
+    column's value vocabulary.
     """
     n = len(data.rows)
     if folds < 2:
@@ -322,7 +335,8 @@ def _fold_scorer(
             return []
         _check_smoothing(smoothing)
         positive = _positive_value(class_column, domains[class_column], positive_label)
-        # learn_nb checks the first fold's class counts before the columns.
+        # learn_nb checks the first fold's class column before the others.
+        _check_smoothing(smoothing, class_card)
         _prior(train_class[0].tolist(), smoothing)
         # A name of no feature chooses nothing here; the loop below
         # rejects it at its subset's turn.
@@ -330,8 +344,10 @@ def _fold_scorer(
         # The first fold whose class prior _prior refuses, else folds.
         refused = (train_class.min(axis=1) == 0) & (smoothing == 0.0)
         no_prior = int(refused.argmax()) if refused.any() else folds
-        # Folds from no_prior on divide by zero; they are never scored.
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Folds from no_prior on divide by zero, and a feature whose
+        # denominators overflow is refused at the first subset keeping it:
+        # neither is ever scored.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             prior = _smoothed(
                 train_class, train_class.sum(axis=1, keepdims=True), class_card, smoothing
             )
@@ -349,6 +365,7 @@ def _fold_scorer(
         first_zero = zero.argmax(axis=1).tolist()
         for subset, row, has_zero in zip(subsets, first_zero, zero.any(axis=1).tolist()):
             names = kept_in_order(every, subset)
+            _check_smoothing(smoothing, max([class_card, *(len(domains[f]) for f in names)]))
             _, clf = _nb_classifier(class_column, names, domains, positive, threshold)
             fold = int(fold_of[row]) if has_zero else folds
             if no_prior <= fold and no_prior < folds:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -138,6 +139,12 @@ class TestCostModel:
         assert costs.budget == 2.0
         assert costs.total(("A", "C")) == 2.0
         assert CostModel({"A": 0.5, "B": 2.5}, 9).total(("A", "B")) == 3.0
+
+    def test_total_past_the_largest_float_does_not_fit(self):
+        costs = CostModel({"A": 1e308, "B": 1e308, "C": 1.0}, sys.float_info.max)
+        assert costs.fits(("A", "C"))
+        assert not costs.fits(("A", "B"))
+        assert not costs.fits(("C", "B", "A"))
 
 
 class TestNetworkStructure:

@@ -233,6 +233,22 @@ class TestDecimalBudget:
             chosen.append(json.loads(out)["chosen"])
         assert chosen == [["Q1"], ["Q1", "Q2"]]
 
+    def test_totals_past_the_largest_float_do_not_fit(self, capsys):
+        # 1e308 + 1e308 overflows a float, so Q1 and Q2 together exceed
+        # every finite budget; either alone with Q3 fits.
+        huge = [
+            "--network", QUIZ, "--class", "C", "--costs", "Q1=1e308,Q2=1e308,Q3=1", "--budget", "1e308",
+        ]
+        docs = {}
+        for command in ("trim", "exhaustive", "ig"):
+            code, out, err = run(capsys, [command, *huge])
+            assert (code, err) == (0, "")
+            docs[command] = json.loads(out)
+        assert docs["trim"]["score"] == docs["exhaustive"]["score"]
+        kept = [docs["trim"]["best_features"], docs["exhaustive"]["best_features"], docs["ig"]["chosen"]]
+        assert not any({"Q1", "Q2"} <= set(chosen) for chosen in kept)
+        assert docs["ig"]["chosen"] == ["Q1", "Q3"]
+
 
 class TestValidate:
     def test_valid_network(self, capsys):
@@ -730,16 +746,27 @@ class TestExitCodes:
         assert f"budget fraction must be in (0,1], got {float(fraction)}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "smoothing, message",
+        [
+            ("nan", "smoothing must be a finite value >= 0, got nan"),
+            ("inf", "smoothing must be a finite value >= 0, got inf"),
+            ("-1", "smoothing must be a finite value >= 0, got -1.0"),
+            ("1e308", "smoothing 1e+308 overflows the estimate's denominator total + smoothing * "),
+        ],
+        ids=["nan", "inf", "-1", "1e308"],
+    )
     @pytest.mark.parametrize("command", ["learn", "scatter"])
-    def test_smoothing_not_finite_and_nonnegative(self, capsys, tmp_path, command, smoothing):
+    def test_smoothing_not_finite_and_nonnegative(
+        self, capsys, tmp_path, command, smoothing, message
+    ):
         path = tmp_path / "noisy.csv"
         path.write_bytes(serialize_dataset(noisy_dataset()))
         argv = [command, "--data", str(path), "--class", "label", "--smoothing", smoothing]
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert f"smoothing must be a finite value >= 0, got {float(smoothing)}" in err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["learn", "scatter"])

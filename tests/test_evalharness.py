@@ -151,10 +151,35 @@ class TestLearnNb:
         with pytest.raises(ModelError):
             learn_nb(data)
 
-    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
-    def test_rejects_smoothing_not_finite_and_nonnegative(self, smoothing):
-        with pytest.raises(ModelError, match="smoothing must be a finite value >= 0"):
+    @pytest.mark.parametrize(
+        "smoothing, message",
+        [
+            (float("nan"), "smoothing must be a finite value >= 0"),
+            (float("inf"), "smoothing must be a finite value >= 0"),
+            (-1.0, "smoothing must be a finite value >= 0"),
+            (1e308, "smoothing 1e[+]308 overflows the estimate's denominator"),
+        ],
+        ids=["nan", "inf", "-1.0", "1e+308"],
+    )
+    def test_rejects_smoothing_not_finite_and_nonnegative(self, smoothing, message):
+        with pytest.raises(ModelError, match=message):
             learn_nb(noisy_dataset(), smoothing=smoothing)
+        with pytest.raises(ModelError, match=message):
+            cv_accuracy(noisy_dataset(), ("A",), folds=2, seed=0, smoothing=smoothing)
+
+    def test_smoothing_overflowing_a_wider_column_only(self):
+        # 7e307 * 2 is finite and 7e307 * 3 is not: only subsets keeping
+        # the three-valued column are refused, as learn_nb on their
+        # columns refuses them.
+        rows = (("x", "u", "p"), ("y", "v", "n"), ("x", "w", "p"), ("y", "u", "n"))
+        data = Dataset(("A", "B", "label"), rows, "label")
+        message = "smoothing 7e[+]307 overflows the estimate's denominator total [+] smoothing [*] 3"
+        assert learn_nb(data.restrict(["A"]), smoothing=7e307)[0].cpts[1].rows == ((0.5, 0.5),) * 2
+        assert 0.0 <= cv_accuracy(data, ("A",), folds=2, seed=0, smoothing=7e307) <= 1.0
+        with pytest.raises(ModelError, match=message):
+            learn_nb(data, smoothing=7e307)
+        with pytest.raises(ModelError, match=message):
+            cv_accuracy(data, ("A", "B"), folds=2, seed=0, smoothing=7e307)
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ModelError):
@@ -334,7 +359,9 @@ def cv_cases(draw):
     args = (
         folds,
         draw(st.integers(0, 50)),  # seed
-        draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 0.37, 2.0, 1e-300, -0.5])),  # smoothing
+        # smoothing; 1e308 overflows every denominator, 7e307 those of a
+        # column of 3 values alone.
+        draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 0.37, 2.0, 1e-300, -0.5, 1e308, 7e307])),
         draw(st.sampled_from([None, None, "pos", "neg", "nope"])),  # positive label
         draw(st.sampled_from([0.5, 0.0, 0.3, 1.0, 0.75])),  # threshold
     )

@@ -1,11 +1,13 @@
 """The grid route's row sums.
 
 ``agreement._row_sums`` must return, bit for bit, what ``math.fsum`` gives
-for every row; and ``build_instance_table``, which takes its row sums from
-it above ``_NUMPY_MIN_CELLS`` cells, and ``mpa``, ``eca`` and ``maa``,
-which read the table it builds, must give the same floats as the per-row
-``fsum`` loops they replaced (copied below as ``loop_*``, with each row
-named by its C-order index), on both sides of that crossover."""
+for every row of every block it is given, on both sides of its
+``_NUMPY_MIN_CELLS`` crossover; ``_row_cells`` must group the grid's cells
+by kept instantiation in C order; and ``build_instance_table``, which
+takes its row sums from one ``_row_sums`` call, and ``mpa``, ``eca`` and
+``maa``, which read the table it builds, must give the same floats as the
+per-row ``fsum`` loops they replaced (copied below as ``loop_*``, with
+each row named by its C-order index), on both sides of that crossover."""
 
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from bntrim import (
     maa,
     mpa,
 )
-from bntrim.agreement import _NUMPY_MIN_CELLS, _row_cells, _row_sums
+from bntrim import agreement
+from bntrim.agreement import _NUMPY_MIN_CELLS, _classifier_grid, _row_cells, _row_sums
 from bntrim.bnmodel import kept_in_order
 
 from conftest import dag_networks, nb_instance, random_dag_instance, random_subset
@@ -38,13 +41,20 @@ def fsum_hex(x: np.ndarray) -> list[str]:
     return [math.fsum(row).hex() for row in x.tolist()]
 
 
+def row_sums_hex(x: np.ndarray) -> list[str]:
+    """_row_sums of the rows of x, one block of one array (read in place
+    when its height is a power of two), as hex."""
+    return [v.hex() for v in _row_sums([(np.ascontiguousarray(x.T),)]).tolist()]
+
+
 def sums_and_fallbacks(x: np.ndarray, monkeypatch) -> tuple[list[str], int]:
-    """_row_sums of x as hex, and how many rows it summed again with fsum."""
+    """_row_sums of the rows of x as hex, and how many rows it summed
+    again with fsum."""
     calls = []
     real_fsum = math.fsum
-    monkeypatch.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
-    got = [v.hex() for v in _row_sums(x).tolist()]
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
+        got = row_sums_hex(x)
     return got, len(calls)
 
 
@@ -89,26 +99,63 @@ def row_arrays(draw):
     return np.array([fill_row(rng, width, rng.choice(kinds)) for _ in range(rows)]).reshape(rows, width)
 
 
+@st.composite
+def block_lists(draw):
+    """1-4 blocks of one or two (cells, rows) arrays, of unequal heights
+    and row counts, as information gain passes them, with each block's
+    fsum per row.  A block's rows are drawn from KINDS over its full
+    height and split between its arrays, so a tie row's cells may sit in
+    both.  The call's count, rows times the tallest block's height, falls
+    below ``_NUMPY_MIN_CELLS`` or not as ``above`` is drawn."""
+    above = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+    splits = st.lists(st.integers(1, 80), min_size=1, max_size=2)
+    heights = draw(st.lists(splits, min_size=1, max_size=4))
+    counts = draw(st.lists(st.integers(1, 40), min_size=len(heights), max_size=len(heights)))
+    tallest = max(map(sum, heights))
+    crossover = agreement._NUMPY_MIN_CELLS
+    if above:
+        counts[0] = max(counts[0], -(-crossover // tallest) - sum(counts[1:]))
+    else:
+        counts = [min(n, (crossover - 1) // tallest // len(counts)) for n in counts]
+    assert (sum(counts) * tallest >= crossover) == above
+    blocks, expected = [], []
+    for split, n in zip(heights, counts):
+        x = np.array([fill_row(rng, sum(split), rng.choice(kinds)) for _ in range(n)])
+        expected += fsum_hex(x)
+        cells = np.ascontiguousarray(x.T)
+        blocks.append((cells[:split[0]], cells[split[0]:])[:len(split)])
+    return blocks, expected
+
+
 class TestRowSums:
+    """The numpy pass itself: the crossover at 0 sends every call to it."""
+
+    @pytest.fixture(autouse=True)
+    def tree_only(self, monkeypatch):
+        monkeypatch.setattr(agreement, "_NUMPY_MIN_CELLS", 0)
+
     @settings(max_examples=200, deadline=None)
-    @given(row_arrays())
-    def test_same_bits_as_fsum_per_row(self, x):
+    @given(row_arrays(), st.data())
+    def test_same_bits_as_fsum_per_row(self, x, data):
         expected = fsum_hex(x)
-        assert [v.hex() for v in _row_sums(x).tolist()] == expected
-        # The layout the grid route passes: the transpose of a
-        # C-contiguous (width, rows) array.
-        cols = np.ascontiguousarray(x.T)
-        assert [v.hex() for v in _row_sums(cols.T).tolist()] == expected
+        assert row_sums_hex(x) == expected
+        # The same cells laid out anew: a transposed view, and split
+        # between two arrays of one block.
+        assert [v.hex() for v in _row_sums([(x.T,)]).tolist()] == expected
+        cut = data.draw(st.integers(1, x.shape[1]))
+        cells = np.ascontiguousarray(x.T)
+        assert [v.hex() for v in _row_sums([(cells[:cut], cells[cut:])]).tolist()] == expected
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 4095, 4096])
     def test_edge_widths(self, width):
         rng = random.Random(width)
         x = np.array([fill_row(rng, width, kind) for kind in KINDS for _ in range(3)])
-        assert [v.hex() for v in _row_sums(x).tolist()] == fsum_hex(x)
+        assert row_sums_hex(x) == fsum_hex(x)
 
     def test_all_zero_rows_are_zero(self):
-        x = np.zeros((5, 37))
-        assert [v.hex() for v in _row_sums(x).tolist()] == [0.0.hex()] * 5
+        assert row_sums_hex(np.zeros((5, 37))) == [0.0.hex()] * 5
 
     def test_fallback_runs_on_rows_it_cannot_certify(self, monkeypatch):
         # Exact halfway ties whose cells span some 54 binades: the sum is
@@ -137,12 +184,59 @@ class TestRowSums:
         assert sums_and_fallbacks(x, monkeypatch) == (fsum_hex(x), 0)
 
 
+class TestRowSumBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(block_lists())
+    def test_same_bits_as_fsum_of_each_blocks_cells(self, case):
+        blocks, expected = case
+        assert [v.hex() for v in _row_sums(blocks).tolist()] == expected
+
+    def test_crossover_counts_rows_times_the_tallest_block(self, monkeypatch):
+        # Ties force the numpy pass's fallback, so fsum is called once per
+        # row below the crossover and once per tie above it.
+        rng = random.Random(5)
+        tall = np.array([tie_row(rng, 6) for _ in range(8)]).T
+        short = np.array([fill_row(rng, 2, "dyadic") for _ in range(4)]).T
+        real_fsum = math.fsum
+        for crossover, fsums in ((12 * 6 + 1, 12), (12 * 6, 8)):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(agreement, "_NUMPY_MIN_CELLS", crossover)
+                m.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
+                _row_sums([(tall[:4], tall[4:]), (short,)])
+            assert len(calls) == fsums
+
+
+class TestRowCells:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_hold_each_instantiations_cells_in_c_order(self, seed):
+        rng = random.Random(7300 + seed)
+        net, clf = nb_instance(rng, rng.randint(1, 5), max_card=3)
+        grid = _classifier_grid(net, clf)
+        n = len(clf.features)
+        drawn = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3)]
+        for axes in [(), tuple(range(n)), *drawn]:
+            got = _row_cells(grid, axes)
+            assert got.flags.c_contiguous
+            rest = [i for i in range(n) if i not in axes]
+            kept_shape = [grid.shape[1 + i] for i in axes]
+            rest_shape = [grid.shape[1 + i] for i in rest]
+            assert got.shape == (3, math.prod(rest_shape), math.prod(kept_shape))
+            for row, kept_values in enumerate(np.ndindex(*kept_shape)):
+                for cell, rest_values in enumerate(np.ndindex(*rest_shape)):
+                    index = [0] * n
+                    for i, v in [*zip(axes, kept_values), *zip(rest, rest_values)]:
+                        index[i] = v
+                    assert got[:, cell, row].tolist() == grid[(slice(None), *index)].tolist()
+
+
 # --- The per-row fsum loops the grid route used before _row_sums. ---------
 
 
 def loop_cells(net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]):
     """Flat row-major lists of pos, neg and hit cells, and the width."""
-    pos, neg, hit = _row_cells(net, clf, kept_t)
+    axes = [clf.features.index(f) for f in kept_t]
+    pos, neg, hit = (a.T for a in _row_cells(_classifier_grid(net, clf), axes))
     return pos.shape[1], np.ravel(pos).tolist(), np.ravel(neg).tolist(), np.ravel(hit).tolist()
 
 
@@ -240,6 +334,8 @@ class TestSameBitsAsPerRowLoops:
         assert_same_as_loops(net, clf, kept)
 
     def test_models_cover_both_sides_of_the_crossover(self):
-        # Every table of a model has the grid's cells, rows x width.
-        sizes = [grid_cells(*nb_instance(random.Random(0), 12 - seed, max_card=2)) for seed in range(6)]
+        # Every table of a model counts 6 per grid cell: three kinds of
+        # row, the (pos, neg) block twice as tall as the grid's rows.
+        models = [nb_instance(random.Random(0), 12 - seed, max_card=2) for seed in range(6)]
+        sizes = [6 * grid_cells(*model) for model in models]
         assert min(sizes) < _NUMPY_MIN_CELLS <= max(sizes)
