@@ -18,20 +18,28 @@ posterior order.  Every measure reads it, in one pass each:
               best, and only the shortlist is scored exactly.  ``maa`` is
               this sweep of a subset's table.
 
-The search reads its bounds through ``_MpaBound`` instead, which holds
-a kept set's (total, hit) tensor, a float estimate of its ``mpa`` with a
-certified error bound, and the exact ``mpa``, computed only when the
-estimate cannot decide a comparison.  ``_value_masses`` reads from the
-same grid every class, feature-value and (class, value) mass the
-information-gain ranking in :mod:`bntrim.baselines` needs.
+The search reads its scores and bounds through ``_MpaBound`` instead, one
+per node of the search: a kept set F \\ E's (total, hit) float stack, an
+estimate of its ``mpa`` with a certified error bound, and, built only
+when something reads it, the node tensor: double-double (hi, lo) sums of
+the grid's pos, neg and hit cells over F \\ E, a child's folded from its
+parent's.  A scored node's table, with the rows ``build_instance_table``
+gives, and the exact ``mpa`` when the estimate cannot decide a
+comparison, are read from that tensor, not from the whole grid.
+``_value_masses`` reads from the same grid every class, feature-value
+and (class, value) mass the information-gain ranking in
+:mod:`bntrim.baselines` needs.
 
 Row sums are read from a joint probability grid materialized once per
-(network, classifier) pair, so repeated subset evaluations during search
-stay cheap.  Every row sum is correctly rounded, the float ``math.fsum``
-gives, and ``_row_sums`` alone takes them, from the cells its callers
-name: a small call from an ``fsum`` per row, a larger one from one
-vectorized pass whose error bound certifies each row's rounding and
-sends the rows it cannot certify to ``fsum``.
+(network, classifier) pair.  Every row sum is correctly rounded, the
+float ``math.fsum`` gives, and one kernel takes them all: ``_fold`` sums
+axes out of a double-double tensor with a pairwise TwoSum tree,
+``_group_sums`` adds a mass's pos and neg with one more level, and
+``_certify`` rounds each row's hi + lo once, certifies it by an error
+bound and sends the rows it cannot certify to ``fsum`` over their grid
+cells.  ``build_instance_table`` and ``_value_masses`` feed it the grid
+laid out once per call (``_column_sums``, which takes an ``fsum`` per
+row instead for small layouts), and the search its node tensors.
 
 This module is the grid route alone.  The scalar route that checks it
 (``sdp``, ``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from
@@ -55,19 +63,23 @@ from .inference import CELL_LIMIT
 # threshold candidate when sweeping.
 POSTERIOR_GROUP_RTOL = 1e-9
 
-# _row_sums takes one math.fsum per row below this count, rows x the
-# tallest block's cells per row (6x a table's grid cells), else one numpy
-# pass.  Timed on a 2-core Xeon (Python 3.11, numpy 2.4), mpa and maa per
-# call, numpy against fsum: at a count of 1536 0.6-0.9x below 64 rows; at
-# 3072 0.8-1.0x below 32 rows and 1.1-14x from there; at 6144 1.2-15x on
-# all but one shape.  numpy's fixed cost per call (about 100 us for some
-# 100 small-array operations) is what small counts cannot pay back.
-_NUMPY_MIN_CELLS = 3072
+# _column_sums takes one math.fsum per row below this many cells in its
+# (cell, row, kind) layout (3 per grid cell for a table), else one numpy
+# pass; a layout of one cell per row needs no sum and takes neither.
+# Timed on a 2-core Xeon (Python 3.11, numpy 2.4), build_instance_table
+# per call on naive Bayes models of 8-11 binary features, fsum's time
+# over numpy's, two runs: at 768 cells (256 grid cells) 0.4-1.2x; at
+# 1536 0.6-1.9x, about even; at 3072 1.0-2.9x; at 6144 1.6-4.6x.
+# numpy's fixed cost per call (some 50 small-array operations) is what
+# small layouts cannot pay back.
+_NUMPY_MIN_CELLS = 1536
 
-# Information gain sums several features' rows in one _row_sums call while
-# their pos and neg cells total at most this many, else one feature's.
-# Timed on a 2-core Xeon against 2**15 to 2**19, on naive Bayes of 10-16
-# binary and 10 ternary features: 2**16 was fastest at 12 and 16 features
+# Information gain sums the rows of several features of one cardinality
+# in one _column_sums call while their pos and neg cells total at most
+# this many, else one feature's.  Timed with the zero-padded row pass the
+# kernel replaced, on a 2-core Xeon against 2**15 to 2**19, on naive
+# Bayes of 10-16 binary and 10 ternary features: 2**16 was fastest at 12
+# and 16 features
 # and within 20 % of the fastest on all five; 2**15 took 1.5x as long at
 # 10 features, 2**19 2x as long at 16, where the arrays outgrow the cache,
 # and a batch per feature 2x as long on the perfbench ``scalar`` pool's
@@ -183,43 +195,101 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
     return cells
 
 
-def _row_cells(cells: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """A C-contiguous (kind, cell, row) array of a stack laid out as
-    ``_classifier_grid``'s, kind first, then one axis per feature: row
-    (last index) i holds the cells of the i-th instantiation of the
-    features at ``axes``, in C order (``itertools.product``'s order).
-    """
-    rest = [1 + i for i in range(cells.ndim - 1) if i not in axes]
-    n_rows = math.prod(cells.shape[1 + i] for i in axes)
-    moved = np.transpose(cells, [0, *rest, *(1 + i for i in axes)])
-    return np.ascontiguousarray(moved).reshape(len(cells), -1, n_rows)
-
-
 _U = 2.0**-53  # unit roundoff of float64
 
+# The grid kinds each row of an instance table sums: its mass (pos and
+# neg cells), its positive mass (pos) and its hit mass (hit).
+_TABLE_KINDS = ((0, 1), (0,), (2,))
 
-def _row_sums(blocks: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """The correctly rounded sum of every row of every block: the float
-    ``math.fsum`` returns for each row.
 
-    A block is a tuple of nonnegative (cells, rows) arrays, and its row j
-    sums column j of each, as (pos, neg) sums a mass; the result lists
-    each block's row sums in turn.  Below ``_NUMPY_MIN_CELLS`` (rows times
-    the tallest block's cells per row) each row is one ``fsum``, else the
-    blocks fill one zero-padded array, a column per row, for one numpy
-    pass (a lone array of power-of-two height is read in place).
+def _fold(hi: np.ndarray, lo: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Sum out the middle axis of (outer, k, inner) double-double arrays:
+    the (outer, inner) hi and lo of the sums, ``lo`` None standing for
+    zeros, and the levels added.
 
-    A row of k <= 2 cells needs at most one ``+``, which is correctly
-    rounded.  Longer rows are zero-padded to a power of two, so no level
-    has an odd width, and reduced by a pairwise tree of L = log2 k
-    levels: each level adds the first half of the columns to the second
-    with TwoSum (Knuth), whose rounded sum s and error t satisfy
-    a + b = s + t exactly.  The errors are carried down the same tree in
-    float, a node's error being its children's errors plus its own t.  So
-    with S the exact row sum, E the exact sum of every t and e its float
-    value, S = s + E.  Then r = s + e and d = (s - r) + e.
+    A pairwise tree halves the axis once per level, the axis zero-padded
+    to a power of two first: each level adds the first half of the hi
+    slices to the second with TwoSum (Knuth), whose rounded sum s and
+    error t satisfy a + b = s + t exactly, and carries the errors down
+    the same tree in float, a node's lo being its children's lo plus its
+    own t.  Every cell of the input has met the same number of levels,
+    so a tensor folded again, axis by axis, is still one complete tree
+    over its grid cells, as deep as the levels of every fold together,
+    and ``_certify``'s bound holds for it.  An axis of one slice is read
+    in place.
+    """
+    width = hi.shape[1]
+    size = 1 << (width - 1).bit_length()
+    if size > width:
+        pad = np.zeros((len(hi), size - width, hi.shape[2]))
+        hi = np.concatenate((hi, pad), axis=1)
+        lo = None if lo is None else np.concatenate((lo, pad), axis=1)
+    levels = 0
+    while hi.shape[1] > 1:
+        half = hi.shape[1] // 2
+        a, b = hi[:, :half], hi[:, half:]
+        hi = a + b
+        z = hi - a
+        t = hi - z
+        np.subtract(a, t, out=t)
+        np.subtract(b, z, out=z)
+        t += z
+        if lo is None:
+            lo = t
+        else:
+            lo = lo[:, :half] + lo[:, half:]
+            lo += t
+        levels += 1
+    return hi[:, 0], None if lo is None else lo[:, 0], levels
 
-    Bound, with u = 2**-53 and gamma(n) = n*u / (1 - n*u) (Higham,
+
+def _sum_out(
+    hi: np.ndarray, lo: np.ndarray | None, axes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """``_fold`` over the tensor axes at these positions, as one axis:
+    (hi, lo, levels) shaped as the input less those axes.  Adjacent axes
+    fold in place; others are moved to the front first, a copy."""
+    rest = [size for j, size in enumerate(hi.shape) if j not in axes]
+    if math.prod(hi.shape[j] for j in axes) == 1:
+        return hi.reshape(rest), None if lo is None else lo.reshape(rest), 0
+    first, last = min(axes), max(axes) + 1
+    if last - first == len(axes):
+        order = list(range(hi.ndim))
+    else:
+        order = [*axes, *(j for j in range(hi.ndim) if j not in axes)]
+        first, last = 0, len(axes)
+    shape = [hi.shape[j] for j in order]
+    shape = [math.prod(shape[:first]), math.prod(shape[first:last]), math.prod(shape[last:])]
+
+    def middle(x: np.ndarray) -> np.ndarray:
+        return x.transpose(order).reshape(shape)
+
+    hi, lo, levels = _fold(middle(hi), None if lo is None else middle(lo))
+    return hi.reshape(rest), None if lo is None else lo.reshape(rest), levels
+
+
+def _certify(
+    s: np.ndarray,
+    e: np.ndarray,
+    levels: int,
+    kinds: Sequence[tuple[int, ...]],
+    cells,
+    smallest: float = math.inf,
+) -> np.ndarray:
+    """The correctly rounded sum of every row, the float ``math.fsum``
+    returns, from its double-double sum: ``s`` and ``e`` are (group, row)
+    arrays of the hi and lo of a complete pairwise TwoSum tree of
+    ``levels`` levels over each row's nonnegative cells (``_fold``), a
+    group's row taking its cells of the kinds ``kinds[group]`` names, and
+    ``cells(rows)`` returns a (kind, row, cell) array of the given rows'
+    cells, read once, for the rows the error bound cannot certify.
+    ``smallest``, when finite, is at most every positive cell of every
+    row, so its q below serves every row, and rows the Exact test
+    settles with it need no cell read.
+
+    With S the exact row sum, E the exact sum of every t and e its float
+    value, S = s + E.  Then r = s + e and d = (s - r) + e.  Bound, with
+    L = ``levels``, u = 2**-53 and gamma(n) = n*u / (1 - n*u) (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3-4):
 
     * Every node sum is nonnegative and |t| <= u*s, so each level's node
@@ -245,8 +315,10 @@ def _row_sums(blocks: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
       float nearest S, with no tie, which is what ``fsum`` returns.
       Evaluated in floats, a subnormal B may lose 2**-1075 to underflow,
       less than the 2**-1074 spacing of the floats d and g/2 it
-      separates, so the strict test stays sound.  All-zero rows pass
-      with r = 0.
+      separates, so the strict test stays sound.  The float below r is
+      read as the float whose bits are one less; at r = 0 that reads
+      NaN, and the row passes, rightly: r = 0 only when s = 0, and then
+      every cell is 0.
     * Exact: 2*B < q, with q = 2**(exponent - 53) of the row's smallest
       positive cell, a power of two dividing every cell.  Every sum,
       error, r and d above is then a multiple of q, and so is
@@ -258,46 +330,109 @@ def _row_sums(blocks: Sequence[tuple[np.ndarray, ...]]) -> np.ndarray:
     Ogita, Rump & Oishi, *Accurate Sum and Dot Product* (SIAM J. Sci.
     Comput. 26, 2005), describe the error-free transformations used.
     """
-    height = max(sum(len(a) for a in block) for block in blocks)
-    rows = sum(block[0].shape[1] for block in blocks)
-    if rows * height < _NUMPY_MIN_CELLS:
-        sums = [math.fsum(row) for block in blocks for row in np.concatenate(block).T.tolist()]
-        return np.array(sums)
-    size = 1 << (height - 1).bit_length()
-    if len(blocks) == len(blocks[0]) == 1 and size == height:
-        cols = blocks[0][0]  # already the layout: read below, never written
-    else:
-        cols = np.zeros((size, rows))
-        at = 0
-        for block in blocks:
-            top = 0
-            for a in block:
-                cols[top:top + len(a), at:at + a.shape[1]] = a
-                top += len(a)
-            at += block[0].shape[1]
-    if len(cols) <= 2:
-        return cols.sum(axis=0)
-    s, err, levels = cols, None, 0
-    while len(s) > 1:
-        half = len(s) // 2
-        a, b = s[:half], s[half:]
-        s = a + b
-        z = s - a
-        t = (a - (s - z)) + (b - z)
-        err = t if err is None else (err[:half] + err[half:]) + t
-        levels += 1
-    s, e = s[0], err[0]
     r = s + e
     d = np.abs((s - r) + e)
     bound = (3.0 * levels * levels * _U * _U) * (r + d)
-    unsure = (2.0 * (d + bound) >= r - np.nextafter(r, -np.inf)).nonzero()[0]
-    if len(unsure):
-        cells = cols[:, unsure]
-        smallest = np.where(cells > 0.0, cells, np.inf).min(axis=0)
-        q = np.ldexp(1.0, np.frexp(smallest)[1] - 53)
-        for i in unsure[2.0 * bound[unsure] >= q].tolist():
-            r[i] = math.fsum(cols[:, i].tolist())
+    unsure = 2.0 * (d + bound) >= r - (r.view(np.int64) - 1).view(np.float64)
+    if smallest < math.inf:
+        unsure &= 2.0 * bound >= math.ldexp(1.0, math.frexp(smallest)[1] - 53)
+    rows = unsure.any(axis=0).nonzero()[0]
+    if not len(rows):
+        return r
+    x = cells(rows)
+    least = np.where(x > 0.0, x, np.inf).min(axis=2)
+    for group, g in enumerate(kinds):
+        q = np.ldexp(1.0, np.frexp(least[list(g)].min(axis=0))[1] - 53)
+        for i in (unsure[group, rows] & (2.0 * bound[group, rows] >= q)).nonzero()[0].tolist():
+            r[group, rows[i]] = math.fsum(x[list(g), i].ravel().tolist())
     return r
+
+
+def _group_sums(
+    hi: np.ndarray,
+    lo: np.ndarray | None,
+    levels: int,
+    kinds: Sequence[tuple[int, ...]],
+    cells,
+    smallest: float = math.inf,
+) -> np.ndarray:
+    """Correctly rounded row sums, one array per group of kinds, from a
+    folded tensor: ``hi`` and ``lo`` are (row, kind) double-double sums of
+    ``levels`` levels over each row's cells (``lo`` None with no level:
+    the cells themselves), and ``cells`` and ``smallest`` are
+    ``_certify``'s reader of the rows' cells and bound on them.  A group
+    of kinds (0, 1) sums pos and neg, a mass, with one more TwoSum level;
+    its hi + lo is then certified by ``_certify``.  With no level, a
+    group's sum is a cell or one correctly rounded addition of two, read
+    directly.
+    """
+    if lo is None:
+        return np.stack([hi[:, g[0]] if len(g) == 1 else hi[:, g[0]] + hi[:, g[1]] for g in kinds])
+    s, e = np.empty((len(kinds), len(hi))), np.empty((len(kinds), len(hi)))
+    for row, g in enumerate(kinds):
+        if len(g) == 1:
+            s[row], e[row] = hi[:, g[0]], lo[:, g[0]]
+        else:
+            a, b = hi[:, g[0]], hi[:, g[1]]
+            total = np.add(a, b, out=s[row])
+            z = total - a
+            np.add(lo[:, g[0]], lo[:, g[1]], out=e[row])
+            e[row] += (a - (total - z)) + (b - z)
+    return _certify(s, e, levels + max(map(len, kinds)) - 1, kinds, cells, smallest)
+
+
+def _grid_rows(grid: np.ndarray, axes: Sequence[int]):
+    """``_certify``'s reader of the classifier grid's cells, for rows in C
+    order over the classifier features at ``axes``: with those axes right
+    after the kind, the rows' cells are one fancy index away."""
+
+    def cells(rows: np.ndarray) -> np.ndarray:
+        dropped = [1 + i for i in range(grid.ndim - 1) if i not in axes]
+        moved = grid.transpose([0, *(1 + i for i in axes), *dropped])
+        if axes:
+            picked = moved[(slice(None), *np.unravel_index(rows, moved.shape[1:1 + len(axes)]))]
+        else:
+            picked = moved[:, None]
+        return picked.reshape(len(grid), len(rows), -1)
+
+    return cells
+
+
+def _column_sums(x: np.ndarray, kinds: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Correctly rounded sums of a (cell, row, kind) array's columns, one
+    array per group of kinds, a row's sum taking its cells of every kind
+    in the group.  Below ``_NUMPY_MIN_CELLS`` cells each row is one
+    ``fsum``; else, or with one cell per row, ``_fold`` sums the cells and
+    ``_group_sums`` rounds and certifies the rows, reading uncertified
+    rows' cells from ``x``."""
+    if len(x) > 1 and x.size < _NUMPY_MIN_CELLS:
+        return np.array([
+            [math.fsum(row) for row in np.concatenate([x[..., k] for k in g]).T.tolist()]
+            for g in kinds
+        ])
+    hi, lo, levels = _sum_out(x, None, (0,))
+
+    def cells(rows: np.ndarray) -> np.ndarray:
+        return x[:, rows].transpose(2, 1, 0)
+
+    return _group_sums(hi, lo, levels, kinds, cells)
+
+
+def _grid_sums(
+    grid: np.ndarray, axes: Sequence[int], kinds: Sequence[tuple[int, ...]]
+) -> np.ndarray:
+    """Correctly rounded sums of the classifier grid's cells, one array
+    per group of kinds, a row per instantiation of the classifier
+    features at ``axes``, in C order (``itertools.product``'s): the
+    ``_column_sums`` of the grid's kinds up to the last one named, laid
+    out (dropped features, kept features, kind), a copy unless no feature
+    is dropped."""
+    n = grid.ndim - 1
+    used = 1 + max(max(g) for g in kinds)
+    dropped = [i for i in range(n) if i not in axes]
+    rows = math.prod(grid.shape[1 + i] for i in axes)
+    layout = grid[:used].transpose([*(1 + i for i in (*dropped, *axes)), 0])
+    return _column_sums(layout.reshape(-1, rows, used), kinds)
 
 
 def _value_masses(
@@ -316,29 +451,52 @@ def _value_masses(
     and a zero cell adds nothing, so every sum has the bits of the
     ``fsum`` the scalar route takes of the same products.
 
-    ``_row_cells`` reads the pos and neg cells as one kind whose first
-    axis, the class side, is kept like a feature.  A batch of features of
-    at most ``_BATCH_CELLS`` cells takes two ``_row_sums`` calls, a block
-    per feature: a row per (side, value) pair, then the same cells a row
-    per value.  The class masses take one more call, a row per side.
+    Features of one cardinality share a ``_column_sums`` call, in batches
+    of at most ``_BATCH_CELLS`` pos and neg cells (or one feature): each
+    feature's pos and neg cells laid out (other features, value, kind)
+    and the features' layouts side by side, a row per (feature, value).
+    The class masses are one ``_grid_sums`` call with no feature kept.
     """
-    sides = _classifier_grid(net, clf)[None, :2]
-    cards = sides.shape[2:]
-    per_batch = max(1, _BATCH_CELLS // sides.size)
-    out = []
-    for start in range(0, len(cards), per_batch):
-        batch = range(start, min(start + per_batch, len(cards)))
-        # (cell, side x value) arrays, read again as (cell x side, value).
-        pairs = [_row_cells(sides, (0, 1 + i))[0] for i in batch]
-        side_sums = _row_sums([(x,) for x in pairs]).tolist()
-        mass_sums = _row_sums([(x.reshape(-1, cards[i]),) for i, x in zip(batch, pairs)]).tolist()
-        a = 0
-        for i in batch:
-            b = a + cards[i]
-            out.append((mass_sums[a:b], side_sums[2 * a:a + b], side_sums[a + b:2 * b]))
-            a = b
-    positive, negative = _row_sums([(_row_cells(sides, (0,))[0],)]).tolist()
+    grid = _classifier_grid(net, clf)
+    cards = grid.shape[1:]
+    per_batch = max(1, _BATCH_CELLS // (2 * grid[0].size))
+    out: list = [None] * len(cards)
+    for card in sorted(set(cards)):
+        same = [i for i, k in enumerate(cards) if k == card]
+        for start in range(0, len(same), per_batch):
+            batch = same[start:start + per_batch]
+            x = np.concatenate([
+                grid[:2].transpose([*(1 + j for j in range(len(cards)) if j != i), 1 + i, 0])
+                .reshape(-1, card, 2)
+                for i in batch
+            ], axis=1)
+            sums = _column_sums(x, ((0, 1), (0,), (1,))).tolist()
+            for b, i in enumerate(batch):
+                out[i] = tuple(s[b * card:(b + 1) * card] for s in sums)
+    (positive,), (negative,) = _grid_sums(grid, (), ((0,), (1,))).tolist()
     return out, (positive, negative)
+
+
+def _rated(mass: np.ndarray, hit_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive-mass rows of row sums: their indices, masses and
+    rates, each row's hit sum over its mass, capped at 1 (a hit cell is
+    pos + neg rounded per cell, so a hit sum can exceed its mass)."""
+    index = (mass > 0.0).nonzero()[0]
+    mass = mass[index]
+    return index, mass, np.minimum(hit_sum[index] / mass, 1.0)
+
+
+def _table(
+    features: tuple[str, ...], mass: np.ndarray, pos_sum: np.ndarray, hit_sum: np.ndarray
+) -> InstanceTable:
+    """The instance table of row sums in C order over the kept features:
+    zero-mass rows dropped, the rest sorted by posterior, stably, so ties
+    keep enumeration order.  Every array is a fresh copy."""
+    index, mass, rate = _rated(mass, hit_sum)
+    # pos_sum <= mass, as the pos cells are among the mass cells.
+    posterior = pos_sum[index] / mass
+    order = posterior.argsort(kind="stable")
+    return InstanceTable(features, index[order], mass[order], posterior[order], rate[order])
 
 
 def build_instance_table(
@@ -349,27 +507,23 @@ def build_instance_table(
     Per instantiation, mass is the correctly rounded sum of its pos and
     neg cells, posterior its pos sum over the mass and rate its hit sum
     over the mass, capped at 1; all three kinds of row sum come from one
-    ``_row_sums`` call.  Zero-mass rows are dropped and the rest sorted by
-    posterior, stably, so ties keep enumeration order and the result is
-    deterministic.  The row sums are over the same cell multisets the
+    ``_grid_sums`` call.  Zero-mass rows are dropped and the rest sorted
+    by posterior, stably, so ties keep enumeration order and the result
+    is deterministic.  The row sums are over the same cell multisets the
     enumeration path in inference.py sums, so posteriors agree
     bit-for-bit with posterior_class whenever the classifier covers every
     non-class variable.  Every array is a fresh copy, never a view of a
     cache.
     """
     kept_t = kept_in_order(clf, kept)
-    pos, neg, hit = _row_cells(
-        _classifier_grid(net, clf), [clf.features.index(f) for f in kept_t]
-    )
-    mass, pos_sum, hit_sum = _row_sums([(pos, neg), (pos,), (hit,)]).reshape(3, -1)
-    index = (mass > 0.0).nonzero()[0]
-    mass = mass[index]
-    # pos_sum <= mass, as the pos cells are among the mass cells, but a
-    # hit cell is pos + neg rounded per cell, so hit_sum can exceed mass.
-    posterior = pos_sum[index] / mass
-    rate = np.minimum(hit_sum[index] / mass, 1.0)
-    order = posterior.argsort(kind="stable")
-    return InstanceTable(kept_t, index[order], mass[order], posterior[order], rate[order])
+    grid = _classifier_grid(net, clf)
+    return _table(kept_t, *_grid_sums(grid, [clf.features.index(f) for f in kept_t], _TABLE_KINDS))
+
+
+def _larger_sides(mass: np.ndarray, rate: np.ndarray) -> float:
+    """The fsum of every row's larger side, max(rate, 1 - rate) * mass:
+    ``mpa`` of rows in any order, as fsum is correctly rounded."""
+    return math.fsum((np.maximum(rate, 1.0 - rate) * mass).tolist())
 
 
 def eca(net: BayesianNetwork, alpha: Classifier, beta: Classifier) -> float:
@@ -391,7 +545,7 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     correctly rounded, so the result does not depend on the row order.
     """
     t = build_instance_table(net, clf, kept)
-    return math.fsum((np.maximum(t.rate, 1.0 - t.rate) * t.mass).tolist())
+    return _larger_sides(t.mass, t.rate)
 
 
 class _MpaBound:
@@ -399,6 +553,19 @@ class _MpaBound:
     from the set's (total, hit) stack with a certified error, and the
     exact value, computed at most once and only when a comparison or the
     caller needs it.
+
+    A bound is a node of the search, and it also carries the node
+    tensor (``_node``), built on first read only: double-double sums of
+    the grid's (pos, neg, hit) cells over the kept set.  ``maa`` reads a
+    subset's instance table from it and ``exact`` the exact ``mpa``,
+    each row certified by ``_certify``, so both have the bits the grid
+    route gives.  A root lays its tensor's axes out in reverse search
+    order, so that a node's undecided features, the ones ``maa`` folds
+    out, lead and fold without a copy; a child folds the features it
+    lacks out of its nearest built ancestor's tensor.  At the 2**22 cell
+    guard a root tensor holds 3 x 2**21 cells (48 MiB), and the tensors
+    below it along one path of the search together at most twice that,
+    as a child's hi and lo each hold at most half its parent's cells.
 
     ``cells[0]`` holds each cell's total mass, the grid's pos + neg cells
     added once per cell, and ``cells[1]`` its hit cell.  Axis 1 + i is
@@ -453,19 +620,44 @@ class _MpaBound:
     only when the intervals [A - B, A + B] they compare meet.
     """
 
-    def __init__(self, net: BayesianNetwork, clf: Classifier, cells: np.ndarray, additions: int):
-        self.net, self.clf, self.cells, self.additions = net, clf, cells, additions
+    def __init__(
+        self,
+        net: BayesianNetwork,
+        clf: Classifier,
+        grid: np.ndarray,
+        cells: np.ndarray,
+        additions: int,
+        smallest: float,
+        parent: _MpaBound | None = None,
+        layout: tuple[int, ...] = (),
+    ):
+        self.net, self.clf, self.grid, self.cells, self.additions = net, clf, grid, cells, additions
+        self.smallest = smallest
         total, hit = cells
         self.approx = np.maximum(hit, total - hit).sum().item()
         rows = hit.size
         self.err = (rows + 4 * additions + 24) * _U * self.approx + (rows + 4) * 2.0**-1074
         self._exact: float | None = None
+        self._parent, self._layout = parent, layout
+        self._tensor: tuple | None = None
 
     @classmethod
     def root(cls, net: BayesianNetwork, clf: Classifier) -> _MpaBound:
-        """The bound keeping every feature, the root of a search."""
-        cells = _classifier_grid(net, clf)
-        return cls(net, clf, np.stack((cells[0] + cells[1], cells[2])), 0)
+        """The bound keeping every feature, its node tensor's axes in
+        classifier order."""
+        grid = _classifier_grid(net, clf)
+        smallest = grid.min(initial=math.inf, where=grid > 0.0).item()
+        layout = tuple(range(len(clf.features)))
+        stack = np.stack((grid[0] + grid[1], grid[2]))
+        return cls(net, clf, grid, stack, 0, smallest, None, layout)
+
+    def searching(self, order: Sequence[str]) -> _MpaBound:
+        """This root bound for a search that decides the features in
+        ``order``: the same stack, its node tensor's axes that order
+        reversed, so that a node's undecided features, the last ones,
+        lead its tensor."""
+        layout = tuple(self.clf.features.index(f) for f in reversed(order))
+        return _MpaBound(self.net, self.clf, self.grid, self.cells, 0, self.smallest, None, layout)
 
     @property
     def kept(self) -> tuple[str, ...]:
@@ -476,16 +668,74 @@ class _MpaBound:
         summed out of the stack in one numpy call.  Each new cell is a
         float sum of m old ones, m the product of the summed axes' sizes,
         and whatever order numpy adds them in, each meets at most m - 1
-        additions."""
+        additions.  Its node tensor waits until it is read."""
         gone = set(features)
         axes = tuple(1 + i for i, f in enumerate(self.clf.features) if f in gone)
         cells = self.cells.sum(axis=axes, keepdims=True)
-        return _MpaBound(self.net, self.clf, cells, self.additions + self.cells.size // cells.size - 1)
+        additions = self.additions + self.cells.size // cells.size - 1
+        return _MpaBound(self.net, self.clf, self.grid, cells, additions, self.smallest, self)
+
+    def _node(self) -> tuple:
+        """The node tensor: (axes, hi, lo, levels), hi and lo the
+        double-double sums of the grid's (pos, neg, hit) cells over the
+        kept set, shaped (one axis per kept feature, kind), the axes the
+        classifier feature indices in their order, each cell ``levels``
+        TwoSum levels deep (``_fold``).  A root's hi is the grid laid out
+        once, with no lo; a child's tensor is built on first use, from
+        its nearest ancestor's built one (the root's at worst), with the
+        features it lacks summed out in one fold."""
+        if self._tensor is None:
+            if self._parent is None:
+                hi = np.ascontiguousarray(self.grid.transpose([*(1 + i for i in self._layout), 0]))
+                self._tensor = (self._layout, hi, None, 0)
+            else:
+                source = self._parent
+                while source._tensor is None and source._parent is not None:
+                    source = source._parent
+                axes, hi, lo, levels = source._node()
+                sizes = self.cells.shape[1:]
+                hi, lo, more = _sum_out(hi, lo, [j for j, i in enumerate(axes) if sizes[i] == 1])
+                self._tensor = (tuple(i for i in axes if sizes[i] > 1), hi, lo, levels + more)
+                self._parent = None
+        return self._tensor
+
+    def _sums(self, features: Iterable[str], kinds: Sequence[tuple[int, ...]]) -> tuple:
+        """``_group_sums`` of the node tensor, a row per instantiation of
+        the given kept features: the rest are folded out first, as one
+        axis.  Returns the sums, shaped (group, one axis per feature), and
+        the features' classifier indices in that axis order."""
+        axes, hi, lo, levels = self._node()
+        keep = {self.clf.features.index(f) for f in features}
+        hi, lo, more = _sum_out(hi, lo, [j for j, i in enumerate(axes) if i not in keep])
+        rows = [i for i in axes if i in keep]
+
+        def flat(x: np.ndarray | None) -> np.ndarray | None:
+            return None if x is None else x.reshape(-1, x.shape[-1])
+
+        cells = _grid_rows(self.grid, rows)
+        sums = _group_sums(flat(hi), flat(lo), levels + more, kinds, cells, self.smallest)
+        return sums.reshape(len(kinds), *hi.shape[:-1]), rows
+
+    def maa(self, included: Iterable[str]) -> MaaResult:
+        """``maa`` of included features, a subset of the kept set, read
+        from the node tensor: its other features folded out, the rows
+        certified, then put in C order over the included features in
+        classifier order for the one table ``build_instance_table`` also
+        builds, and its ``compute_maa`` sweep.  A correctly rounded sum
+        is unique, so the table has ``build_instance_table``'s bits."""
+        sums, rows = self._sums(included, _TABLE_KINDS)
+        ranks = sorted(range(len(rows)), key=rows.__getitem__)
+        sums = sums.transpose(0, *(1 + j for j in ranks)).reshape(len(_TABLE_KINDS), -1)
+        return compute_maa(_table(tuple(self.clf.features[rows[j]] for j in ranks), *sums))
 
     def exact(self) -> float:
-        """The ``mpa`` of the kept set, computed on first use."""
+        """The ``mpa`` of the kept set, computed on first use from the
+        node tensor's own cells, each a row of the kept set: their
+        certified mass and hit sums, with no table and no sort."""
         if self._exact is None:
-            self._exact = mpa(self.net, self.clf, self.kept)
+            (mass, hit), _ = self._sums(self.kept, ((0, 1), (2,)))
+            _, mass, rate = _rated(mass.ravel(), hit.ravel())
+            self._exact = _larger_sides(mass, rate)
         return self._exact
 
     def at_most(self, x: float) -> bool:

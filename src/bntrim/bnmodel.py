@@ -309,18 +309,22 @@ class CostModel:
             raise ModelError(f"costs name non-features: {sorted(extra)}")
 
     def total(self, names: Iterable[str]) -> float:
-        return math.fsum(self.cost_of(n) for n in names)
+        """The correctly rounded total of the named costs.  ``fsum``
+        raises when a partial sum overflows; as every cost is positive,
+        the total is then past the largest float too, and rounds to
+        ``math.inf``."""
+        try:
+            return math.fsum(self.cost_of(n) for n in names)
+        except OverflowError:
+            return math.inf
 
     def fits(self, names: Iterable[str]) -> bool:
         """Whether the named features fit the budget together.  The one
         feasibility rule: the correctly rounded total, never a running
         remainder, whose rounding errors pile up on fractional costs.  A
-        total past the largest float, on which ``fsum`` raises, exceeds
-        every finite budget."""
-        try:
-            return self.total(names) <= self.budget
-        except OverflowError:
-            return False
+        total past the largest float, ``math.inf``, exceeds every finite
+        budget."""
+        return self.total(names) <= self.budget
 
     @classmethod
     def unit(cls, features: Iterable[str], budget: float) -> "CostModel":

@@ -8,14 +8,18 @@ F \\ E even when that set itself exceeds the budget; it still bounds every
 descendant subset.
 
 The bound is filtered: each node holds an ``agreement._MpaBound`` over
-F \\ E, whose root ``agreement`` builds once per search and which an
-exclude child gets from its parent's by summing out the new feature (an
-include child shares its parent's).  The bound decides prune-or-keep
-from a float estimate of ``mpa(F \\ E)`` with a certified error, and
-computes the exact ``mpa`` only when the estimate cannot (once per node,
-shared with its include children), so every decision is the exact one.
-The branch order compares the singleton bounds the same way.  A trace
-prints the exact bound, computed for printing.
+F \\ E, whose root ``agreement`` builds once per search, its node tensor
+laid out for the branch order, and which an exclude child gets from its
+parent's by summing out the new feature (an include child shares its
+parent's).  The bound decides prune-or-keep from a float estimate of
+``mpa(F \\ E)`` with a certified error, and computes the exact ``mpa``
+only when the estimate cannot (once per node, shared with its include
+children), so every decision is the exact one.  The branch order
+compares the singleton bounds the same way.  A trace prints the exact
+bound, computed for printing.  A scored node reads its included set's
+``maa`` from the same bound (``_MpaBound.maa``): the included set is a
+subset of F \\ E, so its table folds out of the node's tensor, already
+summed over E, with the bits ``agreement.maa`` gives.
 
 When the features are d-separated from one another given the class, as
 in naive Bayes, ``eca_trim`` takes the frontier specialization: there MAA
@@ -115,6 +119,7 @@ def _run(
     stats = SearchStats()
     root = _MpaBound.root(net, clf)
     order = _search_order(clf, root, stats)
+    root = root.searching(order)
     fits = costs.fits
     # The incumbent moves only on a strictly better score, so ties go to
     # the subset met first.  No bound prunes before the first score, so
@@ -152,7 +157,7 @@ def _run(
             scored = fresh
         if scored:
             stats.maa_evals += 1
-            res = maa(net, clf, included)
+            res = bound.maa(included)
             emit("maa", included, excluded, res.score)
             if res.score > best_score:
                 best_score, best, best_interval = res.score, included, res.interval

@@ -151,9 +151,9 @@ class TestInstanceTable:
 
         before = bits()
         table = build_instance_table(net, clf, kept)
-        # Three kinds of row, every row kept, the (pos, neg) block's rows
-        # 2 x 2 cells tall: 12 per row, against the crossover.
-        assert (12 * len(table.rows) >= agreement._NUMPY_MIN_CELLS) == (features == 10)
+        # Every row kept, each laying out 2 grid cells of 3 kinds: 6 per
+        # row, against the crossover.
+        assert (6 * len(table.rows) >= agreement._NUMPY_MIN_CELLS) == (features == 10)
         for array in (table.mass, table.posterior, table.rate):
             array[...] = 0.0
         assert bits() == before

@@ -146,6 +146,10 @@ class TestCostModel:
         assert not costs.fits(("A", "B"))
         assert not costs.fits(("C", "B", "A"))
 
+    def test_total_past_the_largest_float_is_inf(self):
+        assert CostModel({"A": 1e308, "B": 1e308}, 1).total(("A", "B")) == math.inf
+        assert CostModel({"A": 1e308, "B": 1e308}, 1).total(("A",)) == 1e308
+
 
 class TestNetworkStructure:
     def test_topological_order_follows_edges(self):

@@ -1,13 +1,14 @@
 """The grid route's row sums.
 
-``agreement._row_sums`` must return, bit for bit, what ``math.fsum`` gives
-for every row of every block it is given, on both sides of its
-``_NUMPY_MIN_CELLS`` crossover; ``_row_cells`` must group the grid's cells
-by kept instantiation in C order; and ``build_instance_table``, which
-takes its row sums from one ``_row_sums`` call, and ``mpa``, ``eca`` and
-``maa``, which read the table it builds, must give the same floats as the
-per-row ``fsum`` loops they replaced (copied below as ``loop_*``, with
-each row named by its C-order index), on both sides of that crossover."""
+``agreement._column_sums`` must return, bit for bit, what ``math.fsum``
+gives for every row of a (cell, row, kind) layout, per group of kinds, on
+both sides of its ``_NUMPY_MIN_CELLS`` crossover; ``_grid_rows`` must read
+each row's grid cells, rows in C order over the kept features; and
+``build_instance_table``, which takes its row sums from one
+``_grid_sums`` call, and ``mpa``, ``eca`` and ``maa``, which read the table
+it builds, must give the same floats as the per-row ``fsum`` loops they
+replaced (copied below as ``loop_*``, with each row named by its C-order
+index), on both sides of that crossover."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from bntrim import (
     mpa,
 )
 from bntrim import agreement
-from bntrim.agreement import _NUMPY_MIN_CELLS, _classifier_grid, _row_cells, _row_sums
+from bntrim.agreement import _NUMPY_MIN_CELLS, _classifier_grid, _column_sums, _grid_rows, _grid_sums
 from bntrim.bnmodel import kept_in_order
 
 from conftest import dag_networks, nb_instance, random_dag_instance, random_subset
@@ -41,14 +42,28 @@ def fsum_hex(x: np.ndarray) -> list[str]:
     return [math.fsum(row).hex() for row in x.tolist()]
 
 
+def hexes(sums: np.ndarray) -> list[str]:
+    return [v.hex() for v in sums.tolist()]
+
+
+def split_layout(cells: np.ndarray, cut: int) -> np.ndarray:
+    """A (cell, row) array's cells split at ``cut`` into two kinds of one
+    (cell, row, kind) layout, the shorter zero-padded: the layout of a
+    mass, whose group (0, 1) adds its pos and neg cells."""
+    height = max(cut, len(cells) - cut)
+    layout = np.zeros((height, cells.shape[1], 2))
+    layout[:cut, :, 0] = cells[:cut]
+    layout[:len(cells) - cut, :, 1] = cells[cut:]
+    return layout
+
+
 def row_sums_hex(x: np.ndarray) -> list[str]:
-    """_row_sums of the rows of x, one block of one array (read in place
-    when its height is a power of two), as hex."""
-    return [v.hex() for v in _row_sums([(np.ascontiguousarray(x.T),)]).tolist()]
+    """_column_sums of the rows of x, laid out one kind per cell, as hex."""
+    return hexes(_column_sums(np.ascontiguousarray(x.T)[:, :, None], ((0,),))[0])
 
 
 def sums_and_fallbacks(x: np.ndarray, monkeypatch) -> tuple[list[str], int]:
-    """_row_sums of the rows of x as hex, and how many rows it summed
+    """_column_sums of the rows of x as hex, and how many rows it summed
     again with fsum."""
     calls = []
     real_fsum = math.fsum
@@ -101,31 +116,29 @@ def row_arrays(draw):
 
 @st.composite
 def block_lists(draw):
-    """1-4 blocks of one or two (cells, rows) arrays, of unequal heights
-    and row counts, as information gain passes them, with each block's
-    fsum per row.  A block's rows are drawn from KINDS over its full
-    height and split between its arrays, so a tie row's cells may sit in
-    both.  The call's count, rows times the tallest block's height, falls
-    below ``_NUMPY_MIN_CELLS`` or not as ``above`` is drawn."""
+    """1-4 blocks, each the cells of its rows split between one or two
+    kinds of unequal heights, as information gain and tables lay out a
+    row's cells, with each block's fsum per row.  A block's rows are
+    drawn from KINDS over its full height and split between its kinds,
+    so a tie row's cells may sit in both.  A block's layout, its rows
+    times its taller kind's height times its kinds, falls below
+    ``_NUMPY_MIN_CELLS`` or not as ``above`` is drawn."""
     above = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32)))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
     splits = st.lists(st.integers(1, 80), min_size=1, max_size=2)
     heights = draw(st.lists(splits, min_size=1, max_size=4))
     counts = draw(st.lists(st.integers(1, 40), min_size=len(heights), max_size=len(heights)))
-    tallest = max(map(sum, heights))
     crossover = agreement._NUMPY_MIN_CELLS
-    if above:
-        counts[0] = max(counts[0], -(-crossover // tallest) - sum(counts[1:]))
-    else:
-        counts = [min(n, (crossover - 1) // tallest // len(counts)) for n in counts]
-    assert (sum(counts) * tallest >= crossover) == above
     blocks, expected = [], []
     for split, n in zip(heights, counts):
+        size = max(split) * len(split)
+        n = max(n, -(-crossover // size)) if above else max(1, min(n, (crossover - 1) // size))
         x = np.array([fill_row(rng, sum(split), rng.choice(kinds)) for _ in range(n)])
-        expected += fsum_hex(x)
+        expected.append(fsum_hex(x))
         cells = np.ascontiguousarray(x.T)
-        blocks.append((cells[:split[0]], cells[split[0]:])[:len(split)])
+        blocks.append(split_layout(cells, split[0]) if len(split) == 2 else cells[:, :, None])
+    assert all((b.size >= crossover) == above for b in blocks)
     return blocks, expected
 
 
@@ -142,11 +155,11 @@ class TestRowSums:
         expected = fsum_hex(x)
         assert row_sums_hex(x) == expected
         # The same cells laid out anew: a transposed view, and split
-        # between two arrays of one block.
-        assert [v.hex() for v in _row_sums([(x.T,)]).tolist()] == expected
+        # between two kinds of one group.
+        assert hexes(_column_sums(x.T[:, :, None], ((0,),))[0]) == expected
         cut = data.draw(st.integers(1, x.shape[1]))
-        cells = np.ascontiguousarray(x.T)
-        assert [v.hex() for v in _row_sums([(cells[:cut], cells[cut:])]).tolist()] == expected
+        layout = split_layout(np.ascontiguousarray(x.T), cut)
+        assert hexes(_column_sums(layout, ((0, 1),))[0]) == expected
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 4095, 4096])
     def test_edge_widths(self, width):
@@ -189,45 +202,53 @@ class TestRowSumBlocks:
     @given(block_lists())
     def test_same_bits_as_fsum_of_each_blocks_cells(self, case):
         blocks, expected = case
-        assert [v.hex() for v in _row_sums(blocks).tolist()] == expected
+        for layout, want in zip(blocks, expected):
+            group = tuple(range(layout.shape[2]))
+            assert hexes(_column_sums(layout, (group,))[0]) == want
 
-    def test_crossover_counts_rows_times_the_tallest_block(self, monkeypatch):
+    def test_crossover_counts_the_laid_out_cells(self, monkeypatch):
         # Ties force the numpy pass's fallback, so fsum is called once per
-        # row below the crossover and once per tie above it.
+        # row and group below the crossover and once per tie above it.
         rng = random.Random(5)
-        tall = np.array([tie_row(rng, 6) for _ in range(8)]).T
-        short = np.array([fill_row(rng, 2, "dyadic") for _ in range(4)]).T
+        layout = np.zeros((6, 8, 2))
+        layout[:, :, 0] = np.array([tie_row(rng, 6) for _ in range(8)]).T
+        layout[:2, :, 1] = np.array([fill_row(rng, 2, "dyadic") for _ in range(8)]).T
         real_fsum = math.fsum
-        for crossover, fsums in ((12 * 6 + 1, 12), (12 * 6, 8)):
+        for crossover, fsums in ((6 * 8 * 2 + 1, 16), (6 * 8 * 2, 8)):
             calls = []
             with monkeypatch.context() as m:
                 m.setattr(agreement, "_NUMPY_MIN_CELLS", crossover)
                 m.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
-                _row_sums([(tall[:4], tall[4:]), (short,)])
+                _column_sums(layout, ((0,), (1,)))
             assert len(calls) == fsums
 
 
 class TestRowCells:
     @pytest.mark.parametrize("seed", range(4))
     def test_columns_hold_each_instantiations_cells_in_c_order(self, seed):
+        # _grid_rows reads each row's cells of every kind, and _grid_sums
+        # sums them, for rows in C order over the kept features.
         rng = random.Random(7300 + seed)
         net, clf = nb_instance(rng, rng.randint(1, 5), max_card=3)
         grid = _classifier_grid(net, clf)
         n = len(clf.features)
         drawn = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3)]
+        kinds = ((0,), (1,), (2,), (0, 1))
         for axes in [(), tuple(range(n)), *drawn]:
-            got = _row_cells(grid, axes)
-            assert got.flags.c_contiguous
-            rest = [i for i in range(n) if i not in axes]
             kept_shape = [grid.shape[1 + i] for i in axes]
-            rest_shape = [grid.shape[1 + i] for i in rest]
-            assert got.shape == (3, math.prod(rest_shape), math.prod(kept_shape))
+            rows = math.prod(kept_shape)
+            got = _grid_rows(grid, axes)(np.arange(rows))
+            assert got.shape[:2] == (3, rows)
+            sums = _grid_sums(grid, axes, kinds)
             for row, kept_values in enumerate(np.ndindex(*kept_shape)):
-                for cell, rest_values in enumerate(np.ndindex(*rest_shape)):
-                    index = [0] * n
-                    for i, v in [*zip(axes, kept_values), *zip(rest, rest_values)]:
-                        index[i] = v
-                    assert got[:, cell, row].tolist() == grid[(slice(None), *index)].tolist()
+                index = [slice(None)] * n
+                for i, v in zip(axes, kept_values):
+                    index[i] = v
+                for k in range(3):
+                    assert sorted(got[k, row].tolist()) == sorted(grid[(k, *index)].ravel().tolist())
+                for g, group in enumerate(kinds):
+                    cells = np.concatenate([grid[(k, *index)].ravel() for k in group])
+                    assert sums[g][row] == math.fsum(cells.tolist())
 
 
 # --- The per-row fsum loops the grid route used before _row_sums. ---------
@@ -235,8 +256,11 @@ class TestRowCells:
 
 def loop_cells(net: BayesianNetwork, clf: Classifier, kept_t: tuple[str, ...]):
     """Flat row-major lists of pos, neg and hit cells, and the width."""
-    axes = [clf.features.index(f) for f in kept_t]
-    pos, neg, hit = (a.T for a in _row_cells(_classifier_grid(net, clf), axes))
+    grid = _classifier_grid(net, clf)
+    axes = [1 + clf.features.index(f) for f in kept_t]
+    rest = [a for a in range(1, grid.ndim) if a not in axes]
+    rows = math.prod(grid.shape[a] for a in axes)
+    pos, neg, hit = grid.transpose([0, *axes, *rest]).reshape(3, rows, -1)
     return pos.shape[1], np.ravel(pos).tolist(), np.ravel(neg).tolist(), np.ravel(hit).tolist()
 
 
@@ -334,8 +358,8 @@ class TestSameBitsAsPerRowLoops:
         assert_same_as_loops(net, clf, kept)
 
     def test_models_cover_both_sides_of_the_crossover(self):
-        # Every table of a model counts 6 per grid cell: three kinds of
-        # row, the (pos, neg) block twice as tall as the grid's rows.
+        # Every table of a model lays out 3 cells per grid cell: its pos,
+        # neg and hit kinds.
         models = [nb_instance(random.Random(0), 12 - seed, max_card=2) for seed in range(6)]
-        sizes = [6 * grid_cells(*model) for model in models]
+        sizes = [3 * grid_cells(*model) for model in models]
         assert min(sizes) < _NUMPY_MIN_CELLS <= max(sizes)

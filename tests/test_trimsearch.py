@@ -21,6 +21,8 @@ from bntrim import (
     Variable,
     eca,
     agreement,
+    build_instance_table,
+    compute_maa,
     eca_trim,
     exhaustive_trim,
     maa,
@@ -123,13 +125,14 @@ class TestSearchTrace:
 
     def test_include_child_reuses_parent_bound(self, monkeypatch):
         calls = []
-        real_mpa = agreement.mpa
+        real_exact = agreement._MpaBound.exact
 
-        def counting_mpa(net, clf, kept):
-            calls.append(kept)
-            return real_mpa(net, clf, kept)
+        def counting_exact(bound):
+            if bound._exact is None:
+                calls.append(bound.kept)
+            return real_exact(bound)
 
-        monkeypatch.setattr(agreement, "mpa", counting_mpa)
+        monkeypatch.setattr(agreement._MpaBound, "exact", counting_exact)
         rng = random.Random(6061)
         for i in range(8):
             net, clf = random_instance(rng, i, max_features=7)
@@ -506,11 +509,12 @@ class TestFilteredBound:
 
     def test_traced_and_untraced_searches_agree(self, monkeypatch):
         calls = []
-        real_mpa, real_order = agreement.mpa, trimsearch._search_order
+        real_exact, real_order = agreement._MpaBound.exact, trimsearch._search_order
 
-        def counting_mpa(net, clf, kept):
-            calls.append(kept)
-            return real_mpa(net, clf, kept)
+        def counting_exact(bound):
+            if bound._exact is None:
+                calls.append(bound.kept)
+            return real_exact(bound)
 
         order_calls = []
 
@@ -520,7 +524,7 @@ class TestFilteredBound:
             order_calls.append(len(calls) - before)
             return order
 
-        monkeypatch.setattr(agreement, "mpa", counting_mpa)
+        monkeypatch.setattr(agreement._MpaBound, "exact", counting_exact)
         monkeypatch.setattr(trimsearch, "_search_order", counting_order)
         rng = random.Random(2324)
         decisions = fallbacks = 0
@@ -545,3 +549,107 @@ class TestFilteredBound:
             assert trimsearch._search_order(clf, root, SearchStats()) == expected
             tied += len(set(exact.values())) < len(exact)
         assert tied >= 40  # the models with repeated CPTs, at least
+
+
+def table_bits(table) -> tuple:
+    floats = ([x.hex() for x in a.tolist()] for a in (table.mass, table.posterior, table.rate))
+    return (table.features, table.rows.tolist(), *floats)
+
+
+class TestNodeTensor:
+    """The search reads each scored node's instance table, and each
+    bound's exact mpa, from the node's own double-double tensor over
+    F \\ E; both must equal, bit for bit, what the grid route computes
+    afresh from the whole grid."""
+
+    @staticmethod
+    def checked_search(monkeypatch, net, clf, costs, frontier) -> dict:
+        """One traced search whose every node table and exact bound is
+        checked against ``build_instance_table`` and ``mpa``; returns the
+        counts of checks and of rows the node path's error bound could
+        not certify."""
+        counts = {"tables": 0, "bounds": 0, "unsure": 0}
+        real_table, real_exact, real_rows = agreement._table, agreement._MpaBound.exact, agreement._grid_rows
+        node_tables = []
+
+        def node_table(*args):
+            node_tables.append(real_table(*args))
+            return node_tables[-1]
+
+        def checked_maa(bound, included):
+            with monkeypatch.context() as m:
+                m.setattr(agreement, "_table", node_table)
+                result = real_maa(bound, included)
+            reference = build_instance_table(net, clf, included)
+            assert table_bits(node_tables.pop()) == table_bits(reference)
+            expected = compute_maa(reference)
+            assert (result.score.hex(), result.interval) == (expected.score.hex(), expected.interval)
+            counts["tables"] += 1
+            return result
+
+        def checked_exact(bound):
+            fresh = bound._exact is None
+            value = real_exact(bound)
+            if fresh:
+                assert value.hex() == mpa(net, clf, bound.kept).hex()
+                counts["bounds"] += 1
+            return value
+
+        def counted_rows(*args):
+            read = real_rows(*args)
+
+            def cells(rows):
+                counts["unsure"] += len(rows)
+                return read(rows)
+
+            return cells
+
+        real_maa = agreement._MpaBound.maa
+        monkeypatch.setattr(agreement._MpaBound, "maa", checked_maa)
+        monkeypatch.setattr(agreement._MpaBound, "exact", checked_exact)
+        monkeypatch.setattr(agreement, "_grid_rows", counted_rows)
+        events = []
+        result = trimsearch._run(net, clf, costs, events.append, nb_frontier_only=frontier)
+        monkeypatch.undo()
+        bound_events = [e for e in events if e.action == "bound"]
+        assert counts["tables"] == result.stats.maa_evals
+        assert all(e.value.hex() == mpa(net, clf, set(clf.features) - set(e.excluded)).hex() for e in bound_events)
+        assert counts["bounds"] >= len({frozenset(e.excluded) for e in bound_events})
+        return counts
+
+    def test_every_table_and_bound_equals_the_grid_routes(self, monkeypatch):
+        # Ternary features, deterministic 0/1 rows (zero-mass rows) and
+        # subnormal-scale entries, on naive Bayes and general DAGs, with
+        # the frontier search where it applies and the generic one
+        # everywhere.
+        rng = random.Random(2901)
+        totals = {"tables": 0, "bounds": 0, "unsure": 0}
+        for i, (net, clf) in enumerate(bound_filter_models()):
+            costs = random_costs(rng, clf)
+            frontiers = (False, True) if features_separated(net, clf) else (False,)
+            for frontier in frontiers:
+                for key, n in self.checked_search(monkeypatch, net, clf, costs, frontier).items():
+                    totals[key] += n
+        assert totals["tables"] > 500 and totals["bounds"] > 1000
+        assert totals["unsure"] > 0
+
+    def test_a_row_only_fsum_settles_through_the_node_path(self, monkeypatch):
+        # Row A = a of a table keeping A but not B sums the cells
+        # 0.5 * (1, 2**-53, 2**-106): 2**-107 above halfway between 0.5
+        # and its successor.  The tree's error sum rounds that last cell
+        # away, so its hi + lo rounds to 0.5, and the cells span 106
+        # binades, too many for the Exact test: only fsum rounds it up.
+        net = BayesianNetwork(
+            (Variable("C", ("+", "-")), Variable("A", ("a", "b")), Variable("B", ("x", "y", "z"))),
+            (
+                Cpt("C", (), ((0.5, 0.5),)),
+                Cpt("A", ("C",), ((1.0, 0.0), (2.0**-53, 1.0 - 2.0**-53))),
+                Cpt("B", ("C",), ((1.0, 2.0**-53, 2.0**-106), (0.5, 0.25, 0.25))),
+            ),
+        )
+        clf = Classifier("C", 0, ("A", "B"), 0.5)
+        table = build_instance_table(net, clf, ("A",))
+        assert dict(zip(table.rows.tolist(), table.mass.tolist()))[0] == 0.5 + 2.0**-53
+        for frontier in (False, True):
+            counts = self.checked_search(monkeypatch, net, clf, CostModel.unit(clf.features, 1), frontier)
+            assert counts["unsure"] > 0
