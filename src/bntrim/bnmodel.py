@@ -110,14 +110,21 @@ class _FactorPlan(NamedTuple):
     variable in declaration order: ``(child position, ((parent position,
     stride), ...), cpt rows)``, where the strides are the row-major
     weights, so ``rows[sum(value[q] * stride)][value[child]]`` is the
-    child's CPT entry under a full assignment.  Plans are built only for
-    networks :func:`check_network` accepts, so every ``rows`` holds one
-    row per parent configuration and one entry per child value.
+    child's CPT entry under a full assignment.  ``first_read`` gives, per
+    variable position, the index of the first factor that reads the
+    variable, as child or as parent: the completions that differ only in
+    one variable share every factor before that index, which scalar
+    enumeration multiplies once for them (the grid and the sampler
+    ignore it).
+    Plans are built only for networks :func:`check_network` accepts, so
+    every ``rows`` holds one row per parent configuration and one entry
+    per child value.
     """
 
     position: dict[str, int]
     cards: tuple[int, ...]
     factors: tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[float, ...], ...]], ...]
+    first_read: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +210,12 @@ class BayesianNetwork:
                 weighted.append((q, stride))
                 stride *= cards[q]
             factors.append((position[v.name], tuple(reversed(weighted)), cpt.rows))
-        return _FactorPlan(position, cards, tuple(factors))
+        # Factor i is variable i's own, so it reads variable i at the latest.
+        first_read = list(range(len(factors)))
+        for i, (_, parents, _) in enumerate(factors):
+            for q, _ in parents:
+                first_read[q] = min(first_read[q], i)
+        return _FactorPlan(position, cards, tuple(factors), tuple(first_read))
 
     def var(self, name: str) -> Variable:
         try:

@@ -13,19 +13,24 @@ feature subsets or feature instantiations.
 
 Enumeration reads the network's factor plan (``bnmodel._FactorPlan``),
 built once on the network's first enumeration: variable positions,
-cardinalities, and per variable its CPT rows with its parents' positions
-and row strides.  Each completion is a tuple of value indices; its term
-is the product of one CPT entry per variable,
-``rows[sum(value[q] * stride)][value[child]]``, multiplied in
-declaration order.  This is the network polynomial of
-Darwiche (JACM 2003) evaluated term by term, with no circuit compiled.
-It shares no arithmetic with the grid route in :mod:`bntrim.agreement`,
-whose independent check it is: it imports neither that module nor
-numpy, and the grid route takes nothing from here but ``CELL_LIMIT``.
-``_terms``, the one product loop, groups the products by the values they
-give some variables, so a query reads every sum it needs from one pass.
-Sums are taken with ``math.fsum`` so results do not depend on
-enumeration order or grouping.
+cardinalities, per variable its CPT rows with its parents' positions
+and row strides, and per variable the first factor that reads it.  Each
+completion is a tuple of value indices; its term is the product of one
+CPT entry per variable, ``rows[sum(value[q] * stride)][value[child]]``,
+multiplied in declaration order from 1.0.  This is the network
+polynomial of Darwiche (JACM 2003) evaluated term by term, with no
+circuit compiled.  It shares no arithmetic with the grid route in
+:mod:`bntrim.agreement`, whose independent check it is: it imports
+neither that module nor numpy, and the grid route takes nothing from
+here but ``CELL_LIMIT``.  ``_terms``, the one product loop, groups the
+products by the values they give some variables, so a query reads every
+sum it needs from one pass.  Terms that differ only in the inner
+variable, the free variable whose first reading factor comes last,
+share every factor before that one, so the loop multiplies that prefix
+once and finishes it once per inner value; each term keeps its bits.
+The order of the groups and of the terms within a group is not part of
+the result: sums are taken with ``math.fsum``, so results do not depend
+on enumeration order or grouping.
 """
 
 from __future__ import annotations
@@ -79,10 +84,19 @@ def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> 
     checked (with ``_check_assignment``, or by building it from the
     network's own variables and value ranges), grouped by the values they
     give ``names``: {values: [products]}, with no entry for values whose
-    products are all zero.  The oracles call this directly, so they
-    validate once per call, not once per instantiation they enumerate.
-    Raises EnumerationLimitError, before any product, when the
-    completions outnumber ``CELL_LIMIT``."""
+    products are all zero.  The order of the groups, and of the products
+    within a group, is not part of the result: callers read them through
+    ``fsum`` or sets.  The oracles call this directly, so they validate
+    once per call, not once per instantiation they enumerate.  Raises
+    EnumerationLimitError, before any product, when the completions
+    outnumber ``CELL_LIMIT``.
+
+    Each product is the CPT entries multiplied in declaration order from
+    1.0, abandoned at 0.0 (a zero term leaves every sum as it is).  The
+    products that differ only in the inner variable, the free one whose
+    first reading factor (``_FactorPlan.first_read``) comes last, share
+    every factor before that one: the head is multiplied once, and the
+    tail once per inner value, continuing from it."""
     plan = net._plan
     factors = plan.factors
     domains: list = [range(card) for card in plan.cards]
@@ -93,19 +107,30 @@ def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> 
         raise EnumerationLimitError(
             f"enumeration of {completions} completions exceeds the {CELL_LIMIT} cell guard"
         )
+    if not factors:
+        return {(): [1.0]}  # the empty network's one completion
+    inner = max(range(len(domains)), key=lambda q: (len(domains[q]) > 1, plan.first_read[q]))
+    first = plan.first_read[inner]
+    head, tail = factors[:first], factors[first:]
+    inner_values = domains[inner]
+    domains[inner] = (0,)  # a placeholder: the tail sets each inner value
     keyed = [plan.position[name] for name in names]
+    outer = [q for q in keyed if q != inner]
+    slot = keyed.index(inner) if inner in keyed else None
     groups = {}
-    for key in itertools.product(*(domains[q] for q in keyed)):
-        for q, v in zip(keyed, key):
+    for key in itertools.product(*(domains[q] for q in outer)):
+        for q, v in zip(outer, key):
             domains[q] = (v,)
-        # One term per completion: the CPT entries multiplied in
-        # declaration order, the product abandoned at 0.0 (a zero term
-        # leaves every sum as it is).  The network was checked, so every
-        # row index and entry index lands inside its CPT.
-        terms = []
+        # One list per inner value when that value is part of the key,
+        # else one list that every inner value appends to.
+        shared: list = []
+        bins = [shared] * len(inner_values) if slot is None else [[] for _ in inner_values]
         for values in itertools.product(*domains):
+            # The network was checked, so every row index and entry index
+            # lands inside its CPT.
+            values = list(values)
             p = 1.0
-            for child, parents, rows in factors:
+            for child, parents, rows in head:
                 r = 0
                 for q, stride in parents:
                     r += values[q] * stride
@@ -113,9 +138,25 @@ def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> 
                 if p == 0.0:
                     break
             else:
-                terms.append(p)
-        if terms:
-            groups[key] = terms
+                for v, terms in zip(inner_values, bins):
+                    values[inner] = v
+                    t = p
+                    for child, parents, rows in tail:
+                        r = 0
+                        for q, stride in parents:
+                            r += values[q] * stride
+                        t *= rows[r][values[child]]
+                        if t == 0.0:
+                            break
+                    else:
+                        terms.append(t)
+        if slot is None:
+            if shared:
+                groups[key] = shared
+        else:
+            for v, terms in zip(inner_values, bins):
+                if terms:
+                    groups[(*key[:slot], v, *key[slot:])] = terms
     return groups
 
 

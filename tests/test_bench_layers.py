@@ -28,11 +28,14 @@ def bench_layers(monkeypatch):
             del sys.modules[name]
 
 
-def bench(cases: dict[str, list[float]], criterion5_s: float) -> dict:
+def bench(cases: dict[str, list[float]], criterion5_s: float, reference_s=None) -> dict:
+    """A BENCH document; with ``reference_s``, every case records that
+    reference loop time, as the tool writes it."""
+    ref = {} if reference_s is None else {"reference_s": reference_s}
     return {
         "machine": {"cpu": "test"},
         "cases": {
-            name: {"median_s": sorted(runs)[len(runs) // 2], "runs_s": runs}
+            name: {"median_s": sorted(runs)[len(runs) // 2], "runs_s": runs, **ref}
             for name, runs in cases.items()
         },
         "suite": {"tier1_s": 60.0, "criterion5_s": criterion5_s},
@@ -76,3 +79,31 @@ class TestCompare:
         code, lines = compare(bench_layers, monkeypatch, tmp_path, capsys, before, after)
         assert code == 0
         assert lines["scatter"].endswith("x1.400  unresolved")
+
+
+class TestReferenceScaling:
+    def test_host_drift_is_scaled_out(self, bench_layers, monkeypatch, tmp_path, capsys):
+        # Every run 30 % slower, on a host whose reference loop ran 30 %
+        # slower too: the same speed.  Suite times stay raw.
+        before = bench({"scatter": [0.10, 0.11, 0.12]}, 10.0, reference_s=0.010)
+        after = bench({"scatter": [0.13, 0.143, 0.156]}, 13.0, reference_s=0.013)
+        code, lines = compare(bench_layers, monkeypatch, tmp_path, capsys, before, after)
+        assert code == 0
+        assert lines["scatter"].endswith("0.1100 s  ref x1.300  x1.000")
+        assert lines["criterion5_s"].endswith("13.0000 s  x1.300  unresolved")
+
+    def test_slowdown_on_a_faster_host_is_slower(self, bench_layers, monkeypatch, tmp_path, capsys):
+        # Raw runs 9 % slower, but the host ran its reference loop 20 %
+        # faster: 36 % slower at equal speed.
+        before = bench({"scatter": [0.10, 0.11, 0.12]}, 10.0, reference_s=0.010)
+        after = bench({"scatter": [0.11, 0.12, 0.13]}, 10.0, reference_s=0.008)
+        code, lines = compare(bench_layers, monkeypatch, tmp_path, capsys, before, after)
+        assert code == 1
+        assert lines["scatter"].endswith("ref x0.800  x1.364  SLOWER")
+
+    def test_raw_seconds_without_both_references(self, bench_layers, monkeypatch, tmp_path, capsys):
+        before = bench({"scatter": [0.10, 0.11, 0.12]}, 10.0)
+        after = bench({"scatter": [0.13, 0.14, 0.15]}, 10.0, reference_s=0.013)
+        code, lines = compare(bench_layers, monkeypatch, tmp_path, capsys, before, after)
+        assert code == 1
+        assert lines["scatter"].endswith("0.1400 s  x1.273  SLOWER")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -30,7 +31,7 @@ from bntrim import (
 )
 from bntrim import inference
 
-from conftest import binary_chain, dag_networks
+from conftest import binary_chain, binary_dag, dag_networks
 
 
 class TestJointAndMarginal:
@@ -338,3 +339,125 @@ class TestEnumerationGuard:
             marginal(net, {})
         assert str(info.value) == "enumeration of 16 completions exceeds the 8 cell guard"
         assert reads == []
+
+
+def reference_terms(net: BayesianNetwork, a, names: tuple[str, ...]) -> dict:
+    """``_terms`` by the letter: one ``reference_joint`` product per
+    completion of the assignment, zeros dropped, grouped by the values of
+    ``names``; each group as its sorted ``float.hex`` list."""
+    free = [v for v in net.variables if v.name not in a]
+    groups: dict = {}
+    for combo in itertools.product(*(range(v.cardinality) for v in free)):
+        full = {**a, **{v.name: i for v, i in zip(free, combo)}}
+        p = reference_joint(net, full)
+        if p != 0.0:
+            groups.setdefault(tuple(full[m] for m in names), []).append(p)
+    return hex_groups(groups)
+
+
+def hex_groups(groups: dict) -> dict:
+    return {key: sorted(map(float.hex, terms)) for key, terms in groups.items()}
+
+
+def scanned_first_reads(net: BayesianNetwork) -> tuple[int, ...]:
+    """Per variable, the declaration index of the first variable whose CPT
+    names it, as child or as parent."""
+    return tuple(
+        next(i for i, w in enumerate(net.names) if v == w or v in net.cpt(w).parents)
+        for v in net.names
+    )
+
+
+def shuffled_dag(rng: random.Random) -> BayesianNetwork:
+    """A seeded DAG over "C", "L" and 1-3 features "Xi", of cardinality
+    2-3: CPTs drawn along one random topological order with up to two
+    parents each, variables declared in another random order, and about
+    one CPT row in four deterministic (one entry 1, the rest 0)."""
+    names = ["C", "L"] + [f"X{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    cards = {m: rng.randint(2, 3) for m in names}
+    topo = rng.sample(names, len(names))
+    cpds = []
+    for i, child in enumerate(topo):
+        parents = tuple(rng.sample(topo[:i], min(i, rng.randint(0, 2))))
+        card = cards[child]
+        rows = []
+        for _ in range(math.prod(cards[p] for p in parents)):
+            if rng.random() < 0.25:
+                hot = rng.randrange(card)
+                rows.append(tuple(float(j == hot) for j in range(card)))
+            else:
+                weights = [rng.randint(1, 20) for _ in range(card)]
+                rows.append(tuple(w / sum(weights) for w in weights))
+        cpds.append(Cpt(child, parents, tuple(rows)))
+    declared = rng.sample(names, len(names))
+    variables = tuple(Variable(m, tuple(f"v{j}" for j in range(cards[m]))) for m in declared)
+    return BayesianNetwork(variables, tuple(cpds))
+
+
+def assert_terms(net: BayesianNetwork, a, names: tuple[str, ...]) -> None:
+    assert hex_groups(inference._terms(net, a, names)) == reference_terms(net, a, names)
+
+
+class TestTermsByTheLetter:
+    """``_terms``, which shares each product's factors up to the inner
+    variable, against one product per completion."""
+
+    def test_seeded_dags(self):
+        # The plan's first reads against a direct scan; evidence on 0-2
+        # variables; names empty, holding every variable that can be the
+        # inner one (the free ones read first by the latest factor), and
+        # holding none of them.
+        not_topological = inner_inside = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            net = shuffled_dag(rng)
+            not_topological += net.order != net.names
+            assert net._plan.first_read == scanned_first_reads(net)
+            first_read = dict(zip(net.names, net._plan.first_read))
+            observed = rng.sample(net.names, rng.randint(0, 2))
+            a = {m: rng.randrange(net.var(m).cardinality) for m in observed}
+            free = [m for m in net.names if m not in a]
+            last = max(first_read[m] for m in free)
+            inner = [m for m in free if first_read[m] == last]
+            rest = [m for m in net.names if m not in inner]
+            with_inner = inner + rng.sample(rest, rng.randint(0, len(rest)))
+            without = rng.sample(rest, rng.randint(0, len(rest)))
+            keyed = tuple(rng.sample(with_inner, len(with_inner)))
+            for names in ((), keyed, tuple(without)):
+                assert_terms(net, a, names)
+            inner_inside += keyed[-1] not in inner
+        # Most declaration orders are not topological, and many keys hold
+        # the inner variable before their last slot.
+        assert not_topological > 200
+        assert inner_inside > 100
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            {"C": (), "F1": ("C",), "L": ("C", "F1")},  # the latent is the inner variable
+            {"C": (), "L": ("C",), "F1": ("L",), "F2": ("C",)},  # it is read in the head
+        ],
+    )
+    def test_latent_variable(self, parents):
+        net = binary_dag(parents, seed=3)
+        for a in ({}, {"F1": 1}):
+            for names in ((), ("C",), ("F1", "C")):
+                assert_terms(net, a, names)
+
+    def test_one_variable_network(self):
+        net = BayesianNetwork(
+            (Variable("A", ("a0", "a1", "a2")),), (Cpt("A", (), ((0.25, 0.0, 0.75),)),)
+        )
+        for a in ({}, {"A": 1}, {"A": 2}):
+            for names in ((), ("A",)):
+                assert_terms(net, a, names)
+        assert inference._terms(net, {"A": 1}) == {}
+
+    def test_no_free_variable(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            net = shuffled_dag(rng)
+            a = {m: rng.randrange(net.var(m).cardinality) for m in net.names}
+            for names in ((), tuple(rng.sample(net.names, 2))):
+                assert_terms(net, a, names)
+        assert_terms(BayesianNetwork((), ()), {}, ())

@@ -5,7 +5,9 @@
 
 Each case times seeded calls into the library of this checkout (``src/``)
 on models from perfbench's generators or the test suite's, and records
-the median wall seconds over five runs, together with the machine.  The
+the median wall seconds over five runs, together with the machine and
+the median of perfbench's reference loop (``run.reference_s``, which
+calls nothing in bntrim) timed before each run and after the last.  The
 cases on perfbench's and the suite's smaller models (``info_gain`` reads
 the grid route, the others the scalar route or the data harness):
 
@@ -72,7 +74,11 @@ runs on each side.  A median more than 10 % above A's is otherwise
 printed as ``unresolved``: when the runs overlap, the host's drift
 between runs is that large, and a timing of one run (each suite time)
 cannot show whether they would, since the shared host drifts by more
-than 10 % between two runs of the suite.
+than 10 % between two runs of the suite.  Where both files record the
+reference loop around a case, B's runs are first scaled by A's
+reference seconds over B's, to the host speed A was timed at (the line
+shows B's reference over A's as ``ref xR``); otherwise, and for the
+suite times, the raw seconds are compared.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ from generate import (  # noqa: E402
     scatter_case,
     trim_case,
 )
-from run import machine  # noqa: E402
+from run import machine, reference_s  # noqa: E402
 
 REPEATS = 5
 SLOWER = 1.10
@@ -321,11 +327,17 @@ def time_cases() -> dict:
     for name, make in CASES.items():
         run = make()
         runs = []
+        refs = [reference_s()]
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             spent = run()
             runs.append(spent if getattr(run, "times_itself", False) else time.perf_counter() - t0)
-        out[name] = {"median_s": statistics.median(runs), "runs_s": runs}
+            refs.append(reference_s())
+        out[name] = {
+            "median_s": statistics.median(runs),
+            "runs_s": runs,
+            "reference_s": statistics.median(refs),
+        }
         print(f"{name:22s} {out[name]['median_s']:.4f} s", flush=True)
     return out
 
@@ -361,11 +373,15 @@ def compare(before: str, after: str) -> int:
     b = json.loads(bench_path(after).read_text(encoding="utf-8"))
 
     def timings(doc: dict) -> dict:
-        """Per case and suite time: (median seconds, runs), or None."""
-        out = {name: (case["median_s"], case["runs_s"]) for name, case in doc["cases"].items()}
+        """Per case and suite time: (median seconds, runs, reference
+        seconds or None), or None."""
+        out = {
+            name: (case["median_s"], case["runs_s"], case.get("reference_s"))
+            for name, case in doc["cases"].items()
+        }
         for k in ("tier1_s", "criterion5_s"):
             t = doc["suite"].get(k)
-            out[k] = None if t is None else (t, [t])
+            out[k] = None if t is None else (t, [t], None)
         return out
 
     old, new = timings(a), timings(b)
@@ -380,13 +396,18 @@ def compare(before: str, after: str) -> int:
             print(f"{name:22s} missing from BENCH_{after}.json")
             failed.append(name)
         else:
-            (t_old, runs_old), (t_new, runs_new) = timed_old, timed_new
+            (t_old, runs_old, ref_old), (t_new, runs_new, ref_new) = timed_old, timed_new
+            drift = ""
+            if ref_old and ref_new:
+                scale = ref_old / ref_new
+                t_new, runs_new = t_new * scale, [r * scale for r in runs_new]
+                drift = f"  ref x{1 / scale:.3f}"
             ratio = t_new / t_old
             flag = ""
             if ratio > SLOWER:
                 resolved = min(len(runs_old), len(runs_new)) >= 2 and min(runs_new) > max(runs_old)
                 flag = "  SLOWER" if resolved else "  unresolved"
-            print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
+            print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s{drift}  x{ratio:.3f}{flag}")
             if flag == "  SLOWER":
                 failed.append(name)
     if a.get("machine") != b.get("machine"):
