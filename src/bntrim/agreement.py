@@ -487,12 +487,16 @@ def _rated(mass: np.ndarray, hit_sum: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _table(
-    features: tuple[str, ...], mass: np.ndarray, pos_sum: np.ndarray, hit_sum: np.ndarray
+    features: tuple[str, ...],
+    pos_sum: np.ndarray,
+    index: np.ndarray,
+    mass: np.ndarray,
+    rate: np.ndarray,
 ) -> InstanceTable:
-    """The instance table of row sums in C order over the kept features:
-    zero-mass rows dropped, the rest sorted by posterior, stably, so ties
-    keep enumeration order.  Every array is a fresh copy."""
-    index, mass, rate = _rated(mass, hit_sum)
+    """The instance table of row sums in C order over the kept features,
+    from their pos sums and ``_rated`` rows: zero-mass rows dropped, the
+    rest sorted by posterior, stably, so ties keep enumeration order.
+    Every array is a fresh copy."""
     # pos_sum <= mass, as the pos cells are among the mass cells.
     posterior = pos_sum[index] / mass
     order = posterior.argsort(kind="stable")
@@ -517,7 +521,8 @@ def build_instance_table(
     """
     kept_t = kept_in_order(clf, kept)
     grid = _classifier_grid(net, clf)
-    return _table(kept_t, *_grid_sums(grid, [clf.features.index(f) for f in kept_t], _TABLE_KINDS))
+    mass, pos, hit = _grid_sums(grid, [clf.features.index(f) for f in kept_t], _TABLE_KINDS)
+    return _table(kept_t, pos, *_rated(mass, hit))
 
 
 def _larger_sides(mass: np.ndarray, rate: np.ndarray) -> float:
@@ -716,17 +721,31 @@ class _MpaBound:
         sums = _group_sums(flat(hi), flat(lo), levels + more, kinds, cells, self.smallest)
         return sums.reshape(len(kinds), *hi.shape[:-1]), rows
 
-    def maa(self, included: Iterable[str]) -> MaaResult:
+    def maa(self, included: Iterable[str], incumbent: float) -> MaaResult | None:
         """``maa`` of included features, a subset of the kept set, read
-        from the node tensor: its other features folded out, the rows
-        certified, then put in C order over the included features in
-        classifier order for the one table ``build_instance_table`` also
-        builds, and its ``compute_maa`` sweep.  A correctly rounded sum
-        is unique, so the table has ``build_instance_table``'s bits."""
+        from the node tensor, or None when it cannot beat ``incumbent``:
+        when the subset's exact ``mpa`` is at most the incumbent.
+
+        The other features are folded out and the rows certified; a
+        correctly rounded sum is unique, so the rows have the bits
+        ``build_instance_table`` gives.  Their ``_larger_sides`` is then
+        ``mpa(net, clf, included)`` (fsum ignores row order), and it is
+        at least the subset's MAA bit for bit: per row, the larger-side
+        product max(rate, 1 - rate) * mass is the same float operations
+        on a factor at least as large as either side ``compute_maa``
+        takes, so it is at least as large, and both scores are correctly
+        rounded sums of their terms, which keeps the order.  Only a
+        subset that can beat the incumbent is put in C order over its
+        features in classifier order for the one table
+        ``build_instance_table`` also builds, and swept by
+        ``compute_maa``; pass ``-math.inf`` to sweep every subset."""
         sums, rows = self._sums(included, _TABLE_KINDS)
         ranks = sorted(range(len(rows)), key=rows.__getitem__)
-        sums = sums.transpose(0, *(1 + j for j in ranks)).reshape(len(_TABLE_KINDS), -1)
-        return compute_maa(_table(tuple(self.clf.features[rows[j]] for j in ranks), *sums))
+        mass, pos, hit = sums.transpose(0, *(1 + j for j in ranks)).reshape(len(_TABLE_KINDS), -1)
+        rated = _rated(mass, hit)
+        if _larger_sides(*rated[1:]) <= incumbent:
+            return None
+        return compute_maa(_table(tuple(self.clf.features[rows[j]] for j in ranks), pos, *rated))
 
     def exact(self) -> float:
         """The ``mpa`` of the kept set, computed on first use from the

@@ -290,6 +290,17 @@ class Classifier:
             raise ModelError("positive_value must be 0 or 1 for a binary class")
 
 
+def _check_real(x: object, what: str) -> None:
+    """ModelError unless x is a real number a float holds: a bool is not
+    one, although Python counts it as an int."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ModelError(f"{what} must be a number, got {x!r}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ModelError(f"{what} must be a finite value, got a number too large for a float") from None
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-feature acquisition costs and a total budget."""
@@ -299,10 +310,12 @@ class CostModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "costs", dict(self.costs))
-        object.__setattr__(self, "budget", float(self.budget))
         for name, c in self.costs.items():
+            _check_real(c, f"cost of {name!r}")
             if not math.isfinite(c) or c <= 0.0:
                 raise ModelError(f"cost of {name!r} must be a finite value > 0, got {c}")
+        _check_real(self.budget, "budget")
+        object.__setattr__(self, "budget", float(self.budget))
         if not math.isfinite(self.budget) or self.budget < 0.0:
             raise ModelError(f"budget must be a finite value >= 0, got {self.budget}")
 

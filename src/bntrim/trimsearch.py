@@ -21,6 +21,13 @@ bound, computed for printing.  A scored node reads its included set's
 subset of F \\ E, so its table folds out of the node's tensor, already
 summed over E, with the bits ``agreement.maa`` gives.
 
+A scored node is scored against the incumbent: its rows give its exact
+``mpa``, which bounds its MAA bit for bit, and when that ``mpa`` is at
+most the incumbent the subset cannot strictly improve on it, so its
+table is neither sorted nor swept.  Since the incumbent only moves on a
+strict improvement, skipping changes no result and no counter.  A trace
+prints every scored subset's MAA, so a traced search sweeps them all.
+
 When the features are d-separated from one another given the class, as
 in naive Bayes, ``eca_trim`` takes the frontier specialization: there MAA
 equals MPA and is monotone in the kept set, so only budget-exhausting
@@ -60,9 +67,12 @@ from .inference import EXHAUSTIVE_LIMIT
 class SearchStats:
     """Work counters for one search run.
 
-    ``bound_evals`` counts bound checks: the branch-order pass plus one
-    per node that compares its subtree bound against the incumbent,
-    including the include children that reuse their parent's bound.
+    ``maa_evals`` counts the subsets scored, including those whose
+    ``mpa`` shows they cannot beat the incumbent, whose MAA sweep an
+    untraced search skips.  ``bound_evals`` counts bound checks: the
+    branch-order pass plus one per node that compares its subtree bound
+    against the incumbent, including the include children that reuse
+    their parent's bound.
     """
 
     maa_evals: int = 0
@@ -157,11 +167,14 @@ def _run(
             scored = fresh
         if scored:
             stats.maa_evals += 1
-            res = bound.maa(included)
-            emit("maa", included, excluded, res.score)
-            if res.score > best_score:
-                best_score, best, best_interval = res.score, included, res.interval
-                emit("update", included, excluded, res.score)
+            # None: the subset's mpa, and so its MAA, cannot beat the
+            # incumbent.  A trace prints every score, so it sweeps them all.
+            res = bound.maa(included, best_score if trace_hook is None else -math.inf)
+            if res is not None:
+                emit("maa", included, excluded, res.score)
+                if res.score > best_score:
+                    best_score, best, best_interval = res.score, included, res.interval
+                    emit("update", included, excluded, res.score)
         if not extendable:
             return
         if not fresh:

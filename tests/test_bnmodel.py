@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bntrim import (
@@ -128,6 +129,27 @@ class TestCostModel:
     def test_rejects_negative_budget(self):
         with pytest.raises(ModelError):
             CostModel({"A": 1.0}, -1.0)
+
+    @pytest.mark.parametrize("value", ["x", "1.5", None, True, False, 1j, [1.0]])
+    def test_rejects_a_cost_that_is_not_a_number(self, value):
+        with pytest.raises(ModelError, match=r"cost of 'B' must be a number"):
+            CostModel({"A": 1.0, "B": value}, 1.0)
+
+    @pytest.mark.parametrize("value", ["x", "1.5", None, True, False, 1j, [1.0]])
+    def test_rejects_a_budget_that_is_not_a_number(self, value):
+        with pytest.raises(ModelError, match=r"budget must be a number"):
+            CostModel({"A": 1.0}, value)
+
+    def test_rejects_a_number_too_large_for_a_float(self):
+        with pytest.raises(ModelError, match=r"cost of 'A' must be a finite value"):
+            CostModel({"A": 10**400}, 1.0)
+        with pytest.raises(ModelError, match=r"budget must be a finite value"):
+            CostModel({"A": 1.0}, Fraction(10**400, 3))
+
+    def test_accepts_any_real_number(self):
+        costs = CostModel({"A": 2, "B": Fraction(1, 2), "C": np.float32(0.25)}, np.int64(3))
+        assert costs.budget == 3.0 and type(costs.budget) is float
+        assert costs.total(("A", "B", "C")) == 2.75
 
     def test_cost_of_unknown_feature_raises(self):
         costs = CostModel({"A": 1.0}, 1.0)

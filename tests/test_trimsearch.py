@@ -3,6 +3,7 @@ the naive-Bayes frontier specialization, and the exhaustive oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -24,6 +25,7 @@ from bntrim import (
     build_instance_table,
     compute_maa,
     eca_trim,
+    enumerate_feasible,
     exhaustive_trim,
     maa,
     mpa,
@@ -576,10 +578,12 @@ class TestNodeTensor:
             node_tables.append(real_table(*args))
             return node_tables[-1]
 
-        def checked_maa(bound, included):
+        def checked_maa(bound, included, incumbent):
+            # A traced search sweeps every scored subset.
+            assert incumbent == -math.inf
             with monkeypatch.context() as m:
                 m.setattr(agreement, "_table", node_table)
-                result = real_maa(bound, included)
+                result = real_maa(bound, included, incumbent)
             reference = build_instance_table(net, clf, included)
             assert table_bits(node_tables.pop()) == table_bits(reference)
             expected = compute_maa(reference)
@@ -653,3 +657,88 @@ class TestNodeTensor:
         for frontier in (False, True):
             counts = self.checked_search(monkeypatch, net, clf, CostModel.unit(clf.features, 1), frontier)
             assert counts["unsure"] > 0
+
+
+class TestScoringAgainstTheIncumbent:
+    """An untraced search passes the incumbent to ``_MpaBound.maa``, which
+    skips the sort and sweep of a subset whose exact mpa is at most it.
+    Every skip must be sound, every sweep the subset's ``maa``, and the
+    oracle must keep sweeping every feasible subset."""
+
+    @staticmethod
+    def search(monkeypatch, net, clf, costs, frontier, scored: list) -> None:
+        """One untraced search that records, per scored subset, the
+        included set, the incumbent passed and the result, with the
+        ``_larger_sides`` values the call took."""
+        real_maa, real_sides = agreement._MpaBound.maa, agreement._larger_sides
+
+        def recording_maa(bound, included, incumbent):
+            sides = []
+
+            def recording_sides(*args):
+                sides.append(real_sides(*args))
+                return sides[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(agreement, "_larger_sides", recording_sides)
+                result = real_maa(bound, included, incumbent)
+            scored.append((tuple(included), incumbent, result, sides))
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(agreement._MpaBound, "maa", recording_maa)
+            trimsearch._run(net, clf, costs, None, nb_frontier_only=frontier)
+
+    def test_every_skip_is_sound_and_every_sweep_exact(self, monkeypatch):
+        rng = random.Random(3201)
+        skipped = swept = 0
+        for net, clf in bound_filter_models():
+            costs = random_costs(rng, clf)
+            frontiers = (False, True) if features_separated(net, clf) else (False,)
+            for frontier in frontiers:
+                scored = []
+                self.search(monkeypatch, net, clf, costs, frontier, scored)
+                for included, incumbent, result, sides in scored:
+                    expected = maa(net, clf, included)
+                    (upper,) = sides
+                    assert upper.hex() == mpa(net, clf, included).hex()
+                    if result is None:
+                        assert upper <= incumbent
+                        assert expected.score <= incumbent
+                        skipped += 1
+                    else:
+                        assert upper > incumbent
+                        assert (result.score.hex(), result.interval) == (
+                            expected.score.hex(), expected.interval)
+                        swept += 1
+        assert skipped and swept
+
+    def test_the_skip_is_at_the_subsets_mpa(self):
+        # At an incumbent equal to the subset's mpa the sweep is skipped;
+        # one ulp below it, it runs.
+        for net, clf in bound_filter_models(40):
+            root = agreement._MpaBound.root(net, clf)
+            for size in range(len(clf.features) + 1):
+                for included in itertools.combinations(clf.features, size):
+                    upper = mpa(net, clf, included)
+                    assert root.maa(included, upper) is None
+                    below = root.maa(included, math.nextafter(upper, -math.inf))
+                    expected = maa(net, clf, included)
+                    assert (below.score.hex(), below.interval) == (
+                        expected.score.hex(), expected.interval)
+
+    def test_the_oracle_sweeps_every_feasible_subset(self, monkeypatch):
+        rng = random.Random(3202)
+        real_sweep = agreement.compute_maa
+        swept = []
+
+        def recording_sweep(table):
+            swept.append(table.features)
+            return real_sweep(table)
+
+        monkeypatch.setattr(agreement, "compute_maa", recording_sweep)
+        for net, clf in bound_filter_models(40):
+            costs = random_costs(rng, clf)
+            swept.clear()
+            exhaustive_trim(net, clf, costs)
+            assert swept == enumerate_feasible(clf, costs)
