@@ -627,7 +627,6 @@ class _MpaBound:
 
     def __init__(
         self,
-        net: BayesianNetwork,
         clf: Classifier,
         grid: np.ndarray,
         cells: np.ndarray,
@@ -636,7 +635,7 @@ class _MpaBound:
         parent: _MpaBound | None = None,
         layout: tuple[int, ...] = (),
     ):
-        self.net, self.clf, self.grid, self.cells, self.additions = net, clf, grid, cells, additions
+        self.clf, self.grid, self.cells, self.additions = clf, grid, cells, additions
         self.smallest = smallest
         total, hit = cells
         self.approx = np.maximum(hit, total - hit).sum().item()
@@ -654,7 +653,7 @@ class _MpaBound:
         smallest = grid.min(initial=math.inf, where=grid > 0.0).item()
         layout = tuple(range(len(clf.features)))
         stack = np.stack((grid[0] + grid[1], grid[2]))
-        return cls(net, clf, grid, stack, 0, smallest, None, layout)
+        return cls(clf, grid, stack, 0, smallest, None, layout)
 
     def searching(self, order: Sequence[str]) -> _MpaBound:
         """This root bound for a search that decides the features in
@@ -662,7 +661,7 @@ class _MpaBound:
         reversed, so that a node's undecided features, the last ones,
         lead its tensor."""
         layout = tuple(self.clf.features.index(f) for f in reversed(order))
-        return _MpaBound(self.net, self.clf, self.grid, self.cells, 0, self.smallest, None, layout)
+        return _MpaBound(self.clf, self.grid, self.cells, 0, self.smallest, None, layout)
 
     @property
     def kept(self) -> tuple[str, ...]:
@@ -678,7 +677,7 @@ class _MpaBound:
         axes = tuple(1 + i for i, f in enumerate(self.clf.features) if f in gone)
         cells = self.cells.sum(axis=axes, keepdims=True)
         additions = self.additions + self.cells.size // cells.size - 1
-        return _MpaBound(self.net, self.clf, self.grid, cells, additions, self.smallest, self)
+        return _MpaBound(self.clf, self.grid, cells, additions, self.smallest, self)
 
     def _node(self) -> tuple:
         """The node tensor: (axes, hi, lo, levels), hi and lo the

@@ -5,11 +5,10 @@
 
 Each case times seeded calls into the library of this checkout (``src/``)
 on models from perfbench's generators or the test suite's, and records
-the median wall seconds over five runs, together with the machine and
-the median of perfbench's reference loop (``run.reference_s``, which
-calls nothing in bntrim) timed before each run and after the last.  The
-cases on perfbench's and the suite's smaller models (``info_gain`` reads
-the grid route, the others the scalar route or the data harness):
+the wall seconds of five runs and their median, together with the
+machine.  The cases on perfbench's and the suite's smaller models
+(``info_gain`` reads the grid route, the others the scalar route or the
+data harness):
 
 * ``marginal``     every one-variable marginal of three binary
                    11-variable DAGs;
@@ -64,21 +63,37 @@ search, and the case's seconds are the 108 searches' sum, which its run
 returns (it is marked ``times_itself``).
 
 The tier-1 test suite then runs once; its wall seconds and the duration
-of criterion 5 are recorded as single runs.
+of criterion 5 are recorded as one run each.
 
-``--compare A B`` reads BENCH_A.json and BENCH_B.json, prints B's median
-over A's per case and suite time, and exits 1 when one of A's is missing
-from B or one of B's is SLOWER: its median more than 10 % above A's and
-every one of its runs slower than every one of A's, with at least two
-runs on each side.  A median more than 10 % above A's is otherwise
-printed as ``unresolved``: when the runs overlap, the host's drift
-between runs is that large, and a timing of one run (each suite time)
-cannot show whether they would, since the shared host drifts by more
-than 10 % between two runs of the suite.  Where both files record the
-reference loop around a case, B's runs are first scaled by A's
-reference seconds over B's, to the host speed A was timed at (the line
-shows B's reference over A's as ``ref xR``); otherwise, and for the
-suite times, the raw seconds are compared.
+One run of ``--label L`` is a session.  When BENCH_L.json already
+exists, the session joins it: each case's runs and each suite time's run
+are added to the runs already there, every median is retaken over all of
+them, and the session's start time and test counts are appended to the
+file's ``sessions``.  A session on a machine other than the file's is
+refused: the tool prints one line and exits 2, leaving the file as it
+was.  The shared host drifts by more than 10 % within minutes, so record
+a pair as alternating sessions of the two trees, each in its own
+checkout, under two labels, then copy both files into one checkout:
+
+    (parent checkout)  python3 tools/bench_layers.py --label x-parent
+    (change checkout)  python3 tools/bench_layers.py --label x
+    ... three times or more, in turn
+
+Each file then carries the drift of the whole recording.
+
+``--compare A B`` reads BENCH_A.json and BENCH_B.json, prints how many
+sessions each pools, then B's median over A's per case and suite time,
+in raw seconds, and exits 1 when one of A's is missing from B or one of
+B's is SLOWER: its median more than 10 % above A's and every one of its
+runs slower than every one of A's, with at least two runs on each side.
+A median more than 10 % above A's is otherwise printed as
+``unresolved``: when the runs overlap, the host's drift between runs is
+that large, and a timing of one run (each suite time of a one-session
+file) cannot show whether they would.  Files written before sessions
+were pooled hold one session, with single suite seconds; the
+per-case ``reference_s`` some of them record is ignored.  A label with
+no file (for ``--compare``), or a file that is not a BENCH document,
+makes the tool print one line naming the file and exit 2.
 """
 
 from __future__ import annotations
@@ -93,6 +108,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +148,7 @@ from generate import (  # noqa: E402
     scatter_case,
     trim_case,
 )
-from run import machine, reference_s  # noqa: E402
+from run import machine  # noqa: E402
 
 REPEATS = 5
 SLOWER = 1.10
@@ -322,23 +338,18 @@ CASES = {
 }
 
 
-def time_cases() -> dict:
+def time_cases() -> dict[str, list[float]]:
+    """Each case's runs, in seconds."""
     out = {}
     for name, make in CASES.items():
         run = make()
         runs = []
-        refs = [reference_s()]
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             spent = run()
             runs.append(spent if getattr(run, "times_itself", False) else time.perf_counter() - t0)
-            refs.append(reference_s())
-        out[name] = {
-            "median_s": statistics.median(runs),
-            "runs_s": runs,
-            "reference_s": statistics.median(refs),
-        }
-        print(f"{name:22s} {out[name]['median_s']:.4f} s", flush=True)
+        out[name] = runs
+        print(f"{name:22s} {statistics.median(runs):.4f} s", flush=True)
     return out
 
 
@@ -368,72 +379,127 @@ def bench_path(label: str) -> Path:
     return ROOT / f"BENCH_{label}.json"
 
 
-def compare(before: str, after: str) -> int:
-    a = json.loads(bench_path(before).read_text(encoding="utf-8"))
-    b = json.loads(bench_path(after).read_text(encoding="utf-8"))
+SUITE_TIMES = ("tier1_s", "criterion5_s")
 
-    def timings(doc: dict) -> dict:
-        """Per case and suite time: (median seconds, runs, reference
-        seconds or None), or None."""
-        out = {
-            name: (case["median_s"], case["runs_s"], case.get("reference_s"))
-            for name, case in doc["cases"].items()
+
+class BenchFileError(Exception):
+    """A BENCH file that is missing or is not a BENCH document."""
+
+
+def _runs(timing) -> list[float]:
+    """A timing's runs: its ``runs_s``, or a one-session file's single
+    suite seconds, or none for a suite time not taken."""
+    if timing is None:
+        return []
+    runs = timing["runs_s"] if isinstance(timing, dict) else [timing]
+    if not all(type(r) in (int, float) and r > 0 for r in runs):
+        raise TypeError("a run is not a positive number")
+    return list(runs)
+
+
+def load(label: str) -> dict:
+    """BENCH_<label>.json as its machine, its sessions and each timing's
+    runs (cases and suite times alike, by name).  A file written before
+    sessions were pooled is one session, its test counts in ``suite``."""
+    path = bench_path(label)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        suite = doc["suite"]
+        sessions = doc.get("sessions") or [
+            {"started": None, "passed": suite.get("passed"), "failed": suite.get("failed")}
+        ]
+        timings = {name: _runs(case) for name, case in doc["cases"].items()}
+        timings.update((k, _runs(suite.get(k))) for k in SUITE_TIMES)
+        if not (isinstance(doc["machine"], dict) and isinstance(sessions, list)):
+            raise TypeError("no machine, or no session list")
+        if not all(timings[name] for name in doc["cases"]):
+            raise ValueError("a case without runs")
+    except OSError as e:
+        raise BenchFileError(f"{path.name}: {e.strerror or e}") from None
+    except (ValueError, LookupError, TypeError, AttributeError):
+        raise BenchFileError(f"{path.name}: not a BENCH document") from None
+    return {"machine": doc["machine"], "sessions": sessions, "timings": timings}
+
+
+def record(label: str) -> int:
+    """Time one session and add it to BENCH_<label>.json, starting the
+    file when there is none."""
+    here = machine()
+    pooled = {"machine": here, "sessions": [], "timings": {}}
+    if bench_path(label).exists():
+        pooled = load(label)
+        if pooled["machine"] != here:
+            print(f"BENCH_{label}.json was written on another machine: {pooled['machine']}")
+            return 2
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    cases, suite = time_cases(), time_suite()
+    print(json.dumps(suite))
+    pooled["sessions"].append({"started": started, "passed": suite["passed"], "failed": suite["failed"]})
+    timings = pooled["timings"]
+    for name, runs in cases.items():
+        timings.setdefault(name, []).extend(runs)
+    for k in SUITE_TIMES:
+        timings.setdefault(k, []).extend([] if suite[k] is None else [suite[k]])
+
+    def timed(names) -> dict:
+        return {
+            name: {"median_s": statistics.median(timings[name]), "runs_s": timings[name]}
+            for name in names if timings.get(name)
         }
-        for k in ("tier1_s", "criterion5_s"):
-            t = doc["suite"].get(k)
-            out[k] = None if t is None else (t, [t], None)
-        return out
 
-    old, new = timings(a), timings(b)
+    doc = {
+        "label": label,
+        "machine": here,
+        "repeats": REPEATS,
+        "sessions": pooled["sessions"],
+        "cases": timed(k for k in timings if k not in SUITE_TIMES),
+        "suite": timed(SUITE_TIMES),
+    }
+    bench_path(label).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+def compare(before: str, after: str) -> int:
+    a, b = load(before), load(after)
+    print(f"sessions: {len(a['sessions'])} in BENCH_{before}.json, {len(b['sessions'])} in BENCH_{after}.json")
+    old, new = a["timings"], b["timings"]
     failed = []
     for name in sorted(new.keys() - old.keys()):
         print(f"{name:22s} missing from BENCH_{before}.json")
-    for name, timed_old in old.items():
-        timed_new = new.get(name)
-        if timed_old is None:
+    for name, runs_old in old.items():
+        runs_new = new.get(name)
+        if not runs_old:
             print(f"{name:22s} missing from BENCH_{before}.json")
-        elif timed_new is None:
+        elif not runs_new:
             print(f"{name:22s} missing from BENCH_{after}.json")
             failed.append(name)
         else:
-            (t_old, runs_old, ref_old), (t_new, runs_new, ref_new) = timed_old, timed_new
-            drift = ""
-            if ref_old and ref_new:
-                scale = ref_old / ref_new
-                t_new, runs_new = t_new * scale, [r * scale for r in runs_new]
-                drift = f"  ref x{1 / scale:.3f}"
+            t_old, t_new = statistics.median(runs_old), statistics.median(runs_new)
             ratio = t_new / t_old
             flag = ""
             if ratio > SLOWER:
                 resolved = min(len(runs_old), len(runs_new)) >= 2 and min(runs_new) > max(runs_old)
                 flag = "  SLOWER" if resolved else "  unresolved"
-            print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s{drift}  x{ratio:.3f}{flag}")
+            print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
             if flag == "  SLOWER":
                 failed.append(name)
-    if a.get("machine") != b.get("machine"):
+    if a["machine"] != b["machine"]:
         print("note: the two files were written on different machines")
     return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", help="write BENCH_<label>.json at the repository root")
+    ap.add_argument("--label", help="time a session into BENCH_<label>.json at the repository root")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = ap.parse_args(argv)
-    if args.compare:
-        return compare(*args.compare)
-    if not args.label:
+    if not (args.compare or args.label):
         ap.error("--label is required unless --compare is given")
-    doc = {
-        "label": args.label,
-        "machine": machine(),
-        "repeats": REPEATS,
-        "cases": time_cases(),
-        "suite": time_suite(),
-    }
-    print(json.dumps(doc["suite"]))
-    bench_path(args.label).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return 0
+    try:
+        return compare(*args.compare) if args.compare else record(args.label)
+    except BenchFileError as e:
+        print(e)
+        return 2
 
 
 if __name__ == "__main__":
