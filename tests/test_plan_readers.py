@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from bntrim import BayesianNetwork, sample_rows
+from bntrim import BayesianNetwork, Cpt, Variable, agreement, sample_rows
 from bntrim.agreement import _full_joint
 
 from conftest import load_network, random_dag_instance
@@ -88,6 +88,31 @@ def test_networks_cover_the_layouts():
 def test_full_joint_has_the_by_name_bytes():
     for index, net in enumerate(NETWORKS):
         got, want = _full_joint(net), by_name_joint(net)
+        assert got.shape == want.shape, index
+        assert got.tobytes() == want.tobytes(), index
+
+
+def test_full_joint_keeps_its_bytes_on_random_models(monkeypatch):
+    # The joint grows from a size-one tensor; every cell must still be
+    # the full-size start's product, and so must every grid read from it.
+    # Seeded general DAGs of up to eight features of cardinality 2-3.
+    rng = random.Random(4034)
+    models = [random_dag_instance(rng, 8, 3) for _ in range(60)]
+    declared = [{v.name: i for i, v in enumerate(net.variables)} for net, _ in models]
+    assert any(
+        pos[p] > pos[c.child]
+        for (net, _), pos in zip(models, declared) for c in net.cpts for p in c.parents
+    )
+    assert {net.var(f).cardinality for net, clf in models for f in clf.features} == {2, 3}
+    lone = BayesianNetwork((Variable("C", ("neg", "pos")),), (Cpt("C", (), ((0.3, 0.7),)),))
+    for net in (lone, *(net for net, _ in models)):
+        got, want = _full_joint(net), by_name_joint(net)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    grids = [agreement._classifier_grid.__wrapped__(net, clf) for net, clf in models]
+    monkeypatch.setattr(agreement, "_full_joint", by_name_joint)
+    for index, ((net, clf), got) in enumerate(zip(models, grids)):
+        want = agreement._classifier_grid.__wrapped__(net, clf)
         assert got.shape == want.shape, index
         assert got.tobytes() == want.tobytes(), index
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -197,6 +198,30 @@ class TestRowSums:
         assert sums_and_fallbacks(x, monkeypatch) == (fsum_hex(x), 0)
 
 
+def is_halfway(cells: list[float]) -> bool:
+    """The exact sum of the cells lies halfway between two floats."""
+    total = sum(map(Fraction, cells))
+    below = math.nextafter(float(total), 0.0) if Fraction(float(total)) > total else float(total)
+    above = math.nextafter(below, math.inf)
+    return 2 * (total - Fraction(below)) == Fraction(above) - Fraction(below)
+
+
+def one_scale_tie_layout(rng: random.Random, rows: int) -> np.ndarray:
+    """A (cell, row, kind) table layout of two cells per row and kind,
+    every cell in [1/4, 2), as a kept-11 table of a 12-feature model lays
+    out its pos, neg and hit cells.  The two pos cells of a row share a
+    binade and have mantissas of odd sum, so their sum is an exact
+    halfway tie; the other kinds are random."""
+    layout = np.empty((2, rows, 3))
+    for row in range(rows):
+        binade = 2.0 ** -rng.randint(0, 2)
+        a, b = rng.getrandbits(52), rng.getrandbits(52)
+        b ^= (a + b) & 1 ^ 1
+        layout[:, row, 0] = [(1.0 + m * 2.0**-52) * binade for m in (a, b)]
+        layout[:, row, 1:] = [[rng.uniform(0.25, 2.0) for _ in range(2)] for _ in range(2)]
+    return layout
+
+
 class TestRowSumBlocks:
     @settings(max_examples=200, deadline=None)
     @given(block_lists())
@@ -221,6 +246,29 @@ class TestRowSumBlocks:
                 m.setattr(math, "fsum", lambda cells: calls.append(1) or real_fsum(cells))
                 _column_sums(layout, ((0,), (1,)))
             assert len(calls) == fsums
+
+    def test_ties_settle_without_a_cell_read(self, monkeypatch):
+        # Above the crossover, halfway ties between cells of one scale are
+        # settled by the layout's smallest positive cell: _certify's reader
+        # of the rows' cells is never called.
+        layout = one_scale_tie_layout(random.Random(34), 512)
+        assert layout.size >= _NUMPY_MIN_CELLS
+        kinds = agreement._TABLE_KINDS
+        wanted = [
+            [math.fsum(layout[:, row, list(g)].ravel().tolist()) for row in range(layout.shape[1])]
+            for g in kinds
+        ]
+        assert all(is_halfway(layout[:, row, 0].tolist()) for row in range(layout.shape[1]))
+        real_certify = agreement._certify
+
+        def certify(s, e, levels, kinds, cells, smallest):
+            def unread(rows):
+                raise AssertionError(f"cells of {len(rows)} rows read")
+            return real_certify(s, e, levels, kinds, unread, smallest)
+
+        monkeypatch.setattr(agreement, "_certify", certify)
+        got = _column_sums(layout, kinds)
+        assert [hexes(sums) for sums in got] == [[v.hex() for v in w] for w in wanted]
 
 
 class TestRowCells:

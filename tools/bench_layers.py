@@ -40,6 +40,11 @@ binary features, with the model's grid built before the timing starts:
 * ``maa n=N``, ``compute_maa n=N``  best agreement keeping all N = 12,
                    14, 16 features: ``maa`` from the network, and
                    ``compute_maa`` on the instance table built beforehand;
+* ``maa n=12 keep 11``  ``maa`` keeping the first 11 of 12 features, so
+                   each table row sums two grid cells per kind and meets
+                   the row certification, as perfbench's ``maa-wide``
+                   kept-11 ops do; the one-cell rows of the ``maa n=N``
+                   cases are added directly and never certified;
 * ``compute_maa plateau``  ``compute_maa`` on a 4 096-row table, each
                    row its own posterior group and every rate 1/2, so
                    every cut ties exactly and the sweep takes its exact
@@ -245,10 +250,12 @@ def nb_model(n: int):
     return net, clf
 
 
-def case_maa(n: int):
+def case_maa(n: int, keep: int | None = None):
+    """``maa`` keeping the first ``keep`` features, or all of them."""
     def make():
         net, clf = nb_model(n)
-        return lambda: maa(net, clf, clf.features)
+        kept = clf.features[:keep]
+        return lambda: maa(net, clf, kept)
     return make
 
 
@@ -328,6 +335,7 @@ CASES = {
     "cv_accuracy": case_cv_accuracy,
     "scatter": case_scatter,
     **{f"maa n={n}": case_maa(n) for n in (12, 14, 16)},
+    "maa n=12 keep 11": case_maa(12, 11),
     **{f"compute_maa n={n}": case_compute_maa(n) for n in (12, 14, 16)},
     "compute_maa plateau": case_compute_maa_plateau,
     "mpa n=16": case_mpa,
