@@ -20,13 +20,13 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .agreement import build_instance_table, eca, maa
+from .agreement import InstanceTable, _instance_tables, _sweep_tables, _table_eca
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
@@ -211,17 +211,16 @@ def learn_nb(
 
 
 def _posteriors(
-    net: BayesianNetwork, clf: Classifier, data: Dataset,
-    domains: Mapping[str, tuple[str, ...]], features: Iterable[str],
+    net: BayesianNetwork, table: InstanceTable, data: Dataset,
+    domains: Mapping[str, tuple[str, ...]],
 ) -> list[float]:
-    """The posterior of every data row given its values of the features,
-    the number classify compares with a threshold.  Each data row reads
-    the posterior of the features' instance table row at its C-order
-    index over the kept features, the table's features in classifier
-    order.  A learned classifier covers every non-class variable, so the
+    """The posterior of every data row given its values of the table's
+    features, the number classify compares with a threshold.  Each data
+    row reads the posterior of the instance table row at its C-order
+    index over the table's features, which are in classifier order.  A
+    learned classifier covers every non-class variable, so the
     posteriors have posterior_class's bits; a row whose index the table
     lacks has probability 0."""
-    table = build_instance_table(net, clf, features)
     kept = table.features
     cards = [net.var(f).cardinality for f in kept]
     lookup = np.full(math.prod(cards), np.nan)  # no posterior is NaN
@@ -431,9 +430,12 @@ def scatter(
     the fraction of held-out rows where the trimmed classifier matches the
     full classifier's label (at the subset's scoring threshold) and the
     fraction where it matches the actual label (at the base threshold).
-    Each held-out row's posteriors are read from the learned model's
-    instance table rows by the row's index over the kept features
-    (``_posteriors``).
+    Every subset's instance table and the full feature set's are built
+    in one batch (``_instance_tables``).  In the default mode one stacked
+    sweep (``_sweep_tables``) scores every subset; in "fixed" mode each
+    agreement is ``eca``'s sum over the subset's table.  Each held-out
+    row's posteriors are read from those tables' rows by the row's index
+    over the kept features (``_posteriors``), so no table is built twice.
     """
     n = len(data.rows)
     if n < 2:
@@ -454,17 +456,23 @@ def scatter(
     )
     subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, config.budget))
 
-    def agreement_of(subset: tuple[str, ...]) -> tuple[float, float]:
-        """The subset's agreement with the full classifier and its
-        scoring threshold."""
-        if config.threshold_mode == "maa-optimal":
-            result = maa(net, clf_full, subset)
-            return result.score, result.interval.representative
-        return eca(net, clf_full, replace(clf_full, features=subset)), base_threshold
-
-    # Agreement fails only on the full joint, which every subset shares,
-    # so scoring it first leaves the first error where it was.
-    agreements = [agreement_of(s) for s in subsets]
+    # One batch builds every subset's instance table and the full
+    # feature set's, which the held-out rows read; the full set's is a
+    # subset's when the budget covers every feature.  Building fails
+    # only on the full joint, which every table shares, so building
+    # first leaves the first error where it was.
+    kept_sets = list(subsets)
+    if clf_full.features not in kept_sets:
+        kept_sets.append(clf_full.features)
+    tables = _instance_tables(net, clf_full, kept_sets)
+    full_table = tables[kept_sets.index(clf_full.features)]
+    scored = tables[:len(subsets)]
+    # Each subset's agreement with the full classifier and its scoring
+    # threshold.
+    if config.threshold_mode == "maa-optimal":
+        agreements = [(r.score, r.interval.representative) for r in _sweep_tables(scored)]
+    else:
+        agreements = [(_table_eca(t, base_threshold), base_threshold) for t in scored]
     accuracies = _fold_scorer(train, config.folds, config.seed, domains)(
         subsets, config.smoothing, positive_label, base_threshold
     )
@@ -485,7 +493,7 @@ def scatter(
 
     full_labels = [
         posterior >= clf_full.threshold
-        for posterior in _posteriors(net, clf_full, test, domains, clf_full.features)
+        for posterior in _posteriors(net, full_table, test, domains)
     ]
     class_idx = test.column_index(test.class_column)
     actual_labels = [
@@ -495,7 +503,7 @@ def scatter(
 
     def held_out(i: int) -> dict:
         subset, (_, subset_threshold) = subsets[i], agreements[i]
-        posteriors = _posteriors(net, clf_full, test, domains, subset)
+        posteriors = _posteriors(net, tables[i], test, domains)
         agree = sum((p >= subset_threshold) == full for p, full in zip(posteriors, full_labels))
         hits = sum((p >= base_threshold) == actual for p, actual in zip(posteriors, actual_labels))
         return {

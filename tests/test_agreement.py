@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from bntrim import (
     Classifier,
     CostModel,
     Cpt,
+    EnumerationLimitError,
     InstanceTable,
     ModelError,
     ThresholdInterval,
@@ -28,6 +30,7 @@ from bntrim import (
     compute_maa,
     eca,
     eca_trim,
+    enumerate_feasible,
     esdp_two_threshold,
     maa,
     marginal,
@@ -686,3 +689,166 @@ class TestRandomModelProperties:
             rng.shuffle(extras)
             big = tuple(list(small) + extras[: max(1, len(extras) // 2)])
             assert mpa(net, clf, small) <= mpa(net, clf, big) + 1e-9
+
+
+def with_certain_rows(net: BayesianNetwork, rng: random.Random) -> BayesianNetwork:
+    """The network with every CPT row of one feature made 0/1 and one row
+    of another, so the instantiations where the first takes another
+    value have no mass, and their table rows are dropped."""
+    features = [v.name for v in net.variables if v.name != "C"]
+    every, one = rng.sample(features, 2)
+    cpts = []
+    for cpt in net.cpts:
+        rows = list(cpt.rows)
+        certain = range(len(rows)) if cpt.child == every else [rng.randrange(len(rows))]
+        if cpt.child in (every, one):
+            for r in certain:
+                rows[r] = tuple(1.0 if j == 0 else 0.0 for j in range(len(rows[r])))
+        cpts.append(replace(cpt, rows=tuple(rows)))
+    return BayesianNetwork(net.variables, tuple(cpts))
+
+
+def table_bytes(table: InstanceTable) -> tuple:
+    return (table.features, *(a.tobytes() for a in (table.rows, table.mass, table.posterior, table.rate)))
+
+
+class TestInstanceTables:
+    """``_instance_tables`` builds every kept set's table from one read of
+    the grid, sets of as many cells per row sharing one row-sum call."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_equals_one_set_at_a_time(self, seed):
+        rng = random.Random(8100 + seed)
+        make = nb_instance if seed % 2 else random_dag_instance
+        net, clf = make(rng, rng.randint(3, 6), max_card=3)
+        net = with_certain_rows(net, rng)
+        sets = [(), clf.features, *(random_subset(rng, clf) for _ in range(6))]
+        sets.append(sets[-1])
+        tables = agreement._instance_tables(net, clf, sets)
+        assert [table_bytes(t) for t in tables] == [
+            table_bytes(build_instance_table(net, clf, s)) for s in sets
+        ]
+        # Some rows have no mass and are dropped.
+        grid_cells = math.prod(net.var(f).cardinality for f in clf.features)
+        assert len(tables[1].rows) < grid_cells
+
+    def test_shared_call_crosses_to_the_kernel(self, monkeypatch):
+        # Three 6-of-8 sets of 256 grid cells lay out 768 cells each,
+        # below the crossover, so each alone is summed by fsum; together
+        # they lay out 2 304 and take the kernel, with the same bits.
+        net, clf = nb_instance(random.Random(8200), 8, max_card=2)
+        net = with_certain_rows(net, random.Random(8201))
+        sets = [clf.features[:6], clf.features[2:], clf.features[1:7]]
+        sizes = []
+        real = agreement._column_sums
+
+        def recorded(x, kinds):
+            sizes.append((len(x), x.size))
+            return real(x, kinds)
+
+        monkeypatch.setattr(agreement, "_column_sums", recorded)
+        alone = [table_bytes(build_instance_table(net, clf, s)) for s in sets]
+        assert sizes == [(4, 768)] * 3
+        assert agreement._NUMPY_MIN_CELLS == 1536
+        sizes.clear()
+        assert [table_bytes(t) for t in agreement._instance_tables(net, clf, sets)] == alone
+        assert sizes == [(4, 2304)]
+
+    def test_batches_are_capped(self, monkeypatch):
+        # 12 binary features lay out 3 * 2**12 cells a set, so five sets
+        # fill a batch: the 12 one-feature sets take three calls.
+        net, clf = nb_instance(random.Random(8250), 12, max_card=2)
+        sets = [(), *((f,) for f in clf.features)]
+        alone = [table_bytes(build_instance_table(net, clf, s)) for s in sets]
+        sizes = []
+        real = agreement._column_sums
+
+        def recorded(x, kinds):
+            sizes.append(x.size)
+            return real(x, kinds)
+
+        monkeypatch.setattr(agreement, "_column_sums", recorded)
+        assert [table_bytes(t) for t in agreement._instance_tables(net, clf, sets)] == alone
+        assert agreement._BATCH_CELLS // (3 * 2**12) == 5
+        assert sorted(sizes) == [3 * 2**12, 2 * 3 * 2**12, 5 * 3 * 2**12, 5 * 3 * 2**12]
+
+    def test_peak_memory_does_not_grow_with_the_sets(self):
+        # 16 binary features: a grid of 3 * 2**16 cells, above a batch,
+        # so each of the 137 sets of at most two features is laid out
+        # and summed alone.  Laying them all out first peaked at 738 MiB,
+        # some 490 grids; one at a time, a layout and its sums'
+        # temporaries stay near three.
+        net, clf = nb_instance(random.Random(8260), 16, max_card=2)
+        grid = agreement._classifier_grid(net, clf)  # cached, so not traced
+        sets = enumerate_feasible(clf, CostModel.unit(clf.features, 2))
+        assert len(sets) == 137
+        tracemalloc.start()
+        try:
+            agreement._instance_tables(net, clf, sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.nbytes
+
+    def test_first_error_is_the_one_set_at_a_time_error(self):
+        # 22 binary features: a joint of 2**23 cells, over the guard.
+        net, clf = nb_instance(random.Random(8300), 22, max_card=2)
+        with pytest.raises(EnumerationLimitError) as alone:
+            build_instance_table(net, clf, ())
+        with pytest.raises(EnumerationLimitError) as batch:
+            agreement._instance_tables(net, clf, [(), ("nope",)])
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(ModelError, match="non-features"):
+            agreement._instance_tables(net, clf, [("nope",), ()])
+        assert agreement._instance_tables(net, clf, []) == []
+
+
+class TestSweepTables:
+    """``_sweep_tables`` gives ``compute_maa``'s result for every table."""
+
+    def test_stacked_sweep_equals_compute_maa(self, monkeypatch):
+        rng = random.Random(8400)
+        tables = [row_table([rng.random()], [rng.random()], [r]) for r in (0.0, 0.3, 1.0)]
+        for _ in range(12):
+            n = rng.randint(2, 40)
+            rates = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+            posteriors = sorted(rng.randrange(n) / n for _ in range(n))
+            tables.append(row_table([rng.random() for _ in range(n)], posteriors, rates))
+        # A plateau: every row its own group at rate 1/2, so every cut ties.
+        plateau = row_table([rng.random() for _ in range(30)], [i / 30 for i in range(30)], [0.5] * 30)
+        # Posteriors within POSTERIOR_GROUP_RTOL of each other: one group.
+        close = row_table(
+            [rng.random() for _ in range(6)],
+            [0.25 * (1.0 + k * 1e-11) for k in range(6)],
+            [0.0, 1.0, 0.2, 0.9, 0.0, 1.0],
+        )
+        tables += [plateau, close]
+        rng.shuffle(tables)
+        swept = []
+        real = agreement.compute_maa
+
+        def recorded(table):
+            swept.append(table)
+            return real(table)
+
+        monkeypatch.setattr(agreement, "compute_maa", recorded)
+        got = agreement._sweep_tables(tables)
+        assert any(t is plateau for t in swept)
+        assert len(swept) < len(tables)
+        swept.clear()
+        want = [agreement.compute_maa(t) for t in tables]
+        def bits(r):
+            return r.score.hex(), r.interval.lo.hex(), r.interval.hi.hex()
+
+        assert [bits(r) for r in got] == [bits(r) for r in want]
+        # One table and none take the same stacked stage.
+        alone = [bits(r) for t in tables for r in agreement._sweep_tables([t])]
+        assert alone == [bits(r) for r in want]
+        assert agreement._sweep_tables([]) == []
+
+    def test_empty_table_raises(self):
+        one = row_table([1.0], [0.5], [1.0])
+        with pytest.raises(ModelError, match="no rows"):
+            agreement._sweep_tables([one, row_table([], [], []), one, one])
+        with pytest.raises(ModelError, match="no rows"):
+            agreement._sweep_tables([row_table([], [], [])])

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -445,6 +446,25 @@ class TestScatter:
         assert unflagged[0] == 0
         assert unflagged[1] != run(capsys, ["scatter", "--data", data_path, *self.ARGS, "--seed", "7"])[1]
 
+
+    def test_grid_guard_is_the_first_error(self, capsys, tmp_path):
+        # 12 four-valued features and a binary class: a joint of 2 * 4**12
+        # cells, over the guard.  The agreement side meets it before
+        # cross-validation runs, and nothing is written to stdout.
+        rng = random.Random(35)
+        features = [f"F{i}" for i in range(1, 13)]
+        rows = [
+            ",".join(["pos" if rng.random() < 0.5 else "neg", *(rng.choice("abcd") for _ in features)])
+            for _ in range(60)
+        ]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join([",".join(["C", *features]), *rows]) + "\n")
+        columns = list(zip(*(r.split(",") for r in rows)))
+        assert [len(set(c)) for c in columns] == [2] + [4] * 12
+        argv = ["scatter", "--data", str(path), "--class", "C", "--budget", "1", "--folds", "3"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "error: joint grid of 33554432 cells exceeds the 4194304 cell guard\n"
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_folds_use_the_csv_vocabularies(self, capsys, tmp_path, seed):

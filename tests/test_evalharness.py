@@ -25,8 +25,10 @@ from bntrim import (
     ModelError,
     Variable,
     ZeroEvidenceError,
+    build_instance_table,
     classify,
     cv_accuracy,
+    eca,
     empirical_agreement,
     enumerate_feasible,
     learn_nb,
@@ -40,7 +42,7 @@ from bntrim import (
     write_scatter_csv,
 )
 
-from bntrim import evalharness, inference
+from bntrim import agreement, evalharness, inference
 from bntrim.bnmodel import kept_in_order
 from bntrim.evalharness import THRESHOLD_MODES, _posteriors
 from conftest import load_network, nb_instance
@@ -535,18 +537,23 @@ class TestBatchedFoldScorer:
 class TestScatter:
     @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])
     def test_one_learn_nb_and_one_fold_deal_per_call(self, monkeypatch, budget, subsets):
-        calls = {"learn_nb": 0, "_deal_folds": 0}
+        # One table batch builds every table scatter reads, the held-out
+        # rows' too, with no build_instance_table call.
+        calls = {"learn_nb": 0, "_deal_folds": 0, "_instance_tables": 0, "build_instance_table": 0}
         for name in calls:
-            real = getattr(evalharness, name)
+            module = agreement if name == "build_instance_table" else evalharness
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(evalharness, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rows, _ = scatter(noisy_dataset(), EvalConfig(seed=11, folds=4, budget=budget))
         assert len(rows) == subsets
-        assert calls == {"learn_nb": 1, "_deal_folds": 1}
+        assert calls == {
+            "learn_nb": 1, "_deal_folds": 1, "_instance_tables": 1, "build_instance_table": 0
+        }
 
     def test_rows_cover_feasible_subsets_with_unique_optima(self):
         data = noisy_dataset()
@@ -564,18 +571,23 @@ class TestScatter:
 
     def test_eca_column_matches_library_recomputation(self):
         data = noisy_dataset()
-        config = EvalConfig(seed=11, folds=4, budget=1.0)
-        rows, _ = scatter(data, config)
-        # Mirror the documented split rule to rebuild the trained model.
-        rng = random.Random(config.seed)
-        perm = list(range(len(data.rows)))
-        rng.shuffle(perm)
-        train_n = min(max(round(config.split_fraction * len(data.rows)), 1), len(data.rows) - 1)
-        train = data.take(perm[:train_n])
-        domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
-        net, clf = learn_nb(train, domains=domains, threshold=config.threshold)
-        for row in rows:
-            assert row.eca == pytest.approx(maa(net, clf, row.subset).score, abs=1e-12)
+        for mode in THRESHOLD_MODES:
+            config = EvalConfig(seed=11, folds=4, budget=1.0, threshold_mode=mode)
+            rows, _ = scatter(data, config)
+            # Mirror the documented split rule to rebuild the trained model.
+            rng = random.Random(config.seed)
+            perm = list(range(len(data.rows)))
+            rng.shuffle(perm)
+            train_n = min(max(round(config.split_fraction * len(data.rows)), 1), len(data.rows) - 1)
+            train = data.take(perm[:train_n])
+            domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+            net, clf = learn_nb(train, domains=domains, threshold=config.threshold)
+            for row in rows:
+                if mode == "fixed":
+                    want = eca(net, clf, replace(clf, features=row.subset))
+                else:
+                    want = maa(net, clf, row.subset).score
+                assert row.eca == want
 
     def test_budget_covering_everything_marks_full_set_optimal(self):
         data = or_dataset()
@@ -636,6 +648,12 @@ class TestScatter:
         assert "A;B" in text
 
 
+def row_posteriors(net, clf, data, domains, features):
+    """evalharness._posteriors of the rows, read from the features'
+    instance table."""
+    return _posteriors(net, build_instance_table(net, clf, features), data, domains)
+
+
 class TestRowPosteriors:
     """evalharness._posteriors, which computes one posterior per distinct
     row of feature values, against one posterior_class call per row."""
@@ -651,7 +669,7 @@ class TestRowPosteriors:
             ).hex()
             for row in data.rows
         ]
-        got = _posteriors(net, clf, data, domains, features)
+        got = row_posteriors(net, clf, data, domains, features)
         assert [p.hex() for p in got] == per_row
 
     def test_first_zero_evidence_row_raises(self):
@@ -663,7 +681,7 @@ class TestRowPosteriors:
         domains = {"C": ("neg", "pos"), "F": ("a", "b", "c", "d")}
         net, clf = learn_nb(train, smoothing=0.0, domains=domains)
         with pytest.raises(ZeroEvidenceError) as info:
-            _posteriors(net, clf, test, domains, ("F",))
+            row_posteriors(net, clf, test, domains, ("F",))
         assert str(info.value) == "evidence {'F': 3} has probability 0"
 
     @pytest.mark.parametrize(
@@ -690,7 +708,7 @@ class TestRowPosteriors:
             for row in data.rows
         ]
         assert len(set(per_row)) >= 3
-        got = _posteriors(net, clf, data, domains, features)
+        got = row_posteriors(net, clf, data, domains, features)
         assert [p.hex() for p in got] == per_row
 
     def test_zero_evidence_lists_kept_features_in_classifier_order(self):
@@ -704,7 +722,7 @@ class TestRowPosteriors:
         net, clf = learn_nb(train, smoothing=0.0, domains=domains)
         for features in (("G", "F"), ("F", "G")):
             with pytest.raises(ZeroEvidenceError) as info:
-                _posteriors(net, clf, test, domains, features)
+                row_posteriors(net, clf, test, domains, features)
             assert str(info.value) == "evidence {'F': 1, 'G': 1} has probability 0"
 
 

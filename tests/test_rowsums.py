@@ -5,10 +5,11 @@ gives for every row of a (cell, row, kind) layout, per group of kinds, on
 both sides of its ``_NUMPY_MIN_CELLS`` crossover; ``_grid_rows`` must read
 each row's grid cells, rows in C order over the kept features; and
 ``build_instance_table``, which takes its row sums from one
-``_grid_sums`` call, and ``mpa``, ``eca`` and ``maa``, which read the table
-it builds, must give the same floats as the per-row ``fsum`` loops they
-replaced (copied below as ``loop_*``, with each row named by its C-order
-index), on both sides of that crossover."""
+``_column_sums`` call on a ``_grid_layout``, and ``mpa``, ``eca`` and
+``maa``, which read the table it builds, must give the same floats as
+the per-row ``fsum`` loops they replaced (copied below as ``loop_*``,
+with each row named by its C-order index), on both sides of that
+crossover."""
 
 from __future__ import annotations
 
@@ -33,7 +34,9 @@ from bntrim import (
     mpa,
 )
 from bntrim import agreement
-from bntrim.agreement import _NUMPY_MIN_CELLS, _classifier_grid, _column_sums, _grid_rows, _grid_sums
+from bntrim.agreement import (
+    _NUMPY_MIN_CELLS, _classifier_grid, _column_sums, _grid_layout, _grid_rows,
+)
 from bntrim.bnmodel import kept_in_order
 
 from conftest import dag_networks, nb_instance, random_dag_instance, random_subset
@@ -274,8 +277,9 @@ class TestRowSumBlocks:
 class TestRowCells:
     @pytest.mark.parametrize("seed", range(4))
     def test_columns_hold_each_instantiations_cells_in_c_order(self, seed):
-        # _grid_rows reads each row's cells of every kind, and _grid_sums
-        # sums them, for rows in C order over the kept features.
+        # _grid_rows reads each row's cells of every kind, and
+        # _column_sums of the _grid_layout sums them, for rows in C order
+        # over the kept features.
         rng = random.Random(7300 + seed)
         net, clf = nb_instance(rng, rng.randint(1, 5), max_card=3)
         grid = _classifier_grid(net, clf)
@@ -287,7 +291,7 @@ class TestRowCells:
             rows = math.prod(kept_shape)
             got = _grid_rows(grid, axes)(np.arange(rows))
             assert got.shape[:2] == (3, rows)
-            sums = _grid_sums(grid, axes, kinds)
+            sums = _column_sums(_grid_layout(grid, axes, kinds), kinds)
             for row, kept_values in enumerate(np.ndindex(*kept_shape)):
                 index = [slice(None)] * n
                 for i, v in zip(axes, kept_values):
