@@ -21,7 +21,6 @@ import io
 import math
 import random
 from dataclasses import dataclass, fields
-from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -89,8 +88,28 @@ class ScatterRow:
     marker: str  # "feasible" | "optimal-eca" | "optimal-accuracy" | "optimal-both"
 
 
-def _column_domains(data: Dataset, columns: Iterable[str]) -> dict[str, tuple[str, ...]]:
-    return {c: tuple(sorted(set(data.column_values(c)))) for c in columns}
+def _encode(
+    data: Dataset, columns: Sequence[str],
+    domains: Mapping[str, tuple[str, ...]] | None = None,
+) -> tuple[dict[str, tuple[str, ...]], dict[str, np.ndarray]]:
+    """Each column's vocabulary (its entry of ``domains``, by default its
+    sorted distinct labels) and its cells as one ``np.intp`` array of
+    indices into it, both in ``columns`` order.  ModelError when
+    ``domains`` lacks a column, else for the first column, in the order
+    given, with a label outside its vocabulary."""
+    if domains is not None and (missing := [c for c in columns if c not in domains]):
+        raise ModelError(f"domains missing columns: {missing}")
+    vocabularies, codes = {}, {}
+    for c in columns:
+        cells = data.column_values(c)
+        vocabulary = tuple(sorted(set(cells))) if domains is None else tuple(domains[c])
+        index = {v: x for x, v in enumerate(vocabulary)}
+        column = np.array([index.get(v, -1) for v in cells], dtype=np.intp)
+        if (column < 0).any():
+            unknown = sorted(set(cells) - index.keys())
+            raise ModelError(f"column {c!r} has values outside its domain: {unknown}")
+        vocabularies[c], codes[c] = vocabulary, column
+    return vocabularies, codes
 
 
 def _check_smoothing(smoothing: float, card: int = 0) -> None:
@@ -176,33 +195,24 @@ def learn_nb(
         raise ModelError("cannot learn from an empty dataset")
     _check_smoothing(smoothing)
     columns = [class_column] + [c for c in data.columns if c != class_column]
-    if domains is None:
-        domains = _column_domains(data, columns)
-    else:
-        missing = [c for c in columns if c not in domains]
-        if missing:
-            raise ModelError(f"domains missing columns: {missing}")
-        for c in columns:
-            seen = set(data.column_values(c))
-            unknown = seen - set(domains[c])
-            if unknown:
-                raise ModelError(f"column {c!r} has values outside its domain: {sorted(unknown)}")
+    domains, codes = _encode(data, columns, domains)
     class_domain = domains[class_column]
     positive_value = _positive_value(class_column, class_domain, positive_label)
 
     _check_smoothing(smoothing, max(len(domains[c]) for c in columns))
-    class_cells = data.column_values(class_column)
-    class_count = [class_cells.count(v) for v in class_domain]
+    class_codes = codes[class_column]
+    class_count = np.bincount(class_codes, minlength=len(class_domain)).tolist()
     prior = _prior(class_count, smoothing)
     features = columns[1:]
     variables, clf = _nb_classifier(class_column, features, domains, positive_value, threshold)
     cpts = [Cpt(class_column, (), (prior,))]
     for f in features:
-        counts = Counter(zip(class_cells, data.column_values(f)))
-        values = domains[f]
+        card = len(domains[f])
+        # The (class, value) pair counts, as exact ints.
+        counts = np.bincount(class_codes * card + codes[f], minlength=len(class_count) * card)
         rows = tuple(
-            tuple(_smoothed(counts[cval, v], total, len(values), smoothing) for v in values)
-            for cval, total in zip(class_domain, class_count)
+            tuple(_smoothed(k, total, card, smoothing) for k in row)
+            for row, total in zip(counts.reshape(-1, card).tolist(), class_count)
         )
         cpts.append(Cpt(f, (class_column,), rows))
     net = BayesianNetwork(tuple(variables), tuple(cpts))
@@ -211,29 +221,27 @@ def learn_nb(
 
 
 def _posteriors(
-    net: BayesianNetwork, table: InstanceTable, data: Dataset,
-    domains: Mapping[str, tuple[str, ...]],
+    net: BayesianNetwork, table: InstanceTable, codes: Mapping[str, np.ndarray]
 ) -> list[float]:
-    """The posterior of every data row given its values of the table's
-    features, the number classify compares with a threshold.  Each data
-    row reads the posterior of the instance table row at its C-order
-    index over the table's features, which are in classifier order.  A
-    learned classifier covers every non-class variable, so the
+    """The posterior of every data row given its ``_encode`` codes of the
+    table's features, the number classify compares with a threshold.
+    Each data row reads the posterior of the instance table row at its
+    C-order index over the table's features, which are in classifier
+    order.  A learned classifier covers every non-class variable, so the
     posteriors have posterior_class's bits; a row whose index the table
     lacks has probability 0."""
     kept = table.features
     cards = [net.var(f).cardinality for f in kept]
     lookup = np.full(math.prod(cards), np.nan)  # no posterior is NaN
     lookup[table.rows] = table.posterior
-    codes = [[domains[f].index(v) for v in data.column_values(f)] for f in kept]
-    key = np.zeros(len(data.rows), dtype=np.intp)
-    for column, card in zip(codes, cards):
-        key = key * card + column
+    key = np.zeros(len(next(iter(codes.values()))), dtype=np.intp)
+    for f, card in zip(kept, cards):
+        key = key * card + codes[f]
     out = lookup[key]
     missing = np.isnan(out).nonzero()[0]
     if len(missing):
         i = missing[0]
-        evidence = {f: column[i] for f, column in zip(kept, codes)}
+        evidence = {f: int(codes[f][i]) for f in kept}
         raise ZeroEvidenceError(f"evidence {evidence!r} has probability 0")
     return out.tolist()
 
@@ -258,7 +266,8 @@ def _deal_folds(class_codes: Sequence[int], class_card: int, folds: int, seed: i
 
 
 def _fold_scorer(
-    data: Dataset, folds: int, seed: int, domains: Mapping[str, tuple[str, ...]]
+    codes: Mapping[str, np.ndarray], class_column: str, folds: int, seed: int,
+    domains: Mapping[str, tuple[str, ...]],
 ) -> Callable[[Sequence[Sequence[str]], float, str | None, float], list[float]]:
     """Stratified k-fold cross-validation of naive Bayes classifiers, over
     feature subsets of one dataset, from count tables.
@@ -279,27 +288,21 @@ def _fold_scorer(
     would raise: subsets in order, within a subset first its names, read
     as ``kept_in_order`` reads them, then the smoothing and classifier
     checks over its columns, then fold by fold the class-prior check
-    before the fold's first zero-evidence row.  ``domains`` holds each
-    column's value vocabulary.
+    before the fold's first zero-evidence row.  ``codes`` and ``domains``
+    are ``_encode``'s of every column, in data-column order.
     """
-    n = len(data.rows)
+    n = len(codes[class_column])
     if folds < 2:
         raise ModelError(f"fold count must be >= 2, got {folds}")
     if folds > n:
         raise ModelError(f"{folds} folds need at least {folds} rows, have {n}")
-    class_column = data.class_column
-    features = [c for c in data.columns if c != class_column]
-    # Each column's value indices over its vocabulary.
-    codes = {}
-    for c in data.columns:
-        index = {v: x for x, v in enumerate(domains[c])}
-        codes[c] = [index[v] for v in data.column_values(c)]
+    features = [c for c in codes if c != class_column]
     class_card = len(domains[class_column])
-    fold_of = np.array(_deal_folds(codes[class_column], class_card, folds, seed))
+    fold_of = np.array(_deal_folds(codes[class_column].tolist(), class_card, folds, seed))
     # Rows from here on go fold by fold, each fold's in data order.
     order = fold_of.argsort(kind="stable")
     fold_of = fold_of[order]
-    codes = {c: np.array(column)[order] for c, column in codes.items()}
+    codes = {c: column[order] for c, column in codes.items()}
     class_codes = codes[class_column]
     starts = np.searchsorted(fold_of, np.arange(folds))
     sizes = np.bincount(fold_of, minlength=folds)
@@ -404,7 +407,8 @@ def cv_accuracy(
     own, so no model is built and no data copied; the scores have the
     same bits.
     """
-    accuracy = _fold_scorer(data, folds, seed, _column_domains(data, data.columns))
+    domains, codes = _encode(data, data.columns)
+    accuracy = _fold_scorer(codes, data.class_column, folds, seed, domains)
     return accuracy([names_tuple(subset)], smoothing, positive_label, threshold)[0]
 
 
@@ -422,9 +426,9 @@ def scatter(
     classifier — at the subset's best-agreement threshold by default, or
     at the fixed base threshold in "fixed" mode — and (b) its
     cross-validated accuracy on the training part at the base threshold.
-    The learned model and the folds both take each column's vocabulary
-    from the whole dataset, and one ``_fold_scorer`` call cross-validates
-    every subset at once.
+    The whole dataset is encoded once (``_encode``): the learned model
+    takes its vocabularies, and one ``_fold_scorer`` call over the
+    training part's codes cross-validates every subset at once.
 
     The summary reports, for the best-agreement and best-accuracy subsets,
     the fraction of held-out rows where the trimmed classifier matches the
@@ -434,21 +438,22 @@ def scatter(
     in one batch (``_instance_tables``).  In the default mode one stacked
     sweep (``_sweep_tables``) scores every subset; in "fixed" mode each
     agreement is ``eca``'s sum over the subset's table.  Each held-out
-    row's posteriors are read from those tables' rows by the row's index
-    over the kept features (``_posteriors``), so no table is built twice.
+    row's posteriors are read from those tables by its codes' index over
+    the kept features (``_posteriors``), so no table is built twice.
     """
     n = len(data.rows)
     if n < 2:
         raise ModelError("scatter needs at least 2 rows")
     base_threshold = config.threshold
-    domains = _column_domains(data, data.columns)
+    domains, codes = _encode(data, data.columns)
 
     rng = random.Random(config.seed)
     perm = list(range(n))
     rng.shuffle(perm)
     train_n = min(max(round(config.split_fraction * n), 1), n - 1)
     train = data.take(perm[:train_n])
-    test = data.take(perm[train_n:])
+    train_codes = {c: column[perm[:train_n]] for c, column in codes.items()}
+    test_codes = {c: column[perm[train_n:]] for c, column in codes.items()}
 
     net, clf_full = learn_nb(
         train, smoothing=config.smoothing, domains=domains,
@@ -473,7 +478,7 @@ def scatter(
         agreements = [(r.score, r.interval.representative) for r in _sweep_tables(scored)]
     else:
         agreements = [(_table_eca(t, base_threshold), base_threshold) for t in scored]
-    accuracies = _fold_scorer(train, config.folds, config.seed, domains)(
+    accuracies = _fold_scorer(train_codes, data.class_column, config.folds, config.seed, domains)(
         subsets, config.smoothing, positive_label, base_threshold
     )
 
@@ -491,25 +496,18 @@ def scatter(
             marker = "feasible"
         rows.append(ScatterRow(subset, agreement, accuracy, marker))
 
-    full_labels = [
-        posterior >= clf_full.threshold
-        for posterior in _posteriors(net, full_table, test, domains)
-    ]
-    class_idx = test.column_index(test.class_column)
-    actual_labels = [
-        domains[test.class_column].index(row[class_idx]) == clf_full.positive_value
-        for row in test.rows
-    ]
+    full_labels = [p >= clf_full.threshold for p in _posteriors(net, full_table, test_codes)]
+    actual_labels = (test_codes[data.class_column] == clf_full.positive_value).tolist()
 
     def held_out(i: int) -> dict:
         subset, (_, subset_threshold) = subsets[i], agreements[i]
-        posteriors = _posteriors(net, tables[i], test, domains)
+        posteriors = _posteriors(net, tables[i], test_codes)
         agree = sum((p >= subset_threshold) == full for p, full in zip(posteriors, full_labels))
         hits = sum((p >= base_threshold) == actual for p, actual in zip(posteriors, actual_labels))
         return {
             "subset": list(subset),
-            "test_agreement": agree / len(test.rows),
-            "test_accuracy": hits / len(test.rows),
+            "test_agreement": agree / len(full_labels),
+            "test_accuracy": hits / len(full_labels),
         }
 
     summary = {

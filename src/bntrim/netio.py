@@ -161,9 +161,8 @@ def parse_dataset(text: bytes | str, class_column: str) -> Dataset:
             continue  # ignore blank lines
         if len(rec) != len(header):
             raise ParseError(f"ragged row {n}: {len(rec)} cells, expected {len(header)}")
-        for col, cell in zip(header, rec):
-            if cell == "":
-                raise ParseError(f"missing value in row {n}, column {col!r}")
+        if "" in rec:
+            raise ParseError(f"missing value in row {n}, column {header[rec.index('')]!r}")
         rows.append(tuple(rec))
     try:
         return Dataset(header, tuple(rows), class_column)

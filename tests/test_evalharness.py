@@ -7,8 +7,10 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,9 +44,9 @@ from bntrim import (
     write_scatter_csv,
 )
 
-from bntrim import agreement, evalharness, inference
+from bntrim import agreement, evalharness, inference, netio
 from bntrim.bnmodel import kept_in_order
-from bntrim.evalharness import THRESHOLD_MODES, _posteriors
+from bntrim.evalharness import THRESHOLD_MODES, _encode, _posteriors
 from conftest import load_network, nb_instance
 
 
@@ -193,6 +195,34 @@ class TestLearnNb:
         assert net.var("F").values == ("+", "-", "?")
         assert all(x > 0 for row in net.cpt("F").rows for x in row)
 
+    def test_domains_missing_columns(self):
+        data = Dataset(("L", "F", "G"), (("c", "+", "x"), ("d", "-", "y")), "L")
+        with pytest.raises(ModelError) as info:
+            learn_nb(data, domains={"L": ("c", "d")})
+        assert str(info.value) == "domains missing columns: ['F', 'G']"
+
+    def test_feature_value_outside_its_domain(self):
+        data = Dataset(("L", "F"), (("c", "?"), ("d", "-"), ("c", "+")), "L")
+        with pytest.raises(ModelError) as info:
+            learn_nb(data, domains={"L": ("c", "d"), "F": ("+",)})
+        assert str(info.value) == "column 'F' has values outside its domain: ['-', '?']"
+
+    def test_class_column_is_named_before_a_bad_feature(self):
+        # F comes first in the data, yet the class column is checked
+        # first; its labels are listed sorted, not in row order.
+        data = Dataset(("F", "L"), (("?", "e"), ("+", "c"), ("!", "b")), "L")
+        with pytest.raises(ModelError) as info:
+            learn_nb(data, domains={"L": ("c", "d"), "F": ("+",)})
+        assert str(info.value) == "column 'L' has values outside its domain: ['b', 'e']"
+
+    def test_domain_repeating_a_label(self):
+        # Each label maps to one code, so the repeated label's rows are
+        # counted once and the network check names only the labels.
+        data = Dataset(("L", "F"), (("c", "+"), ("c", "+"), ("d", "-"), ("d", "+")), "L")
+        with pytest.raises(ModelError) as info:
+            learn_nb(data, domains={"L": ("c", "d"), "F": ("+", "+", "-")})
+        assert str(info.value) == "network is not valid: variable 'F' has duplicate value labels"
+
     def test_learned_model_is_valid_and_normalized(self):
         net, clf = learn_nb(noisy_dataset())
         assert marginal(net, {}) == pytest.approx(1.0, abs=1e-9)
@@ -200,6 +230,105 @@ class TestLearnNb:
         # sole parent.
         assert net.parents(clf.class_var) == ()
         assert all(net.parents(f) == (clf.class_var,) for f in clf.features)
+
+
+def counted_cpt_rows(data: Dataset, smoothing: float, domains) -> list[tuple]:
+    """learn_nb's CPT rows counted over the label strings, the class
+    prior's first and then each feature's in data-column order: class
+    counts by list.count, (class, value) pair counts by a Counter."""
+    class_cells = data.column_values(data.class_column)
+    class_domain = domains[data.class_column]
+    class_count = [class_cells.count(v) for v in class_domain]
+    n = len(class_cells)
+    out = [(tuple((k + smoothing) / (n + smoothing * len(class_domain)) for k in class_count),)]
+    for f in data.columns:
+        if f == data.class_column:
+            continue
+        counts = Counter(zip(class_cells, data.column_values(f)))
+        values = domains[f]
+        out.append(tuple(
+            tuple((counts[c, v] + smoothing) / (total + smoothing * len(values)) for v in values)
+            for c, total in zip(class_domain, class_count)
+        ))
+    return out
+
+
+def padded_domain_case(seed: int):
+    """(data, domains, smoothing): 1-4 features of 2-4 labels in the data,
+    the class column at any position, and every vocabulary in shuffled
+    order with labels no row takes; a class label no row takes comes with
+    smoothing > 0."""
+    rng = random.Random(seed)
+    width = rng.randint(1, 4)
+    features = [f"F{j}" for j in range(width)]
+    columns = list(features)
+    columns.insert(rng.randint(0, width), "C")
+    classes = ["neg", "pos"] if rng.random() < 0.8 else ["pos"]
+    labels = {f: [f"v{x}" for x in range(rng.randint(2, 4))] for f in features}
+    rows = tuple(
+        tuple(rng.choice(classes) if c == "C" else rng.choice(labels[c]) for c in columns)
+        for _ in range(rng.randint(1, 40))
+    )
+    domains = {"C": ("neg", "pos")}
+    for f in features:
+        vocabulary = [*labels[f], *(f"u{x}" for x in range(rng.randint(1, 3)))]
+        rng.shuffle(vocabulary)
+        domains[f] = tuple(vocabulary)
+    if rng.random() < 0.5:
+        domains["C"] = ("pos", "neg")
+    seen_both = len({r[columns.index("C")] for r in rows}) == 2
+    smoothing = rng.choice([0.0, 0.5, 1.0, 2.5] if seen_both else [0.5, 1.0, 2.5])
+    return Dataset(tuple(columns), rows, "C"), domains, smoothing
+
+
+class TestLearnNbCounts:
+    """learn_nb's integer-code counts against counting the label strings."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_bits_as_counting_labels(self, seed):
+        data, domains, smoothing = padded_domain_case(seed)
+        net, _ = learn_nb(data, smoothing=smoothing, domains=domains)
+        entries = [x for cpt in net.cpts for row in cpt.rows for x in row]
+        assert all(type(x) is float for x in entries)
+        expected = counted_cpt_rows(data, smoothing, domains)
+        assert [[[x.hex() for x in row] for row in cpt.rows] for cpt in net.cpts] == [
+            [[x.hex() for x in row] for row in rows] for rows in expected
+        ]
+
+    def test_cases_cover_unseen_labels_and_unsmoothed_counts(self):
+        cases = [padded_domain_case(seed) for seed in range(40)]
+        assert any(smoothing == 0.0 for _, _, smoothing in cases)
+        assert any(len(set(data.column_values("C"))) == 1 for data, _, _ in cases)
+        assert any(domains["C"] == ("pos", "neg") for _, domains, _ in cases)
+
+
+class TestEncode:
+    """evalharness._encode, the one map from labels to value codes."""
+
+    def test_sorted_distinct_labels_by_default(self):
+        data = Dataset(("C", "F"), (("pos", "b"), ("neg", "a"), ("pos", "a")), "C")
+        vocabularies, codes = _encode(data, ("F", "C"))
+        assert list(vocabularies) == list(codes) == ["F", "C"]
+        assert vocabularies == {"F": ("a", "b"), "C": ("neg", "pos")}
+        assert codes["F"].dtype == codes["C"].dtype == np.intp
+        assert codes["F"].tolist() == [1, 0, 0] and codes["C"].tolist() == [1, 0, 1]
+
+    def test_given_vocabularies_keep_their_order_and_unseen_labels(self):
+        data = Dataset(("C", "F"), (("pos", "b"), ("neg", "a")), "C")
+        vocabularies, codes = _encode(data, ("C", "F"), {"C": ("pos", "neg"), "F": ("z", "b", "a")})
+        assert vocabularies == {"C": ("pos", "neg"), "F": ("z", "b", "a")}
+        assert codes["C"].tolist() == [0, 1] and codes["F"].tolist() == [1, 2]
+
+    def test_first_bad_column_in_the_order_given(self):
+        data = Dataset(("C", "F"), (("pos", "q"), ("maybe", "p")), "C")
+        domains = {"C": ("neg", "pos"), "F": ("a",)}
+        for columns, message in [
+            (("C", "F"), "column 'C' has values outside its domain: ['maybe']"),
+            (("F", "C"), "column 'F' has values outside its domain: ['p', 'q']"),
+        ]:
+            with pytest.raises(ModelError) as info:
+                _encode(data, columns, domains)
+            assert str(info.value) == message
 
 
 class TestEnumerateFeasible:
@@ -469,11 +598,14 @@ def one_call_per_subset(data, subsets, args):
 
 
 def one_batched_call(data, subsets, args):
-    """One _fold_scorer call over every subset, in hex, or its error."""
+    """One _fold_scorer call over every subset, on the data's codes, in
+    hex, or its error."""
     folds, seed, *rest = args
-    domains = {c: tuple(sorted(set(data.column_values(c)))) for c in data.columns}
+    domains, codes = _encode(data, data.columns)
     try:
-        scores = evalharness._fold_scorer(data, folds, seed, domains)(subsets, *rest)
+        scores = evalharness._fold_scorer(codes, data.class_column, folds, seed, domains)(
+            subsets, *rest
+        )
     except BntrimError as e:
         return type(e), str(e)
     return [a.hex() for a in scores]
@@ -538,21 +670,26 @@ class TestScatter:
     @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])
     def test_one_learn_nb_and_one_fold_deal_per_call(self, monkeypatch, budget, subsets):
         # One table batch builds every table scatter reads, the held-out
-        # rows' too, with no build_instance_table call.
-        calls = {"learn_nb": 0, "_deal_folds": 0, "_instance_tables": 0, "build_instance_table": 0}
-        for name in calls:
-            module = agreement if name == "build_instance_table" else evalharness
-            real = getattr(module, name)
+        # rows' too, with no build_instance_table call; only the training
+        # part is copied out of the data, the held-out rows read codes.
+        owners = {
+            "learn_nb": evalharness, "_deal_folds": evalharness, "_instance_tables": evalharness,
+            "build_instance_table": agreement, "take": netio.Dataset,
+        }
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         rows, _ = scatter(noisy_dataset(), EvalConfig(seed=11, folds=4, budget=budget))
         assert len(rows) == subsets
         assert calls == {
-            "learn_nb": 1, "_deal_folds": 1, "_instance_tables": 1, "build_instance_table": 0
+            "learn_nb": 1, "_deal_folds": 1, "_instance_tables": 1, "build_instance_table": 0,
+            "take": 1,
         }
 
     def test_rows_cover_feasible_subsets_with_unique_optima(self):
@@ -649,9 +786,10 @@ class TestScatter:
 
 
 def row_posteriors(net, clf, data, domains, features):
-    """evalharness._posteriors of the rows, read from the features'
-    instance table."""
-    return _posteriors(net, build_instance_table(net, clf, features), data, domains)
+    """evalharness._posteriors of the rows, encoded over the domains,
+    read from the features' instance table."""
+    _, codes = _encode(data, data.columns, domains)
+    return _posteriors(net, build_instance_table(net, clf, features), codes)
 
 
 class TestRowPosteriors:

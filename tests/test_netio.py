@@ -136,6 +136,12 @@ class TestParseDataset:
         with pytest.raises(ParseError):
             parse_dataset("label,A\npos\n", "label")
 
+    def test_missing_value_names_the_first_empty_cell(self):
+        # Row 2 has two empty cells; the first one's column is named.
+        with pytest.raises(ParseError) as info:
+            parse_dataset("C,A,B\npos,x,u\nneg,,\n", "C")
+        assert str(info.value) == "missing value in row 2, column 'A'"
+
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(ParseError, match="duplicate column name 'A'"):
             parse_dataset("C,A,B,A\npos,x,u,y\n", "C")
