@@ -37,13 +37,12 @@ axes out of a double-double tensor with a pairwise TwoSum tree,
 ``_group_sums`` adds a mass's pos and neg with one more level, and
 ``_certify`` rounds each row's hi + lo once, certifies it by an error
 bound and sends the rows it cannot certify to ``fsum`` over their grid
-cells.  ``_instance_tables`` and ``_value_masses`` feed it the grid
-laid out once per call (``_column_sums``, which takes an ``fsum`` per
-row instead for small layouts), and the search its node tensors.
-``_instance_tables`` builds many kept sets' tables at once, sets of as
-many cells per row sharing one call, and ``build_instance_table`` is its
-one-set call; ``_sweep_tables`` runs ``compute_maa``'s float stage for
-many tables at once, for ``scatter``, which scores every subset.
+cells.  ``_set_sums`` feeds it the grid laid out once per batch of
+feature sets (``_column_sums``, which takes an ``fsum`` per row instead
+for small layouts), for ``_instance_tables``' many tables at once and
+``_value_masses``' one-feature sets, and the search its node tensors.
+``_sweep_tables`` runs ``compute_maa``'s float stage for many tables at
+once, for ``scatter``, which scores every subset.
 
 This module is the grid route alone.  The scalar route that checks it
 (``sdp``, ``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from
@@ -78,16 +77,16 @@ POSTERIOR_GROUP_RTOL = 1e-9
 # small layouts cannot pay back.
 _NUMPY_MIN_CELLS = 1536
 
-# Information gain sums the rows of several features of one cardinality
-# in one _column_sums call while their pos and neg cells total at most
-# this many, else one feature's.  Timed with the zero-padded row pass the
-# kernel replaced, on a 2-core Xeon against 2**15 to 2**19, on naive
-# Bayes of 10-16 binary and 10 ternary features: 2**16 was fastest at 12
-# and 16 features
-# and within 20 % of the fastest on all five; 2**15 took 1.5x as long at
-# 10 features, 2**19 2x as long at 16, where the arrays outgrow the cache,
-# and a batch per feature 2x as long on the perfbench ``scalar`` pool's
-# small models, where each pass's fixed cost dominates.
+# _set_sums sums several sets' rows in one _column_sums call while their
+# layouts total at most this many cells, for _instance_tables' tables and
+# _value_masses' one-feature sets.  Timed for information gain, with the
+# zero-padded row pass the kernel replaced, on a 2-core Xeon against 2**15
+# to 2**19, on naive Bayes of 10-16 binary and 10 ternary features: 2**16
+# was fastest at 12 and 16 features and within 20 % of the fastest on all
+# five; 2**15 took 1.5x as long at 10 features, 2**19 2x as long at 16,
+# where the arrays outgrow the cache, and a batch per feature 2x as long
+# on the perfbench ``scalar`` pool's small models, where each pass's fixed
+# cost dominates.
 _BATCH_CELLS = 1 << 16
 
 
@@ -456,12 +455,10 @@ def _grid_layout(
     (``itertools.product``'s) and its cells the dropped features'
     instantiations: the grid transposed to (dropped features, kept
     features, kind), a copy unless no feature is dropped."""
-    n = grid.ndim - 1
-    used = 1 + max(max(g) for g in kinds)
-    dropped = [i for i in range(n) if i not in axes]
-    rows = math.prod(grid.shape[1 + i] for i in axes)
-    layout = grid[:used].transpose([*(1 + i for i in (*dropped, *axes)), 0])
-    return layout.reshape(-1, rows, used)
+    used = 1 + max(map(max, kinds))
+    dropped = [1 + i for i in range(grid.ndim - 1) if i not in axes]
+    layout = grid[:used].transpose([*dropped, *(1 + i for i in axes), 0])
+    return layout.reshape(-1, math.prod(layout.shape[len(dropped):-1]), used)
 
 
 def _value_masses(
@@ -480,32 +477,16 @@ def _value_masses(
     and a zero cell adds nothing, so every sum has the bits of the
     ``fsum`` the scalar route takes of the same products.
 
-    Features of one cardinality share a ``_column_sums`` call, in batches
-    of at most ``_BATCH_CELLS`` pos and neg cells (or one feature): each
-    feature's pos and neg cells laid out (other features, value, kind)
-    and the features' layouts side by side, a row per (feature, value).
-    The class masses are one call on the grid laid out with no feature
-    kept.
+    The feature masses are ``_set_sums`` of the one-feature sets, so
+    features of one cardinality share a ``_column_sums`` call, in
+    batches; the class masses are one call on the grid laid out with no
+    feature kept.
     """
     grid = _classifier_grid(net, clf)
-    cards = grid.shape[1:]
-    per_batch = max(1, _BATCH_CELLS // (2 * grid[0].size))
-    out: list = [None] * len(cards)
-    for card in sorted(set(cards)):
-        same = [i for i, k in enumerate(cards) if k == card]
-        for start in range(0, len(same), per_batch):
-            batch = same[start:start + per_batch]
-            x = np.concatenate([
-                grid[:2].transpose([*(1 + j for j in range(len(cards)) if j != i), 1 + i, 0])
-                .reshape(-1, card, 2)
-                for i in batch
-            ], axis=1)
-            sums = _column_sums(x, ((0, 1), (0,), (1,))).tolist()
-            for b, i in enumerate(batch):
-                out[i] = tuple(s[b * card:(b + 1) * card] for s in sums)
+    sums = _set_sums(grid, [(i,) for i in range(grid.ndim - 1)], ((0, 1), (0,), (1,)))
     kinds = ((0,), (1,))
     (positive,), (negative,) = _column_sums(_grid_layout(grid, (), kinds), kinds).tolist()
-    return out, (positive, negative)
+    return [tuple(s.tolist()) for s in sums], (positive, negative)
 
 
 def _rated(mass: np.ndarray, hit_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -534,25 +515,45 @@ def _table(
     return InstanceTable(features, index[order], mass[order], posterior[order], rate[order])
 
 
+def _set_sums(
+    grid: np.ndarray, axes: Sequence[Sequence[int]], kinds: Sequence[tuple[int, ...]]
+) -> list[np.ndarray]:
+    """Each set's (group, row) ``_column_sums`` of its ``_grid_layout``,
+    in order, for sets of the classifier features at ``axes``.  Sets with
+    as many rows share a call, in batches of at most ``_BATCH_CELLS``
+    layout cells (or one set): a batch's layouts are built only when it
+    is summed and concatenated along the row axis, so the call's ``fsum``
+    or kernel choice follows ``_NUMPY_MIN_CELLS`` on the combined layout,
+    and its row sums are split back by set.  Peak memory stays one batch
+    above the grid, whatever the number of sets.  A correctly rounded sum
+    is unique, so every row has the bits the set's own call gives,
+    whichever path sums it."""
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(axes):
+        groups.setdefault(math.prod(grid.shape[1 + j] for j in a), []).append(i)
+    per_batch = max(1, _BATCH_CELLS // grid[:1 + max(max(g) for g in kinds)].size)
+    out: list = [None] * len(axes)
+    for members in groups.values():
+        for first in range(0, len(members), per_batch):
+            batch = members[first:first + per_batch]
+            parts = [_grid_layout(grid, axes[i], kinds) for i in batch]
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            del parts
+            sums = _column_sums(x, kinds)
+            rows = sums.shape[1] // len(batch)
+            for b, i in enumerate(batch):
+                out[i] = sums[:, b * rows:(b + 1) * rows]
+    return out
+
+
 def _instance_tables(
     net: BayesianNetwork, clf: Classifier, kept_sets: Iterable[Iterable[str]]
 ) -> list[InstanceTable]:
     """The instance table of every kept set, in order, from one read of
-    the classifier grid.
-
-    Each set's (cell, row, kind) ``_grid_layout`` holds the whole grid,
-    a cell per instantiation of the features it drops.  Sets with as
-    many rows share a ``_column_sums`` call, in batches of at most
-    ``_BATCH_CELLS`` layout cells (or one set), as ``_value_masses``
-    batches features: a batch's layouts are built only when it is summed
-    and concatenated along the row axis, so the call's ``fsum`` or kernel
-    choice follows ``_NUMPY_MIN_CELLS`` on the combined layout, and its
-    row sums are split back by set.  Peak memory stays one batch above
-    the grid, whatever the number of sets.  A correctly rounded sum is
-    unique, so every row has the bits the set's own call gives, whichever
-    path sums it.  The first error is the one building the tables one at
-    a time raises: the first set's names, then the grid, then the other
-    sets' names in order."""
+    the classifier grid: ``_set_sums`` of the sets' mass, pos and hit
+    cells.  The first error is the one building the tables one at a time
+    raises: the first set's names, then the grid, then the other sets'
+    names in order."""
     kept: list[tuple[str, ...]] = []
     for names in kept_sets:
         kept.append(kept_in_order(clf, names))
@@ -561,23 +562,8 @@ def _instance_tables(
     if not kept:
         return []
     axes = [[clf.features.index(f) for f in k] for k in kept]
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(axes):
-        groups.setdefault(math.prod(grid.shape[1 + j] for j in a), []).append(i)
-    per_batch = max(1, _BATCH_CELLS // grid[:1 + max(max(g) for g in _TABLE_KINDS)].size)
-    tables: list = [None] * len(kept)
-    for members in groups.values():
-        for first in range(0, len(members), per_batch):
-            batch = members[first:first + per_batch]
-            parts = [_grid_layout(grid, axes[i], _TABLE_KINDS) for i in batch]
-            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            del parts
-            sums = _column_sums(x, _TABLE_KINDS)
-            rows = sums.shape[1] // len(batch)
-            for b, i in enumerate(batch):
-                mass, pos, hit = sums[:, b * rows:(b + 1) * rows]
-                tables[i] = _table(kept[i], pos, *_rated(mass, hit))
-    return tables
+    sums = _set_sums(grid, axes, _TABLE_KINDS)
+    return [_table(k, pos, *_rated(mass, hit)) for k, (mass, pos, hit) in zip(kept, sums)]
 
 
 def build_instance_table(

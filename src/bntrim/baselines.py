@@ -46,8 +46,11 @@ def info_gain(net: BayesianNetwork, clf: Classifier) -> dict[str, float]:
     Terms with zero joint mass contribute nothing.  Keys follow the
     classifier's feature order.  Every mass is a correctly rounded sum
     of the cached classifier grid's cells, which ``eca`` and ``maa`` read
-    too.  Where the class mass times the feature mass underflows to 0,
-    the term's logarithm is taken as a difference of logarithms.
+    too: ``agreement._value_masses`` takes the feature masses from the
+    batched loop that sums instance tables' rows (``_set_sums``), over
+    the one-feature sets.  Where the class mass times the feature mass
+    underflows to 0, the term's logarithm is taken as a difference of
+    logarithms.
     """
     masses, class_masses = _value_masses(net, clf)
     out: dict[str, float] = {}

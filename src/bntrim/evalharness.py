@@ -190,20 +190,28 @@ def learn_nb(
     data.  The positive label defaults to the later class value in sorted
     order.
     """
-    class_column = data.class_column
     if not data.rows:
         raise ModelError("cannot learn from an empty dataset")
     _check_smoothing(smoothing)
-    columns = [class_column] + [c for c in data.columns if c != class_column]
+    columns = [data.class_column] + [c for c in data.columns if c != data.class_column]
     domains, codes = _encode(data, columns, domains)
+    return _learn_codes(codes, domains, data.class_column, smoothing, positive_label, threshold)
+
+
+def _learn_codes(
+    codes: Mapping[str, np.ndarray], domains: Mapping[str, tuple[str, ...]], class_column: str,
+    smoothing: float, positive_label: str | None, threshold: float,
+) -> tuple[BayesianNetwork, Classifier]:
+    """``learn_nb`` from ``_encode``'s vocabularies and codes of the
+    class column and every feature, the features in ``codes`` order."""
     class_domain = domains[class_column]
     positive_value = _positive_value(class_column, class_domain, positive_label)
 
-    _check_smoothing(smoothing, max(len(domains[c]) for c in columns))
+    _check_smoothing(smoothing, max(len(domains[c]) for c in codes))
     class_codes = codes[class_column]
     class_count = np.bincount(class_codes, minlength=len(class_domain)).tolist()
     prior = _prior(class_count, smoothing)
-    features = columns[1:]
+    features = [c for c in codes if c != class_column]
     variables, clf = _nb_classifier(class_column, features, domains, positive_value, threshold)
     cpts = [Cpt(class_column, (), (prior,))]
     for f in features:
@@ -426,9 +434,10 @@ def scatter(
     classifier — at the subset's best-agreement threshold by default, or
     at the fixed base threshold in "fixed" mode — and (b) its
     cross-validated accuracy on the training part at the base threshold.
-    The whole dataset is encoded once (``_encode``): the learned model
-    takes its vocabularies, and one ``_fold_scorer`` call over the
-    training part's codes cross-validates every subset at once.
+    The whole dataset is encoded once (``_encode``): the model is learned
+    from the training part's codes with the whole data's vocabularies
+    (``_learn_codes``, ``learn_nb``'s learner), and one ``_fold_scorer``
+    call over the same codes cross-validates every subset at once.
 
     The summary reports, for the best-agreement and best-accuracy subsets,
     the fraction of held-out rows where the trimmed classifier matches the
@@ -451,13 +460,11 @@ def scatter(
     perm = list(range(n))
     rng.shuffle(perm)
     train_n = min(max(round(config.split_fraction * n), 1), n - 1)
-    train = data.take(perm[:train_n])
     train_codes = {c: column[perm[:train_n]] for c, column in codes.items()}
     test_codes = {c: column[perm[train_n:]] for c, column in codes.items()}
 
-    net, clf_full = learn_nb(
-        train, smoothing=config.smoothing, domains=domains,
-        positive_label=positive_label, threshold=base_threshold,
+    net, clf_full = _learn_codes(
+        train_codes, domains, data.class_column, config.smoothing, positive_label, base_threshold
     )
     subsets = enumerate_feasible(clf_full, CostModel.unit(clf_full.features, config.budget))
 

@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .bnmodel import BayesianNetwork, Cpt, Variable, validate_network
+from .bnmodel import BayesianNetwork, Cpt, Variable, names_tuple, validate_network
 from .errors import ModelError, ParseError
 
 
@@ -126,11 +126,11 @@ class Dataset:
         return [r[i] for r in self.rows]
 
     def restrict(self, keep: list[str]) -> "Dataset":
-        """A view with only the given columns (class column always kept)."""
-        names = [c for c in self.columns if c in set(keep) | {self.class_column}]
-        idx = [self.column_index(c) for c in names]
+        """A copy with only the given columns, in data order (class column
+        always kept); ModelError for an unknown name or a bare string."""
+        idx = sorted({self.column_index(c) for c in (*names_tuple(keep), self.class_column)})
         rows = tuple(tuple(r[i] for i in idx) for r in self.rows)
-        return Dataset(tuple(names), rows, self.class_column)
+        return Dataset(tuple(self.columns[i] for i in idx), rows, self.class_column)
 
     def take(self, indices: list[int]) -> "Dataset":
         return Dataset(self.columns, tuple(self.rows[i] for i in indices), self.class_column)

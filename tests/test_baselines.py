@@ -37,7 +37,9 @@ from bntrim import (
 )
 
 import exact
-from conftest import bound_filter_models, dag_networks, random_costs, random_instance, random_subset
+from conftest import (
+    bound_filter_models, dag_networks, nb_instance, random_costs, random_instance, random_subset,
+)
 
 # The entries of bound_filter_models in which a class mass times a
 # feature-value mass underflows to 0 while their joint mass is positive.
@@ -133,6 +135,30 @@ class TestInfoGain:
             monkeypatch.setattr(agreement, "_BATCH_CELLS", per_pass * 2 * cells)
             got = {f: x.hex() for f, x in info_gain(net, clf).items()}
             assert got == {f: x.hex() for f, x in marginal_info_gain(net, clf).items()}
+
+    @pytest.mark.parametrize("per_pass", [None, 1, 2])
+    def test_one_column_sums_call_per_batch_of_one_cardinality(self, monkeypatch, per_pass):
+        # Four ternary and two binary features, 2 * 324 pos and neg cells:
+        # the default cap sums each cardinality's features in one call, a
+        # smaller one splits them into batches of per_pass, and the class
+        # masses take one more call, of one row.
+        net, clf = nb_instance(random.Random(8400), 6, max_card=3)
+        cards = [net.var(f).cardinality for f in clf.features]
+        assert cards == [3, 2, 3, 3, 3, 2]
+        want = {f: x.hex() for f, x in info_gain(net, clf).items()}
+        if per_pass is not None:
+            monkeypatch.setattr(agreement, "_BATCH_CELLS", per_pass * 2 * math.prod(cards))
+        rows = []
+        real = agreement._column_sums
+
+        def recorded(x, kinds):
+            rows.append(x.shape[1])
+            return real(x, kinds)
+
+        monkeypatch.setattr(agreement, "_column_sums", recorded)
+        assert {f: x.hex() for f, x in info_gain(net, clf).items()} == want
+        batches = {None: [4 * 3, 2 * 2], 1: [3] * 4 + [2] * 2, 2: [2 * 3] * 2 + [2 * 2]}
+        assert sorted(rows) == sorted([*batches[per_pass], 1])
 
     @settings(max_examples=150, deadline=None)
     @given(dag_networks(max_features=5, max_card=3), st.data())

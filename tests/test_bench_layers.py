@@ -1,5 +1,5 @@
 """tools/bench_layers.py: how sessions pool under one label, and which
-timings --compare calls SLOWER."""
+timings --compare calls SLOWER or FASTER."""
 
 from __future__ import annotations
 
@@ -75,6 +75,24 @@ class TestCompare:
         assert lines["scatter"].endswith("x1.273  SLOWER")
         assert lines["sdp"].endswith("x1.273  unresolved")
         assert lines["criterion5_s"].endswith("x1.000")
+
+    def test_separated_runs_are_faster_and_never_fail(
+        self, bench_layers, monkeypatch, tmp_path, capsys
+    ):
+        before = bench({"scatter": [0.13, 0.14, 0.15], "sdp": [0.11, 0.14, 0.15]}, 10.0)
+        # scatter's runs all lie below the parent's; sdp's overlap them;
+        # cv_accuracy's ratio is inside the 1.10 band either way.
+        after = bench(
+            {"scatter": [0.10, 0.11, 0.12], "sdp": [0.10, 0.11, 0.12], "cv_accuracy": [1.0, 1.0]},
+            13.0,
+        )
+        before["cases"]["cv_accuracy"] = {"median_s": 1.095, "runs_s": [1.09, 1.10]}
+        code, lines = compare(bench_layers, monkeypatch, tmp_path, capsys, before, after)
+        assert code == 0
+        assert lines["scatter"].endswith("x0.786  FASTER")
+        assert lines["sdp"].endswith("x0.786  unresolved")
+        assert lines["cv_accuracy"].endswith("x0.913")
+        assert lines["criterion5_s"].endswith("x1.300  unresolved")
 
     def test_one_run_case_is_never_slower(self, bench_layers, monkeypatch, tmp_path, capsys):
         before = bench({"scatter": [0.10]}, 10.0)

@@ -39,6 +39,7 @@ from bntrim import (
     posterior_class,
     sample_rows,
     scatter,
+    serialize_network,
     synthesize_dataset,
     validate_network,
     write_scatter_csv,
@@ -85,6 +86,18 @@ def rare_value_dataset() -> Dataset:
 # scatter's seeded split puts the "c" row of rare_value_dataset() in the
 # held-out part at this seed.
 RARE_HELD_OUT_SEED = 5
+
+
+def sampled_dataset(seed: int) -> Dataset:
+    """30 rows sampled from a naive Bayes model of three features of two
+    or three values, with the class column moved to the middle."""
+    net, _ = nb_instance(random.Random(seed), 3, max_card=3)
+    data = synthesize_dataset(net, "C", 30, seed)
+    order = (1, 2, 0, 3)
+    return Dataset(
+        tuple(data.columns[i] for i in order), tuple(tuple(r[i] for i in order) for r in data.rows),
+        "C",
+    )
 
 
 def held_out_reference(data: Dataset, config: EvalConfig, subset) -> dict:
@@ -400,7 +413,8 @@ def per_fold_posteriors(data, subset, folds, seed, smoothing, positive_label, th
     check the subset's names, then per fold learn_nb on the subset's
     training rows and one posterior_class per test row.  Per fold, the
     (posterior, actual label) of each test row."""
-    work = data.restrict(list(subset))
+    # Names of no column are left to the names check below.
+    work = data.restrict([c for c in subset if c in data.columns])
     n = len(work.rows)
     if folds < 2:
         raise ModelError(f"fold count must be >= 2, got {folds}")
@@ -670,11 +684,13 @@ class TestScatter:
     @pytest.mark.parametrize("budget, subsets", [(0.0, 1), (1.0, 3), (10.0, 4)])
     def test_one_learn_nb_and_one_fold_deal_per_call(self, monkeypatch, budget, subsets):
         # One table batch builds every table scatter reads, the held-out
-        # rows' too, with no build_instance_table call; only the training
-        # part is copied out of the data, the held-out rows read codes.
+        # rows' too, with no build_instance_table call; the model is
+        # learned from the training part's codes, so no part of the data
+        # is copied out or encoded again.
         owners = {
-            "learn_nb": evalharness, "_deal_folds": evalharness, "_instance_tables": evalharness,
-            "build_instance_table": agreement, "take": netio.Dataset,
+            "_learn_codes": evalharness, "_deal_folds": evalharness,
+            "_instance_tables": evalharness, "build_instance_table": agreement,
+            "take": netio.Dataset, "_encode": evalharness,
         }
         calls = dict.fromkeys(owners, 0)
         for name, owner in owners.items():
@@ -688,9 +704,43 @@ class TestScatter:
         rows, _ = scatter(noisy_dataset(), EvalConfig(seed=11, folds=4, budget=budget))
         assert len(rows) == subsets
         assert calls == {
-            "learn_nb": 1, "_deal_folds": 1, "_instance_tables": 1, "build_instance_table": 0,
-            "take": 1,
+            "_learn_codes": 1, "_deal_folds": 1, "_instance_tables": 1, "build_instance_table": 0,
+            "take": 0, "_encode": 1,
         }
+
+    def test_learns_the_model_learn_nb_learns_from_the_training_copy(self, monkeypatch):
+        # The reference is the route scatter took before it learned from
+        # codes: the training rows copied out with take and learned with
+        # the whole data's vocabularies.  Some training parts miss a value
+        # the held-out part takes, rare_value_dataset's at its seed.
+        cases = [
+            (noisy_dataset(), 11), (or_dataset(rows=37, seed=8), 4),
+            (rare_value_dataset(), RARE_HELD_OUT_SEED),
+            *((sampled_dataset(seed), seed) for seed in range(8)),
+        ]
+        missed = 0
+        for data, seed in cases:
+            config = EvalConfig(seed=seed, folds=3, budget=1.0)
+            learned = []
+            real = evalharness._learn_codes
+
+            def captured(*args, **kwargs):
+                learned.append(real(*args, **kwargs))
+                return learned[-1]
+
+            monkeypatch.setattr(evalharness, "_learn_codes", captured)
+            scatter(data, config)
+            monkeypatch.undo()
+            n = len(data.rows)
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            train = data.take(perm[:min(max(round(config.split_fraction * n), 1), n - 1)])
+            domains, _ = _encode(data, data.columns)
+            want = learn_nb(train, domains=domains)
+            assert [serialize_network(net) for net, _ in learned] == [serialize_network(want[0])]
+            assert learned[0][1] == want[1]
+            missed += any(set(train.column_values(c)) != set(v) for c, v in domains.items())
+        assert missed
 
     def test_rows_cover_feasible_subsets_with_unique_optima(self):
         data = noisy_dataset()

@@ -106,6 +106,20 @@ class TestDataset:
         assert small.columns == ("label", "B")
         assert small.rows[0] == ("pos", "u")
 
+    def test_restrict_keeps_data_order_whatever_the_names_order(self):
+        data = self.make()
+        assert data.restrict(["B", "A", "B"]).columns == data.columns
+        assert data.restrict([]).columns == ("label",)
+        assert data.restrict(["label"]).rows == (("pos",), ("neg",), ("pos",))
+
+    def test_restrict_rejects_an_unknown_column(self):
+        with pytest.raises(ModelError, match="unknown column 'Z'"):
+            self.make().restrict(["A", "Z"])
+
+    def test_restrict_rejects_a_bare_string(self):
+        with pytest.raises(ModelError, match="got the string 'AB'"):
+            self.make().restrict("AB")
+
     def test_rejects_duplicate_column_names(self):
         with pytest.raises(ModelError, match="duplicate column name 'A'"):
             Dataset(("C", "A", "A"), (("pos", "x", "y"),), "C")

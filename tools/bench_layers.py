@@ -91,10 +91,13 @@ sessions each pools, then B's median over A's per case and suite time,
 in raw seconds, and exits 1 when one of A's is missing from B or one of
 B's is SLOWER: its median more than 10 % above A's and every one of its
 runs slower than every one of A's, with at least two runs on each side.
-A median more than 10 % above A's is otherwise printed as
-``unresolved``: when the runs overlap, the host's drift between runs is
-that large, and a timing of one run (each suite time of a one-session
-file) cannot show whether they would.  Files written before sessions
+The mirror of that rule prints FASTER, which never fails the
+comparison: B's median below A's over 1.10 and every one of its runs
+faster than every one of A's, with at least two runs on each side, so
+drift in either direction shows.  A median more than 10 % off A's either
+way is otherwise printed as ``unresolved``: when the runs overlap, the
+host's drift between runs is that large, and a timing of one run (each
+suite time of a one-session file) cannot show whether they would.  Files written before sessions
 were pooled hold one session, with single suite seconds; the
 per-case ``reference_s`` some of them record is ignored.  A label with
 no file (for ``--compare``), or a file that is not a BENCH document,
@@ -485,9 +488,11 @@ def compare(before: str, after: str) -> int:
             t_old, t_new = statistics.median(runs_old), statistics.median(runs_new)
             ratio = t_new / t_old
             flag = ""
+            two_each = min(len(runs_old), len(runs_new)) >= 2
             if ratio > SLOWER:
-                resolved = min(len(runs_old), len(runs_new)) >= 2 and min(runs_new) > max(runs_old)
-                flag = "  SLOWER" if resolved else "  unresolved"
+                flag = "  SLOWER" if two_each and min(runs_new) > max(runs_old) else "  unresolved"
+            elif ratio < 1 / SLOWER:
+                flag = "  FASTER" if two_each and max(runs_new) < min(runs_old) else "  unresolved"
             print(f"{name:22s} {t_old:9.4f} -> {t_new:9.4f} s  x{ratio:.3f}{flag}")
             if flag == "  SLOWER":
                 failed.append(name)
