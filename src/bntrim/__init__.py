@@ -20,6 +20,7 @@ from .agreement import (
     eca,
     maa,
     mpa,
+    sdp,
 )
 from .baselines import (
     SelectionReport,
@@ -65,7 +66,6 @@ from .inference import (
     esdp_two_threshold,
     marginal,
     posterior_class,
-    sdp,
 )
 from .netio import (
     Dataset,

@@ -28,7 +28,9 @@ gives, and the exact ``mpa`` when the estimate cannot decide a
 comparison, are read from that tensor, not from the whole grid.
 ``_value_masses`` reads from the same grid every class, feature-value
 and (class, value) mass the information-gain ranking in
-:mod:`bntrim.baselines` needs.
+:mod:`bntrim.baselines` needs, and ``sdp``, the same-decision
+probability, reads the mass and positive mass of every query
+instantiation from the grid sliced at its evidence.
 
 Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair.  Every row sum is correctly rounded, the
@@ -39,14 +41,16 @@ axes out of a double-double tensor with a pairwise TwoSum tree,
 bound and sends the rows it cannot certify to ``fsum`` over their grid
 cells.  ``_set_sums`` feeds it the grid laid out once per batch of
 feature sets (``_column_sums``, which takes an ``fsum`` per row instead
-for small layouts), for ``_instance_tables``' many tables at once and
-``_value_masses``' one-feature sets, and the search its node tensors.
+for small layouts), for ``_instance_tables``' many tables at once,
+``_value_masses``' one-feature sets and ``sdp``'s query set, and the
+search its node tensors.
 ``_sweep_tables`` runs ``compute_maa``'s float stage for many tables at
 once, for ``scatter``, which scores every subset.
 
 This module is the grid route alone.  The scalar route that checks it
-(``sdp``, ``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from
-which this module takes only ``CELL_LIMIT``.
+(``inference.sdp``, the oracle of ``sdp`` here, and
+``esdp_two_threshold``) lives in :mod:`bntrim.inference`, from which
+this module takes only ``CELL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -54,12 +58,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bnmodel import BayesianNetwork, Classifier, check_classifier, check_trimming, kept_in_order
-from .errors import EnumerationLimitError, ModelError
+from .bnmodel import (
+    BayesianNetwork,
+    Classifier,
+    check_assignment,
+    check_classifier,
+    check_trimming,
+    kept_in_order,
+    names_tuple,
+)
+from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
 from .inference import CELL_LIMIT
 
 # Posteriors within this relative tolerance are treated as the same
@@ -1018,3 +1030,44 @@ def maa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> MaaResult
     the threshold, together with the maximizing threshold interval: the
     ``compute_maa`` sweep of the subset's instance table."""
     return compute_maa(build_instance_table(net, clf, kept))
+
+
+def sdp(
+    net: BayesianNetwork, clf: Classifier, query: Iterable[str], evidence: Mapping[str, int]
+) -> float:
+    """Same-decision probability (Chen, Choi & Darwiche, JAIR 2014): the
+    probability that observing the query features on top of the evidence
+    leaves the classifier's decision unchanged.
+
+    Read from the classifier grid sliced at the evidence values, each
+    evidence axis kept at size one: one ``_set_sums`` call gives every
+    query instantiation's mass and positive mass, and P(e) and P(+, e).
+    The evidence decides P(+, e) / P(e) >= threshold; the instantiations
+    of positive mass that decide the same way are summed with ``fsum``
+    and divided by P(e).  When the classifier covers every non-class
+    variable, each grid cell is a completion product of the scalar
+    route, and every sum is correctly rounded, so the result has the bits
+    of ``inference.sdp``, its oracle.  With latent variables the grid
+    sums their axes with numpy, so posteriors may differ from the
+    scalar route's in the last bits: the two agree within 1e-12 at
+    thresholds away from an attained posterior.  The checks come first, in the scalar route's order;
+    then the grid's guard on the joint, which counts the evidence's
+    variables too.  Raises ZeroEvidenceError when P(e) is 0.
+    """
+    check_classifier(net, clf)
+    query = names_tuple(query)
+    q = tuple(f for f in kept_in_order(clf, (*query, *evidence)) if f not in evidence)
+    check_assignment(net, evidence)
+    grid = _classifier_grid(net, clf)
+    at = [slice(None)] * grid.ndim
+    for f, v in evidence.items():
+        at[1 + clf.features.index(f)] = slice(v, v + 1)
+    rows, total = _set_sums(
+        grid[tuple(at)], [[clf.features.index(f) for f in q], ()], ((0, 1), (0,))
+    )
+    (pe,), (positive,) = total.tolist()
+    if pe == 0.0:
+        raise ZeroEvidenceError(f"evidence {dict(evidence)!r} has probability 0")
+    mass, pos = rows[:, rows[0] > 0.0]
+    agree = (pos / mass >= clf.threshold) == (positive / pe >= clf.threshold)
+    return math.fsum(mass[agree].tolist()) / pe

@@ -25,12 +25,12 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import Any, Sequence
 
-from .agreement import ThresholdInterval, eca, maa, mpa
+from .agreement import ThresholdInterval, eca, maa, mpa, sdp
 from .baselines import ig_report
 from .bnmodel import BayesianNetwork, Classifier, CostModel, positive_index
 from .errors import BntrimError, EnumerationLimitError, ModelError, ParseError, UsageError
 from .evalharness import THRESHOLD_MODES, EvalConfig, learn_nb, scatter, write_scatter_csv
-from .inference import assignment_from_labels, sdp
+from .inference import assignment_from_labels
 from .netio import parse_dataset, parse_network, serialize_network
 from .trimsearch import TraceEvent, eca_trim, exhaustive_trim
 

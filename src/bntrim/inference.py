@@ -3,13 +3,17 @@ route.
 
 An assignment maps variable names to value indices and may be partial.
 The operations here enumerate hidden variables directly: marginals and
-posteriors, the same-decision probability (``sdp``) and the two-threshold
-agreement (``esdp_two_threshold``) the brute-force oracles in
-:mod:`bntrim.baselines` score with.  They are intended for desk-scale
-networks where exactness matters more than speed.  Both enumeration
-limits live here: ``CELL_LIMIT`` (2**22) on the completions of one pass
-and on the grid route's joint, ``EXHAUSTIVE_LIMIT`` (2**20) on walks over
-feature subsets or feature instantiations.
+posteriors, the same-decision probability (``sdp``, the oracle of the
+grid route's ``agreement.sdp``, which ``bntrim.sdp`` and the command
+line call) and the two-threshold agreement (``esdp_two_threshold``) the
+brute-force oracles in :mod:`bntrim.baselines` score with.  They are
+intended for desk-scale networks where exactness matters more than
+speed; the command line runs none of them.  Both enumeration limits
+live here: ``CELL_LIMIT`` (2**22) on the completions of one pass and on
+the grid route's joint, ``EXHAUSTIVE_LIMIT`` (2**20) on walks over
+feature subsets or feature instantiations.  Assignments are checked by
+``bnmodel.check_assignment``, as the grid route's ``sdp`` checks its
+evidence.
 
 Enumeration reads the network's factor plan (``bnmodel._FactorPlan``),
 built once on the network's first enumeration: variable positions,
@@ -42,13 +46,14 @@ from typing import Iterable, Mapping
 from .bnmodel import (
     BayesianNetwork,
     Classifier,
+    check_assignment,
     check_classifier,
     check_network,
     check_threshold,
     kept_in_order,
     names_tuple,
 )
-from .errors import EnumerationLimitError, ModelError, ZeroEvidenceError
+from .errors import EnumerationLimitError, ZeroEvidenceError
 
 Assignment = Mapping[str, int]
 
@@ -70,13 +75,7 @@ def assignment_from_labels(net: BayesianNetwork, labels: Mapping[str, str]) -> d
 def _check_assignment(net: BayesianNetwork, a: Assignment) -> None:
     """Check the network and every entry of the assignment."""
     check_network(net)
-    plan = net._plan
-    for name, idx in a.items():
-        q = plan.position.get(name)
-        if q is None:
-            raise ModelError(f"unknown variable {name!r}")
-        if not isinstance(idx, int) or not (0 <= idx < plan.cards[q]):
-            raise ModelError(f"value index {idx!r} out of range for {name!r}")
+    check_assignment(net, a)
 
 
 def _terms(net: BayesianNetwork, a: Assignment, names: tuple[str, ...] = ()) -> dict:
@@ -229,7 +228,9 @@ def sdp(
     net: BayesianNetwork, clf: Classifier, query: Iterable[str], evidence: Assignment
 ) -> float:
     """Probability that observing the query variables on top of the
-    evidence leaves the decision unchanged.
+    evidence leaves the decision unchanged: the scalar oracle of
+    ``agreement.sdp``, with the same checks, errors and, when the
+    classifier covers every non-class variable, bits.
 
     Computed by one enumeration of the evidence's completions, grouped by
     class and query values; instantiations of probability zero contribute

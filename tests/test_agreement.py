@@ -39,7 +39,7 @@ from bntrim import (
     sdp,
 )
 
-from bntrim import agreement
+from bntrim import agreement, inference
 
 from conftest import (
     bound_filter_models,
@@ -262,6 +262,114 @@ class TestSdp:
         ]
         expected = math.fsum(kept) / marginal(net, evidence)
         assert sdp(net, at, query, evidence) == expected
+
+
+def attained_posteriors(net, clf, query, evidence) -> list[float]:
+    """The scalar route's posteriors given the evidence and given each
+    positive-mass instantiation of the query on top of it."""
+    completions = [
+        {**evidence, **dict(zip(query, combo))}
+        for combo in itertools.product(*(range(net.var(f).cardinality) for f in query))
+    ]
+    return [posterior_class(net, clf, evidence)] + [
+        posterior_class(net, clf, full) for full in completions if marginal(net, full) > 0.0
+    ]
+
+
+def draw_sdp_call(net, clf, data) -> tuple[list[str], dict[str, int]]:
+    """A query and evidence on 0-2 of the classifier's features."""
+    observed = []
+    if clf.features:
+        observed = data.draw(st.lists(st.sampled_from(clf.features), unique=True, max_size=2))
+    evidence = {f: data.draw(st.integers(0, net.var(f).cardinality - 1)) for f in observed}
+    rest = [f for f in clf.features if f not in evidence]
+    query = data.draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return query, evidence
+
+
+def zero_evidence_messages(net, clf, query, evidence) -> list[str]:
+    """The ZeroEvidenceError message of the grid route and of its oracle."""
+    messages = []
+    for route in (sdp, inference.sdp):
+        with pytest.raises(ZeroEvidenceError) as info:
+            route(net, clf, query, evidence)
+        messages.append(str(info.value))
+    return messages
+
+
+class TestSdpGridAgainstOracle:
+    """``sdp`` reads the classifier grid; ``inference.sdp``, its scalar
+    oracle, enumerates the evidence's completions.  When the classifier
+    covers every non-class variable each grid cell is a completion
+    product and every sum is correctly rounded, so the two agree bit for
+    bit, at any threshold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_same_bits_as_the_oracle(self, model, data):
+        net, clf = model
+        query, evidence = draw_sdp_call(net, clf, data)
+        if marginal(net, evidence) == 0.0:
+            first, second = zero_evidence_messages(net, clf, query, evidence)
+            assert first == second
+            return
+        attained = attained_posteriors(net, clf, query, evidence)
+        at = replace(clf, threshold=data.draw(st.sampled_from([0.0, 2.0, *attained])))
+        assert sdp(net, at, query, evidence).hex() == inference.sdp(net, at, query, evidence).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dag_networks(), st.data())
+    def test_latent_variables_agree_within_1e_12(self, model, data):
+        # The grid sums the latent variables' axes with numpy, so its
+        # posteriors may differ from the scalar route's in the last bits,
+        # and a threshold on an attained posterior may split the routes'
+        # decisions.  Thresholds are 0, 2 and the midpoints between
+        # attained posteriors more than 1e-9 apart.
+        net, full = model
+        kept = data.draw(st.lists(
+            st.sampled_from(full.features), unique=True, max_size=len(full.features) - 1
+        ))
+        clf = replace(full, features=tuple(f for f in full.features if f in kept))
+        query, evidence = draw_sdp_call(net, clf, data)
+        if marginal(net, evidence) == 0.0:
+            first, second = zero_evidence_messages(net, clf, query, evidence)
+            assert first == second
+            return
+        attained = sorted(set(attained_posteriors(net, clf, query, evidence)))
+        apart = [(a + b) / 2 for a, b in zip(attained, attained[1:]) if b - a > 1e-9 * b]
+        at = replace(clf, threshold=data.draw(st.sampled_from([0.0, 2.0, *apart])))
+        assert abs(sdp(net, at, query, evidence) - inference.sdp(net, at, query, evidence)) <= 1e-12
+
+    def test_zero_evidence_message(self):
+        net = BayesianNetwork(
+            (Variable("C", ("a", "b")), Variable("X", ("u", "v")), Variable("Y", ("u", "v"))),
+            (
+                Cpt("C", (), ((1.0, 0.0),)),
+                Cpt("X", ("C",), ((0.0, 1.0), (0.5, 0.5))),
+                Cpt("Y", ("C",), ((0.5, 0.5), (0.5, 0.5))),
+            ),
+        )
+        clf = Classifier("C", 0, ("X", "Y"), 0.5)
+        assert zero_evidence_messages(net, clf, ("Y",), {"X": 0}) == [
+            "evidence {'X': 0} has probability 0"
+        ] * 2
+
+    @pytest.mark.parametrize(
+        "query, evidence, message",
+        [
+            (("Q1",), {"Q3": 2}, "value index 2 out of range for 'Q3'"),
+            (("Q1",), {"Q3": 0.0}, "value index 0.0 out of range for 'Q3'"),
+            (("Q1",), {"Q3": "0"}, "value index '0' out of range for 'Q3'"),
+            (("Q1",), {"C": 0}, "kept set names non-features: ['C']"),
+            (("Q1", "Q3"), {"Q3": 0}, "kept set names 'Q3' twice"),
+            ("Q1", {"Q3": 0}, "expected a collection of names, got the string 'Q1'"),
+        ],
+    )
+    def test_same_checks_as_the_oracle(self, quiz_net, quiz_alpha, query, evidence, message):
+        for route in (sdp, inference.sdp):
+            with pytest.raises(ModelError) as info:
+                route(quiz_net, quiz_alpha, query, evidence)
+            assert str(info.value) == message
 
 
 class TestClassOnlyNetwork:

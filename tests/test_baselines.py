@@ -385,7 +385,8 @@ class TestOraclesValidateOncePerCall:
         assert checks == []
 
     def test_esdp_two_threshold_and_sdp(self, quiz_net, quiz_alpha, checks):
-        from bntrim import esdp_two_threshold, sdp
+        from bntrim import esdp_two_threshold
+        from bntrim.inference import sdp
 
         esdp_two_threshold(quiz_net, quiz_alpha, 0.3, ("Q1",), ("Q2", "Q3"))
         assert checks == []

@@ -41,7 +41,7 @@ from bntrim import (
     synthesize_dataset,
     validate_network,
 )
-from bntrim import bnmodel
+from bntrim import bnmodel, inference
 
 from conftest import (
     COUPLED_MODELS,
@@ -306,6 +306,7 @@ ENTRY_POINTS = {
     "mpa": lambda net: mpa(net, CLF, ("X",)),
     "eca": lambda net: eca(net, CLF, replace(CLF, features=())),
     "sdp": lambda net: sdp(net, CLF, ("X",), {}),
+    "sdp oracle": lambda net: inference.sdp(net, CLF, ("X",), {}),
     "marginal": lambda net: marginal(net, {"X": 0}),
     "posterior_class": lambda net: posterior_class(net, CLF, {"X": 0}),
     "eca_trim": lambda net: eca_trim(net, CLF, CostModel.unit(("X",), 1.0)),
@@ -491,6 +492,7 @@ SEQUENCE_READERS = {
         net, clf, names
     ),
     "sdp query": lambda net, clf, names: sdp(net, clf, names, {}),
+    "sdp oracle query": lambda net, clf, names: inference.sdp(net, clf, names, {}),
     "esdp_two_threshold hidden": lambda net, clf, names: esdp_two_threshold(
         net, clf, 0.5, names, ()
     ),
@@ -503,6 +505,9 @@ SEQUENCE_READERS = {
 }
 MAPPING_READERS = {
     "sdp evidence": lambda net, clf, names: sdp(net, clf, (), dict.fromkeys(names, 0)),
+    "sdp oracle evidence": lambda net, clf, names: inference.sdp(
+        net, clf, (), dict.fromkeys(names, 0)
+    ),
     "posterior_class": lambda net, clf, names: posterior_class(
         net, clf, dict.fromkeys(names, 0)
     ),

@@ -835,8 +835,8 @@ class TestExitCodes:
         ids=["sdp", "ig", "maa"],
     )
     def test_cell_guard_on_both_routes(self, capsys, tmp_path, argv):
-        # 27 binary variables: 2**26 completions for sdp, 2**27 for ig's
-        # joint and maa's grid.
+        # 27 binary variables: 2**27 cells in the joint that sdp's, ig's
+        # and maa's grids are read from.
         path = tmp_path / "chain.bn.json"
         path.write_bytes(serialize_network(binary_chain(27)))
         argv = [*argv[:1], "--network", str(path), "--class", "X26", *argv[1:]]
@@ -845,6 +845,18 @@ class TestExitCodes:
         assert out == ""
         assert "exceeds the 4194304 cell guard" in err
         assert "Traceback" not in err
+
+    def test_sdp_guard_counts_the_joint(self, capsys, tmp_path):
+        # 23 binary variables, one observed: 2**22 completions, at the
+        # scalar route's guard, but 2**23 cells in the joint that sdp's
+        # classifier grid is read from, so sdp refuses.
+        path = tmp_path / "chain.bn.json"
+        path.write_bytes(serialize_network(binary_chain(23)))
+        code, out, err = run(capsys, [
+            "sdp", "--network", str(path), "--class", "X22", "--query", "X1", "--observe", "X0=a",
+        ])
+        assert (code, out) == (3, "")
+        assert err == "error: joint grid of 8388608 cells exceeds the 4194304 cell guard\n"
 
     @pytest.mark.parametrize(
         "entry, message",

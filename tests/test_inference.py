@@ -318,6 +318,7 @@ class TestEnumerationGuard:
             lambda: marginal(net, {"X0": 0, "X1": 1}),
             lambda: posterior_class(net, clf, {"X0": 0, "X1": 1}),
             lambda: sdp(net, clf, ("X1",), {"X0": 0}),
+            lambda: inference.sdp(net, clf, ("X1",), {"X0": 0}),
             lambda: info_gain(net, clf),
             lambda: esdp_two_threshold(net, clf, 0.5, ("X1",), ("X0",)),
             lambda: eca_bruteforce(net, clf, Classifier("X24", 1, ("X0",), 0.5)),

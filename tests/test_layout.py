@@ -44,6 +44,12 @@ class TestRoutes:
         taken = {name for mod, name in imports("agreement") if mod == "bntrim.inference"}
         assert taken == {"CELL_LIMIT"}
 
+    def test_command_line_never_enumerates(self):
+        # Every subcommand reads the grid route; the scalar route only
+        # turns value labels into indices for it.
+        taken = {name for mod, name in imports("cli") if mod == "bntrim.inference"}
+        assert taken == {"assignment_from_labels"}
+
     def test_scalar_route_imports_no_grid(self):
         banned = {"agreement", "trimsearch", "baselines", "evalharness", "cli"}
         for mod, _ in imports("inference"):

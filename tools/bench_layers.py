@@ -7,13 +7,17 @@ Each case times seeded calls into the library of this checkout (``src/``)
 on models from perfbench's generators or the test suite's, and records
 the wall seconds of five runs and their median, together with the
 machine.  The cases on perfbench's and the suite's smaller models
-(``info_gain`` reads the grid route, the others the scalar route or the
-data harness):
+(``sdp`` and ``info_gain`` read the grid route, the others the scalar
+route or the data harness):
 
 * ``marginal``     every one-variable marginal of three binary
                    11-variable DAGs;
 * ``sdp``          four-feature queries given one observed feature, on
-                   three 10-variable DAGs;
+                   three 10-variable DAGs; each repeat starts with the
+                   grid caches cleared, so it times the three classifier
+                   grids, as ``bntrim sdp`` pays for its one;
+* ``sdp oracle``   the same queries through ``inference.sdp``, the
+                   scalar route that checks ``sdp``;
 * ``info_gain``    mutual information of every feature, on three DAGs of
                    the class and 8 features; each repeat starts with the
                    grid caches cleared, so it times the three classifier
@@ -136,6 +140,7 @@ from bntrim import (  # noqa: E402
     eca_trim,
     eca_bruteforce,
     esdp_two_threshold,
+    inference,
     info_gain,
     maa,
     marginal,
@@ -180,21 +185,27 @@ def case_marginal():
     return run
 
 
-def case_sdp():
-    models = [dag_model(seed, 9) for seed in (4, 5, 6)]
-
-    def run():
-        for net, clf in models:
-            for k in range(3):
-                picked = clf.features[k:k + 5]
-                sdp(net, clf, picked[:4], {picked[4]: 0})
-    return run
-
-
 def clear_grids() -> None:
     """Empty the joint and classifier-grid caches."""
     agreement._full_joint.cache_clear()
     agreement._classifier_grid.cache_clear()
+
+
+def case_sdp(route):
+    """Three queries per model through ``route``, ``sdp`` or its oracle."""
+    def make():
+        calls = []
+        for net, clf in (dag_model(seed, 9) for seed in (4, 5, 6)):
+            for k in range(3):
+                picked = clf.features[k:k + 5]
+                calls.append((net, clf, picked[:4], {picked[4]: 0}))
+
+        def run():
+            clear_grids()
+            for call in calls:
+                route(*call)
+        return run
+    return make
 
 
 def case_info_gain():
@@ -332,7 +343,8 @@ def case_eca_trim_pool():
 
 CASES = {
     "marginal": case_marginal,
-    "sdp": case_sdp,
+    "sdp": case_sdp(sdp),
+    "sdp oracle": case_sdp(inference.sdp),
     "info_gain": case_info_gain,
     "esdp+eca_bruteforce": case_oracles,
     "cv_accuracy": case_cv_accuracy,
