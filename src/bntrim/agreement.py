@@ -21,11 +21,13 @@ posterior order.  Every measure reads it, in one pass each:
 The search reads its scores and bounds through ``_MpaBound`` instead, one
 per node of the search: a kept set F \\ E's (total, hit) float stack, an
 estimate of its ``mpa`` with a certified error bound, and, built only
-when something reads it, the node tensor: double-double (hi, lo) sums of
-the grid's pos, neg and hit cells over F \\ E, a child's folded from its
-parent's.  A scored node's table, with the rows ``build_instance_table``
-gives, and the exact ``mpa`` when the estimate cannot decide a
-comparison, are read from that tensor, not from the whole grid.
+when something reads it, the node tensor: the sums over F \\ E of the
+grid's pos, neg and hit cells, each split once, at the root, into parts
+that sum exactly in any order (``_split``), so a child's tensor is one
+plain sum of its parent's (``_summed``).  A scored node's table, with
+the rows ``build_instance_table`` gives, and the exact ``mpa`` when the
+estimate cannot decide a comparison, are read from that tensor, not
+from the whole grid.
 ``_value_masses`` reads from the same grid every class, feature-value
 and (class, value) mass the information-gain ranking in
 :mod:`bntrim.baselines` needs, and ``sdp``, the same-decision
@@ -34,16 +36,19 @@ instantiation from the grid sliced at its evidence.
 
 Row sums are read from a joint probability grid materialized once per
 (network, classifier) pair.  Every row sum is correctly rounded, the
-float ``math.fsum`` gives, and one kernel takes them all: ``_fold`` sums
-axes out of a double-double tensor with a pairwise TwoSum tree,
-``_group_sums`` adds a mass's pos and neg with one more level, and
-``_certify`` rounds each row's hi + lo once, certifies it by an error
-bound and sends the rows it cannot certify to ``fsum`` over their grid
-cells.  ``_set_sums`` feeds it the grid laid out once per batch of
-feature sets (``_column_sums``, which takes an ``fsum`` per row instead
-for small layouts), for ``_instance_tables``' many tables at once,
-``_value_masses``' one-feature sets and ``sdp``'s query set, and the
-search its node tensors.
+float ``math.fsum`` gives, by one of two routes that share one
+certification, ``_certify``: it rounds each row's float sum and error
+estimate once, certifies the result by an error bound its caller
+derives, and sends the rows it cannot certify to ``fsum`` over their
+grid cells.  The grid route, ``_set_sums``, lays the grid out once per
+batch of feature sets, for ``_instance_tables``' many tables at once,
+``_value_masses``' one-feature sets and ``sdp``'s query set, and
+``_column_sums`` sums each layout: an ``fsum`` per row for small
+layouts, else ``_fold``'s pairwise TwoSum tree, a mass adding its pos
+and neg with one more level, certified.  The search's route reads its
+node tensors: a row is the sum of the split parts' exact level sums,
+rounded once, correctly rounded with no certification when the grid
+splits with no remainder, and certified otherwise.
 ``_sweep_tables`` runs ``compute_maa``'s float stage for many tables at
 once, for ``scatter``, which scores every subset.
 
@@ -56,6 +61,7 @@ this module takes only ``CELL_LIMIT``.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -225,32 +231,25 @@ _U = 2.0**-53  # unit roundoff of float64
 _TABLE_KINDS = ((0, 1), (0,), (2,))
 
 
-def _fold(hi: np.ndarray, lo: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Sum out the middle axis of (outer, k, inner) double-double arrays:
-    the (outer, inner) hi and lo of the sums, ``lo`` None standing for
-    zeros, and the levels added.
+def _fold(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Sum out the first axis of a nonnegative array as double-double:
+    the hi and lo of the sums, ``lo`` None standing for zeros, and the
+    levels added.
 
     A pairwise tree halves the axis once per level, the axis zero-padded
     to a power of two first: each level adds the first half of the hi
     slices to the second with TwoSum (Knuth), whose rounded sum s and
     error t satisfy a + b = s + t exactly, and carries the errors down
     the same tree in float, a node's lo being its children's lo plus its
-    own t.  Every cell of the input has met the same number of levels,
-    so a tensor folded again, axis by axis, is still one complete tree
-    over its grid cells, as deep as the levels of every fold together,
-    and ``_certify``'s bound holds for it.  An axis of one slice is read
-    in place.
+    own t.  An axis of one slice is read in place.
     """
-    width = hi.shape[1]
-    size = 1 << (width - 1).bit_length()
-    if size > width:
-        pad = np.zeros((len(hi), size - width, hi.shape[2]))
-        hi = np.concatenate((hi, pad), axis=1)
-        lo = None if lo is None else np.concatenate((lo, pad), axis=1)
-    levels = 0
-    while hi.shape[1] > 1:
-        half = hi.shape[1] // 2
-        a, b = hi[:, :half], hi[:, half:]
+    size = 1 << (len(x) - 1).bit_length()
+    if size > len(x):
+        x = np.concatenate((x, np.zeros((size - len(x), *x.shape[1:]))))
+    hi, lo, levels = x, None, 0
+    while len(hi) > 1:
+        half = len(hi) // 2
+        a, b = hi[:half], hi[half:]
         hi = a + b
         z = hi - a
         t = hi - z
@@ -260,52 +259,32 @@ def _fold(hi: np.ndarray, lo: np.ndarray | None) -> tuple[np.ndarray, np.ndarray
         if lo is None:
             lo = t
         else:
-            lo = lo[:, :half] + lo[:, half:]
+            lo = lo[:half] + lo[half:]
             lo += t
         levels += 1
-    return hi[:, 0], None if lo is None else lo[:, 0], levels
-
-
-def _sum_out(
-    hi: np.ndarray, lo: np.ndarray | None, axes: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """``_fold`` over the tensor axes at these positions, as one axis:
-    (hi, lo, levels) shaped as the input less those axes.  Adjacent axes
-    fold in place; others are moved to the front first, a copy."""
-    rest = [size for j, size in enumerate(hi.shape) if j not in axes]
-    if math.prod(hi.shape[j] for j in axes) == 1:
-        return hi.reshape(rest), None if lo is None else lo.reshape(rest), 0
-    first, last = min(axes), max(axes) + 1
-    if last - first == len(axes):
-        order = list(range(hi.ndim))
-    else:
-        order = [*axes, *(j for j in range(hi.ndim) if j not in axes)]
-        first, last = 0, len(axes)
-    shape = [hi.shape[j] for j in order]
-    shape = [math.prod(shape[:first]), math.prod(shape[first:last]), math.prod(shape[last:])]
-
-    def middle(x: np.ndarray) -> np.ndarray:
-        return x.transpose(order).reshape(shape)
-
-    hi, lo, levels = _fold(middle(hi), None if lo is None else middle(lo))
-    return hi.reshape(rest), None if lo is None else lo.reshape(rest), levels
+    return hi[0], None if lo is None else lo[0], levels
 
 
 def _certify(
     s: np.ndarray,
     e: np.ndarray,
-    levels: int,
+    bound: np.ndarray,
     kinds: Sequence[tuple[int, ...]],
     cells,
     smallest: Callable[[], float],
 ) -> np.ndarray:
     """The correctly rounded sum of every row, the float ``math.fsum``
-    returns, from its double-double sum: ``s`` and ``e`` are (group, row)
-    arrays of the hi and lo of a complete pairwise TwoSum tree of
-    ``levels`` levels over each row's nonnegative cells (``_fold``), a
-    group's row taking its cells of the kinds ``kinds[group]`` names, and
-    ``cells(rows)`` returns a (kind, row, cell) array of the given rows'
-    cells, read once, for the rows the error bound cannot certify.
+    returns, from a float s and an estimate e of the rest: ``s`` and
+    ``e`` are (group, row) arrays with S = s + E for each row's exact sum
+    S of its nonnegative cells, a group's row taking its cells of the
+    kinds ``kinds[group]`` names, and ``bound``, an array like them,
+    bounds |E - e|.  Each caller derives its bound: ``_column_sums`` for
+    its TwoSum tree, ``_MpaBound._sums`` for its split parts.  Both build
+    s and e from the cells, and from powers of two no smaller than them,
+    by float additions and subtractions, with |e| far below s or s = 0;
+    ``s`` is overwritten, as scratch.  ``cells(rows)`` returns a (kind,
+    row, cell) array of the given rows' cells, read once, for the rows
+    the bound cannot certify.
     ``smallest()`` returns a float at most every positive cell of every
     row (the smallest positive cell of the grid or layout the rows are
     summed from), called only when the Near test below leaves some row
@@ -316,54 +295,42 @@ def _certify(
     own, so the rows summed with ``fsum`` are exactly those the row's
     own q leaves.
 
-    With S the exact row sum, E the exact sum of every t and e its float
-    value, S = s + E.  Then r = s + e and d = (s - r) + e.  Bound, with
-    L = ``levels``, u = 2**-53 and gamma(n) = n*u / (1 - n*u) (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 3-4):
+    Then r = s + e and d = (s - r) + e.  As |e| is far below s, these
+    two operations are Dekker's Fast2Sum: d is exact, with no rounding
+    of its own, and S - r = d + (E - e).  A row's r is then certain in
+    either of two cases; other rows are summed again with ``math.fsum``.
 
-    * Every node sum is nonnegative and |t| <= u*s, so each level's node
-      sums total at most (1+u)**level * S, and the errors at most
-      T = L*u*(1+u)**L * S.
-    * Each t meets at most 2L - 1 float additions on its way into e, so
-      |E - e| <= gamma(2L)*T.  Addition has no underflow error (Hauser,
-      *Handling floating-point exceptions in numeric programs*, TOPLAS
-      1996), so this holds for subnormal cells too.
-    * |e| is far below s, so the last two operations are Dekker's
-      Fast2Sum: d is exact, with no rounding of its own, and
-      S - r = d + (E - e).
-    * S <= r + |d| + |E - e| turns this into |E - e| <= B with
-      B = 3*L**2*u**2 * (r + |d|): 3*L**2*u**2 covers
-      gamma(2L)*L*u*(1+u)**L / (1 - that) and the roundings in
-      computing B itself for any L below 60.
-
-    A row's r is then certain in either of two cases; other rows are
-    summed again with ``math.fsum``.
-
-    * Near: 2*(|d| + B) < g, with g = r - (the float below r), the
-      smaller gap to a neighbour of r.  Then |S - r| < g/2, so r is the
-      float nearest S, with no tie, which is what ``fsum`` returns.
-      Evaluated in floats, a subnormal B may lose 2**-1075 to underflow,
-      less than the 2**-1074 spacing of the floats d and g/2 it
-      separates, so the strict test stays sound.  The float below r is
-      read as the float whose bits are one less; at r = 0 that reads
-      NaN, and the row passes, rightly: r = 0 only when s = 0, and then
-      every cell is 0.
+    * Near: 2*(|d| + B) < g, with B the bound and g = r - (the float
+      below r), the smaller gap to a neighbour of r.  Then |S - r| < g/2,
+      so r is the float nearest S, with no tie, which is what ``fsum``
+      returns.  Evaluated in floats, a subnormal B may lose 2**-1075 to
+      underflow, less than the 2**-1074 spacing of the floats d and g/2
+      it separates, so the strict test stays sound.  The float below r
+      is read as the float whose bits are one less; at r = 0 that reads
+      NaN, and the row passes, rightly: each caller's r is 0 only when
+      every cell of the row is.
     * Exact: 2*B < q, with q = 2**(exponent - 53) of ``smallest()`` or
       of the row's smallest positive cell, a power of two dividing every
-      cell of the row, since no positive cell is smaller.  Every sum,
-      error, r and d above is then a multiple of q, and so is
-      E - e = S - r - d; smaller than q, it is 0.  So e = E, r = s + e
-      rounds S itself to nearest even, as ``fsum`` does: this settles
-      exact halfway ties, which the first test cannot.
+      cell of the row, since no positive cell is smaller, and every
+      power of two no smaller than them.  Every float made from them by
+      addition and subtraction, s, e, r and d among them, is then a
+      multiple of q, and so is E - e = S - r - d; smaller than q, it is
+      0.  So e = E, r = s + e rounds S itself to nearest even, as
+      ``fsum`` does: this settles exact halfway ties, which the first
+      test cannot.
 
     Sums are assumed far from overflow, as sums of probabilities are.
     Ogita, Rump & Oishi, *Accurate Sum and Dot Product* (SIAM J. Sci.
     Comput. 26, 2005), describe the error-free transformations used.
     """
     r = s + e
-    d = np.abs((s - r) + e)
-    bound = (3.0 * levels * levels * _U * _U) * (r + d)
-    unsure = 2.0 * (d + bound) >= r - (r.view(np.int64) - 1).view(np.float64)
+    d = np.subtract(s, r, out=s)
+    d += e
+    np.abs(d, out=d)
+    gap = (r.view(np.int64) - 1).view(np.float64)
+    np.subtract(r, gap, out=gap)
+    unsure = 2.0 * (d + bound) >= gap
+    del gap
     if unsure.any():
         unsure &= 2.0 * bound >= math.ldexp(1.0, math.frexp(smallest())[1] - 53)
     rows = unsure.any(axis=0).nonzero()[0]
@@ -376,41 +343,6 @@ def _certify(
         for i in (unsure[group, rows] & (2.0 * bound[group, rows] >= q)).nonzero()[0].tolist():
             r[group, rows[i]] = math.fsum(x[list(g), i].ravel().tolist())
     return r
-
-
-def _group_sums(
-    hi: np.ndarray,
-    lo: np.ndarray | None,
-    levels: int,
-    kinds: Sequence[tuple[int, ...]],
-    cells,
-    smallest: Callable[[], float],
-) -> np.ndarray:
-    """Correctly rounded row sums, one array per group of kinds, from a
-    folded tensor: ``hi`` and ``lo`` are (row, kind) double-double sums of
-    ``levels`` levels over each row's cells (``lo`` None with no level:
-    the cells themselves), and ``cells`` and ``smallest`` are
-    ``_certify``'s reader of the rows' cells and source of a lower bound
-    on their positive cells, which every caller passes, so every
-    certification settles halfway ties by one rule.  A group of kinds
-    (0, 1) sums pos and neg, a mass, with one more TwoSum level; its
-    hi + lo is then certified by ``_certify``.  With no level, a group's
-    sum is a cell or one correctly rounded addition of two, read
-    directly.
-    """
-    if lo is None:
-        return np.stack([hi[:, g[0]] if len(g) == 1 else hi[:, g[0]] + hi[:, g[1]] for g in kinds])
-    s, e = np.empty((len(kinds), len(hi))), np.empty((len(kinds), len(hi)))
-    for row, g in enumerate(kinds):
-        if len(g) == 1:
-            s[row], e[row] = hi[:, g[0]], lo[:, g[0]]
-        else:
-            a, b = hi[:, g[0]], hi[:, g[1]]
-            total = np.add(a, b, out=s[row])
-            z = total - a
-            np.add(lo[:, g[0]], lo[:, g[1]], out=e[row])
-            e[row] += (a - (total - z)) + (b - z)
-    return _certify(s, e, levels + max(map(len, kinds)) - 1, kinds, cells, smallest)
 
 
 def _grid_rows(grid: np.ndarray, axes: Sequence[int]):
@@ -434,20 +366,57 @@ def _column_sums(x: np.ndarray, kinds: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Correctly rounded sums of a (cell, row, kind) array's columns, one
     array per group of kinds, a row's sum taking its cells of every kind
     in the group.  Below ``_NUMPY_MIN_CELLS`` cells each row is one
-    ``fsum``; else, or with one cell per row, ``_fold`` sums the cells and
-    ``_group_sums`` rounds and certifies the rows.  It settles halfway
-    ties by ``x``'s smallest positive cell, as the search settles them by
-    the grid's, with no bit moved (``_certify``), and reads the cells of
-    the rows it still cannot certify from ``x``.  The smallest cell costs
-    a pass over ``x``, taken only when some row is not certain without
-    it: on a naive Bayes model of 16 binary features, none of
-    ``_value_masses``' 17 calls needed it."""
+    ``fsum``.  Else ``_fold`` sums the cells; with one cell per row (no
+    level) a group's sum is a cell or one correctly rounded addition of
+    two, read directly, and otherwise a group of kinds (0, 1), a mass,
+    adds its pos and neg with one more TwoSum level, and ``_certify``
+    rounds and certifies the rows.  It settles halfway ties by ``x``'s
+    smallest positive cell, as the search settles them by the grid's,
+    with no bit moved, and reads the cells of the rows it still cannot
+    certify from ``x``.  The smallest cell costs a pass over ``x``, taken
+    only when some row is not certain without it: on a naive Bayes model
+    of 16 binary features, none of ``_value_masses``' 17 calls needed it.
+
+    The bound.  With S a row's exact sum, E the exact sum of every TwoSum
+    error t of its tree and e the float lo, S = s + E for its hi s.
+    With L the tree's levels (the fold's, plus one for a mass),
+    u = 2**-53 and gamma(n) = n*u / (1 - n*u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3-4):
+
+    * Every node sum is nonnegative and |t| <= u*s, so each level's node
+      sums total at most (1+u)**level * S, and the errors at most
+      T = L*u*(1+u)**L * S.
+    * Each t meets at most 2L - 1 float additions on its way into e, so
+      |E - e| <= gamma(2L)*T.  Addition has no underflow error (Hauser,
+      *Handling floating-point exceptions in numeric programs*, TOPLAS
+      1996), so this holds for subnormal cells too.
+    * S <= s + |e| + |E - e| turns this into |E - e| <= B with
+      B = 3*L**2*u**2 * (s + |e|): 3*L**2*u**2 covers
+      gamma(2L)*L*u*(1+u)**L / (1 - that) and the roundings in
+      computing B itself for any L below 60.
+
+    Every hi is nonnegative and |e| far below it, so r = s + e is 0 only
+    when s is, and then every cell is 0, as ``_certify`` needs."""
     if len(x) > 1 and x.size < _NUMPY_MIN_CELLS:
         return np.array([
             [math.fsum(row) for row in np.concatenate([x[..., k] for k in g]).T.tolist()]
             for g in kinds
         ])
-    hi, lo, levels = _sum_out(x, None, (0,))
+    hi, lo, levels = _fold(x)
+    if lo is None:
+        return np.stack([hi[:, g[0]] if len(g) == 1 else hi[:, g[0]] + hi[:, g[1]] for g in kinds])
+    s, e = np.empty((len(kinds), len(hi))), np.empty((len(kinds), len(hi)))
+    for row, g in enumerate(kinds):
+        if len(g) == 1:
+            s[row], e[row] = hi[:, g[0]], lo[:, g[0]]
+        else:
+            a, b = hi[:, g[0]], hi[:, g[1]]
+            total = np.add(a, b, out=s[row])
+            z = total - a
+            np.add(lo[:, g[0]], lo[:, g[1]], out=e[row])
+            e[row] += (a - (total - z)) + (b - z)
+    levels += max(map(len, kinds)) - 1
+    bound = (3.0 * levels * levels * _U * _U) * (s + np.abs(e))
 
     def cells(rows: np.ndarray) -> np.ndarray:
         return x[:, rows].transpose(2, 1, 0)
@@ -455,7 +424,7 @@ def _column_sums(x: np.ndarray, kinds: Sequence[tuple[int, ...]]) -> np.ndarray:
     def smallest() -> float:
         return x.min(initial=math.inf, where=x > 0.0).item()
 
-    return _group_sums(hi, lo, levels, kinds, cells, smallest)
+    return _certify(s, e, bound, kinds, cells, smallest)
 
 
 def _grid_layout(
@@ -633,6 +602,68 @@ def mpa(net: BayesianNetwork, clf: Classifier, kept: Iterable[str]) -> float:
     return _larger_sides(t.mass, t.rate)
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """A root's node tensor: every cell of ``x``, nonnegative and shaped
+    (..., kind), split into parts whose sums over the cells of one kind,
+    or over a mass's pos and neg cells together, are exact in any order,
+    by two levels of the error-free extraction of Rump, Ogita & Oishi
+    (*Accurate Floating-Point Summation Part I*, SIAM J. Sci. Comput. 31,
+    2008: ``ExtractVector``, Lemma 3.3).  Returns (parts, rest): parts
+    shaped (level, ..., kind), and rest the largest magnitude of a
+    remainder.  When rest is 0 the two levels hold every cell exactly;
+    else a third level holds the remainders.
+
+    With n twice the cells of one kind, the most cells a row sum takes,
+    2**M >= n + 2, 2**X above the largest cell and u = 2**-53, the
+    levels extract at sigma1 = 2**(M + X) and sigma2 = 2**(M - 53) *
+    sigma1: q1 = (sigma1 + p) - sigma1 of each cell p, then
+    q2 = (sigma2 + r1) - sigma2 of r1 = p - q1, and the remainder
+    r2 = r1 - q2, each subtraction exact.  Every cell is at most
+    2**-M * sigma1 and every r1 at most u*sigma1 = 2**-M * sigma2, so by
+    the lemma every q1 is a multiple of u*sigma1 and every q2 of
+    u*sigma2, any n of them sum below sigma1 (sigma2) in magnitude, so
+    every partial sum is a float and no addition of them rounds, and
+    |r2| <= u*sigma2.  Near the bottom of the float range sigma2 is kept
+    at 2**-1074 or more, which only loosens the lemma's condition; there
+    each addition is exact and r2 is 0.
+
+    The three levels are one array of three grids' worth of cells, the
+    remainders computed in place of a contiguous copy of ``x``, so that
+    is the split's peak; with no remainder the tensor is a view of the
+    first two."""
+    parts = np.empty((3, *x.shape))
+    high, low, rest = parts
+    np.copyto(rest, x)
+    n = 2 * rest[..., 0].size
+    m = (n + 1).bit_length()
+    top = math.frexp(rest.max(initial=0.0))[1]
+    sigma1 = math.ldexp(1.0, m + top)
+    sigma2 = math.ldexp(1.0, max(2 * m + top - 53, -1074))
+    np.add(rest, sigma1, out=high)
+    high -= sigma1
+    np.subtract(rest, high, out=low)
+    low += sigma2
+    low -= sigma2
+    rest -= high
+    rest -= low
+    largest = max(rest.max(initial=0.0), -rest.min(initial=0.0))
+    return (parts if largest else parts[:2]), float(largest)
+
+
+def _summed(x: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``x`` summed over the axes at these positions, in one ``np.einsum``
+    call.  ``np.sum`` over an axis followed by a short block of cells
+    runs several times slower.  Timed on a 2-core Xeon (Python 3.11,
+    numpy 2.4) on a node tensor of 16 binary features, shaped
+    (3, 2, ..., 2, 3): its last feature axis took 9.7 ms with ``np.sum``
+    against 1.1 ms, all 15 leading feature axes 2.3 ms against 0.7 ms,
+    and of eleven sets of axes, ``np.einsum`` took at most 1.4 times
+    ``np.sum``'s time on any."""
+    letters = string.ascii_letters[:x.ndim]
+    kept = "".join(c for i, c in enumerate(letters) if i not in axes)
+    return np.einsum(f"{letters}->{kept}", x)
+
+
 class _MpaBound:
     """``mpa`` of a kept set as the search reads it: a float estimate
     from the set's (total, hit) stack with a certified error, and the
@@ -640,17 +671,26 @@ class _MpaBound:
     caller needs it.
 
     A bound is a node of the search, and it also carries the node
-    tensor (``_node``), built on first read only: double-double sums of
-    the grid's (pos, neg, hit) cells over the kept set.  ``maa`` reads a
-    subset's instance table from it and ``exact`` the exact ``mpa``,
-    each row certified by ``_certify``, so both have the bits the grid
-    route gives.  A root lays its tensor's axes out in reverse search
-    order, so that a node's undecided features, the ones ``maa`` folds
-    out, lead and fold without a copy; a child folds the features it
-    lacks out of its nearest built ancestor's tensor.  At the 2**22 cell
-    guard a root tensor holds 3 x 2**21 cells (48 MiB), and the tensors
-    below it along one path of the search together at most twice that,
-    as a child's hi and lo each hold at most half its parent's cells.
+    tensor (``_node``), built on first read only: the grid's (pos, neg,
+    hit) cells split once, at the root, into levels of parts that sum
+    exactly in any order (``_split``), summed over the kept set.  ``maa``
+    reads a subset's instance table from it and ``exact`` the exact
+    ``mpa``, each row correctly rounded (``_sums``), so both have the
+    bits the grid route gives.  A root lays its tensor's axes out in
+    reverse search order, so that a node's undecided features, the ones
+    ``maa`` sums out, lead and sum in one pass; a child sums the features
+    it lacks out of its nearest built ancestor's tensor.
+
+    Memory.  A root tensor holds three grids' worth of cells, two levels
+    and the remainders (with no remainder the third is allocated but not
+    read): 9 x 2**21 cells (144 MiB) at the 2**22 cell guard, also the
+    split's peak.  The tensors below it along one path of the search
+    hold at most as many again together, as a child holds at most half
+    its parent's cells, and the (total, hit) stacks at most twice the
+    root's two thirds of a grid.  Reading a node's rows, for a table or
+    the exact ``mpa``, takes for the moment at most about three times
+    that node's tensor, most of it for the table and its sweep, as the
+    grid route's tables take.
 
     ``cells[0]`` holds each cell's total mass, the grid's pos + neg cells
     added once per cell, and ``cells[1]`` its hit cell.  Axis 1 + i is
@@ -760,53 +800,103 @@ class _MpaBound:
         return _MpaBound(self.clf, self.grid, cells, additions, self.smallest, self)
 
     def _node(self) -> tuple:
-        """The node tensor: (axes, hi, lo, levels), hi and lo the
-        double-double sums of the grid's (pos, neg, hit) cells over the
-        kept set, shaped (one axis per kept feature, kind), the axes the
-        classifier feature indices in their order, each cell ``levels``
-        TwoSum levels deep (``_fold``).  A root's hi is the grid laid out
-        once, with no lo; a child's tensor is built on first use, from
-        its nearest ancestor's built one (the root's at worst), with the
-        features it lacks summed out in one fold."""
+        """The node tensor: (axes, parts, rest), parts the sums of the
+        grid's split (pos, neg, hit) cells over the kept set, shaped
+        (level, one axis per kept feature, kind), the axes the classifier
+        feature indices in their order, and rest ``_split``'s largest
+        remainder.  A root's parts are the grid split once; a child's
+        tensor is built on first use, from its nearest ancestor's built
+        one (the root's at worst), with the features it lacks summed out
+        in one call (``_summed``), exact but for the remainders."""
         if self._tensor is None:
             if self._parent is None:
-                hi = np.ascontiguousarray(self.grid.transpose([*(1 + i for i in self._layout), 0]))
-                self._tensor = (self._layout, hi, None, 0)
+                parts, rest = _split(self.grid.transpose([*(1 + i for i in self._layout), 0]))
+                self._tensor = (self._layout, parts, rest)
             else:
                 source = self._parent
                 while source._tensor is None and source._parent is not None:
                     source = source._parent
-                axes, hi, lo, levels = source._node()
+                axes, parts, rest = source._node()
                 sizes = self.cells.shape[1:]
-                hi, lo, more = _sum_out(hi, lo, [j for j, i in enumerate(axes) if sizes[i] == 1])
-                self._tensor = (tuple(i for i in axes if sizes[i] > 1), hi, lo, levels + more)
+                gone = tuple(1 + j for j, i in enumerate(axes) if sizes[i] == 1)
+                self._tensor = (tuple(i for i in axes if sizes[i] > 1), _summed(parts, gone), rest)
                 self._parent = None
         return self._tensor
 
     def _sums(self, features: Iterable[str], kinds: Sequence[tuple[int, ...]]) -> tuple:
-        """``_group_sums`` of the node tensor, a row per instantiation of
-        the given kept features: the rest are folded out first, as one
-        axis.  Returns the sums, shaped (group, one axis per feature), and
-        the features' classifier indices in that axis order."""
-        axes, hi, lo, levels = self._node()
+        """Correctly rounded row sums of the node tensor, one array per
+        group of kinds, a row per instantiation of the given kept
+        features: the rest are summed out first.  Returns the sums, shaped
+        (group, one axis per feature), and the features' classifier
+        indices in that axis order.
+
+        Per row, the levels' parts of a group's kinds sum to Q1 and Q2
+        exactly, pos and neg included (``_split``), and its remainders to
+        a float R' of the exact R, so the row's exact sum is
+        S = Q1 + Q2 + R.  With no remainder, Q1 + Q2 rounded once is S
+        correctly rounded, the float ``fsum`` gives.  Otherwise the row is
+        certified by ``_certify``, from s0 = Q1 + Q2 and s = s0 + R', each
+        by TwoSum with errors t0 and t1, and e = t0 + t1: S = s + E with
+        E = t0 + t1 + (R - R'), and, with n the most cells a row sum takes,
+        |R - R'| <= gamma(n - 1) * n * rest (any order of n - 1 additions;
+        Higham ch. 4) and e rounds within u*|e|, so
+        B = 2u * (n**2 * rest + |e|) bounds |E - e| with room for the
+        roundings in computing it (u = 2**-53; where it underflows, the
+        sums it bounds are exact).  t0 is 0 unless |s0| >= sigma2, a
+        multiple of u*sigma2 being a float below that, which is far above
+        |R'| <= n*u*sigma2, so |e| is far below s.  And r = s + e is 0
+        only when every cell is: then s = e = 0 and S = R - R'.  If every
+        cell's q1 is 0, each |r2| is at most its cell, so |R - R'| is
+        below S unless S = 0; otherwise some cell is at least u*sigma1,
+        far above n**2 * u**2 * sigma2 >= |R - R'|."""
+        axes, parts, rest = self._node()
         keep = {self.clf.features.index(f) for f in features}
-        hi, lo, more = _sum_out(hi, lo, [j for j, i in enumerate(axes) if i not in keep])
+        gone = tuple(1 + j for j, i in enumerate(axes) if i not in keep)
+        if gone:
+            parts = _summed(parts, gone)
         rows = [i for i in axes if i in keep]
-
-        def flat(x: np.ndarray | None) -> np.ndarray | None:
-            return None if x is None else x.reshape(-1, x.shape[-1])
-
-        cells = _grid_rows(self.grid, rows)
-        sums = _group_sums(flat(hi), flat(lo), levels + more, kinds, cells, lambda: self.smallest)
-        return sums.reshape(len(kinds), *hi.shape[:-1]), rows
+        shape = parts.shape[1:-1]
+        x = parts.reshape(len(parts), -1, parts.shape[-1])
+        g = np.empty((len(parts), len(kinds), x.shape[1]))
+        for group, k in enumerate(kinds):
+            if len(k) == 1:
+                g[:, group] = x[..., k[0]]
+            else:
+                np.add(x[..., k[0]], x[..., k[1]], out=g[:, group])
+        q1, q2, r = g[0], g[1], g[-1]
+        s0 = q1 + q2
+        if not rest:
+            return s0.reshape(len(kinds), *shape), rows
+        # The two TwoSums, in place where the level sums were, as the
+        # remainder's tensors are the search's largest: q1 ends as
+        # e = t0 + t1, q2 as s and r as the bound.
+        z = s0 - q1
+        w = s0 - z
+        q1 -= w
+        q2 -= z
+        q1 += q2
+        s = np.add(s0, r, out=q2)
+        np.subtract(s, s0, out=z)
+        np.subtract(s, z, out=w)
+        s0 -= w
+        r -= z
+        s0 += r
+        q1 += s0
+        del s0, z, w
+        n = max(map(len, kinds)) * (self.grid[0].size // x.shape[1])
+        bound = np.abs(q1, out=r)
+        bound += float(n * n) * rest
+        bound *= 2.0 * _U
+        sums = _certify(s, q1, bound, kinds, _grid_rows(self.grid, rows), lambda: self.smallest)
+        return sums.reshape(len(kinds), *shape), rows
 
     def maa(self, included: Iterable[str], incumbent: float) -> MaaResult | None:
         """``maa`` of included features, a subset of the kept set, read
         from the node tensor, or None when it cannot beat ``incumbent``:
         when the subset's exact ``mpa`` is at most the incumbent.
 
-        The other features are folded out and the rows certified; a
-        correctly rounded sum is unique, so the rows have the bits
+        The other features are summed out and the rows correctly rounded
+        (``_sums``); a correctly rounded sum is unique, so the rows have the bits
         ``build_instance_table`` gives.  Their ``_larger_sides`` is then
         ``mpa(net, clf, included)`` (fsum ignores row order), and it is
         at least the subset's MAA bit for bit: per row, the larger-side
@@ -829,7 +919,7 @@ class _MpaBound:
     def exact(self) -> float:
         """The ``mpa`` of the kept set, computed on first use from the
         node tensor's own cells, each a row of the kept set: their
-        certified mass and hit sums, with no table and no sort."""
+        correctly rounded mass and hit sums, with no table and no sort."""
         if self._exact is None:
             (mass, hit), _ = self._sums(self.kept, ((0, 1), (2,)))
             _, mass, rate = _rated(mass.ravel(), hit.ravel())

@@ -379,15 +379,16 @@ def check_classifier(net: BayesianNetwork, clf: Classifier) -> None:
 
 def check_assignment(net: BayesianNetwork, a: Mapping[str, int]) -> None:
     """Raise ModelError unless every entry of the assignment names a
-    variable of the network and one of its value indices.  The network
-    must be one :func:`check_network` accepts; both exact routes read
-    assignments through this one check."""
+    variable of the network and one of its value indices, an int: a
+    bool is not an index, as ``CostModel`` takes no bool as a number.
+    The network must be one :func:`check_network` accepts; both exact
+    routes read assignments through this one check."""
     plan = net._plan
     for name, idx in a.items():
         q = plan.position.get(name)
         if q is None:
             raise ModelError(f"unknown variable {name!r}")
-        if not isinstance(idx, int) or not (0 <= idx < plan.cards[q]):
+        if isinstance(idx, bool) or not isinstance(idx, int) or not (0 <= idx < plan.cards[q]):
             raise ModelError(f"value index {idx!r} out of range for {name!r}")
 
 

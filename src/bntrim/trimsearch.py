@@ -9,17 +9,18 @@ descendant subset.
 
 The bound is filtered: each node holds an ``agreement._MpaBound`` over
 F \\ E, whose root ``agreement`` builds once per search, its node tensor
-laid out for the branch order, and which an exclude child gets from its
-parent's by summing out the new feature (an include child shares its
-parent's).  The bound decides prune-or-keep from a float estimate of
-``mpa(F \\ E)`` with a certified error, and computes the exact ``mpa``
-only when the estimate cannot (once per node, shared with its include
-children), so every decision is the exact one.  The branch order
-compares the singleton bounds the same way.  A trace prints the exact
-bound, computed for printing.  A scored node reads its included set's
-``maa`` from the same bound (``_MpaBound.maa``): the included set is a
-subset of F \\ E, so its table folds out of the node's tensor, already
-summed over E, with the bits ``agreement.maa`` gives.
+(the classifier grid split once into parts that sum exactly) laid out
+for the branch order, and which an exclude child gets from its parent's
+by summing out the new feature (an include child shares its parent's).
+The bound decides prune-or-keep from a float estimate of ``mpa(F \\ E)``
+with a certified error, and computes the exact ``mpa`` only when the
+estimate cannot (once per node, shared with its include children), so
+every decision is the exact one.  The branch order compares the
+singleton bounds the same way.  A trace prints the exact bound, computed
+for printing.  A scored node reads its included set's ``maa`` from the
+same bound (``_MpaBound.maa``): the included set is a subset of F \\ E,
+so its table is one plain sum of the node's tensor, already summed over
+E, and has the bits ``agreement.maa`` gives.
 
 A scored node is scored against the incumbent: its rows give its exact
 ``mpa``, which bounds its MAA bit for bit, and when that ``mpa`` is at

@@ -363,6 +363,7 @@ class TestSdpGridAgainstOracle:
             (("Q1",), {"C": 0}, "kept set names non-features: ['C']"),
             (("Q1", "Q3"), {"Q3": 0}, "kept set names 'Q3' twice"),
             ("Q1", {"Q3": 0}, "expected a collection of names, got the string 'Q1'"),
+            (("Q1",), {"Q3": True}, "value index True out of range for 'Q3'"),
         ],
     )
     def test_same_checks_as_the_oracle(self, quiz_net, quiz_alpha, query, evidence, message):

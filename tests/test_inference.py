@@ -189,6 +189,9 @@ class TestScalarPathContract:
             ({"C": -1}, "value index -1 out of range for 'C'"),
             ({"Q1": 1.0}, "value index 1.0 out of range for 'Q1'"),
             ({"Q1": "0"}, "value index '0' out of range for 'Q1'"),
+            # A bool is an int to isinstance, but not a value index.
+            ({"Q1": True}, "value index True out of range for 'Q1'"),
+            ({"C": False}, "value index False out of range for 'C'"),
         ],
     )
     def test_marginal_errors(self, quiz_net, a, message):
@@ -203,6 +206,7 @@ class TestScalarPathContract:
             (("Q1", "Q2", "Q3"), {"Z": 0}, "kept set names non-features: ['Z']"),
             (("Q1", "Q2", "Q3"), {"Q1": 2}, "value index 2 out of range for 'Q1'"),
             (("Q1", "Q2", "Q3"), {"Q3": 0.0}, "value index 0.0 out of range for 'Q3'"),
+            (("Q1", "Q2", "Q3"), {"Q2": True}, "value index True out of range for 'Q2'"),
         ],
     )
     def test_posterior_class_errors(self, quiz_net, features, a, message):

@@ -9,7 +9,10 @@ each row's grid cells, rows in C order over the kept features; and
 ``maa``, which read the table it builds, must give the same floats as
 the per-row ``fsum`` loops they replaced (copied below as ``loop_*``,
 with each row named by its C-order index), on both sides of that
-crossover."""
+crossover.  The search's node tensors split the grid's cells once
+(``agreement._split``): each extracted level must sum exactly with
+``np.sum``, and the rows ``_MpaBound._sums`` rounds from them must be
+``fsum``'s, with or without a remainder."""
 
 from __future__ import annotations
 
@@ -264,10 +267,10 @@ class TestRowSumBlocks:
         assert all(is_halfway(layout[:, row, 0].tolist()) for row in range(layout.shape[1]))
         real_certify = agreement._certify
 
-        def certify(s, e, levels, kinds, cells, smallest):
+        def certify(s, e, bound, kinds, cells, smallest):
             def unread(rows):
                 raise AssertionError(f"cells of {len(rows)} rows read")
-            return real_certify(s, e, levels, kinds, unread, smallest)
+            return real_certify(s, e, bound, kinds, unread, smallest)
 
         monkeypatch.setattr(agreement, "_certify", certify)
         got = _column_sums(layout, kinds)
@@ -377,6 +380,68 @@ def grid_cells(net: BayesianNetwork, clf: Classifier) -> int:
 
 def subsets(rng: random.Random, clf: Classifier) -> list[tuple[str, ...]]:
     return [(), clf.features, clf.features[:1], *(random_subset(rng, clf) for _ in range(4))]
+
+
+def split_bound(grid: np.ndarray) -> agreement._MpaBound:
+    """The search's root bound over a (kind, A, B) grid, features A and
+    B, its node tensor laid out B first, as a search deciding A first
+    lays it out."""
+    clf = Classifier("C", 0, ("A", "B"), 0.5)
+    smallest = grid.min(initial=math.inf, where=grid > 0.0).item()
+    stack = np.stack((grid[0] + grid[1], grid[2]))
+    return agreement._MpaBound(clf, grid, stack, 0, smallest, None, (1, 0))
+
+
+def fsum_out(cells: np.ndarray, axes: tuple[int, ...]) -> list[float]:
+    """fsum over the given axes, a float per index of the others in C
+    order."""
+    kept = [a for a in range(cells.ndim) if a not in axes]
+    moved = cells.transpose(*kept, *axes)
+    return [math.fsum(row) for row in moved.reshape(math.prod(moved.shape[:len(kept)]), -1).tolist()]
+
+
+@st.composite
+def small_row_arrays(draw):
+    """row_arrays' rows, at most 64 of width at most 64."""
+    width, rows = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=4))
+    return np.array([fill_row(rng, width, rng.choice(kinds)) for _ in range(rows)]).reshape(rows, width)
+
+
+class TestSplit:
+    KINDS = ((0, 1), (0,), (1,), (2,))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_row_arrays())
+    def test_split_then_sum_rows_are_fsums(self, cells):
+        # Wide-range cells (1e-300 to 1, subnormal, halfway ties) as pos
+        # over features A and B, the rows reversed as neg, and a hit
+        # where pos reaches neg.  Such grids split both ways: about a
+        # fifth leave a remainder.
+        pos, neg = cells, cells[::-1]
+        grid = np.stack((pos, neg, np.where(pos >= neg, pos + neg, 0.0)))
+        x = grid.transpose(1, 2, 0)
+        parts, rest = agreement._split(x)
+        assert len(parts) == (3 if rest else 2)
+        # The parts of every cell add up to it, and each extracted
+        # level's np.sum over any cells of a group is exact: fsum's.
+        assert [math.fsum(p) for p in parts.reshape(len(parts), -1).T.tolist()] == x.ravel().tolist()
+        for level in parts[:2]:
+            for g in self.KINDS:
+                for axes in ((0, 2), (1, 2), (0, 1, 2)):
+                    got = level[..., list(g)].sum(axis=axes).ravel().tolist()
+                    assert got == fsum_out(level[..., list(g)], axes)
+        # The rows _sums rounds from the tensor, laid out B first, are
+        # the fsums of their grid cells, remainder or none.
+        bound = split_bound(grid)
+        for features, axes in ((("A", "B"), (2,)), (("A",), (1, 2)), (("B",), (0, 2)), ((), (0, 1, 2))):
+            sums, _ = bound._sums(features, self.KINDS)
+            for group, g in zip(sums, self.KINDS):
+                cells_of = np.moveaxis(grid[list(g)], 0, -1)
+                if features == ("A", "B"):
+                    cells_of = cells_of.transpose(1, 0, 2)
+                assert hexes(group.ravel()) == [v.hex() for v in fsum_out(cells_of, axes)]
 
 
 class TestSameBitsAsPerRowLoops:

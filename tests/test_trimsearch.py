@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -560,19 +561,27 @@ def table_bits(table) -> tuple:
 
 class TestNodeTensor:
     """The search reads each scored node's instance table, and each
-    bound's exact mpa, from the node's own double-double tensor over
-    F \\ E; both must equal, bit for bit, what the grid route computes
-    afresh from the whole grid."""
+    bound's exact mpa, from the node's own tensor over F \\ E, the grid's
+    cells split once into parts that sum exactly; both must equal, bit
+    for bit, what the grid route computes afresh from the whole grid,
+    whether the split leaves remainders to certify or not."""
 
     @staticmethod
     def checked_search(monkeypatch, net, clf, costs, frontier) -> dict:
         """One traced search whose every node table and exact bound is
         checked against ``build_instance_table`` and ``mpa``; returns the
-        counts of checks and of rows the node path's error bound could
-        not certify."""
-        counts = {"tables": 0, "bounds": 0, "unsure": 0}
+        counts of checks, of rows the node path's error bound could not
+        certify, and of root splits with no remainder ("exact") and with
+        one ("certified")."""
+        counts = {"tables": 0, "bounds": 0, "unsure": 0, "exact": 0, "certified": 0}
         real_table, real_exact, real_rows = agreement._table, agreement._MpaBound.exact, agreement._grid_rows
+        real_split = agreement._split
         node_tables = []
+
+        def counted_split(x):
+            parts, rest = real_split(x)
+            counts["certified" if rest else "exact"] += 1
+            return parts, rest
 
         def node_table(*args):
             node_tables.append(real_table(*args))
@@ -612,6 +621,7 @@ class TestNodeTensor:
         monkeypatch.setattr(agreement._MpaBound, "maa", checked_maa)
         monkeypatch.setattr(agreement._MpaBound, "exact", checked_exact)
         monkeypatch.setattr(agreement, "_grid_rows", counted_rows)
+        monkeypatch.setattr(agreement, "_split", counted_split)
         events = []
         result = trimsearch._run(net, clf, costs, events.append, nb_frontier_only=frontier)
         monkeypatch.undo()
@@ -625,24 +635,33 @@ class TestNodeTensor:
         # Ternary features, deterministic 0/1 rows (zero-mass rows) and
         # subnormal-scale entries, on naive Bayes and general DAGs, with
         # the frontier search where it applies and the generic one
-        # everywhere.
+        # everywhere.  The subnormal-scale models' grids span more
+        # binades than two levels of the split hold, so their rows are
+        # certified against the remainders' bound; every other model's
+        # split is exact, and its rows are rounded once, uncertified.
         rng = random.Random(2901)
-        totals = {"tables": 0, "bounds": 0, "unsure": 0}
+        totals = {"tables": 0, "bounds": 0, "unsure": 0, "exact": 0, "certified": 0}
+        modes = {}
         for i, (net, clf) in enumerate(bound_filter_models()):
             costs = random_costs(rng, clf)
             frontiers = (False, True) if features_separated(net, clf) else (False,)
             for frontier in frontiers:
-                for key, n in self.checked_search(monkeypatch, net, clf, costs, frontier).items():
+                counts = self.checked_search(monkeypatch, net, clf, costs, frontier)
+                for key, n in counts.items():
                     totals[key] += n
+                modes.setdefault(i % 5, set()).add(counts["certified"] > 0)
         assert totals["tables"] > 500 and totals["bounds"] > 1000
         assert totals["unsure"] > 0
+        assert totals["exact"] > 100 and totals["certified"] > 30
+        assert all(modes[kind] == {False} for kind in range(4)) and True in modes[4]
 
     def test_a_row_only_fsum_settles_through_the_node_path(self, monkeypatch):
         # Row A = a of a table keeping A but not B sums the cells
         # 0.5 * (1, 2**-53, 2**-106): 2**-107 above halfway between 0.5
-        # and its successor.  The tree's error sum rounds that last cell
-        # away, so its hi + lo rounds to 0.5, and the cells span 106
-        # binades, too many for the Exact test: only fsum rounds it up.
+        # and its successor.  The split leaves that last cell as a
+        # remainder, the TwoSum errors' float sum rounds it away, so
+        # s + e rounds to 0.5, and the cells span 106 binades, too many
+        # for the Exact test: only fsum rounds it up.
         net = BayesianNetwork(
             (Variable("C", ("+", "-")), Variable("A", ("a", "b")), Variable("B", ("x", "y", "z"))),
             (
@@ -657,6 +676,41 @@ class TestNodeTensor:
         for frontier in (False, True):
             counts = self.checked_search(monkeypatch, net, clf, CostModel.unit(clf.features, 1), frontier)
             assert counts["unsure"] > 0
+
+
+class TestSearchMemory:
+    def test_one_search_path_stays_within_the_stated_bound(self):
+        # 16 binary features: a grid of 3 * 2**16 cells whose split
+        # leaves remainders, so the root tensor holds all three levels.
+        # Down one path, held as the search's frames hold it: the root
+        # tensor, then four exclusions, each with its tensor, exact mpa
+        # and a three-feature table.  _MpaBound's docstring bounds the
+        # split's peak by the root tensor, what the path holds by twice
+        # the root's tensor and stack, and a read's temporaries by three
+        # times the tensor read, the largest here the first child's.
+        net, clf = nb_instance(random.Random(1), 16, max_card=2)
+        agreement._classifier_grid(net, clf)  # cached, so not traced
+        slack = 1 << 16  # the bounds' and arrays' Python objects
+        tracemalloc.start()
+        try:
+            root = agreement._MpaBound.root(net, clf).searching(clf.features)
+            tracemalloc.reset_peak()
+            parts = root._node()[1]
+            tensor, stack = parts.nbytes, root.cells.nbytes
+            assert tracemalloc.get_traced_memory()[1] <= tensor + stack + slack
+            path = [root]
+            for step in range(4):
+                path.append(path[-1].without(clf.features[step:step + 1]))
+                path[-1].exact()
+                assert path[-1].maa(clf.features[step + 1:step + 4], -math.inf) is not None
+                assert tracemalloc.get_traced_memory()[0] <= 2 * (tensor + stack) + slack
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parts) == 3
+        read = path[1]._node()[1].nbytes
+        assert 2 * read == tensor
+        assert peak <= 2 * (tensor + stack) + 3 * read + slack
 
 
 class TestScoringAgainstTheIncumbent:
