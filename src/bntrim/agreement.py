@@ -64,7 +64,7 @@ import math
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -157,39 +157,85 @@ class MaaResult:
     interval: ThresholdInterval
 
 
+def _factors(net: BayesianNetwork, reverse: bool, values: bool = True) -> Iterator[np.ndarray]:
+    """Each factor of the network's plan, in declaration order, as its CPT
+    rows broadcast over the joint's shape: variable q on axis q, or on
+    axis last - q when ``reverse``, and every axis the factor does not
+    read of size one.  A factor is a view of its rows' (row, value) array
+    with the plan's row-major strides, no copy: the array, strides
+    included, that reshaping the rows over the parents and the child and
+    moving the axes into place gives.  With ``values`` false the rows are
+    uninitialized, for their layout alone."""
+    plan = net._plan
+    shape = plan.cards
+    last = len(shape) - 1
+    for child, parents, rows in plan.factors:
+        card = shape[child]
+        rows = np.array(rows, dtype=float) if values else np.empty((len(rows), card))
+        full, strides = [1] * len(shape), [0] * len(shape)
+        for q, weight in (*parents, (child, None)):
+            axis = last - q if reverse else q
+            full[axis] = shape[q]
+            strides[axis] = rows.itemsize * (1 if weight is None else card * weight)
+        yield np.ndarray(full, rows.dtype, rows, 0, strides)
+
+
 # The caches hold what one command needs: one joint and its classifier
 # grids.  At the CELL_LIMIT guard a joint is 2**22 floats (32 MiB) and a
-# grid 3 * 2**21 (48 MiB), so together they stay under 128 MiB.
+# grid 3 * 2**21 (48 MiB), so together they stay under 128 MiB.  Building
+# the joint holds two joints' worth at once, 64 MiB at the guard: the last
+# product with its operand, then the product with its declaration-order
+# copy; a grid with latent variables holds one more joint's worth while
+# it sums their axes (_summing_layout).
 @lru_cache(maxsize=1)
 def _full_joint(net: BayesianNetwork) -> np.ndarray:
-    """Joint distribution over all network variables as a dense tensor,
-    one axis per variable in declaration order: the factors of the
-    network's plan, multiplied in declaration order.
+    """Joint distribution over all network variables as a dense,
+    C-contiguous tensor, one axis per variable in declaration order: the
+    factors of the network's plan, multiplied in declaration order.
 
     The product starts from a size-one tensor, and each factor's
     broadcast grows it over the axes that factor reads, so the early
-    products are small.  Every variable's own factor reads its axis, so
-    the last product has the full shape, and each cell is still
-    1.0 times the factors' entries in declaration order, the bits a
-    full-size start gives: broadcasting repeats a cell's value, it does
-    not change the operations that make it."""
-    plan = net._plan
-    shape = plan.cards
+    products are small.  It is grown with its axes reversed, the newest
+    variable first: numpy lays each product out after its operands'
+    strides, so the newest variable's values take the slowest axis in
+    memory and each multiply's inner loop spans the block already built,
+    not the newest variable's few values.  The product is then copied
+    into declaration order.  Every variable's own factor reads its axis,
+    so the last product has the full shape, and each cell is still 1.0
+    times the factors' entries in declaration order, the bits a full-size
+    start gives: broadcasting and layout repeat and place a cell's value,
+    they do not change the operations that make it."""
+    shape = net._plan.cards
     cells = math.prod(shape)
     if cells > CELL_LIMIT:
         raise EnumerationLimitError(
             f"joint grid of {cells} cells exceeds the {CELL_LIMIT} cell guard"
         )
     joint = np.ones((1,) * len(shape))
-    for child, parents, rows in plan.factors:
-        axes = [q for q, _ in parents] + [child]
-        arr = np.asarray(rows, dtype=float).reshape([shape[q] for q in axes])
-        arr = np.transpose(arr, sorted(range(len(axes)), key=axes.__getitem__))
-        full = [1] * len(shape)
-        for q in axes:
-            full[q] = shape[q]
-        joint = joint * arr.reshape(full)
-    return joint
+    for factor in _factors(net, reverse=True):
+        joint = joint * factor
+    return np.ascontiguousarray(joint.transpose(range(len(shape) - 1, -1, -1)))
+
+
+def _summing_layout(net: BayesianNetwork) -> np.ndarray:
+    """An uninitialized array of the joint's shape, axes in declaration
+    order, laid out in memory as numpy lays out the product of the plan's
+    factors multiplied in declaration order onto a size-one start, each
+    variable on its declaration axis: each product is allocated by
+    ``np.nditer`` as the multiply allocates its output (order K, after
+    its operands' strides), and nothing is computed.  ``_classifier_grid``
+    sums latent axes in this layout, as numpy's sum adds cells in memory
+    order: so the sums of latent variables do not depend on the layout in
+    which ``_full_joint`` grows its product, and keep the bits that
+    product gives summed in place."""
+    laid = np.empty((1,) * len(net.variables))
+    for factor in _factors(net, reverse=False, values=False):
+        laid = np.nditer(
+            [laid, factor, None],
+            op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+            order="K",
+        ).operands[2]
+    return laid
 
 
 @lru_cache(maxsize=2)
@@ -201,13 +247,22 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
     per classifier feature, in classifier feature order: the mass of each
     cell with the class positive (``pos``), with it negative (``neg``),
     and ``hit``, the cell's total mass where the original classifier
-    labels it positive, else 0.
+    labels it positive, else 0: the total times whether pos / total
+    reaches the threshold, which is NaN, and so false, for an empty cell.
+    Latent variables, neither the class nor a feature, are summed out of
+    the joint laid out as ``_summing_layout`` gives.
     """
     check_classifier(net, clf)
     joint = _full_joint(net)
     keep = {clf.class_var, *clf.features}
     sum_axes = tuple(i for i, v in enumerate(net.variables) if v.name not in keep)
-    reduced = joint.sum(axis=sum_axes) if sum_axes else joint
+    if sum_axes:
+        laid = _summing_layout(net)
+        laid[...] = joint
+        reduced = laid.sum(axis=sum_axes)
+        del laid
+    else:
+        reduced = joint
     kept_names = [v.name for v in net.variables if v.name in keep]
     target = [clf.class_var, *clf.features]
     reduced = np.transpose(reduced, [kept_names.index(n) for n in target])
@@ -216,10 +271,8 @@ def _classifier_grid(net: BayesianNetwork, clf: Classifier) -> np.ndarray:
     pos[...] = reduced[clf.positive_value]
     neg[...] = reduced[1 - clf.positive_value]
     total = pos + neg
-    nonzero = total > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nonzero, pos / np.where(nonzero, total, 1.0), 0.0)
-    hit[...] = np.where(nonzero & (ratio >= clf.threshold), total, 0.0)
+        np.multiply(total, pos / total >= clf.threshold, out=hit)
     cells.flags.writeable = False
     return cells
 
@@ -422,7 +475,7 @@ def _column_sums(x: np.ndarray, kinds: Sequence[tuple[int, ...]]) -> np.ndarray:
         return x[:, rows].transpose(2, 1, 0)
 
     def smallest() -> float:
-        return x.min(initial=math.inf, where=x > 0.0).item()
+        return np.where(x > 0.0, x, math.inf).min().item()
 
     return _certify(s, e, bound, kinds, cells, smallest)
 
@@ -684,9 +737,12 @@ class _MpaBound:
     Memory.  A root tensor holds three grids' worth of cells, two levels
     and the remainders (with no remainder the third is allocated but not
     read): 9 x 2**21 cells (144 MiB) at the 2**22 cell guard, also the
-    split's peak.  The tensors below it along one path of the search
-    hold at most as many again together, as a child holds at most half
-    its parent's cells, and the (total, hit) stacks at most twice the
+    split's peak.  When the branch order has built a root tensor,
+    ``searching`` copies it, so two root tensors (288 MiB) are held for a
+    moment, before the old root is dropped and the search begins.  The
+    tensors below the root along one path of the search hold at most as
+    many again together, as a child holds at most half its parent's
+    cells, and the (total, hit) stacks at most twice the
     root's two thirds of a grid.  Reading a node's rows, for a table or
     the exact ``mpa``, takes for the moment at most about three times
     that node's tensor, most of it for the table and its sweep, as the
@@ -770,7 +826,7 @@ class _MpaBound:
         """The bound keeping every feature, its node tensor's axes in
         classifier order."""
         grid = _classifier_grid(net, clf)
-        smallest = grid.min(initial=math.inf, where=grid > 0.0).item()
+        smallest = np.where(grid > 0.0, grid, math.inf).min().item()
         layout = tuple(range(len(clf.features)))
         stack = np.stack((grid[0] + grid[1], grid[2]))
         return cls(clf, grid, stack, 0, smallest, None, layout)
@@ -779,9 +835,19 @@ class _MpaBound:
         """This root bound for a search that decides the features in
         ``order``: the same stack, its node tensor's axes that order
         reversed, so that a node's undecided features, the last ones,
-        lead its tensor."""
+        lead its tensor.  When this root's tensor is built already (the
+        branch order read an exact singleton bound), the new root takes
+        a copy of it transposed into the new layout, not a second split:
+        the split is per cell, so its parts are the same numbers in
+        either layout.  A copy, not a view, so that the search reads the
+        layout it sums fastest."""
         layout = tuple(self.clf.features.index(f) for f in reversed(order))
-        return _MpaBound(self.clf, self.grid, self.cells, 0, self.smallest, None, layout)
+        bound = _MpaBound(self.clf, self.grid, self.cells, 0, self.smallest, None, layout)
+        if self._tensor is not None:
+            axes, parts, rest = self._tensor
+            moved = parts.transpose(0, *(1 + axes.index(i) for i in layout), parts.ndim - 1)
+            bound._tensor = (layout, np.ascontiguousarray(moved), rest)
+        return bound
 
     @property
     def kept(self) -> tuple[str, ...]:

@@ -24,6 +24,7 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ModelError
@@ -75,7 +76,7 @@ class Cpt:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", _tuple(self.parents))
-        object.__setattr__(self, "rows", _tuple(self.rows, lambda row: _tuple(row, _entry)))
+        object.__setattr__(self, "rows", _tuple(self.rows, _row))
 
 
 def _hashable(value: object) -> bool:
@@ -89,6 +90,14 @@ def _hashable(value: object) -> bool:
 def _tuple(value: object, item=lambda x: x) -> object:
     """A list or tuple as the tuple of ``item`` of each element, else as given."""
     return tuple(map(item, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _row(row: object) -> object:
+    """A CPT row as ``Cpt`` keeps it: a list or tuple of floats as their
+    tuple, taken whole, else each entry as ``_entry`` reads it."""
+    if (type(row) is list or type(row) is tuple) and {float}.issuperset(map(type, row)):
+        return tuple(row)
+    return _tuple(row, _entry)
 
 
 def _entry(x: object) -> object:
@@ -150,11 +159,11 @@ class BayesianNetwork:
         # them as it does any other name that is no string.
         var_map: dict[str, Variable] = {}
         for v in self.variables:
-            if _hashable(v.name):
+            if type(v.name) is str or _hashable(v.name):
                 var_map.setdefault(v.name, v)
         cpt_map: dict[str, Cpt] = {}
         for c in self.cpts:
-            if _hashable(c.child):
+            if type(c.child) is str or _hashable(c.child):
                 cpt_map.setdefault(c.child, c)
         object.__setattr__(self, "_var_map", var_map)
         object.__setattr__(self, "_cpt_map", cpt_map)
@@ -237,8 +246,21 @@ class BayesianNetwork:
         return tuple(v.name for v in self.variables)
 
 
+def _check_real(x: object, what: str) -> None:
+    """ModelError unless x is a real number a float holds: a bool is not
+    one, although Python counts it as an int."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ModelError(f"{what} must be a number, got {x!r}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ModelError(f"{what} must be a finite value, got a number too large for a float") from None
+
+
 def check_threshold(threshold: float) -> float:
-    """The threshold as a float; ModelError unless it is finite and >= 0."""
+    """The threshold as a float; ModelError unless it is a real number
+    (``_check_real``: no bool and no string) that is finite and >= 0."""
+    _check_real(threshold, "threshold")
     threshold = float(threshold)
     if not math.isfinite(threshold) or threshold < 0.0:
         raise ModelError(f"threshold must be a finite value >= 0, got {threshold}")
@@ -286,19 +308,11 @@ class Classifier:
         if self.class_var in self.features:
             raise ModelError("class variable cannot be a feature")
         object.__setattr__(self, "threshold", check_threshold(self.threshold))
-        if self.positive_value not in (0, 1):
-            raise ModelError("positive_value must be 0 or 1 for a binary class")
-
-
-def _check_real(x: object, what: str) -> None:
-    """ModelError unless x is a real number a float holds: a bool is not
-    one, although Python counts it as an int."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ModelError(f"{what} must be a number, got {x!r}")
-    try:
-        float(x)
-    except OverflowError:
-        raise ModelError(f"{what} must be a finite value, got a number too large for a float") from None
+        # An int index, as check_assignment takes one: True == 1, but a
+        # bool is no index.
+        value = self.positive_value
+        if isinstance(value, bool) or not isinstance(value, int) or value not in (0, 1):
+            raise ModelError(f"positive_value must be 0 or 1 for a binary class, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -430,101 +444,140 @@ def validate_network(net: BayesianNetwork) -> list[str]:
     return list(net._validity[0])
 
 
+def _strings(x: object) -> bool:
+    """Whether x is a tuple of strings: a type-exact test first, then the
+    general one, which admits subclasses."""
+    return (type(x) is tuple and {str}.issuperset(map(type, x))) or (
+        isinstance(x, tuple) and all(isinstance(s, str) for s in x)
+    )
+
+
 def _problems_and_order(
     net: BayesianNetwork,
 ) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
     """validate_network's problems, and the topological order (declaration
-    order breaking ties) when there are none."""
+    order breaking ties) when there are none.
+
+    One walk applies every check, in one fixed message order.  A clean
+    network pays for type-exact tests (``type(x) is str``, ``float``,
+    ``tuple``), one ``fsum`` per row and the topological sort: a name
+    that is no ``str`` alone is tested for hashability, the general
+    ``isinstance`` tests run only where a type-exact one fails, and the
+    dangling and repeated parent lists, a row's out-of-range entries and
+    every message are built only for a field that fails its test."""
     problems: list[str] = []
     names = [v.name for v in net.variables]
     # Each name's cardinality (its first declaration's), None for bad labels.
     cards: dict[str, int | None] = {}
     for v in net.variables:
-        keyed = _hashable(v.name)
-        if keyed and v.name in cards:
-            problems.append(f"duplicate variable name {v.name!r}")
-        if not isinstance(v.name, str):
-            problems.append(f"variable {v.name!r} needs a string 'name'")
-        elif not v.name:
+        name, values = v.name, v.values
+        named = type(name) is str
+        keyed = named or _hashable(name)
+        if keyed and name in cards:
+            problems.append(f"duplicate variable name {name!r}")
+        if not (named or isinstance(name, str)):
+            problems.append(f"variable {name!r} needs a string 'name'")
+        elif not name:
             problems.append("variable name must be nonempty")
-        typed = isinstance(v.values, tuple) and all(isinstance(x, str) for x in v.values)
+        typed = _strings(values)
         if keyed:
-            cards.setdefault(v.name, len(v.values) if typed else None)
+            cards.setdefault(name, len(values) if typed else None)
         if not typed:
-            problems.append(f"variable {v.name!r} needs a list of string 'values'")
-        elif len(v.values) < 2:
-            problems.append(f"variable {v.name!r} needs at least 2 values")
-        elif len(set(v.values)) != len(v.values):
-            problems.append(f"variable {v.name!r} has duplicate value labels")
+            problems.append(f"variable {name!r} needs a list of string 'values'")
+        elif len(values) < 2:
+            problems.append(f"variable {name!r} needs at least 2 values")
+        elif len(set(values)) != len(values):
+            problems.append(f"variable {name!r} has duplicate value labels")
     cseen: set[str] = set()
     for c in net.cpts:
-        if not isinstance(c.child, str):
-            problems.append(f"cpd {c.child!r} needs a string 'child'")
-        if not _hashable(c.child):
+        child = c.child
+        named = type(child) is str
+        if not (named or isinstance(child, str)):
+            problems.append(f"cpd {child!r} needs a string 'child'")
+        if not (named or _hashable(child)):
             continue
-        if c.child in cseen:
-            problems.append(f"duplicate cpt for {c.child!r}")
-        cseen.add(c.child)
-    problems.extend(
-        f"variable {n!r} has no cpt" for n in names if _hashable(n) and n not in cseen
-    )
+        if child in cseen:
+            problems.append(f"duplicate cpt for {child!r}")
+        cseen.add(child)
+    if not cards.keys() <= cseen:  # cards holds every hashable name
+        problems.extend(
+            f"variable {n!r} has no cpt"
+            for n in names
+            if (type(n) is str or _hashable(n)) and n not in cseen
+        )
 
     for c in net.cpts:
-        typed = isinstance(c.parents, tuple) and all(isinstance(p, str) for p in c.parents)
+        child, parents, rows = c.child, c.parents, c.rows
+        typed = _strings(parents)
         if not typed:
-            problems.append(f"cpd {c.child!r} needs a list of string 'parents'")
-        rows = c.rows if isinstance(c.rows, tuple) else ()
+            problems.append(f"cpd {child!r} needs a list of string 'parents'")
+        if not (type(rows) is tuple or isinstance(rows, tuple)):
+            rows = ()
         if not rows:
-            problems.append(f"cpd {c.child!r} needs a nonempty 'rows' array")
+            problems.append(f"cpd {child!r} needs a nonempty 'rows' array")
         # Cpt keeps as given an entry that is no number or an int no float holds.
-        floats = [isinstance(row, tuple) and {float}.issuperset(map(type, row)) for row in rows]
-        if not all(floats):
+        floats = {tuple}.issuperset(map(type, rows)) and {float}.issuperset(
+            map(type, chain.from_iterable(rows))
+        )
+        if not floats:
+            # Which rows hold floats alone, as a list: only they are read below.
+            floats = [isinstance(row, tuple) and {float}.issuperset(map(type, row)) for row in rows]
             kinds = [set(map(type, row)) if isinstance(row, tuple) else {None} for row in rows]
             for j, kind in enumerate(kinds):
                 if kind - {float, int}:
-                    problems.append(f"cpd {c.child!r} row {j} must be a list of numbers")
+                    problems.append(f"cpd {child!r} row {j} must be a list of numbers")
             if any(int in kind and kind <= {float, int} for kind in kinds):
-                problems.append(f"cpd {c.child!r} has an integer too large for a float")
-        if not _hashable(c.child):
+                problems.append(f"cpd {child!r} has an integer too large for a float")
+        if not (type(child) is str or _hashable(child)):
             continue
-        if c.child not in cards:
-            problems.append(f"cpt references unknown child {c.child!r}")
+        if child not in cards:
+            problems.append(f"cpt references unknown child {child!r}")
             continue
         if not typed or not rows:
             continue
-        dangling = [p for p in c.parents if p not in cards]
-        if dangling:
-            problems.extend(f"cpt {c.child!r} references unknown parent {p!r}" for p in dangling)
+        if not all(map(cards.__contains__, parents)):
+            problems.extend(
+                f"cpt {child!r} references unknown parent {p!r}" for p in parents if p not in cards
+            )
             continue
-        repeated = dict.fromkeys(p for i, p in enumerate(c.parents) if p in c.parents[:i])
-        if repeated:
-            problems.extend(f"cpt {c.child!r} lists parent {p!r} twice" for p in repeated)
+        if len(set(parents)) != len(parents):
+            repeated = dict.fromkeys(p for i, p in enumerate(parents) if p in parents[:i])
+            problems.extend(f"cpt {child!r} lists parent {p!r} twice" for p in repeated)
             continue
-        parent_cards = [cards[p] for p in c.parents]
+        parent_cards = list(map(cards.__getitem__, parents))
         expect_rows = None if None in parent_cards else math.prod(parent_cards)
         if expect_rows is not None and len(rows) != expect_rows:
             problems.append(
-                f"cpt {c.child!r}: expected {expect_rows} rows, found {len(rows)}"
+                f"cpt {child!r}: expected {expect_rows} rows, found {len(rows)}"
             )
             continue
-        card = cards[c.child]
+        card = cards[child]
         for i, row in enumerate(rows):
-            if not floats[i]:
+            if floats is not True and not floats[i]:
+                continue
+            # A clean row of floats: of the child's arity, nonempty, every
+            # entry in [0, 1] (min and max pass NaN only after another
+            # entry, and then the sum is NaN) and a sum within tolerance.
+            if (
+                len(row) == card and card
+                and min(row) >= 0.0 and max(row) <= 1.0
+                and abs(math.fsum(row) - 1.0) <= ROW_SUM_TOL
+            ):
                 continue
             if card is not None and len(row) != card:
                 problems.append(
-                    f"cpt {c.child!r} row {i}: expected {card} entries, found {len(row)}"
+                    f"cpt {child!r} row {i}: expected {card} entries, found {len(row)}"
                 )
                 continue
             bad = [x for x in row if not (0.0 <= x <= 1.0) or not math.isfinite(x)]
             if bad:
                 problems.append(
-                    f"cpt {c.child!r} row {i}: entry {bad[0]!r} outside [0, 1]"
+                    f"cpt {child!r} row {i}: entry {bad[0]!r} outside [0, 1]"
                 )
                 continue
             s = math.fsum(row)
             if abs(s - 1.0) > ROW_SUM_TOL:
-                problems.append(f"cpt {c.child!r} row {i}: row sum {s:.10g} != 1")
+                problems.append(f"cpt {child!r} row {i}: row sum {s:.10g} != 1")
 
     if problems:
         return tuple(problems), None

@@ -69,6 +69,10 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.split_fraction < 1.0:
             raise ModelError(f"split fraction must be in (0,1), got {self.split_fraction}")
+        for what, value in (("fold count", self.folds), ("seed", self.seed)):
+            # An int, as check_assignment takes one: a bool is none.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{what} must be an integer, got {value!r}")
         if self.folds < 2:
             raise ModelError(f"fold count must be >= 2, got {self.folds}")
         _check_smoothing(self.smoothing)

@@ -3,6 +3,7 @@ instance generators used by the property and acceptance tests."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import pathlib
@@ -211,6 +212,17 @@ def bound_filter_models(count: int = 200) -> list[tuple[BayesianNetwork, Classif
         check_classifier(net, clf)
         out.append((net, clf))
     return out
+
+
+def trim_pool_19() -> tuple[BayesianNetwork, Classifier, CostModel]:
+    """The benchmark's ``trim`` pool entry 19: a 10-feature general DAG
+    with one-decimal costs, its threshold and its budget."""
+    doc = json.loads((FIXTURES / "trim19.case.json").read_text())
+    net = parse_network(json.dumps(doc["network"]).encode())
+    features = tuple(v.name for v in net.variables if v.name != doc["class"])
+    positive = net.var(doc["class"]).index_of(doc["positive"])
+    clf = Classifier(doc["class"], positive, features, doc["threshold"])
+    return net, clf, CostModel(doc["costs"], doc["budget"])
 
 
 def random_costs(rng: random.Random, clf: Classifier) -> CostModel:

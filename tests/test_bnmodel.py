@@ -115,6 +115,27 @@ class TestClassifier:
         with pytest.raises(ModelError):
             Classifier("C", 2, ("X",), 0.5)
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.0, "1", None, 2, -1])
+    def test_positive_value_must_be_an_int_index(self, value):
+        # True == 1 and 1.0 == 1, but neither is an index, as
+        # check_assignment takes none.
+        with pytest.raises(ModelError, match=r"^positive_value must be 0 or 1 for a binary class, got "):
+            Classifier("C", value, ("X",), 0.5)
+
+    @pytest.mark.parametrize("threshold", [True, False, "0.25", None, 1j, [0.5], 10**400])
+    def test_threshold_must_be_a_real_number(self, threshold):
+        # The rule CostModel applies to costs and budgets: no bool, no
+        # string, and a float must hold it.
+        with pytest.raises(ModelError, match=r"^threshold must be a "):
+            Classifier("C", 1, ("X",), threshold)
+        with pytest.raises(ModelError, match=r"^threshold must be a "):
+            bnmodel.check_threshold(threshold)
+
+    @pytest.mark.parametrize("threshold", [1, Fraction(1, 4), np.float32(0.25), np.int64(0)])
+    def test_threshold_takes_any_real_number(self, threshold):
+        clf = Classifier("C", 1, ("X",), threshold)
+        assert type(clf.threshold) is float and clf.threshold == float(threshold)
+
     def test_empty_feature_set_is_allowed(self):
         assert Classifier("C", 1, (), 0.5).features == ()
 

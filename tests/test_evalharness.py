@@ -915,6 +915,14 @@ class TestRowPosteriors:
 
 
 class TestEvalConfig:
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("field, what", [("folds", "fold count"), ("seed", "seed")])
+    def test_folds_and_seed_must_be_ints(self, field, what, value):
+        # folds=2.5 once reached scatter and raised numpy's TypeError.
+        with pytest.raises(ModelError) as info:
+            EvalConfig(budget=2, **{field: value})
+        assert str(info.value) == f"{what} must be an integer, got {value!r}"
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 import itertools
-import json
 import math
 import pathlib
 import random
@@ -25,7 +24,6 @@ import pytest
 from bntrim import (
     BayesianNetwork,
     Classifier,
-    CostModel,
     Cpt,
     Variable,
     ZeroEvidenceError,
@@ -37,18 +35,17 @@ from bntrim import (
     maa,
     maa_bruteforce,
     mpa,
-    parse_network,
     sdp,
 )
 
 import exact
 from conftest import (
-    FIXTURES,
     acceptance_instances,
     nested_subsets,
     random_dag_instance,
     random_nb_instance,
     random_subset,
+    trim_pool_19,
 )
 
 TOL = 1e-12
@@ -264,17 +261,6 @@ def test_representative_reproduces_maa_score():
     result = maa(net, clf, kept)
     at_rep = exact.eca(net, clf, kept, result.interval.representative)
     assert abs(result.score - at_rep) <= TOL
-
-
-def trim_pool_19() -> tuple[BayesianNetwork, Classifier, CostModel]:
-    """The benchmark's ``trim`` pool entry 19: a 10-feature general DAG
-    with one-decimal costs, its threshold and its budget."""
-    doc = json.loads((FIXTURES / "trim19.case.json").read_text())
-    net = parse_network(json.dumps(doc["network"]).encode())
-    features = tuple(v.name for v in net.variables if v.name != doc["class"])
-    positive = net.var(doc["class"]).index_of(doc["positive"])
-    clf = Classifier(doc["class"], positive, features, doc["threshold"])
-    return net, clf, CostModel(doc["costs"], doc["budget"])
 
 
 @pytest.mark.xfail(

@@ -174,8 +174,24 @@ class TestRowSums:
         x = np.array([fill_row(rng, width, kind) for kind in KINDS for _ in range(3)])
         assert row_sums_hex(x) == fsum_hex(x)
 
-    def test_all_zero_rows_are_zero(self):
+    def test_all_zero_rows_are_zero(self, monkeypatch):
         assert row_sums_hex(np.zeros((5, 37))) == [0.0.hex()] * 5
+        # The smallest positive cell _certify may settle ties by: none in
+        # an all-zero layout, so inf, and the least cell among subnormal
+        # ones, as numpy's masked minimum gives it.
+        smallest = []
+        real_certify = agreement._certify
+
+        def certify(s, e, bound, kinds, cells, least):
+            smallest.append(least())
+            return real_certify(s, e, bound, kinds, cells, least)
+
+        monkeypatch.setattr(agreement, "_certify", certify)
+        tiny = np.array([[0.0, 3 * 2.0**-1074, 2.0**-1060], [5 * 2.0**-1074, 0.0, 2.0**-1022]])
+        for x, want in ((np.zeros((5, 37)), math.inf), (tiny, 3 * 2.0**-1074)):
+            assert row_sums_hex(x) == fsum_hex(x)
+            assert smallest == [want] == [x.min(initial=math.inf, where=x > 0.0).item()]
+            smallest.clear()
 
     def test_fallback_runs_on_rows_it_cannot_certify(self, monkeypatch):
         # Exact halfway ties whose cells span some 54 binades: the sum is

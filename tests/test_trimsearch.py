@@ -43,6 +43,7 @@ from conftest import (
     random_costs,
     random_dag_instance,
     random_instance,
+    trim_pool_19,
 )
 
 
@@ -676,6 +677,34 @@ class TestNodeTensor:
         for frontier in (False, True):
             counts = self.checked_search(monkeypatch, net, clf, CostModel.unit(clf.features, 1), frontier)
             assert counts["unsure"] > 0
+
+
+class TestOneSplitPerSearch:
+    """The branch order builds the classifier-order root's tensor when it
+    compares tied singleton bounds exactly; the search-order root then
+    takes that tensor, transposed, so one search splits the grid once."""
+
+    def test_each_search_splits_the_grid_once(self, monkeypatch):
+        splits, reused = [], []
+        real_split, real_searching = agreement._split, agreement._MpaBound.searching
+
+        def searching(bound, order):
+            reused.append(bound._tensor is not None)
+            return real_searching(bound, order)
+
+        monkeypatch.setattr(agreement, "_split", lambda x: splits.append(x.shape) or real_split(x))
+        monkeypatch.setattr(agreement._MpaBound, "searching", searching)
+        rng = random.Random(4040)
+        cases = [trim_pool_19(), *((net, clf, random_costs(rng, clf)) for net, clf in bound_filter_models())]
+        per_search = []
+        for net, clf, costs in cases:
+            splits.clear()
+            eca_trim(net, clf, costs)
+            per_search.append(len(splits))
+        assert per_search == [1] * len(cases)
+        # Most orders, trim19's among them, read an exact singleton bound
+        # and so built a tensor the search reuses; some read none.
+        assert reused[0] and len(cases) // 2 < sum(reused) < len(cases)
 
 
 class TestSearchMemory:
